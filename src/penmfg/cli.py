@@ -12,10 +12,12 @@ and runs a single command into the output directory:
     chatter      chattered strict controls closing on a relaxed reference
     diagnose     coefficient growth constants and discretization guards
 
-Artifacts are plain CSV / text: paths.csv, flow.csv, value.csv, sweep.csv,
-report.txt as applicable, plus manifest.txt with the seed, package version,
-and the sha256 of the canonical config text.  Outputs carry no timestamps,
-so identical config + seed reruns are byte-identical.
+Artifacts are plain CSV / text: paths.csv (about 70 bytes per particle-step,
+135 MB for the shipped half_line_bm.cfg), flow.csv, value.csv, sweep.csv,
+report.txt as applicable, plus manifest.txt with the seed, the penmfg,
+Python, numpy and scipy versions, and the config text's sha256.  CSV floats
+are shortest round-trip ``repr`` with no locale, and outputs carry no
+timestamps, so identical config + seed reruns are byte-identical.
 
 Exit status: 0 on success, 2 when a run finished but is flagged as not
 converged, 1 on any error (parse, validation, numerical, I/O).
@@ -29,6 +31,9 @@ import io
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .config import (
@@ -50,7 +55,7 @@ from .equilibrium import (
     strict_approximation_run,
 )
 from .errors import PenmfgError
-from .measures import flow_to_csv, format_float
+from .measures import flow_to_csv, format_float as _ff
 from .model import empirical_growth_constants
 from .simulate import (
     EXPLICIT_PENALTY_LIMIT,
@@ -61,19 +66,15 @@ from .simulate import (
 )
 
 
-def _ff(value) -> str:
-    return format_float(value)
-
-
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
 def _manifest(cfg: RunConfig) -> str:
-    return (f"command = {cfg.command}\n"
-            f"seed = {cfg.seed}\n"
-            f"version = {__version__}\n"
-            f"config_sha256 = {config_hash(cfg)}\n")
+    fields = {"command": cfg.command, "seed": cfg.seed, "version": __version__,
+              "config_sha256": config_hash(cfg), "python": sys.version.split()[0],
+              "numpy": np.__version__, "scipy": scipy.__version__}
+    return "".join(f"{key} = {val}\n" for key, val in fields.items())
 
 
 def _report_head(cfg: RunConfig) -> list:

@@ -34,7 +34,7 @@ import numpy as np
 from . import model as model_mod
 from .controls import RelaxedFeedback, StrictFeedback
 from .errors import ConfigError, GridError
-from .measures import EmpiricalMeasure, MeasureFlow, format_float
+from .measures import EmpiricalMeasure, MeasureFlow, format_float, write_csv_steps
 from .model import ModelSpec, penalized_running_cost, validate_penalty
 from .simulate import SimConfig, evaluate_cost, simulate
 
@@ -564,14 +564,9 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
 def value_to_csv(field: ValueField, ms: ModelSpec, path) -> None:
     """Rows (t, node coords, V, control index; -1 on the terminal slice)."""
     nodes = field.grid.nodes()
-    d = nodes.shape[1]
-    header = "t," + ",".join(f"x_{j + 1}" for j in range(d)) + ",value,u_index"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for k in range(field.V.shape[0]):
-            t = format_float(field.times[k])
-            last = k == field.V.shape[0] - 1
-            for i in range(nodes.shape[0]):
-                coords = ",".join(format_float(v) for v in nodes[i])
-                u = -1 if last else int(field.argmin[k, i])
-                fh.write(f"{t},{coords},{format_float(field.V[k, i])},{u}\n")
+    xs = [f"x_{j + 1}" for j in range(nodes.shape[1])]
+    u_index = np.vstack((field.argmin[:len(field.V) - 1], np.full((1, len(nodes)), -1)))
+    write_csv_steps(path, ",".join(["t"] + xs + ["value", "u_index"]),
+                    map(format_float, field.times),
+                    (",".join(map(format_float, row)) for row in nodes), "%r,%d",
+                    map(np.column_stack, zip(field.V, u_index)))

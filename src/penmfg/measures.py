@@ -145,16 +145,27 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def flow_to_csv(flow: MeasureFlow, path) -> None:
-    """Write a flow as CSV rows (t_index, particle_index, x_1..x_d)."""
-    d = flow.dim
-    header = "t_index,particle_index," + ",".join(f"x_{j + 1}" for j in range(d))
+def write_csv_steps(path, header: str, leads, row_heads, cells: str, blocks) -> None:
+    """Write a CSV file, one ``%`` call per time step on a template built once.
+
+    Row i of step k is ``leads[k],row_heads[i],`` then ``cells`` filled from
+    ``blocks[k][i]``: ``%r`` per float cell (exactly ``format_float``), ``%d``
+    per integer-valued one.  A marker in the template stands for the lead cell.
+    """
+    template = "".join(f"\0,{head},{cells}\n" for head in row_heads)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for k, frame in enumerate(flow.frames):
-            for i in range(frame.n):
-                coords = ",".join(format_float(v) for v in frame.samples[i])
-                fh.write(f"{k},{i},{coords}\n")
+        for lead, block in zip(leads, blocks):
+            values = np.asarray(block, dtype=float).ravel().tolist()
+            fh.write(template.replace("\0", lead) % tuple(values))
+
+
+def flow_to_csv(flow: MeasureFlow, path) -> None:
+    """Write a flow as CSV rows (t_index, particle_index, x_1..x_d)."""
+    xs = [f"x_{j + 1}" for j in range(flow.dim)]
+    write_csv_steps(path, ",".join(["t_index", "particle_index"] + xs),
+                    map(str, range(len(flow.frames))), range(flow.frames[0].n),
+                    ",".join(["%r"] * flow.dim), (fr.samples for fr in flow.frames))
 
 
 @dataclass(eq=False)

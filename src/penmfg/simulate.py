@@ -31,6 +31,7 @@ from .measures import (
     MeasureFlow,
     flow_from_states,
     format_float,
+    write_csv_steps,
 )
 from .model import ModelSpec, SmoothFn, generator_apply
 from .rng import CONTROL, INIT, step_normals, stream
@@ -451,17 +452,8 @@ def moment_summary(paths: PathBundle) -> dict:
 def paths_to_csv(paths: PathBundle, path) -> None:
     """Write the bundle as CSV rows (t, particle, x_*, k_*, kvar)."""
     d = paths.dim
-    cols = ["t", "particle"]
-    cols += [f"x_{j + 1}" for j in range(d)]
-    cols += [f"k_{j + 1}" for j in range(d)]
-    cols.append("kvar")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for step in range(paths.n_steps + 1):
-            t = format_float(paths.times[step])
-            for i in range(paths.n_particles):
-                row = [t, str(i)]
-                row += [format_float(v) for v in paths.X[step, i]]
-                row += [format_float(v) for v in paths.K[step, i]]
-                row.append(format_float(paths.Kvar[step, i]))
-                fh.write(",".join(row) + "\n")
+    cols = ["t", "particle"] + [f"x_{j + 1}" for j in range(d)]
+    cols += [f"k_{j + 1}" for j in range(d)] + ["kvar"]
+    write_csv_steps(path, ",".join(cols), map(format_float, paths.times),
+                    range(paths.n_particles), ",".join(["%r"] * (2 * d + 1)),
+                    map(np.column_stack, zip(paths.X, paths.K, paths.Kvar)))

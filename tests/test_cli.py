@@ -1,6 +1,9 @@
 """Command line front end: artifacts, exit codes, byte-stable reruns."""
 
+import sys
+
 import numpy as np
+import scipy
 
 from penmfg.cli import main
 
@@ -58,6 +61,10 @@ def test_simulate_writes_expected_artifacts(tmp_path):
     assert len(lines) == 1 + 60 * (10 + 1)  # header + N * (M+1)
     manifest = (out / "manifest.txt").read_text()
     assert "seed = 5" in manifest and "config_sha256 = " in manifest
+    # the Philox-to-normal bytes depend on numpy, so the run records it
+    assert f"python = {sys.version.split()[0]}\n" in manifest
+    assert f"numpy = {np.__version__}\n" in manifest
+    assert f"scipy = {scipy.__version__}\n" in manifest
 
 
 def test_identical_runs_are_byte_identical(tmp_path):

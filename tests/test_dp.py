@@ -1,5 +1,7 @@
 """Markov-chain DP: grid, stencil consistency, recursion laws, exploitability."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from penmfg.dp import (
     value_to_csv,
 )
 from penmfg.errors import ConfigError, GridError
-from penmfg.measures import flow_from_states
+from penmfg.measures import flow_from_states, format_float
 from penmfg.simulate import SimConfig, evaluate_cost, simulate
 
 UNIT_BOX = domain.box([0.0], [1.0])
@@ -367,6 +369,26 @@ def test_chain_flow_mismatch_raises():
         solve_dp(chain, ms, const_flow(0.5, 2e-3, 12), )
 
 
+# Floats whose shortest repr is easy to get wrong: signed zero, subnormal,
+# tiny, the switch to exponent notation, a rounding artifact.
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 1e22])
+
+
+def reference_value_csv(field) -> bytes:
+    """The per-cell writer: one format_float per cell, rows joined by ','."""
+    nodes = field.grid.nodes()
+    d = nodes.shape[1]
+    rows = ["t," + ",".join(f"x_{j + 1}" for j in range(d)) + ",value,u_index"]
+    last = field.V.shape[0] - 1
+    for k in range(last + 1):
+        for i in range(nodes.shape[0]):
+            u = -1 if k == last else int(field.argmin[k, i])
+            rows.append(",".join([format_float(field.times[k])]
+                                 + [format_float(v) for v in nodes[i]]
+                                 + [format_float(field.V[k, i]), str(u)]))
+    return ("\n".join(rows) + "\n").encode()
+
+
 def test_value_csv_export(tmp_path):
     ms = model.make_preset("reflected_bm", UNIT_BOX, {"sigma": 1.0, "x0": 0.5})
     flow = const_flow(0.5, 2e-3, 3)
@@ -378,3 +400,14 @@ def test_value_csv_export(tmp_path):
     assert lines[0] == "t,x_1,value,u_index"
     assert len(lines) == 1 + 4 * 5  # (M+1) slices x 5 nodes
     assert all(row.endswith(",-1") for row in lines[-5:])  # terminal slice
+    assert out.read_bytes() == reference_value_csv(field)
+    # d = 2 with edge floats in V and every control index in use
+    g2 = DPGrid.regular([-1.0, 0.0], [0.0, 1.0], 0.5)
+    edge = np.resize(np.concatenate([EDGE_FLOATS, -EDGE_FLOATS]), (4, 9))
+    field2 = replace(field, grid=g2, V=edge,
+                     argmin=np.arange(27).reshape(3, 9) % 4)
+    value_to_csv(field2, ms, out)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,x_1,x_2,value,u_index"
+    assert all(row.endswith(",-1") for row in lines[-9:])
+    assert out.read_bytes() == reference_value_csv(field2)

@@ -1,12 +1,20 @@
 """Particle simulator: schemes, K bookkeeping, costs, martingale residuals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from penmfg import domain, model
 from penmfg.controls import RelaxedOpenLoop, StrictFeedback
 from penmfg.errors import ConfigError, DivergenceError
-from penmfg.measures import EmpiricalMeasure, TimedControlMeasure, flow_to_csv
+from penmfg.measures import (
+    EmpiricalMeasure,
+    TimedControlMeasure,
+    flow_from_states,
+    flow_to_csv,
+    format_float,
+)
 from penmfg.model import linear_probe, quadratic_probe
 from penmfg.rng import step_normals
 from penmfg.simulate import (
@@ -386,13 +394,51 @@ def test_detects_wrong_generator():
 
 def test_moment_summary_keys_and_scale():
     ms = quiet_model(sigma=1.0, x0=0.5)
-    paths, _ = simulate(ms, SimConfig(n_particles=256, dt=0.02, penalty=64,
-                                      seed=6), null_law())
-    summary = moment_summary(paths)
-    assert set(summary) == {"sup_x_sq", "sup_k_sq", "kvar_total"}
-    assert summary["sup_x_sq"] >= 0.25  # at least the initial point
-    assert summary["kvar_total"] >= 0.0
-    assert summary["sup_k_sq"] <= summary["kvar_total"] ** 2 + 1e-12 or True
+    # penalty 16 keeps the explicit scheme inside its penalty*dt <= 0.5 guard
+    for scheme, penalty in (("penalized_explicit", 16), ("penalized_splitting", 64),
+                            ("reflected_projected", None)):
+        paths, _ = simulate(ms, SimConfig(n_particles=256, dt=0.02, scheme=scheme,
+                                          penalty=penalty, seed=6), null_law())
+        summary = moment_summary(paths)
+        assert set(summary) == {"sup_x_sq", "sup_k_sq", "kvar_total"}
+        assert summary["sup_x_sq"] >= 0.25  # at least the initial point
+        assert summary["kvar_total"] >= 0.0
+        # triangle inequality, path by path: max_t |K_t| <= Kvar_T (1e-12 for rounding)
+        sup_k = np.linalg.norm(paths.K, axis=-1).max(axis=0)
+        assert np.all(sup_k <= paths.Kvar[-1] + 1e-12), scheme
+
+
+# Floats whose shortest repr is easy to get wrong: signed zero, subnormal,
+# tiny, the switch to exponent notation, a rounding artifact.
+EDGE_FLOATS = np.array([-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 1e22])
+
+
+def edge_array(shape):
+    return np.resize(np.concatenate([EDGE_FLOATS, -EDGE_FLOATS, [0.5]]), shape)
+
+
+def reference_paths_csv(paths) -> bytes:
+    """The per-cell writer: one format_float per cell, rows joined by ','."""
+    d = paths.dim
+    rows = [",".join(["t", "particle"] + [f"x_{j + 1}" for j in range(d)]
+                     + [f"k_{j + 1}" for j in range(d)] + ["kvar"])]
+    for step in range(paths.n_steps + 1):
+        for i in range(paths.n_particles):
+            rows.append(",".join(
+                [format_float(paths.times[step]), str(i)]
+                + [format_float(v) for v in paths.X[step, i]]
+                + [format_float(v) for v in paths.K[step, i]]
+                + [format_float(paths.Kvar[step, i])]))
+    return ("\n".join(rows) + "\n").encode()
+
+
+def reference_flow_csv(flow) -> bytes:
+    rows = ["t_index,particle_index," + ",".join(f"x_{j + 1}" for j in range(flow.dim))]
+    for k, frame in enumerate(flow.frames):
+        for i in range(frame.n):
+            rows.append(",".join([str(k), str(i)]
+                                 + [format_float(v) for v in frame.samples[i]]))
+    return ("\n".join(rows) + "\n").encode()
 
 
 def test_csv_exports_are_deterministic(tmp_path):
@@ -411,3 +457,15 @@ def test_csv_exports_are_deterministic(tmp_path):
     flines = f1.read_text().splitlines()
     assert flines[0] == "t_index,particle_index,x_1"
     assert len(flines) == 1 + 5 * 5
+    assert p1.read_bytes() == reference_paths_csv(paths)
+    assert f1.read_bytes() == reference_flow_csv(flow)
+    # edge floats in d = 1 and d = 2, including the lead time cell
+    times = edge_array(paths.times.shape)
+    for d in (1, 2):
+        edge = replace(paths, times=times, X=edge_array((5, 5, d)),
+                       K=edge_array((5, 5, d))[::-1], Kvar=edge_array((5, 5)).T)
+        paths_to_csv(edge, p1)
+        assert p1.read_bytes() == reference_paths_csv(edge)
+        edge_flow = flow_from_states(paths.times, edge.X)
+        flow_to_csv(edge_flow, f1)
+        assert f1.read_bytes() == reference_flow_csv(edge_flow)

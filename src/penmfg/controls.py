@@ -7,14 +7,16 @@ A control law is one of
 - :class:`BinnedRelaxedFeedback`  same, backed by per-bin tables (projection output)
 - :class:`RelaxedOpenLoop`        a TimedControlMeasure, identical for all states
 - :class:`PiecewiseConstantControl`  a deterministic open-loop switching schedule
-- :class:`Chattered`              a relaxed base replayed as deterministic switching
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
 number of whole time cells proportional to its block-averaged weight (largest
 remainder rounding, atoms in fixed grid order).  As delta shrinks the schedule
 occupies the relaxed measure's mass pattern ever more finely, which is what
-the strict-approximation studies sweep.
+the strict-approximation studies sweep.  :func:`chattered_indices` allocates
+any weight table whose leading axis is the time cell: an open-loop measure's
+(cells, nU) weights, or a per-node feedback table (cells, nodes, nU), which
+chatters every node at once and yields a strict node-table law.
 
 The Markovian projection compresses per-particle relaxed weights onto a state
 binning: bin by bin it averages the weights of the particles inside, giving a
@@ -23,7 +25,7 @@ relaxed feedback law that depends on the state only through its bin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -97,36 +99,6 @@ class PiecewiseConstantControl:
         return TimedControlMeasure(self.times, self.atoms, w)
 
 
-@dataclass(eq=False)
-class Chattered:
-    """Deterministic switching replay of a relaxed base law.
-
-    ``times`` gives the underlying cell grid; it defaults to the base
-    measure's grid for open-loop bases and is required for feedback bases.
-    """
-
-    base: RelaxedFeedback | RelaxedOpenLoop
-    delta: float
-    times: np.ndarray | None = None
-    _schedule: PiecewiseConstantControl | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if isinstance(self.base, RelaxedOpenLoop):
-            if self.times is None:
-                self.times = self.base.measure.times
-            self._schedule = chattering(self.base.measure, self.delta)
-        elif self.times is None:
-            raise PenmfgError("chattered feedback needs an explicit time grid")
-        self.times = np.asarray(self.times, dtype=float)
-        _cells_per_block(self.times, self.delta)  # validates divisibility
-
-    @property
-    def atoms(self) -> np.ndarray:
-        if isinstance(self.base, RelaxedOpenLoop):
-            return self.base.measure.atoms
-        return self.base.atoms
-
-
 # -------------------------------------------------------------- allocation
 
 
@@ -170,36 +142,26 @@ def chattering(q: TimedControlMeasure, delta: float) -> PiecewiseConstantControl
     order.  Each atom's occupation time is within one cell of delta times its
     averaged weight.
     """
-    k = _cells_per_block(q.times, delta)
-    m = q.n_cells
-    indices = np.empty(m, dtype=int)
-    for start in range(0, m, k):
-        stop = min(start + k, m)
-        w_bar = q.weights[start:stop].mean(axis=0)
+    return PiecewiseConstantControl(q.times, chattered_indices(q.times, q.weights, delta),
+                                    q.atoms)
+
+
+def chattered_indices(times: np.ndarray, weights: np.ndarray, delta: float) -> np.ndarray:
+    """Chattering schedule of a (cells, ..., nU) weight table: (cells, ...) atom indices.
+
+    Each entry of the batch axes is allocated on its own, as in :func:`chattering`.
+    """
+    k = _cells_per_block(times, delta)
+    w = np.asarray(weights, dtype=float)
+    indices = np.empty(w.shape[:-1], dtype=int)
+    for start in range(0, w.shape[0], k):
+        stop = min(start + k, w.shape[0])
+        w_bar = w[start:stop].mean(axis=0).reshape(-1, w.shape[-1])
         counts = largest_remainder_counts(w_bar * (stop - start), stop - start)
-        fill = np.repeat(np.arange(q.atoms.shape[0]), counts)
-        indices[start:stop] = fill
-    return PiecewiseConstantControl(q.times, indices, q.atoms)
-
-
-def _chattered_values(law: Chattered, t: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate a chattered law at time t for a batch of states."""
-    if isinstance(law.base, RelaxedOpenLoop):
-        u = law._schedule.value_at(t)
-        return np.broadcast_to(u, (x.shape[0], u.size)).copy()
-    times = law.times
-    dt = float(times[1] - times[0])
-    k = _cells_per_block(times, law.delta)
-    m = times.size - 1
-    cell = int(np.clip(np.floor((t - times[0]) / dt + 1e-12), 0, m - 1))
-    start = (cell // k) * k
-    stop = min(start + k, m)
-    w = np.stack([_eval_weights(law.base, times[c], x) for c in range(start, stop)])
-    w_bar = w.mean(axis=0)
-    counts = largest_remainder_counts(w_bar * (stop - start), stop - start)
-    cum = np.cumsum(counts, axis=1)
-    idx = np.sum(cum <= (cell - start), axis=1)
-    return law.atoms[idx]
+        offset = np.arange(stop - start)[:, None, None]
+        indices[start:stop] = np.sum(np.cumsum(counts, axis=1) <= offset,
+                                     axis=2).reshape(indices[start:stop].shape)
+    return indices
 
 
 def _eval_weights(law, t: float, x: np.ndarray) -> np.ndarray:
@@ -255,8 +217,6 @@ def sample_control(ms, law, t: float, x: np.ndarray, rng: np.random.Generator):
     if isinstance(law, PiecewiseConstantControl):
         u = law.value_at(t)
         return np.broadcast_to(u, (x.shape[0], u.size)).copy(), None
-    if isinstance(law, Chattered):
-        return _chattered_values(law, t, x), None
     raise PenmfgError(f"unknown control law {type(law).__name__}")
 
 
@@ -356,9 +316,13 @@ def _bundle_weights(paths) -> np.ndarray:
     if atoms is None or ctrl.values is None:
         raise PenmfgError("path bundle carries no usable control record")
     vals = ctrl.values
-    gap = np.linalg.norm(vals[:, :, None, :] - atoms[None, None, :, :], axis=3)
-    idx = np.argmin(gap, axis=2)
-    if np.max(np.take_along_axis(gap, idx[:, :, None], axis=2)) > GRID_MATCH_TOL:
+    gap = np.full(vals.shape[:2], np.inf)
+    idx = np.zeros(vals.shape[:2], dtype=int)
+    for j, atom in enumerate(atoms):  # strict '<': ties go to the lower atom
+        dist = np.linalg.norm(vals - atom, axis=2)
+        idx = np.where(dist < gap, j, idx)
+        gap = np.minimum(gap, dist)
+    if np.max(gap) > GRID_MATCH_TOL:
         raise ContractViolationError(
             "strict control values do not sit on the control grid; "
             "cannot lift them to point masses"

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import model as model_mod
-from .controls import RelaxedFeedback, StrictFeedback
+from .controls import RelaxedFeedback, StrictFeedback, chattered_indices
 from .errors import ConfigError, GridError
 from .measures import EmpiricalMeasure, MeasureFlow, format_float, write_csv_steps
 from .model import ModelSpec, penalized_running_cost, validate_penalty
@@ -478,15 +478,30 @@ def _time_slice(times: np.ndarray, t: float) -> int:
                        times.size - 2))
 
 
-def feedback_law(field: ValueField, ms: ModelSpec) -> StrictFeedback:
-    """Strict feedback on the model's control grid via nearest-node lookup."""
-    atoms = ms.control_grid()
+def _node_table_law(field: ValueField, table: np.ndarray,
+                    atoms: np.ndarray) -> StrictFeedback:
+    """Strict law atoms[table[time slice][nearest node]], table (M, n_nodes)."""
 
     def fn(t, x):
-        k = _time_slice(field.times, t)
-        return atoms[field.argmin[k][field.grid.nearest_node(x)]]
+        return atoms[table[_time_slice(field.times, t)][field.grid.nearest_node(x)]]
 
     return StrictFeedback(fn)
+
+
+def feedback_law(field: ValueField, ms: ModelSpec) -> StrictFeedback:
+    """Strict feedback on the model's control grid via nearest-node lookup."""
+    return _node_table_law(field, field.argmin, ms.control_grid())
+
+
+def _probe_weights(field: ValueField, n_u: int, epsilon: float) -> np.ndarray:
+    """(M, n_nodes, nU) table: 1 - eps on the argmin control, eps on the runner-up."""
+    if not 0.0 <= epsilon <= 0.5:
+        raise ConfigError("epsilon must lie in [0, 1/2]")
+    w = np.zeros(field.argmin.shape + (n_u,))
+    k, node = np.indices(field.argmin.shape)
+    w[k, node, field.argmin] += 1.0 - epsilon
+    w[k, node, field.runner_up] += epsilon
+    return w
 
 
 def relaxed_probe(field: ValueField, ms: ModelSpec,
@@ -497,21 +512,25 @@ def relaxed_probe(field: ValueField, ms: ModelSpec,
     strict DP law; with one control, or eps = 0, it degenerates to the strict
     law in relaxed form.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ConfigError("epsilon must lie in [0, 1/2]")
     atoms = ms.control_grid()
-    n_u = atoms.shape[0]
+    table = _probe_weights(field, atoms.shape[0], epsilon)
 
     def fn(t, x):
-        k = _time_slice(field.times, t)
-        nodes = field.grid.nearest_node(x)
-        w = np.zeros((x.shape[0], n_u))
-        rows = np.arange(x.shape[0])
-        w[rows, field.argmin[k][nodes]] += 1.0 - epsilon
-        w[rows, field.runner_up[k][nodes]] += epsilon
-        return w
+        return table[_time_slice(field.times, t)][field.grid.nearest_node(x)]
 
     return RelaxedFeedback(fn, atoms)
+
+
+def chattered_probe(field: ValueField, ms: ModelSpec, delta: float,
+                    epsilon: float = 0.1) -> StrictFeedback:
+    """The relaxed probe chattered at block length delta, as a strict law.
+
+    The probe's weights depend on the state only through its nearest node,
+    so each node's switching schedule is tabulated once for the whole run.
+    """
+    atoms = ms.control_grid()
+    table = _probe_weights(field, atoms.shape[0], epsilon)
+    return _node_table_law(field, chattered_indices(field.times, table, delta), atoms)
 
 
 # ------------------------------------------------------------ exploitability
@@ -525,11 +544,7 @@ class ExploitabilityReport:
     cost: float
     cost_se: float
     dp_value: float
-
-    def __str__(self):
-        return (f"exploitability {self.gap:.6f} "
-                f"(cost {self.cost:.6f} +/- {self.cost_se:.2g}, "
-                f"best response {self.dp_value:.6f})")
+    clipped: bool = False  # the raw gap fell below -3 SE and was raised to it
 
 
 def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
@@ -543,7 +558,7 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
     given penalty, projected scheme otherwise), compares with the DP value
     averaged over the realized initial states, and clips the gap below at
     -3 standard errors: anything lower signals an inconsistency rather than
-    a better-than-optimal law.
+    a better-than-optimal law, so the report records the clip in ``clipped``.
     """
     if field is None:
         if grid is None:
@@ -556,9 +571,10 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
     paths, _ = simulate(ms, cfg, law, frozen_flow=flow)
     rep = evaluate_cost(ms, paths, flow)
     dp0 = float(np.mean(field.value_at(0, paths.X[0])))
-    gap = max(rep.value - dp0, -3.0 * rep.stderr)
-    return ExploitabilityReport(gap=gap, cost=rep.value, cost_se=rep.stderr,
-                                dp_value=dp0)
+    gap, floor = rep.value - dp0, -3.0 * rep.stderr
+    return ExploitabilityReport(gap=max(gap, floor), cost=rep.value,
+                                cost_se=rep.stderr, dp_value=dp0,
+                                clipped=gap < floor)
 
 
 def value_to_csv(field: ValueField, ms: ModelSpec, path) -> None:

@@ -31,11 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import Chattered, StrictFeedback, realized_control_measure
+from .controls import StrictFeedback, realized_control_measure
 from .dp import (
     DPGrid,
     ValueField,
     build_chain,
+    chattered_probe,
     pad_for_penalty,
     relaxed_probe,
     solve_dp,
@@ -109,7 +110,8 @@ class EquilibriumReport:
         ]
         if self.exploitability is not None:
             lines.append(f"exploit    {self.exploitability.gap:.6f}"
-                         + ("  [FLAGGED]" if self.flagged_exploit else ""))
+                         + ("  [FLAGGED]" if self.flagged_exploit else "")
+                         + ("  [CLIPPED]" if self.exploitability.clipped else ""))
         return "\n".join(lines)
 
 
@@ -359,7 +361,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     rows = []
     for delta in deltas:
         penalty = max(1, int(round(n0 / delta)))
-        chat = Chattered(relaxed, float(delta), times=flow.times)
+        chat = chattered_probe(base.field, ms, float(delta), epsilon=epsilon)
         run_cfg = replace(frozen_cfg, scheme="penalized_splitting",
                           penalty=penalty)
         paths, _ = simulate(ms, run_cfg, chat, frozen_flow=flow)

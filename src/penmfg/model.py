@@ -65,11 +65,12 @@ class ControlGrid:
         return self.points
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        """Whether each row lies within distance ``tol`` of some control."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        gap = np.min(
-            np.linalg.norm(u[:, None, :] - self.points[None, :, :], axis=2), axis=1
-        )
-        return gap <= tol
+        inside = np.zeros(u.shape[0], dtype=bool)
+        for p in self.points:  # one (B,) distance per atom, no (B, nU, du) tensor
+            inside |= np.linalg.norm(u - p, axis=1) <= tol
+        return inside
 
 
 @dataclass(frozen=True, eq=False)

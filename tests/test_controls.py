@@ -8,11 +8,11 @@ import pytest
 from penmfg import controls, domain, measures, model, rng
 from penmfg.controls import (
     BinSpec,
-    Chattered,
     PiecewiseConstantControl,
     RelaxedFeedback,
     RelaxedOpenLoop,
     StrictFeedback,
+    chattered_indices,
     chattering,
     largest_remainder_counts,
     markovian_projection,
@@ -148,33 +148,33 @@ def test_chattering_rejects_bad_periods():
 
 
 def test_chattered_feedback_law():
-    atoms = np.array([[-1.0], [1.0]])
-
-    def q_fn(t, x):
-        w = np.where(x[:, 0] < 0, 1.0, 0.5)
-        return np.stack([w, 1.0 - w], axis=1)
-
-    law = Chattered(RelaxedFeedback(q_fn, atoms), delta=0.2,
-                    times=np.linspace(0.0, 1.0, 21))
-    x = np.array([[-0.5], [0.5]])
-    seen = []
-    for t in np.linspace(0.0, 0.95, 20):
-        u, w = sample_control(LQ, law, float(t), x, RNG)
-        assert w is None
-        assert u[0, 0] == -1.0  # pure atom stays put
-        seen.append(u[1, 0])
-    # mixed state alternates with equal occupation inside each 4-cell block
-    assert seen.count(-1.0) == seen.count(1.0) == 10
-    assert seen[:4] == [-1.0, -1.0, 1.0, 1.0]
+    # a per-node table: node 0 holds a pure atom, node 1 an even mixture
+    times = np.linspace(0.0, 1.0, 21)
+    table = np.tile([[1.0, 0.0], [0.5, 0.5]], (20, 1, 1))
+    idx = chattered_indices(times, table, 0.2)
+    assert idx.shape == (20, 2)
+    assert np.all(idx[:, 0] == 0)  # pure atom stays put
+    # mixed node alternates with equal occupation inside each 4-cell block
+    assert np.sum(idx[:, 1] == 0) == np.sum(idx[:, 1] == 1) == 10
+    np.testing.assert_array_equal(idx[:4, 1], [0, 0, 1, 1])
 
 
 def test_chattered_open_loop_matches_schedule():
+    # each node of a batched table is chattered exactly as its own measure
+    gen = np.random.default_rng(9)
+    cells, n_nodes = 30, 5
+    t = np.linspace(0.0, 1.5, cells + 1)
+    table = gen.dirichlet(np.ones(3), size=(cells, n_nodes))
+    for delta in (0.05, 0.25, 0.35):  # the last leaves a partial final block
+        idx = chattered_indices(t, table, delta)
+        for node in range(n_nodes):
+            q = TimedControlMeasure(t, np.arange(3.0), table[:, node])
+            np.testing.assert_array_equal(idx[:, node], chattering(q, delta).indices)
     q = tcm([[-1.0], [1.0]], [0.25, 0.75], cells=8, horizon=0.4)
-    law = Chattered(RelaxedOpenLoop(q), delta=0.2)
     sched = chattering(q, 0.2)
-    for t in (0.0, 0.07, 0.22, 0.39):
-        u, _ = sample_control(LQ, law, t, np.zeros((3, 1)), RNG)
-        np.testing.assert_array_equal(u, np.tile(sched.value_at(t), (3, 1)))
+    for t_ in (0.0, 0.07, 0.22, 0.39):
+        u, _ = sample_control(LQ, sched, t_, np.zeros((3, 1)), RNG)
+        np.testing.assert_array_equal(u, np.tile(sched.value_at(t_), (3, 1)))
 
 
 def test_largest_remainder_exact_quotas():

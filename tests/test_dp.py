@@ -1,22 +1,32 @@
 """Markov-chain DP: grid, stencil consistency, recursion laws, exploitability."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from penmfg import domain, model
-from penmfg.controls import StrictFeedback
+from penmfg.controls import (
+    StrictFeedback,
+    _eval_weights,
+    chattered_indices,
+    largest_remainder_counts,
+    sample_control,
+)
 from penmfg.dp import (
     DPGrid,
     ExploitabilityReport,
+    _probe_weights,
     build_chain,
+    chattered_probe,
     exploitability,
     penalty_margin,
     relaxed_probe,
     solve_dp,
     value_to_csv,
 )
+from penmfg.equilibrium import EquilibriumReport
 from penmfg.errors import ConfigError, GridError
 from penmfg.measures import flow_from_states, format_float
 from penmfg.simulate import SimConfig, evaluate_cost, simulate
@@ -341,6 +351,33 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     assert bad.gap > 5.0 * max(good.gap, 1e-3)
 
 
+def test_exploitability_clip_is_recorded():
+    ms = model.make_preset("lq_control", UNIT_BOX, {
+        "sigma": 0.5, "horizon": 0.5, "c": 1.0, "x0": 0.4,
+    })
+    flow = const_flow(0.4, 0.0125, 40)
+    g = DPGrid.regular([0.0], [1.0], 0.05)
+    field, law = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    fair = exploitability(ms, flow, law, n_particles=500, seed=5, field=field)
+    assert not fair.clipped
+    # a best response that claims 1.0 more than the law's cost is inconsistent
+    inflated = replace(field, V=field.V + 1.0)
+    rep = exploitability(ms, flow, law, n_particles=500, seed=5, field=inflated)
+    assert rep.clipped
+    assert rep.gap == -3.0 * rep.cost_se
+    assert rep.cost - rep.dp_value < rep.gap
+
+    def exploit_line(report):
+        eq = EquilibriumReport(flow=flow, law=law, residuals=[0.01],
+                               cost=SimpleNamespace(value=rep.cost, stderr=rep.cost_se),
+                               iterations=1, converged=True, seed=5,
+                               exploitability=report)
+        return eq.summary().splitlines()[-1]
+
+    assert exploit_line(rep) == f"exploit    {rep.gap:.6f}  [CLIPPED]"
+    assert exploit_line(fair) == f"exploit    {fair.gap:.6f}"
+
+
 def test_relaxed_probe_mixture_weights():
     ms = model.make_preset("lq_control", UNIT_BOX, {
         "sigma": 0.5, "c": 1.0, "x0": 0.4,
@@ -359,6 +396,81 @@ def test_relaxed_probe_mixture_weights():
     assert np.all(field.runner_gap >= 0.0)
     with pytest.raises(ConfigError):
         relaxed_probe(field, ms, epsilon=0.9)
+
+
+def reference_chattered_indices(probe, times, delta, t, x):
+    """Per-particle chattering: weigh every cell of t's block at x, then allocate."""
+    dt = float(times[1] - times[0])
+    k = int(round(delta / dt))
+    m = times.size - 1
+    cell = int(np.clip(np.floor((t - times[0]) / dt + 1e-12), 0, m - 1))
+    start = (cell // k) * k
+    stop = min(start + k, m)
+    w = np.stack([_eval_weights(probe, times[c], x) for c in range(start, stop)])
+    w_bar = w.mean(axis=0)
+    counts = largest_remainder_counts(w_bar * (stop - start), stop - start)
+    cum = np.cumsum(counts, axis=1)
+    return np.sum(cum <= (cell - start), axis=1)
+
+
+@pytest.mark.parametrize("control_grid", [[-1.0, 0.0, 1.0], [0.0]])
+def test_chattered_probe_matches_per_particle_reference(control_grid):
+    ms = model.make_preset("lq_control", UNIT_BOX, {
+        "sigma": 0.4, "horizon": 0.5, "c": 1.0, "x0": 0.4,
+        "control_grid": control_grid,
+    })
+    atoms = ms.control_grid()
+    n_u = atoms.shape[0]
+    flow = const_flow(0.4, 0.0125, 40)
+    g = DPGrid.regular([0.0], [1.0], 0.05)
+    field, _ = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    gen = np.random.default_rng(21)
+    fields = [field]
+    if n_u == 1:
+        np.testing.assert_array_equal(field.argmin, field.runner_up)
+    else:  # scrambled tables put mixed weights into most blocks
+        arg = gen.integers(0, n_u, size=field.argmin.shape)
+        second = (arg + gen.integers(1, n_u, size=arg.shape)) % n_u
+        fields.append(replace(field, argmin=arg, runner_up=second))
+    x = gen.uniform(-0.1, 1.1, size=(300, 1))  # edge nodes take clamped points
+    nodes = g.nearest_node(x)
+    for f in fields:
+        for eps in (0.0, 0.25):
+            probe = relaxed_probe(f, ms, epsilon=eps)
+            table = _probe_weights(f, n_u, eps)
+            for delta in (0.2, 0.1, 0.05):  # 0.2: blocks of 16, 16 and 8 cells
+                sched = chattered_indices(f.times, table, delta)
+                law = chattered_probe(f, ms, delta, epsilon=eps)
+                for c in range(flow.n_steps):
+                    t = float(f.times[c])
+                    ref = reference_chattered_indices(probe, f.times, delta, t, x)
+                    np.testing.assert_array_equal(sched[c][nodes], ref)
+                    u, w = sample_control(ms, law, t, x, None)
+                    assert w is None
+                    np.testing.assert_array_equal(u, atoms[ref])
+
+
+def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
+    ms = model.make_preset("lq_control", UNIT_BOX, {
+        "sigma": 0.4, "horizon": 0.5, "c": 1.0, "x0": 0.4,
+    })
+    flow = const_flow(0.4, 0.0125, 40)
+    field, _ = solve_dp(build_chain(ms, None, flow, DPGrid.regular([0.0], [1.0], 0.05)),
+                        ms, flow)
+    calls = []
+    lookup = DPGrid.nearest_node
+
+    def counted(grid, x):
+        calls.append(len(x))
+        return lookup(grid, x)
+
+    monkeypatch.setattr(DPGrid, "nearest_node", counted)
+    law = chattered_probe(field, ms, 0.2, epsilon=0.25)
+    assert calls == []  # tabulating the schedule looks up no state
+    cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
+                    penalty=10, seed=3, interaction="frozen")
+    simulate(ms, cfg, law, frozen_flow=flow)
+    assert calls == [64] * flow.n_steps
 
 
 def test_chain_flow_mismatch_raises():

@@ -72,6 +72,36 @@ def test_w2_quantile_agrees_with_assignment_1d():
         assert abs(a - b) <= 1e-9
 
 
+def test_w2_1d_sort_path_matches_quantile_coupling_bitwise(monkeypatch):
+    """Uniform equal-size 1-D pairs sort each cloud; the bits stay those of
+    the quantile coupling, which weighted or unequal-size pairs still take."""
+    walls = np.where(RNG.random(400) < 0.5, 0.0, 1.0)
+    cases = [
+        (np.array([0.3, 0.3, 0.1, 0.3, 0.1]), np.array([0.2, 0.2, 0.2, 0.9, 0.9])),
+        (np.array([-0.0, 0.0, 0.0, -0.0, 0.5, -0.0]),
+         np.array([0.0, -0.0, 0.25, -0.0, 0.0, 0.0])),
+        (walls, np.concatenate([np.zeros(150), RNG.uniform(0.0, 1.0, 100), np.ones(150)])),
+        (np.array([0.7]), np.array([-0.2])),
+        (np.array([0.0]), np.array([-0.0])),
+        (RNG.normal(size=32000), 0.5 + RNG.normal(size=32000)),
+    ]
+    for x, y in cases:
+        n = x.size
+        want = measures._w2sq_quantile(x, np.full(n, 1.0 / n), y, np.full(n, 1.0 / n))
+        assert measures._w2sq_sorted(x, y) == want
+        assert measures.w2(em(x), em(y)) == float(np.sqrt(want))
+    taken = []
+    quantile = measures._w2sq_quantile
+    monkeypatch.setattr(measures, "_w2sq_quantile",
+                        lambda *a: taken.append(1) or quantile(*a))
+    x, y = RNG.normal(size=6), RNG.normal(size=6)
+    measures.w2(em(x), em(y))
+    assert taken == []
+    measures.w2(em(x, np.full(6, 1.0 / 6)), em(y))  # weights given explicitly
+    measures.w2(em(x), em(y[:5]))
+    assert taken == [1, 1]
+
+
 def test_w2_quantile_weighted_vs_lp():
     """Unequal sizes and nonuniform weights, quantile vs transportation LP."""
     for _ in range(5):

@@ -15,9 +15,10 @@ and runs a single command into the output directory:
 Artifacts are plain CSV / text: paths.csv (about 70 bytes per particle-step,
 135 MB for the shipped half_line_bm.cfg), flow.csv, value.csv, sweep.csv,
 report.txt as applicable, plus manifest.txt with the seed, the penmfg,
-Python, numpy and scipy versions, and the config text's sha256.  CSV floats
-are shortest round-trip ``repr`` with no locale, and outputs carry no
-timestamps, so identical config + seed reruns are byte-identical.
+Python, numpy and scipy versions, and the config text's sha256.  A CSV float
+is its shortest round-trip ``repr`` with no locale, formatted only when its cell
+moves (flow.csv shares the x strings of paths.csv, K and Kvar strings are kept
+while the value holds); no output has a timestamp, so reruns are byte-identical.
 
 Exit status: 0 on success, 2 when a run finished but is flagged as not
 converged, 1 on any error (parse, validation, numerical, I/O).
@@ -102,8 +103,7 @@ def _csv_table(header: list, rows: list) -> str:
 def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
     sim = build_sim(cfg)
     paths, flow = simulate(ms, sim, _constant_law(ms))
-    paths_to_csv(paths, out / "paths.csv")
-    flow_to_csv(flow, out / "flow.csv")
+    paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
     lines.append(f"scheme {sim.scheme}"
                  + (f"  penalty {sim.penalty}" if sim.penalty else ""))

@@ -21,7 +21,8 @@ normalized measures on the product of time and control space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .errors import ContractViolationError, PenmfgError
+from .errors import PenmfgError
 
 EXACT_PAIR_LIMIT = 40_000
 WEIGHT_TOL = 1e-12
@@ -146,27 +147,46 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-def write_csv_steps(path, header: str, leads, row_heads, cells: str, blocks) -> None:
-    """Write a CSV file, one ``%`` call per time step on a template built once.
+def write_csv_steps(tables, formats, blocks) -> None:
+    """Write CSV files from one (N, C) block of cells per time step: table
+    ``(path, header, leads, row_heads, width)`` has as row i of step k
+    ``leads[k],row_heads[i],`` and cells ``blocks[k][i, :width]``, column j made
+    text by ``formats[j]`` only where its bits (not value: ``0.0 == -0.0``)
+    moved since the last step; the tables share these strings."""
+    ufuncs = [np.frompyfunc(fmt, 1, 1) for fmt in formats]  # fed Python floats
+    with ExitStack() as stack:
+        outs = []
+        for path, header, leads, row_heads, width in tables:
+            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+            fh.write(header + "\n")
+            cells = [None, ","] * (width - 1) + [None, "\n"]  # (cell, separator) pairs
+            parts = [p for head in row_heads for p in (None, f",{head},", *cells)]
+            outs.append((fh, parts, iter(leads), width))
+        bits = None
+        for block in blocks:
+            block = np.asarray(block, dtype=float)
+            old, bits = bits, block.view(np.int64)
+            if old is None:  # every bit of ~bits differs: format all cells
+                strs, old = np.empty(block.shape, dtype=object), ~bits
+            for j, ufunc in enumerate(ufuncs):
+                ufunc(block[:, j], out=strs[:, j], where=bits[:, j] != old[:, j])
+            for fh, parts, leads, width in outs:
+                parts[::2 + 2 * width] = [next(leads)] * len(strs)
+                for j in range(width):
+                    parts[2 + 2 * j::2 + 2 * width] = strs[:, j].tolist()
+                fh.write("".join(parts))
 
-    Row i of step k is ``leads[k],row_heads[i],`` then ``cells`` filled from
-    ``blocks[k][i]``: ``%r`` per float cell (exactly ``format_float``), ``%d``
-    per integer-valued one.  A marker in the template stands for the lead cell.
-    """
-    template = "".join(f"\0,{head},{cells}\n" for head in row_heads)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lead, block in zip(leads, blocks):
-            values = np.asarray(block, dtype=float).ravel().tolist()
-            fh.write(template.replace("\0", lead) % tuple(values))
+
+def flow_table(path, n_frames: int, n: int, dim: int) -> tuple:
+    """flow.csv rows (t_index, particle_index, x_1..x_d) as a table."""
+    head = ",".join(["t_index", "particle_index"] + [f"x_{j + 1}" for j in range(dim)])
+    return path, head, map(str, range(n_frames)), range(n), dim
 
 
 def flow_to_csv(flow: MeasureFlow, path) -> None:
     """Write a flow as CSV rows (t_index, particle_index, x_1..x_d)."""
-    xs = [f"x_{j + 1}" for j in range(flow.dim)]
-    write_csv_steps(path, ",".join(["t_index", "particle_index"] + xs),
-                    map(str, range(len(flow.frames))), range(flow.frames[0].n),
-                    ",".join(["%r"] * flow.dim), (fr.samples for fr in flow.frames))
+    write_csv_steps([flow_table(path, len(flow.frames), flow.n, flow.dim)],
+                    (repr,) * flow.dim, (fr.samples for fr in flow.frames))
 
 
 @dataclass(eq=False)

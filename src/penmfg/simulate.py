@@ -30,6 +30,7 @@ from .measures import (
     EmpiricalMeasure,
     MeasureFlow,
     flow_from_states,
+    flow_table,
     format_float,
     write_csv_steps,
 )
@@ -449,11 +450,10 @@ def moment_summary(paths: PathBundle) -> dict:
     }
 
 
-def paths_to_csv(paths: PathBundle, path) -> None:
-    """Write the bundle as CSV rows (t, particle, x_*, k_*, kvar)."""
-    d = paths.dim
-    cols = ["t", "particle"] + [f"x_{j + 1}" for j in range(d)]
-    cols += [f"k_{j + 1}" for j in range(d)] + ["kvar"]
-    write_csv_steps(path, ",".join(cols), map(format_float, paths.times),
-                    range(paths.n_particles), ",".join(["%r"] * (2 * d + 1)),
+def paths_to_csv(paths: PathBundle, paths_csv, flow_csv) -> None:
+    """Write paths.csv rows (t, particle, x_*, k_*, kvar) and the flow.csv of X."""
+    m, n, d = paths.X.shape
+    cols = ["t", "particle", *(f"{c}_{j + 1}" for c in "xk" for j in range(d)), "kvar"]
+    table = paths_csv, ",".join(cols), map(format_float, paths.times), range(n), 2 * d + 1
+    write_csv_steps([table, flow_table(flow_csv, m, n, d)], (repr,) * (2 * d + 1),
                     map(np.column_stack, zip(paths.X, paths.K, paths.Kvar)))

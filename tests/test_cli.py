@@ -6,6 +6,10 @@ import numpy as np
 import scipy
 
 from penmfg.cli import main
+from penmfg.config import build_model, build_sim, parse_config_file
+from penmfg.equilibrium import _constant_law
+from penmfg.simulate import simulate
+from test_simulate import reference_flow_csv, reference_paths_csv
 
 BASE = """\
 [run]
@@ -85,6 +89,23 @@ def test_seed_flag_changes_the_draws(tmp_path):
     assert (out_a / "paths.csv").read_bytes() \
         != (out_b / "paths.csv").read_bytes()
     assert "seed = 99" in (out_b / "manifest.txt").read_text()
+
+
+def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
+    """paths.csv and flow.csv, written in one pass that shares the x strings
+    and keeps K/Kvar strings while they hold, equal the per-cell writers on
+    an independent rerun of the same simulation."""
+    cfg = write_cfg(tmp_path)
+    parsed = parse_config_file(cfg)
+    ms = build_model(parsed)
+    paths, flow = simulate(ms, build_sim(parsed), _constant_law(ms))
+    held = paths.Kvar[1:] == paths.Kvar[:-1]
+    assert held.any() and not held.all()  # K/Kvar cells both hold and move
+    for command in ("simulate", "cost"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
+        assert (out / "paths.csv").read_bytes() == reference_paths_csv(paths)
+        assert (out / "flow.csv").read_bytes() == reference_flow_csv(flow)
 
 
 def test_cost_command_reports_breakdown(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from penmfg import controls, domain, measures, model, rng
 from penmfg.controls import (
     BinSpec,
-    PiecewiseConstantControl,
     RelaxedFeedback,
     RelaxedOpenLoop,
     StrictFeedback,

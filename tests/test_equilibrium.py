@@ -218,3 +218,11 @@ def test_coupling_distance_shrinks_with_penalty():
     near = coupling_distance(ms, sim, law, 512, None)
     assert near < 0.5 * far
     assert near < 0.1
+
+    # metamorphic oracle: once 1 - exp(-n dt) rounds to 1.0 (by n = 1e6
+    # exp(-n dt) itself underflows to 0.0) the splitting scheme's penalty step
+    # is the projection, so under shared noise it is the projected scheme
+    for n in (10**5, 10**6):
+        assert 1.0 - np.exp(-n * sim.dt) == 1.0
+        assert coupling_distance(ms, sim, law, n, None) == 0.0
+    assert np.exp(-10**6 * sim.dt) == 0.0

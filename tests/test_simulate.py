@@ -441,31 +441,63 @@ def reference_flow_csv(flow) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+def moving_cells(d):
+    """(X, K, Kvar) over 6 steps and 3 particles whose cells exercise the
+    writer's reuse of strings between steps: a cell flipping between 0.0 and
+    -0.0, cells held constant over several steps and then moving, and a last
+    step equal to the one before it, so that no cell changes."""
+    x = np.zeros((6, 3, d))
+    x[1::2, 0] = -0.0                    # signed zero flips every step
+    x[:, 1] = 0.1 + 0.2
+    x[3:, 1, -1] = 1e16                  # held over three steps, then moves
+    x[:, 2] = np.arange(6)[:, None] * 0.5
+    k = -x[:, ::-1]                      # the flips land on the k cells too
+    kvar = np.repeat([[5e-324, 1e-300, 0.0]], 6, axis=0)
+    kvar[4:, 1] = 1e22
+    for arr in (x, k, kvar):
+        arr[5] = arr[4]                  # no cell changes at the last step
+    return x, k, kvar
+
+
 def test_csv_exports_are_deterministic(tmp_path):
     ms = quiet_model(sigma=1.0, x0=0.5)
     paths, flow = simulate(ms, SimConfig(n_particles=5, dt=0.25, penalty=4,
                                          seed=8), null_law())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    paths_to_csv(paths, p1)
-    paths_to_csv(paths, p2)
+    f1, f2 = tmp_path / "f.csv", tmp_path / "g.csv"
+    paths_to_csv(paths, p1, f1)
+    paths_to_csv(paths, p2, f2)
     assert p1.read_bytes() == p2.read_bytes()
+    assert f1.read_bytes() == f2.read_bytes()
     lines = p1.read_text().splitlines()
     assert lines[0] == "t,particle,x_1,k_1,kvar"
     assert len(lines) == 1 + 5 * 5  # header + (M+1) * N rows
-    f1 = tmp_path / "f.csv"
-    flow_to_csv(flow, f1)
     flines = f1.read_text().splitlines()
     assert flines[0] == "t_index,particle_index,x_1"
     assert len(flines) == 1 + 5 * 5
     assert p1.read_bytes() == reference_paths_csv(paths)
     assert f1.read_bytes() == reference_flow_csv(flow)
+    flow_to_csv(flow, f2)
+    assert f2.read_bytes() == reference_flow_csv(flow)
     # edge floats in d = 1 and d = 2, including the lead time cell
     times = edge_array(paths.times.shape)
     for d in (1, 2):
         edge = replace(paths, times=times, X=edge_array((5, 5, d)),
                        K=edge_array((5, 5, d))[::-1], Kvar=edge_array((5, 5)).T)
-        paths_to_csv(edge, p1)
-        assert p1.read_bytes() == reference_paths_csv(edge)
         edge_flow = flow_from_states(paths.times, edge.X)
-        flow_to_csv(edge_flow, f1)
+        paths_to_csv(edge, p1, f1)
+        assert p1.read_bytes() == reference_paths_csv(edge)
         assert f1.read_bytes() == reference_flow_csv(edge_flow)
+        flow_to_csv(edge_flow, f2)
+        assert f2.read_bytes() == reference_flow_csv(edge_flow)
+        # strings reused between steps: signed-zero flips, held-then-moved
+        # cells and an unchanged step, written by both entry points
+        x, k, kvar = moving_cells(d)
+        moving = replace(paths, times=np.linspace(0.0, 1.25, 6), X=x, K=k, Kvar=kvar)
+        moving_flow = flow_from_states(moving.times, x)
+        paths_to_csv(moving, p1, f1)
+        assert p1.read_bytes() == reference_paths_csv(moving)
+        assert f1.read_bytes() == reference_flow_csv(moving_flow)
+        flow_to_csv(moving_flow, f2)
+        assert f2.read_bytes() == reference_flow_csv(moving_flow)
+        assert b"-0.0" in p1.read_bytes() and b"-0.0" in f1.read_bytes()

@@ -6,10 +6,10 @@ constraint is replaced by a strong restoring drift of intensity n together
 with a matching boundary-cost surcharge; as n grows the penalized equilibria
 converge to the reflected one.  The pieces:
 
-- ``domain``       convex geometry: projections, distances, inward normals
+- ``domain``       convex geometry: projections, distances, membership
 - ``model``        coefficient bundles, penalized transforms, presets
 - ``measures``     empirical measures, Wasserstein-2 distances, control measures
-- ``controls``     strict / relaxed control laws, chattering, state binning
+- ``controls``     strict (atom index) / relaxed control laws, chattering
 - ``simulate``     penalized and reflected particle schemes, costs, residuals
 - ``dp``           Markov-chain dynamic programming for best responses
 - ``equilibrium``  fixed-point iteration, penalization sweeps, strict runs

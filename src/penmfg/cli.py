@@ -102,7 +102,7 @@ def _csv_table(header: list, rows: list) -> str:
 
 def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
     sim = build_sim(cfg)
-    paths, flow = simulate(ms, sim, _constant_law(ms))
+    paths, flow = simulate(ms, sim, _constant_law())
     paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
     lines.append(f"scheme {sim.scheme}"
@@ -131,10 +131,10 @@ def _cmd_dp(cfg: RunConfig, ms, out: Path) -> int:
     penalty = sim.penalty if sim.scheme.startswith("penalized") else None
     if penalty is not None:
         grid = pad_for_penalty(grid, ms, sim.dt, penalty)
-    _, flow = simulate(ms, sim, _constant_law(ms))
+    _, flow = simulate(ms, sim, _constant_law())
     chain = build_chain(ms, penalty, flow, grid)
-    field, _ = solve_dp(chain, ms, flow)
-    value_to_csv(field, ms, out / "value.csv")
+    field, _ = solve_dp(chain, flow)
+    value_to_csv(field, out / "value.csv")
     v0 = field.V[0]
     lines = _report_head(cfg)
     lines += [
@@ -155,7 +155,7 @@ def _cmd_equilibrium(cfg: RunConfig, ms, out: Path) -> int:
     rep = solve_equilibrium(ms, fp)
     flow_to_csv(rep.flow, out / "flow.csv")
     if rep.field is not None:
-        value_to_csv(rep.field, ms, out / "value.csv")
+        value_to_csv(rep.field, out / "value.csv")
     lines = _report_head(cfg) + [rep.summary()]
     if not rep.converged:
         lines.append("NOT CONVERGED within max_iters")

@@ -108,7 +108,7 @@ def _parse_scalar(raw: str, kind: str, line: int):
     return raw  # "str"
 
 
-def _model_value(raw: str, line: int):
+def _model_value(raw: str):
     """Model parameters are preset-defined: float, float list, or string."""
     parts = raw.split()
     try:
@@ -198,7 +198,7 @@ def _model_section(raw: dict) -> tuple[dict, dict]:
     for key, (value, lineno) in raw.items():
         if key == "preset":
             continue
-        values[key] = _model_value(value, lineno)
+        values[key] = _model_value(value)
         lines[key] = lineno
     return values, lines
 
@@ -316,7 +316,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         elif section == "model":
             updated = dict(cfg.model)
             updated[key] = value if key == "preset" \
-                else _model_value(value, 0)
+                else _model_value(value)
             cfg = replace(cfg, model=updated)
         elif section == "domain":
             raise ConfigError(
@@ -413,7 +413,7 @@ def build_grid(cfg: RunConfig, ms: ModelSpec) -> DPGrid | None:
         if cfg.dp.get("lower") is None or cfg.dp.get("upper") is None:
             raise ConfigError("[dp] bounds need both lower and upper")
         return DPGrid.regular(cfg.dp["lower"], cfg.dp["upper"], hx)
-    return DPGrid.for_model(ms, hx, cfg.sim.get("dt", 1e-3))
+    return DPGrid.for_model(ms, hx)
 
 
 def build_fixed_point(cfg: RunConfig, sim: SimConfig | None = None,

@@ -2,11 +2,15 @@
 
 A control law is one of
 
-- :class:`StrictFeedback`         u = fn(t, x)
+- :class:`StrictFeedback`         atom index = fn(t, x)
 - :class:`RelaxedFeedback`        weights over a control grid as fn(t, x)
-- :class:`BinnedRelaxedFeedback`  same, backed by per-bin tables (projection output)
 - :class:`RelaxedOpenLoop`        a TimedControlMeasure, identical for all states
 - :class:`PiecewiseConstantControl`  a deterministic open-loop switching schedule
+
+A strict control is always one atom of a finite control set, so strict laws
+speak in atom indices: a feedback returns row indices into the model's
+control grid, a schedule holds indices into its own atoms, and the simulation
+records the indices and hands the coefficients ``atoms[index]``.
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
@@ -17,10 +21,6 @@ the strict-approximation studies sweep.  :func:`chattered_indices` allocates
 any weight table whose leading axis is the time cell: an open-loop measure's
 (cells, nU) weights, or a per-node feedback table (cells, nodes, nU), which
 chatters every node at once and yields a strict node-table law.
-
-The Markovian projection compresses per-particle relaxed weights onto a state
-binning: bin by bin it averages the weights of the particles inside, giving a
-relaxed feedback law that depends on the state only through its bin.
 """
 
 from __future__ import annotations
@@ -33,19 +33,15 @@ import numpy as np
 from .errors import ContractViolationError, PenmfgError
 from .measures import TimedControlMeasure
 
-GRID_MATCH_TOL = 1e-9
-DEFAULT_BINS = 32
-MAX_BIN_DIM = 2
-
 
 # ------------------------------------------------------------------ variants
 
 
 @dataclass(eq=False)
 class StrictFeedback:
-    """Deterministic feedback u = fn(t, x) with values in the control set."""
+    """Deterministic feedback: fn(t, x) picks one control grid row per state."""
 
-    fn: Callable  # (t, (B, d)) -> (B, du)
+    fn: Callable  # (t, (B, d)) -> (B,) int indices into ms.control_grid()
 
 
 @dataclass(eq=False)
@@ -85,18 +81,19 @@ class PiecewiseConstantControl:
         if np.any(self.indices < 0) or np.any(self.indices >= self.atoms.shape[0]):
             raise PenmfgError("control index out of range")
 
-    def cell_of(self, t: float) -> int:
-        dt = self.times[1] - self.times[0]
-        return int(np.clip(np.floor((t - self.times[0]) / dt + 1e-12),
-                           0, self.indices.size - 1))
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.atoms[self.indices[self.cell_of(t)]]
-
     def as_timed_measure(self) -> TimedControlMeasure:
         w = np.zeros((self.indices.size, self.atoms.shape[0]))
         w[np.arange(self.indices.size), self.indices] = 1.0
         return TimedControlMeasure(self.times, self.atoms, w)
+
+
+def time_cell(times: np.ndarray, t: float) -> int:
+    """Index k of the cell [t_k, t_k+1) holding t, clamped to the grid's cells.
+
+    The 1e-9 slack keeps a time that is a node up to rounding in its own cell.
+    """
+    dt = float(times[1] - times[0])
+    return int(np.clip(np.floor((t - times[0]) / dt + 1e-9), 0, times.size - 2))
 
 
 # -------------------------------------------------------------- allocation
@@ -183,156 +180,51 @@ def _sample_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_control(ms, law, t: float, x: np.ndarray, rng: np.random.Generator):
-    """Controls for a batch of particles under a law.
+    """Control atoms for a batch of particles under a law.
 
-    Returns ``(values, weights)`` where values is (B, du) and weights is the
-    (B, nU) mixture for relaxed laws, None for strict ones.  Strict feedback
-    values are checked against the model's control set.
+    Returns ``(indices, weights)``: indices is (B,) int into the law's atoms
+    (the model's control grid for strict feedback), weights the (B, nU)
+    mixture they were drawn from for relaxed laws, None for strict ones.
+    Strict feedback output is checked against that index contract.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(law, StrictFeedback):
-        u = np.atleast_2d(np.asarray(law.fn(t, x), dtype=float))
-        if u.shape[0] != x.shape[0]:
+        idx = np.asarray(law.fn(t, x))
+        n_u = ms.control_grid().shape[0]
+        if idx.shape != (x.shape[0],) or idx.dtype.kind not in "iu":
             raise ContractViolationError(
-                f"feedback returned {u.shape[0]} controls for {x.shape[0]} states"
+                f"feedback returned {idx.dtype} of shape {idx.shape}, expected "
+                f"({x.shape[0]},) integer indices into the control grid"
             )
-        ok = ms.controls.contains(u, tol=GRID_MATCH_TOL)
-        if not np.all(ok):
+        if np.any(idx < 0) or np.any(idx >= n_u):
             raise ContractViolationError(
-                f"feedback emitted a control outside the control set: "
-                f"{u[np.argmin(ok)]}"
+                f"feedback returned a control index outside 0..{n_u - 1}"
             )
-        return u, None
-    if isinstance(law, (RelaxedFeedback, BinnedRelaxedFeedback)):
+        return idx, None
+    if isinstance(law, RelaxedFeedback):
         w = _eval_weights(law, t, x)
-        u = law.atoms[_sample_rows(w, rng)]
-        return u, w
+        return _sample_rows(w, rng), w
     if isinstance(law, RelaxedOpenLoop):
         q = law.measure
-        dt = q.times[1] - q.times[0]
-        cell = int(np.clip(np.floor((t - q.times[0]) / dt + 1e-12), 0, q.n_cells - 1))
-        w = np.broadcast_to(q.weights[cell], (x.shape[0], q.atoms.shape[0])).copy()
-        u = q.atoms[_sample_rows(w, rng)]
-        return u, w
+        w = np.broadcast_to(q.weights[time_cell(q.times, t)],
+                            (x.shape[0], q.atoms.shape[0])).copy()
+        return _sample_rows(w, rng), w
     if isinstance(law, PiecewiseConstantControl):
-        u = law.value_at(t)
-        return np.broadcast_to(u, (x.shape[0], u.size)).copy(), None
+        return np.full(x.shape[0], law.indices[time_cell(law.times, t)]), None
     raise PenmfgError(f"unknown control law {type(law).__name__}")
 
 
-# ------------------------------------------------------- markovian projection
+def realized_control_measure(paths) -> TimedControlMeasure:
+    """Population-averaged relaxed control measure realized along a bundle.
 
-
-@dataclass(frozen=True)
-class BinSpec:
-    """Uniform state binning; bounds default to the data range."""
-
-    n_bins: int = DEFAULT_BINS
-    lower: tuple | None = None
-    upper: tuple | None = None
-
-
-@dataclass(eq=False)
-class BinnedRelaxedFeedback:
-    """Relaxed feedback constant on state bins, one table per time step."""
-
-    times: np.ndarray
-    edges: list[np.ndarray]
-    tables: np.ndarray  # (M, n_flat, nU)
-    atoms: np.ndarray
-
-    def _bin_of(self, x: np.ndarray) -> np.ndarray:
-        idx = 0
-        for axis, e in enumerate(self.edges):
-            j = np.clip(np.searchsorted(e, x[:, axis], side="right") - 1,
-                        0, e.size - 2)
-            idx = idx * (e.size - 1) + j
-        return idx
-
-    def fn(self, t: float, x: np.ndarray) -> np.ndarray:
-        dt = self.times[1] - self.times[0]
-        k = int(np.clip(np.round((t - self.times[0]) / dt),
-                        0, self.tables.shape[0] - 1))
-        return self.tables[k, self._bin_of(np.atleast_2d(x))]
-
-
-def markovian_projection(paths, bins: BinSpec | None = None) -> BinnedRelaxedFeedback:
-    """Average per-particle relaxed weights over state bins.
-
-    ``paths`` must carry per-step control weights (relaxed simulation) or
-    strict on-grid control values, which are lifted to point masses.  Empty
-    bins inherit the table row of the nearest populated bin.
+    Strict records count each step's atom indices, which is the mean of
+    their point masses bit for bit.
     """
-    bins = bins or BinSpec()
-    states = paths.X
-    m_steps, n_particles = states.shape[0] - 1, states.shape[1]
-    d = states.shape[2]
-    if d > MAX_BIN_DIM:
-        raise PenmfgError(f"state binning supports d <= {MAX_BIN_DIM}, got {d}")
-    if n_particles == 0:
-        raise PenmfgError("cannot project an empty path bundle")
-    weights = _bundle_weights(paths)
-    atoms = paths.ctrl.atoms
-    lo = np.asarray(bins.lower if bins.lower is not None
-                    else states.min(axis=(0, 1)), dtype=float).reshape(d)
-    hi = np.asarray(bins.upper if bins.upper is not None
-                    else states.max(axis=(0, 1)), dtype=float).reshape(d)
-    hi = np.where(hi > lo, hi, lo + 1.0)
-    edges = [np.linspace(lo[a], hi[a] + 1e-12 * (1 + abs(hi[a])), bins.n_bins + 1)
-             for a in range(d)]
-    n_flat = bins.n_bins**d
-    tables = np.empty((m_steps, n_flat, atoms.shape[0]))
-    centers = _bin_centers(edges)
-    helper = BinnedRelaxedFeedback(paths.times, edges, tables, atoms)
-    for k in range(m_steps):
-        flat = helper._bin_of(states[k])
-        sums = np.zeros((n_flat, atoms.shape[0]))
-        np.add.at(sums, flat, weights[k])
-        counts = np.bincount(flat, minlength=n_flat).astype(float)
-        filled = counts > 0
-        sums[filled] /= counts[filled, None]
-        if not np.all(filled):
-            src = np.where(filled)[0]
-            dist = np.linalg.norm(
-                centers[~filled][:, None, :] - centers[src][None, :, :], axis=2
-            )
-            sums[~filled] = sums[src[np.argmin(dist, axis=1)]]
-        tables[k] = sums
-    return helper
-
-
-def _bin_centers(edges: list[np.ndarray]) -> np.ndarray:
-    mids = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    mesh = np.meshgrid(*mids, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _bundle_weights(paths) -> np.ndarray:
-    """Per-step (N, nU) weights; strict on-grid values become point masses."""
     ctrl = paths.ctrl
     if ctrl.weights is not None:
-        return ctrl.weights
-    atoms = ctrl.atoms
-    if atoms is None or ctrl.values is None:
-        raise PenmfgError("path bundle carries no usable control record")
-    vals = ctrl.values
-    gap = np.full(vals.shape[:2], np.inf)
-    idx = np.zeros(vals.shape[:2], dtype=int)
-    for j, atom in enumerate(atoms):  # strict '<': ties go to the lower atom
-        dist = np.linalg.norm(vals - atom, axis=2)
-        idx = np.where(dist < gap, j, idx)
-        gap = np.minimum(gap, dist)
-    if np.max(gap) > GRID_MATCH_TOL:
-        raise ContractViolationError(
-            "strict control values do not sit on the control grid; "
-            "cannot lift them to point masses"
-        )
-    out = np.zeros(vals.shape[:2] + (atoms.shape[0],))
-    np.put_along_axis(out, idx[:, :, None], 1.0, axis=2)
-    return out
-
-
-def realized_control_measure(paths) -> TimedControlMeasure:
-    """Population-averaged relaxed control measure realized along a bundle."""
-    w = _bundle_weights(paths).mean(axis=1)
-    return TimedControlMeasure(paths.times, paths.ctrl.atoms, w)
+        w = ctrl.weights.mean(axis=1)
+    else:
+        n_u = ctrl.atoms.shape[0]
+        w = np.stack([np.bincount(row, minlength=n_u) for row in ctrl.indices])
+        w = w / ctrl.indices.shape[1]
+    return TimedControlMeasure(paths.times, ctrl.atoms, w)

@@ -2,16 +2,14 @@
 
 A domain is the closure of a convex open set in R^d with the origin inside it.
 Four shapes are supported: half-spaces, balls, boxes and half-space polytopes.
-The three operations every other module builds on are the Euclidean projection
-onto the closure, the squared distance to it, and the unit inward normal on the
-boundary.  The projection is what the penalization term is made of, so it has
-to be exact (idempotent to machine precision); the polytope case uses Dykstra's
+The operations every other module builds on are the Euclidean projection
+onto the closure, the squared distance to it, and the membership test.  The
+projection is what the penalization term is made of, so it has to be exact
+(idempotent to machine precision); the polytope case uses Dykstra's
 alternating projections, which converges to the true projection for convex
 sets, unlike plain cyclic projection.
 
-Half-spaces are stored as {x : a.x <= c} with |a| = 1, so the inward normal is
--a.  Normals at corners (box edges, polytope vertices) are the normalized sum
-of the active face normals.
+Half-spaces are stored as {x : a.x <= c} with |a| = 1.
 
 All operations accept a single point of shape (d,) or a batch of shape (B, d)
 and are vectorized over the batch.
@@ -33,7 +31,7 @@ BALL = "ball"
 BOX = "box"
 POLYTOPE = "polytope"
 
-# Eligibility band for boundary queries, relative to the point's magnitude.
+# Membership tolerance band, relative to the point's magnitude.
 BOUNDARY_RTOL = 1e-9
 
 DYKSTRA_MAX_SWEEPS = 10_000
@@ -41,7 +39,7 @@ DYKSTRA_TOL = 1e-12
 
 
 def tol_boundary(x: np.ndarray) -> np.ndarray:
-    """Width of the boundary eligibility band at x: 1e-9 * (1 + |x|)."""
+    """Width of the membership tolerance band at x: 1e-9 * (1 + |x|)."""
     x = np.asarray(x, dtype=float)
     return BOUNDARY_RTOL * (1.0 + np.linalg.norm(x, axis=-1))
 
@@ -67,9 +65,6 @@ class ConvexDomain:
 
     def dist2(self, x):
         return dist2(self, x)
-
-    def inward_normal(self, x):
-        return inward_normal(self, x)
 
     def contains(self, x, tol=None):
         """True where x lies in the closed domain (within tol of it)."""
@@ -192,62 +187,3 @@ def dist2(dom: ConvexDomain, x) -> np.ndarray:
     xb, single = _check_dim(dom, x)
     d2 = np.sum((xb - project(dom, xb)) ** 2, axis=1)
     return d2[0] if single else d2
-
-
-def _boundary_gap(dom: ConvexDomain, xb: np.ndarray) -> np.ndarray:
-    """Distance from x to the boundary, from either side."""
-    out = np.sqrt(np.sum((xb - project(dom, xb)) ** 2, axis=1))
-    if dom.kind in (HALF_SPACE, POLYTOPE):
-        inner = np.min(dom.offsets[None, :] - xb @ dom.normals.T, axis=1)
-    elif dom.kind == BALL:
-        inner = dom.radius - np.linalg.norm(xb - dom.center, axis=1)
-    else:
-        inner = np.min(np.minimum(xb - dom.lower, dom.upper - xb), axis=1)
-    return np.where(out > 0.0, out, np.maximum(inner, 0.0))
-
-
-def inward_normal(dom: ConvexDomain, x) -> np.ndarray:
-    """Unit inward normal for points within the boundary tolerance band.
-
-    On faces this is the usual normal; on corners it is the normalized sum of
-    the normals of all active faces.  Points farther than 1e-9 * (1 + |x|)
-    from the boundary are rejected.
-    """
-    xb, single = _check_dim(dom, x)
-    tol = tol_boundary(xb)
-    gap = _boundary_gap(dom, xb)
-    bad = gap > tol
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise DomainError(
-            f"point {i} is {gap[i]:.3e} from the boundary, outside the "
-            f"eligibility band {tol[i]:.3e}"
-        )
-    if dom.kind == HALF_SPACE:
-        eta = np.broadcast_to(-dom.normals[0], xb.shape).copy()
-    elif dom.kind == BALL:
-        rel = dom.center - xb
-        nrm = np.linalg.norm(rel, axis=1)
-        if np.any(nrm == 0.0):
-            raise DomainError("ball center cannot sit on the boundary")
-        eta = rel / nrm[:, None]
-    elif dom.kind == BOX:
-        active_lo = xb - dom.lower <= tol[:, None]
-        active_hi = dom.upper - xb <= tol[:, None]
-        eta = active_lo.astype(float) - active_hi.astype(float)
-        eta = _normalize_rows(eta)
-    else:
-        slack = np.abs(xb @ dom.normals.T - dom.offsets[None, :])
-        active = slack <= tol[:, None]
-        eta = -(active.astype(float) @ dom.normals)
-        eta = _normalize_rows(eta)
-    return eta[0] if single else eta
-
-
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(v, axis=1)
-    if np.any(nrm == 0.0):
-        raise DomainError(
-            "degenerate corner: active face normals cancel, no inward direction"
-        )
-    return v / nrm[:, None]

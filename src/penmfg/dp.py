@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import model as model_mod
-from .controls import RelaxedFeedback, StrictFeedback, chattered_indices
+from .controls import RelaxedFeedback, StrictFeedback, chattered_indices, time_cell
 from .errors import ConfigError, GridError
 from .measures import EmpiricalMeasure, MeasureFlow, format_float, write_csv_steps
 from .model import ModelSpec, penalized_running_cost, validate_penalty
@@ -93,17 +93,9 @@ class DPGrid:
         return cls(lo, hi, tuple(int(c) + 1 for c in cells))
 
     @classmethod
-    def for_model(cls, ms: ModelSpec, hx: float, dt: float,
-                  penalty: Optional[int] = None,
-                  bounds: Optional[tuple] = None) -> "DPGrid":
-        """Grid over the domain's bounding box, padded in penalized mode.
-
-        Unbounded domains need explicit ``bounds``.  The penalty margin is
-        rounded up to whole cells so domain-boundary nodes stay on-grid.
-        """
-        if bounds is not None:
-            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in bounds)
-        elif ms.dom.kind == "box":
+    def for_model(cls, ms: ModelSpec, hx: float) -> "DPGrid":
+        """Grid over the domain's bounding box; :func:`pad_for_penalty` pads it."""
+        if ms.dom.kind == "box":
             lo, hi = ms.dom.lower.copy(), ms.dom.upper.copy()
         elif ms.dom.kind == "ball":
             lo = ms.dom.center - ms.dom.radius
@@ -113,12 +105,6 @@ class DPGrid:
                 f"domain kind {ms.dom.kind!r} is unbounded or not box-aligned;"
                 " pass explicit grid bounds"
             )
-        if penalty is not None:
-            margin = penalty_margin(_sigma_scale(ms, lo, hi), dt,
-                                    validate_penalty(penalty))
-            cells = int(np.ceil(margin / hx - 1e-12))
-            lo = lo - cells * hx
-            hi = hi + cells * hx
         return cls.regular(lo, hi, hx)
 
     @property
@@ -161,7 +147,8 @@ def pad_for_penalty(grid: DPGrid, ms: ModelSpec, dt: float,
     """Extend a domain-fitting grid by the penalty margin, whole cells.
 
     Lets one base grid serve both modes: reflected solves use it as is,
-    penalized solves pad it here, keeping node alignment and spacing.
+    penalized solves pad it here, keeping node alignment and spacing.  The
+    margin is rounded up to whole cells so domain-boundary nodes stay on-grid.
     """
     margin = penalty_margin(_sigma_scale(ms, grid.lower, grid.upper), dt,
                             validate_penalty(penalty))
@@ -341,12 +328,8 @@ def _slice_rows(ms: ModelSpec, penalty, grid: DPGrid, geo: _Geometry,
     if np.min(probs[:, :, 0]) < -PROB_TOL:
         raise GridError("internal: stay probability negative after substepping")
     np.clip(probs[:, :, 0], 0.0, None, out=probs[:, :, 0])
-    if ms.vector_boundary_cost:
-        per_target = np.einsum("nsj,nj->ns", geo.charged_disp, hval)
-        charge = np.einsum("uns,ns->un", probs, per_target)
-    else:
-        disp_norm = np.linalg.norm(geo.charged_disp, axis=2)
-        charge = np.einsum("uns,ns->un", probs, disp_norm) * hval[None, :]
+    disp_norm = np.linalg.norm(geo.charged_disp, axis=2)
+    charge = np.einsum("uns,ns->un", probs, disp_norm) * hval[None, :]
     trunc = float(np.max(np.einsum("uns,ns->un", probs, geo.truncated * 1.0)))
     return probs, charge, fvals, substeps, trunc
 
@@ -432,12 +415,12 @@ def _apply_control_step(chain: TransitionModel, k: int, v: np.ndarray
     return out
 
 
-def solve_dp(chain: TransitionModel, ms: ModelSpec, flow: MeasureFlow):
+def solve_dp(chain: TransitionModel, flow: MeasureFlow):
     """Backward recursion; returns (ValueField, StrictFeedback).
 
     V(t_k) = min_u [ f(t_k, x, mu_k, u) dt + boundary charges + E V(t_{k+1}) ]
-    with terminal V = g.  The feedback law looks controls up at the nearest
-    grid node and time slice.
+    with terminal V = g.  The feedback law looks the control index up at the
+    nearest grid node and time slice.
     """
     if chain.n_slices != flow.n_steps or not np.allclose(
         chain.times, flow.times, atol=1e-9
@@ -469,28 +452,21 @@ def solve_dp(chain: TransitionModel, ms: ModelSpec, flow: MeasureFlow):
         v_all[k] = v
     field = ValueField(grid=chain.grid, times=chain.times, V=v_all,
                        argmin=arg, runner_up=arg2, runner_gap=gap)
-    return field, feedback_law(field, ms)
+    return field, feedback_law(field)
 
 
-def _time_slice(times: np.ndarray, t: float) -> int:
-    dt = float(times[1] - times[0])
-    return int(np.clip(np.floor((t - times[0]) / dt + 1e-9), 0,
-                       times.size - 2))
-
-
-def _node_table_law(field: ValueField, table: np.ndarray,
-                    atoms: np.ndarray) -> StrictFeedback:
-    """Strict law atoms[table[time slice][nearest node]], table (M, n_nodes)."""
+def _node_table_law(field: ValueField, table: np.ndarray) -> StrictFeedback:
+    """Strict law table[time slice][nearest node], table (M, n_nodes) indices."""
 
     def fn(t, x):
-        return atoms[table[_time_slice(field.times, t)][field.grid.nearest_node(x)]]
+        return table[time_cell(field.times, t)][field.grid.nearest_node(x)]
 
     return StrictFeedback(fn)
 
 
-def feedback_law(field: ValueField, ms: ModelSpec) -> StrictFeedback:
-    """Strict feedback on the model's control grid via nearest-node lookup."""
-    return _node_table_law(field, field.argmin, ms.control_grid())
+def feedback_law(field: ValueField) -> StrictFeedback:
+    """Strict feedback: the argmin control index at the nearest node."""
+    return _node_table_law(field, field.argmin)
 
 
 def _probe_weights(field: ValueField, n_u: int, epsilon: float) -> np.ndarray:
@@ -516,7 +492,7 @@ def relaxed_probe(field: ValueField, ms: ModelSpec,
     table = _probe_weights(field, atoms.shape[0], epsilon)
 
     def fn(t, x):
-        return table[_time_slice(field.times, t)][field.grid.nearest_node(x)]
+        return table[time_cell(field.times, t)][field.grid.nearest_node(x)]
 
     return RelaxedFeedback(fn, atoms)
 
@@ -528,9 +504,8 @@ def chattered_probe(field: ValueField, ms: ModelSpec, delta: float,
     The probe's weights depend on the state only through its nearest node,
     so each node's switching schedule is tabulated once for the whole run.
     """
-    atoms = ms.control_grid()
-    table = _probe_weights(field, atoms.shape[0], epsilon)
-    return _node_table_law(field, chattered_indices(field.times, table, delta), atoms)
+    table = _probe_weights(field, ms.control_grid().shape[0], epsilon)
+    return _node_table_law(field, chattered_indices(field.times, table, delta))
 
 
 # ------------------------------------------------------------ exploitability
@@ -562,9 +537,11 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
     """
     if field is None:
         if grid is None:
-            grid = DPGrid.for_model(ms, hx=0.05, dt=flow.dt, penalty=penalty)
+            grid = DPGrid.for_model(ms, hx=0.05)
+            if penalty is not None:
+                grid = pad_for_penalty(grid, ms, flow.dt, penalty)
         chain = build_chain(ms, penalty, flow, grid)
-        field, _ = solve_dp(chain, ms, flow)
+        field, _ = solve_dp(chain, flow)
     scheme = "reflected_projected" if penalty is None else "penalized_splitting"
     cfg = SimConfig(n_particles=n_particles, dt=flow.dt, scheme=scheme,
                     penalty=penalty, seed=seed, interaction="frozen")
@@ -577,7 +554,7 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
                                 clipped=gap < floor)
 
 
-def value_to_csv(field: ValueField, ms: ModelSpec, path) -> None:
+def value_to_csv(field: ValueField, path) -> None:
     """Rows (t, node coords, V, control index; -1 on the terminal slice)."""
     nodes = field.grid.nodes()
     xs = [f"x_{j + 1}" for j in range(nodes.shape[1])]

@@ -134,13 +134,9 @@ def _mix_flows(old: MeasureFlow, new: MeasureFlow, theta: float,
     return flow_from_states(new.times, states)
 
 
-def _constant_law(ms: ModelSpec) -> StrictFeedback:
-    atom = ms.control_grid()[0]
-
-    def fn(t, x):
-        return np.broadcast_to(atom, (x.shape[0], atom.size)).copy()
-
-    return StrictFeedback(fn)
+def _constant_law() -> StrictFeedback:
+    """Strict law holding the first control atom everywhere."""
+    return StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=np.intp))
 
 
 def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
@@ -161,7 +157,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     grid = cfg.grid
     if grid is not None and penalty is not None:
         grid = pad_for_penalty(grid, ms, cfg.sim.dt, penalty)
-    law = _constant_law(ms)
+    law = _constant_law()
     bundle, flow = simulate(ms, cfg.sim, law)
     frozen_cfg = replace(cfg.sim, interaction="frozen")
     field_v = None
@@ -172,7 +168,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
         frozen = flow
         if n_controls > 1:
             chain = build_chain(ms, penalty, frozen, grid)
-            field_v, law = solve_dp(chain, ms, frozen)
+            field_v, law = solve_dp(chain, frozen)
         paths, sim_flow = simulate(ms, frozen_cfg, law, frozen_flow=frozen)
         resid = w2_flow(sim_flow, frozen)
         residuals.append(float(resid))

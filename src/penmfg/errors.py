@@ -12,7 +12,7 @@ class PenmfgError(Exception):
 
 
 class DomainError(PenmfgError):
-    """Invalid domain definition or boundary query away from the boundary."""
+    """Invalid domain definition, or points of the wrong dimension."""
 
 
 class ContractViolationError(PenmfgError):
@@ -46,6 +46,3 @@ class ConfigError(PenmfgError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
-
-class NotConvergedError(PenmfgError):
-    """Raised only where non-convergence cannot be returned as data."""

@@ -7,7 +7,7 @@ callbacks are vectorized over a particle batch:
     drift(t, x, mu, u)        (B, d) -> (B, d)
     diffusion(t, x, mu, u)    (B, d) -> (B, d, m)
     running_cost(t, x, mu, u) (B, d) -> (B,)
-    boundary_cost(t, x, mu)   (B, d) -> (B,)   [(B, d) in vector mode]
+    boundary_cost(t, x, mu)   (B, d) -> (B,)
     terminal_cost(x, mu)      (B, d) -> (B,)
     initial_law(n, rng)             -> (n, d) samples inside the domain
 
@@ -17,10 +17,10 @@ finite summary from it (``mu.mean``, ``mu.second_moment``, or the samples).
 The penalization at level n >= 1 replaces reflection by a restoring drift
 ``-n (x - proj(x))`` and surcharges the running cost by ``n h(t,x,mu)
 |x - proj(x)|``, so that the surcharge integrates to the boundary cost
-``integral of h d|K|`` accumulated by the penalty displacement.  ``h`` is
-scalar; an opt-in vector mode instead charges the inner product
-``n <h(t,x,mu), x - proj(x)>`` against the outward excursion, for models whose
-boundary charge is directional.
+``integral of h d|K|`` accumulated by the penalty displacement.
+
+The control set is a finite :class:`ControlGrid`; a strict control is one of
+its rows, named by its row index.
 
 Presets addressable from config files live in a registry; custom models can
 register their own builders.
@@ -57,56 +57,6 @@ class ControlGrid:
             raise PenmfgError("control grid must be a finite (nU, du) array")
         object.__setattr__(self, "points", p)
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def grid(self) -> np.ndarray:
-        return self.points
-
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """Whether each row lies within distance ``tol`` of some control."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        inside = np.zeros(u.shape[0], dtype=bool)
-        for p in self.points:  # one (B,) distance per atom, no (B, nU, du) tensor
-            inside |= np.linalg.norm(u - p, axis=1) <= tol
-        return inside
-
-
-@dataclass(frozen=True, eq=False)
-class ControlBox:
-    """Compact box control set with a declared per-axis grid resolution."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    resolution: int = 5
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or not np.all(lo < hi):
-            raise PenmfgError("control box needs lower < upper")
-        if self.resolution < 2:
-            raise PenmfgError("control box resolution must be at least 2")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    def grid(self) -> np.ndarray:
-        axes = [
-            np.linspace(self.lower[j], self.upper[j], self.resolution)
-            for j in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def contains(self, u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        return np.all((u >= self.lower - tol) & (u <= self.upper + tol), axis=1)
-
 
 # ---------------------------------------------------------------- model spec
 
@@ -118,7 +68,7 @@ class ModelSpec:
     dim: int
     noise_dim: int
     horizon: float
-    controls: ControlGrid | ControlBox
+    controls: ControlGrid
     drift: Callable
     diffusion: Callable
     running_cost: Callable
@@ -126,7 +76,6 @@ class ModelSpec:
     terminal_cost: Callable
     initial_law: Callable
     dom: dom_mod.ConvexDomain
-    vector_boundary_cost: bool = False
     label: str = "custom"
     params: dict = field(default_factory=dict)
 
@@ -154,7 +103,7 @@ class ModelSpec:
             )
 
     def control_grid(self) -> np.ndarray:
-        return self.controls.grid()
+        return self.controls.points
 
 
 def validate_penalty(n) -> int:
@@ -176,10 +125,7 @@ def penalized_running_cost(ms: ModelSpec, n, t, x, mu, u) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     excess = x - dom_mod.project(ms.dom, x)
     h = np.asarray(ms.boundary_cost(t, x, mu), dtype=float)
-    if ms.vector_boundary_cost:
-        surcharge = float(n) * np.sum(h * excess, axis=1)
-    else:
-        surcharge = float(n) * h * np.linalg.norm(excess, axis=1)
+    surcharge = float(n) * h * np.linalg.norm(excess, axis=1)
     return ms.running_cost(t, x, mu, u) + surcharge
 
 
@@ -272,8 +218,6 @@ def empirical_growth_constants(ms: ModelSpec, seed: int = 0, n_samples: int = 20
         a = np.linalg.norm(np.einsum("bim,bjm->bij", sig, sig), axis=(1, 2))
         f = np.abs(ms.running_cost(t, x, mu, u))
         h = np.abs(ms.boundary_cost(t, x, mu))
-        if ms.vector_boundary_cost:
-            h = np.linalg.norm(ms.boundary_cost(t, x, mu), axis=1)
         g = np.abs(ms.terminal_cost(x, mu))
         # drift Lipschitz estimate from random pairs at the same (t, mu, u)
         y = rng.uniform(-r, r, size=x.shape)

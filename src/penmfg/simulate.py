@@ -10,7 +10,9 @@ Three one-step schemes for the controlled McKean-Vlasov system:
 * ``reflected_projected``: Euler step followed by projection onto the domain
   closure; the discrete reflection term is the projection displacement.
 
-All schemes record the reflection/penalization term K alongside the state.
+All schemes record the reflection/penalization term K alongside the state,
+and the control realization: atom indices for strict laws, the sampled-from
+mixture weights for relaxed ones.  The coefficients see ``atoms[index]``.
 Sign convention: penalized schemes store the *outward* increment
 n(X - proj(X)) dt, matching the integral that defines K^n; the projected
 scheme stores the *inward* displacement proj(Y) - Y applied to the particle.
@@ -24,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import RelaxedOpenLoop, sample_control
-from .errors import ConfigError, ContractViolationError, DivergenceError
+from .controls import RelaxedFeedback, RelaxedOpenLoop, sample_control
+from .errors import ConfigError, DivergenceError
 from .measures import (
     EmpiricalMeasure,
     MeasureFlow,
@@ -95,14 +97,14 @@ class SimConfig:
 class ControlRecord:
     """Per-step control realization along the simulated paths.
 
-    Exactly one of ``values`` (strict laws, shape (M, N, du)) and ``weights``
-    (relaxed laws, shape (M, N, nU)) is set.  ``atoms`` carries the control
-    grid whenever weights are recorded.
+    ``atoms`` is the (nU, du) control grid of the law.  Exactly one of
+    ``indices`` (strict laws: (M, N) atom indices) and ``weights`` (relaxed
+    laws: (M, N, nU) mixtures) is set.
     """
 
-    values: Optional[np.ndarray] = None
+    atoms: np.ndarray
+    indices: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
-    atoms: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -224,16 +226,14 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     kvar = np.zeros((m_steps + 1, n))
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
 
-    # atoms of the sampled law (for lifting values back to weights later);
-    # strict feedback has none of its own, so the model grid stands in
+    # the atoms the law's indices name; strict feedback indexes the model grid
     if isinstance(law, RelaxedOpenLoop):
-        atoms = law.measure.atoms
+        atoms = law.measure.atoms.copy()
     else:
-        atoms = getattr(law, "atoms", None)
-    if atoms is None:
-        atoms = ms.control_grid()
-    relaxed_rec = None
-    values_rec = None
+        atoms = getattr(law, "atoms", ms.control_grid()).copy()
+    relaxed = isinstance(law, (RelaxedFeedback, RelaxedOpenLoop))
+    record = (np.empty((m_steps, n, atoms.shape[0])) if relaxed
+              else np.empty((m_steps, n), dtype=np.intp))
 
     penalty = cfg.penalty
     reflected = cfg.scheme == "reflected_projected"
@@ -242,15 +242,9 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         xk = x[step]
         mu = frozen_flow.frames[step] if cfg.interaction == "frozen" \
             else EmpiricalMeasure(xk)
-        u, w = sample_control(ms, law, t, xk, stream(cfg.seed, CONTROL, step))
-        if w is not None:
-            if relaxed_rec is None:
-                relaxed_rec = np.empty((m_steps, n, w.shape[1]))
-            relaxed_rec[step] = w
-        else:
-            if values_rec is None:
-                values_rec = np.empty((m_steps, n, u.shape[1]))
-            values_rec[step] = u
+        idx, w = sample_control(ms, law, t, xk, stream(cfg.seed, CONTROL, step))
+        record[step] = w if relaxed else idx
+        u = atoms[idx]
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
         if reflected:
             x_next, dk, dkvar = step_reflected(ms, cfg.dt, t, xk, mu, u, xi)
@@ -265,15 +259,8 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         k[step + 1] = k[step] + dk
         kvar[step + 1] = kvar[step] + dkvar
 
-    if relaxed_rec is not None and values_rec is not None:
-        raise ContractViolationError(
-            "control law switched between strict and relaxed mid-run"
-        )
-    ctrl = ControlRecord(
-        values=values_rec,
-        weights=relaxed_rec,
-        atoms=np.asarray(atoms, dtype=float).copy(),
-    )
+    ctrl = (ControlRecord(atoms, weights=record) if relaxed
+            else ControlRecord(atoms, indices=record))
     bundle = PathBundle(
         times=times, X=x, K=k, Kvar=kvar, ctrl=ctrl,
         scheme=cfg.scheme, penalty=penalty, seed=cfg.seed, config=cfg,
@@ -281,22 +268,21 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     return bundle, flow_from_states(times, x)
 
 
-def _stepwise_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
-                   fn: Callable, step: int) -> np.ndarray:
+def _stepwise_cost(paths: PathBundle, flow: MeasureFlow, fn: Callable,
+                   step: int) -> np.ndarray:
     """Evaluate a running-cost-like fn at one step, averaging relaxed weights."""
     t = paths.times[step]
     xk = paths.X[step]
     mu = flow.frames[step]
     ctrl = paths.ctrl
-    if ctrl.weights is not None:
-        w = ctrl.weights[step]
-        out = np.zeros(paths.n_particles)
-        for j in range(ctrl.atoms.shape[0]):
-            uj = np.broadcast_to(ctrl.atoms[j], (paths.n_particles,
-                                                 ctrl.atoms.shape[1]))
-            out += w[:, j] * fn(t, xk, mu, uj)
-        return out
-    return fn(t, xk, mu, ctrl.values[step])
+    if ctrl.weights is None:
+        return fn(t, xk, mu, ctrl.atoms[ctrl.indices[step]])
+    w = ctrl.weights[step]
+    out = np.zeros(paths.n_particles)
+    for j in range(ctrl.atoms.shape[0]):
+        uj = np.broadcast_to(ctrl.atoms[j], (paths.n_particles, ctrl.atoms.shape[1]))
+        out += w[:, j] * fn(t, xk, mu, uj)
+    return out
 
 
 @dataclass
@@ -323,8 +309,7 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     """Realized cost along the paths under the measure flow.
 
     Running cost is the left-endpoint Riemann sum of f.  With ``penalty``
-    unset, the boundary charge uses h against the recorded K increments
-    (|dK| in the scalar convention, <h, dK_outward> in vector mode), which
+    unset, the boundary charge is h times the recorded |dK| increments, which
     covers penalized and reflected runs alike.  With ``penalty`` set, the
     boundary charge is instead the literal penalized running cost
     n*h*dist(X) dt evaluated along the paths; the two versions agree up to
@@ -337,21 +322,15 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     n = paths.n_particles
     running = np.zeros(n)
     boundary = np.zeros(n)
-    k_out = paths.outward_k()
     for step in range(paths.n_steps):
         dt = paths.times[step + 1] - paths.times[step]
-        running += _stepwise_cost(ms, paths, flow, ms.running_cost, step) * dt
+        running += _stepwise_cost(paths, flow, ms.running_cost, step) * dt
         t = paths.times[step]
         xk = paths.X[step]
         hval = ms.boundary_cost(t, xk, flow.frames[step])
         if penalty is not None:
             excess = xk - ms.dom.project(xk)
-            if ms.vector_boundary_cost:
-                boundary += penalty * np.einsum("bi,bi->b", hval, excess) * dt
-            else:
-                boundary += penalty * hval * np.linalg.norm(excess, axis=-1) * dt
-        elif ms.vector_boundary_cost:
-            boundary += np.einsum("bi,bi->b", hval, k_out[step + 1] - k_out[step])
+            boundary += penalty * hval * np.linalg.norm(excess, axis=-1) * dt
         else:
             boundary += hval * (paths.Kvar[step + 1] - paths.Kvar[step])
     terminal = ms.terminal_cost(paths.X[-1], flow.frames[-1])
@@ -419,7 +398,7 @@ def martingale_residual(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
         mu = flow.frames[step]
         dt = paths.times[step + 1] - paths.times[step]
         lphi = _stepwise_cost(
-            ms, paths, flow,
+            paths, flow,
             lambda tt, xx, mm, uu: generator_apply(ms, phi, tt, xx, mm, uu),
             step,
         )

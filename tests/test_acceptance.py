@@ -93,7 +93,7 @@ def bm_sweep():
     dt = 1e-3
     ms = model.make_preset(
         "reflected_bm", HALF_LINE, {"sigma": 1.0, "horizon": 1.0, "x0": 0.0})
-    law = _constant_law(ms)
+    law = _constant_law()
     runs = {}
     t0 = time.perf_counter()
     for n in PEN_LEVELS:
@@ -115,7 +115,7 @@ def martingale_reports():
     """Generator residuals at n=512 and reflected, 1e4 particles each."""
     ms = model.make_preset(
         "reflected_bm", HALF_LINE, {"sigma": 1.0, "horizon": 1.0, "x0": 0.0})
-    law = _constant_law(ms)
+    law = _constant_law()
     probes = {"x": model.linear_probe([1.0]),
               "x^2": model.quadratic_probe(dim=1)}
     reports = {}
@@ -137,7 +137,7 @@ def ou_cost_sweep():
         "reflected_ou_mf", UNIT_BOX,
         {"kappa": 1.0, "sigma": 1.0, "horizon": 0.5, "f_x2": 1.0,
          "h_const": 1.0, "x0": 0.5})
-    law = _constant_law(ms)
+    law = _constant_law()
     per_particle = {}
     for n in PEN_LEVELS:
         cfg = SimConfig(n_particles=10_000, dt=1e-3,
@@ -381,9 +381,9 @@ def test_10_dp_self_consistency():
     hx, dt = grid.hx, 2.5e-3
     sim = SimConfig(n_particles=4000, dt=dt, scheme="reflected_projected",
                     seed=17)
-    _, flow = simulate(ms, sim, _constant_law(ms))
+    _, flow = simulate(ms, sim, _constant_law())
     chain = build_chain(ms, None, flow, grid)
-    field, law = solve_dp(chain, ms, flow)
+    field, law = solve_dp(chain, flow)
     paths, _ = simulate(ms, replace(sim, interaction="frozen"), law,
                         frozen_flow=flow)
     cost = evaluate_cost(ms, paths, flow)
@@ -395,12 +395,12 @@ def test_10_dp_self_consistency():
     bump = lambda t, x, mu, u: (ms.running_cost(t, x, mu, u)  # noqa: E731
                                 + 0.25 * (1.0 + np.sin(5.0 * x[:, 0])))
     chain_up = build_chain(replace(ms, running_cost=bump), None, flow, grid)
-    field_up, _ = solve_dp(chain_up, replace(ms, running_cost=bump), flow)
+    field_up, _ = solve_dp(chain_up, flow)
     mono_ok = np.all(field_up.V >= field.V - 1e-9)
 
     lift = lambda x, mu: ms.terminal_cost(x, mu) + 0.7  # noqa: E731
     chain_sh = build_chain(replace(ms, terminal_cost=lift), None, flow, grid)
-    field_sh, _ = solve_dp(chain_sh, replace(ms, terminal_cost=lift), flow)
+    field_sh, _ = solve_dp(chain_sh, flow)
     shift_ok = np.max(np.abs(field_sh.V - (field.V + 0.7))) <= 1e-9
 
     ok = rollout_ok and bool(mono_ok) and bool(shift_ok)

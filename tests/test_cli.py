@@ -98,7 +98,7 @@ def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
     cfg = write_cfg(tmp_path)
     parsed = parse_config_file(cfg)
     ms = build_model(parsed)
-    paths, flow = simulate(ms, build_sim(parsed), _constant_law(ms))
+    paths, flow = simulate(ms, build_sim(parsed), _constant_law())
     held = paths.Kvar[1:] == paths.Kvar[:-1]
     assert held.any() and not held.all()  # K/Kvar cells both hold and move
     for command in ("simulate", "cost"):

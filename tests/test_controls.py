@@ -1,4 +1,4 @@
-"""Control law tests: sampling, chattering allocation, Markovian projection."""
+"""Control law tests: index contract, sampling, chattering allocation."""
 
 from types import SimpleNamespace
 
@@ -7,15 +7,14 @@ import pytest
 
 from penmfg import controls, domain, measures, model, rng
 from penmfg.controls import (
-    BinSpec,
     RelaxedFeedback,
     RelaxedOpenLoop,
     StrictFeedback,
     chattered_indices,
     chattering,
     largest_remainder_counts,
-    markovian_projection,
     sample_control,
+    time_cell,
 )
 from penmfg.errors import ContractViolationError, PenmfgError
 from penmfg.measures import TimedControlMeasure
@@ -31,40 +30,55 @@ def tcm(atoms, weights, cells, horizon=1.0):
     return TimedControlMeasure(t, np.asarray(atoms, dtype=float), w)
 
 
-def fake_bundle(times, states, *, weights=None, values=None, atoms=None):
-    ctrl = SimpleNamespace(weights=weights, values=values,
-                           atoms=None if atoms is None else np.asarray(atoms, float))
-    if ctrl.atoms is not None and ctrl.atoms.ndim == 1:
-        ctrl.atoms = ctrl.atoms[:, None]
-    return SimpleNamespace(times=np.asarray(times, float),
-                           X=np.asarray(states, float), ctrl=ctrl)
+def fake_bundle(times, *, weights=None, indices=None, atoms):
+    ctrl = SimpleNamespace(weights=weights, indices=indices,
+                           atoms=np.asarray(atoms, float).reshape(len(atoms), -1))
+    return SimpleNamespace(times=np.asarray(times, float), ctrl=ctrl)
 
 
 # ------------------------------------------------------------------ sampling
 
 
 def test_strict_feedback_values_and_grid_check():
-    law = StrictFeedback(lambda t, x: np.where(x > 0, 1.0, -1.0))
+    # LQ's control grid is -1, 0, 1: a strict law names rows 0..2
+    law = StrictFeedback(lambda t, x: np.where(x[:, 0] > 0, 2, 0))
     x = np.array([[0.5], [-0.5], [0.2]])
-    u, w = sample_control(LQ, law, 0.0, x, RNG)
-    np.testing.assert_array_equal(u, [[1.0], [-1.0], [1.0]])
+    idx, w = sample_control(LQ, law, 0.0, x, RNG)
+    np.testing.assert_array_equal(idx, [2, 0, 2])
+    np.testing.assert_array_equal(LQ.control_grid()[idx], [[1.0], [-1.0], [1.0]])
     assert w is None
-    off_grid = StrictFeedback(lambda t, x: np.full_like(x, 0.37))
-    with pytest.raises(ContractViolationError):
-        sample_control(LQ, off_grid, 0.0, x, RNG)
+    bad = [
+        np.zeros((3, 1), dtype=int),  # a column, not (B,)
+        np.zeros(2, dtype=int),       # one index short
+        np.zeros(3),                  # float values, even if integral
+        np.array([0, 1, -1]),         # -1 would wrap to the last row
+        np.array([0, 3, 1]),          # nU is one past the last row
+    ]
+    for out in bad:
+        with pytest.raises(ContractViolationError):
+            sample_control(LQ, StrictFeedback(lambda t, x, out=out: out), 0.0, x, RNG)
+
+
+def test_time_cell_lookup():
+    times = np.arange(11) * 0.1  # times[3] = 0.30000000000000004
+    assert [time_cell(times, t) for t in times[:-1]] == list(range(10))
+    assert time_cell(times, 0.3) == 3  # 0.3 / 0.1 = 2.9999999999999996
+    assert time_cell(times, 0.35) == 3
+    assert time_cell(times, -0.5) == 0
+    assert time_cell(times, 1.0) == time_cell(times, 7.0) == 9  # the last cell
 
 
 def test_relaxed_feedback_sampling_frequencies():
     atoms = np.array([[-1.0], [1.0]])
     law = RelaxedFeedback(lambda t, x: np.tile([0.5, 0.5], (x.shape[0], 1)), atoms)
     x = np.zeros((100_000, 1))
-    u, w = sample_control(LQ, law, 0.0, x, rng.stream(4, rng.CONTROL, 0))
+    idx, w = sample_control(LQ, law, 0.0, x, rng.stream(4, rng.CONTROL, 0))
     assert w.shape == (100_000, 2)
-    frac = np.mean(u[:, 0] > 0)
+    frac = np.mean(idx == 1)
     assert abs(frac - 0.5) <= 0.01  # ~3 binomial sigmas is 0.005
     skew = RelaxedFeedback(lambda t, x: np.tile([0.9, 0.1], (x.shape[0], 1)), atoms)
-    u, _ = sample_control(LQ, skew, 0.0, x, rng.stream(4, rng.CONTROL, 1))
-    assert abs(np.mean(u[:, 0] > 0) - 0.1) <= 0.01
+    idx, _ = sample_control(LQ, skew, 0.0, x, rng.stream(4, rng.CONTROL, 1))
+    assert abs(np.mean(idx == 1) - 0.1) <= 0.01
 
 
 def test_relaxed_open_loop_uses_cell_weights():
@@ -73,10 +87,10 @@ def test_relaxed_open_loop_uses_cell_weights():
     )
     law = RelaxedOpenLoop(q)
     x = np.zeros((50, 1))
-    u, w = sample_control(LQ, law, 0.0, x, RNG)
-    assert np.all(u == -1.0) and np.all(w[:, 0] == 1.0)
-    u, _ = sample_control(LQ, law, 0.6, x, RNG)
-    assert np.all(u == 1.0)
+    idx, w = sample_control(LQ, law, 0.0, x, RNG)
+    assert np.all(idx == 0) and np.all(w[:, 0] == 1.0)
+    idx, _ = sample_control(LQ, law, 0.6, x, RNG)
+    assert np.all(idx == 1)
 
 
 def test_relaxed_feedback_weight_contract():
@@ -93,7 +107,7 @@ def test_chattering_dirac_is_constant():
     q = tcm([[0.0], [1.0]], [1.0, 0.0], cells=10)
     sched = chattering(q, 0.2)
     assert np.all(sched.indices == 0)
-    np.testing.assert_array_equal(sched.value_at(0.37), [0.0])
+    np.testing.assert_array_equal(sched.atoms, [[0.0], [1.0]])
 
 
 def test_chattering_half_half_block_pattern():
@@ -101,8 +115,6 @@ def test_chattering_half_half_block_pattern():
     q = tcm([[-1.0], [1.0]], [0.5, 0.5], cells=8, horizon=0.4)
     sched = chattering(q, 0.2)
     np.testing.assert_array_equal(sched.indices, [0, 0, 1, 1, 0, 0, 1, 1])
-    np.testing.assert_array_equal(sched.value_at(0.0), [-1.0])
-    np.testing.assert_array_equal(sched.value_at(0.11), [1.0])
 
 
 def test_chattering_tie_break_prefers_lower_atom():
@@ -171,9 +183,11 @@ def test_chattered_open_loop_matches_schedule():
             np.testing.assert_array_equal(idx[:, node], chattering(q, delta).indices)
     q = tcm([[-1.0], [1.0]], [0.25, 0.75], cells=8, horizon=0.4)
     sched = chattering(q, 0.2)
-    for t_ in (0.0, 0.07, 0.22, 0.39):
-        u, _ = sample_control(LQ, sched, t_, np.zeros((3, 1)), RNG)
-        np.testing.assert_array_equal(u, np.tile(sched.value_at(t_), (3, 1)))
+    np.testing.assert_array_equal(sched.indices, [0, 1, 1, 1, 0, 1, 1, 1])
+    for t_, expected in ((0.0, 0), (0.07, 1), (0.22, 0), (0.39, 1)):
+        idx, w = sample_control(LQ, sched, t_, np.zeros((3, 1)), RNG)
+        assert w is None
+        np.testing.assert_array_equal(idx, [expected] * 3)
 
 
 def test_largest_remainder_exact_quotas():
@@ -183,63 +197,31 @@ def test_largest_remainder_exact_quotas():
     np.testing.assert_array_equal(counts, [[2, 1], [0, 3]])
 
 
-# ------------------------------------------------------------- projection
-
-
-def test_projection_recovers_strict_markov_law():
-    times = np.linspace(0.0, 1.0, 3)
-    gen = np.random.default_rng(2)
-    states = gen.uniform(-1.0, 1.0, size=(3, 40, 1))
-    states[np.abs(states) < 0.05] = 0.5  # keep clear of the bin seam at 0
-    values = np.where(states[:2] > 0, 1.0, -1.0)
-    b = fake_bundle(times, states, values=values, atoms=[-1.0, 1.0])
-    law = markovian_projection(b, BinSpec(n_bins=2, lower=(-1.0,), upper=(1.0,)))
-    w = law.fn(0.0, np.array([[-0.7], [0.3]]))
-    np.testing.assert_allclose(w, [[1.0, 0.0], [0.0, 1.0]], atol=1e-12)
-
-
-def test_projection_hand_computed_fixture():
-    times = np.array([0.0, 1.0])
-    x = np.array([[0.5]] * 4 + [[1.5]] * 6)
-    w = np.array([[1, 0], [0, 1], [1, 0], [0.5, 0.5]] + [[0, 1]] * 6, dtype=float)
-    b = fake_bundle(times, x[None, :, :].repeat(2, axis=0),
-                    weights=w[None, :, :], atoms=[0.0, 1.0])
-    law = markovian_projection(b, BinSpec(n_bins=2, lower=(0.0,), upper=(2.0,)))
-    np.testing.assert_allclose(law.tables[0, 0], [2.5 / 4, 1.5 / 4])
-    np.testing.assert_allclose(law.tables[0, 1], [0.0, 1.0])
-
-
-def test_projection_preserves_mass_and_fills_empty_bins():
-    times = np.array([0.0, 0.5])
-    x = np.concatenate([np.full((5, 1), -0.9), np.full((5, 1), 0.9)])
-    w = np.concatenate([np.tile([0.8, 0.2], (5, 1)), np.tile([0.1, 0.9], (5, 1))])
-    b = fake_bundle(times, x[None].repeat(2, 0), weights=w[None],
-                    atoms=[-1.0, 1.0])
-    law = markovian_projection(b, BinSpec(n_bins=8, lower=(-1.0,), upper=(1.0,)))
-    assert np.max(np.abs(law.tables.sum(axis=2) - 1.0)) <= 1e-12
-    # middle bins inherit their nearest populated neighbor
-    left = law.fn(0.0, np.array([[-0.3]]))
-    right = law.fn(0.0, np.array([[0.3]]))
-    np.testing.assert_allclose(left, [[0.8, 0.2]])
-    np.testing.assert_allclose(right, [[0.1, 0.9]])
-
-
-def test_projection_rejects_high_dimension_and_off_grid_values():
-    times = np.array([0.0, 1.0])
-    x3 = np.zeros((2, 4, 3))
-    b = fake_bundle(times, x3, weights=np.full((1, 4, 1), 1.0), atoms=[0.0])
-    with pytest.raises(PenmfgError):
-        markovian_projection(b)
-    x1 = np.zeros((2, 4, 1))
-    b = fake_bundle(times, x1, values=np.full((1, 4, 1), 0.37), atoms=[0.0, 1.0])
-    with pytest.raises(ContractViolationError):
-        markovian_projection(b)
+# ------------------------------------------------------- realized measure
 
 
 def test_realized_control_measure_from_strict_bundle():
     times = np.array([0.0, 0.5, 1.0])
-    x = np.zeros((3, 4, 1))
-    vals = np.array([[[1.0]] * 4, [[-1.0]] * 2 + [[1.0]] * 2])
-    b = fake_bundle(times, x, values=vals, atoms=[-1.0, 1.0])
+    idx = np.array([[1] * 4, [0, 0, 1, 1]])
+    b = fake_bundle(times, indices=idx, atoms=[-1.0, 1.0])
     q = controls.realized_control_measure(b)
     np.testing.assert_allclose(q.weights, [[0.0, 1.0], [0.5, 0.5]])
+
+
+def test_realized_control_measure_counts_equal_one_hot_mean():
+    gen = np.random.default_rng(3)
+    n_u, steps, n = 5, 6, 997  # 997 particles: no count / n is a short binary
+    idx = gen.integers(0, n_u, size=(steps, n))
+    idx[2][idx[2] == 3] = 1  # atom 3 is never chosen at step 2
+    idx[4] = 0  # every particle on one atom
+    one_hot = np.zeros((steps, n, n_u))
+    np.put_along_axis(one_hot, idx[:, :, None], 1.0, axis=2)
+    atoms = np.linspace(-1.0, 1.0, n_u)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    from_counts = controls.realized_control_measure(
+        fake_bundle(times, indices=idx, atoms=atoms)).weights
+    from_weights = controls.realized_control_measure(
+        fake_bundle(times, weights=one_hot, atoms=atoms)).weights
+    assert from_counts[2, 3] == 0.0
+    assert from_counts.tobytes() == one_hot.mean(axis=1).tobytes()
+    assert from_counts.tobytes() == from_weights.tobytes()

@@ -21,6 +21,7 @@ from penmfg.dp import (
     build_chain,
     chattered_probe,
     exploitability,
+    pad_for_penalty,
     penalty_margin,
     relaxed_probe,
     solve_dp,
@@ -84,9 +85,9 @@ def test_grid_construction_and_lookup():
 
 def test_for_model_pads_penalized_box_on_grid():
     ms = model.make_preset("reflected_bm", UNIT_BOX, {"x0": 0.5})
-    g_ref = DPGrid.for_model(ms, hx=0.05, dt=1e-3)
+    g_ref = DPGrid.for_model(ms, hx=0.05)
     assert g_ref.lower[0] == 0.0 and g_ref.upper[0] == 1.0
-    g_pen = DPGrid.for_model(ms, hx=0.05, dt=1e-3, penalty=128)
+    g_pen = pad_for_penalty(g_ref, ms, 1e-3, 128)
     margin = penalty_margin(1.0, 1e-3, 128)
     assert g_pen.lower[0] < 0.0 < 1.0 < g_pen.upper[0]
     assert g_pen.lower[0] <= -margin + 1e-12
@@ -95,7 +96,7 @@ def test_for_model_pads_penalized_box_on_grid():
     assert abs(k - round(k)) < 1e-9
     with pytest.raises(GridError):
         DPGrid.for_model(model.make_preset("reflected_bm", HALF_LINE, {}),
-                         hx=0.05, dt=1e-3)  # unbounded, no explicit bounds
+                         hx=0.05)  # unbounded, no explicit bounds
 
 
 # -------------------------------------------------------------- chain rows
@@ -270,11 +271,12 @@ def test_zero_costs_give_zero_value_and_lowest_tie_index():
     ms.running_cost = lambda t, x, mu, u: np.zeros(x.shape[0])
     flow = const_flow(0.5, 2e-3, 10)
     g = DPGrid.regular([0.0], [1.0], 0.1)
-    field, law = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    field, law = solve_dp(build_chain(ms, None, flow, g), flow)
     assert np.max(np.abs(field.V)) == 0.0
     assert np.all(field.argmin == 0)
-    u = law.fn(0.0, np.array([[0.3], [0.9]]))
-    assert np.array_equal(u, [[-1.0], [-1.0]])  # atom 0 of the grid
+    idx = law.fn(0.0, np.array([[0.3], [0.9]]))
+    assert np.array_equal(idx, [0, 0])
+    assert np.array_equal(ms.control_grid()[idx], [[-1.0], [-1.0]])  # atom 0
 
 
 def test_constant_running_cost_integrates_exactly():
@@ -282,7 +284,7 @@ def test_constant_running_cost_integrates_exactly():
                            {"sigma": 1.0, "x0": 0.5, "f_const": 1.0})
     flow = const_flow(0.5, 2e-3, 250)
     g = DPGrid.regular([0.0], [1.0], 0.1)
-    field, _ = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
     assert np.allclose(field.V[0], 0.5, atol=1e-10)  # T = 250 * 2e-3
 
 
@@ -294,8 +296,8 @@ def test_terminal_shift_moves_value_exactly():
     ms2.terminal_cost = lambda x, mu: np.full(x.shape[0], 0.7)
     flow = const_flow(0.5, 2e-3, 50)
     g = DPGrid.regular([0.0], [1.0], 0.1)
-    v1, _ = solve_dp(build_chain(ms1, None, flow, g), ms1, flow)
-    v2, _ = solve_dp(build_chain(ms2, None, flow, g), ms2, flow)
+    v1, _ = solve_dp(build_chain(ms1, None, flow, g), flow)
+    v2, _ = solve_dp(build_chain(ms2, None, flow, g), flow)
     assert np.allclose(v2.V, v1.V + 0.7, atol=1e-9)
 
 
@@ -308,8 +310,8 @@ def test_value_monotone_in_running_cost():
         + 0.25 * (1.0 + np.sin(5.0 * x[:, 0]))
     flow = const_flow(0.5, 2e-3, 50)
     g = DPGrid.regular([0.0], [1.0], 0.05)
-    v1, _ = solve_dp(build_chain(ms1, None, flow, g), ms1, flow)
-    v2, _ = solve_dp(build_chain(ms2, None, flow, g), ms2, flow)
+    v1, _ = solve_dp(build_chain(ms1, None, flow, g), flow)
+    v2, _ = solve_dp(build_chain(ms2, None, flow, g), flow)
     assert np.all(v2.V >= v1.V - 1e-12)
 
 
@@ -321,7 +323,7 @@ def test_dp_value_matches_monte_carlo_rollout():
     flow = const_flow(0.4, dt, 200)
     g = DPGrid.regular([0.0], [1.0], hx)
     chain = build_chain(ms, None, flow, g)
-    field, law = solve_dp(chain, ms, flow)
+    field, law = solve_dp(chain, flow)
     cfg = SimConfig(n_particles=3000, dt=dt, scheme="reflected_projected",
                     seed=17, interaction="frozen")
     paths, _ = simulate(ms, cfg, law, frozen_flow=flow)
@@ -338,13 +340,13 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     flow = const_flow(0.4, dt, 200)
     g = DPGrid.regular([0.0], [1.0], 0.05)
     chain = build_chain(ms, None, flow, g)
-    field, law = solve_dp(chain, ms, flow)
+    field, law = solve_dp(chain, flow)
     good = exploitability(ms, flow, law, grid=g, n_particles=2000, seed=5,
                           field=field)
     assert isinstance(good, ExploitabilityReport)
     assert good.gap <= 3.0 * good.cost_se + 2.0 * (0.05 + dt)
     assert good.gap >= -3.0 * good.cost_se - 1e-12
-    push = StrictFeedback(lambda t, x: np.ones((x.shape[0], 1)))
+    push = StrictFeedback(lambda t, x: np.full(x.shape[0], 2))  # the atom +1
     bad = exploitability(ms, flow, push, grid=g, n_particles=2000, seed=5,
                          field=field)
     assert bad.gap > 0.05
@@ -357,7 +359,7 @@ def test_exploitability_clip_is_recorded():
     })
     flow = const_flow(0.4, 0.0125, 40)
     g = DPGrid.regular([0.0], [1.0], 0.05)
-    field, law = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    field, law = solve_dp(build_chain(ms, None, flow, g), flow)
     fair = exploitability(ms, flow, law, n_particles=500, seed=5, field=field)
     assert not fair.clipped
     # a best response that claims 1.0 more than the law's cost is inconsistent
@@ -384,7 +386,7 @@ def test_relaxed_probe_mixture_weights():
     })
     flow = const_flow(0.4, 2e-3, 20)
     g = DPGrid.regular([0.0], [1.0], 0.1)
-    field, _ = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
     probe = relaxed_probe(field, ms, epsilon=0.1)
     x = np.array([[0.15], [0.85]])
     w = probe.fn(0.0, x)
@@ -419,11 +421,10 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
         "sigma": 0.4, "horizon": 0.5, "c": 1.0, "x0": 0.4,
         "control_grid": control_grid,
     })
-    atoms = ms.control_grid()
-    n_u = atoms.shape[0]
+    n_u = ms.control_grid().shape[0]
     flow = const_flow(0.4, 0.0125, 40)
     g = DPGrid.regular([0.0], [1.0], 0.05)
-    field, _ = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
     gen = np.random.default_rng(21)
     fields = [field]
     if n_u == 1:
@@ -445,9 +446,9 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
                     t = float(f.times[c])
                     ref = reference_chattered_indices(probe, f.times, delta, t, x)
                     np.testing.assert_array_equal(sched[c][nodes], ref)
-                    u, w = sample_control(ms, law, t, x, None)
+                    idx, w = sample_control(ms, law, t, x, None)
                     assert w is None
-                    np.testing.assert_array_equal(u, atoms[ref])
+                    np.testing.assert_array_equal(idx, ref)
 
 
 def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
@@ -456,7 +457,7 @@ def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
     })
     flow = const_flow(0.4, 0.0125, 40)
     field, _ = solve_dp(build_chain(ms, None, flow, DPGrid.regular([0.0], [1.0], 0.05)),
-                        ms, flow)
+                        flow)
     calls = []
     lookup = DPGrid.nearest_node
 
@@ -473,12 +474,35 @@ def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
     assert calls == [64] * flow.n_steps
 
 
+def test_chattered_run_records_table_indices():
+    ms = model.make_preset("lq_control", UNIT_BOX, {
+        "sigma": 0.4, "horizon": 0.5, "c": 1.0, "x0": 0.4,
+    })
+    flow = const_flow(0.4, 0.0125, 40)
+    grid = DPGrid.regular([0.0], [1.0], 0.05)
+    field, _ = solve_dp(build_chain(ms, None, flow, grid), flow)
+    gen = np.random.default_rng(8)  # scrambled, so the schedule varies by node
+    arg = gen.integers(0, 3, size=field.argmin.shape)
+    field = replace(field, argmin=arg, runner_up=(arg + gen.integers(1, 3, arg.shape)) % 3)
+    table = chattered_indices(field.times, _probe_weights(field, 3, 0.25), 0.2)
+    cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
+                    penalty=10, seed=3, interaction="frozen")
+    paths, _ = simulate(ms, cfg, chattered_probe(field, ms, 0.2, epsilon=0.25),
+                        frozen_flow=flow)
+    rec = paths.ctrl.indices
+    assert paths.ctrl.weights is None and rec.shape == (40, 64)
+    assert sum(np.unique(row).size > 1 for row in rec) >= 10  # particles differ
+    for k in range(flow.n_steps):
+        np.testing.assert_array_equal(rec[k], table[k][grid.nearest_node(paths.X[k])])
+    np.testing.assert_array_equal(paths.ctrl.atoms, ms.control_grid())
+
+
 def test_chain_flow_mismatch_raises():
     ms = model.make_preset("reflected_bm", UNIT_BOX, {"sigma": 1.0, "x0": 0.5})
     g = DPGrid.regular([0.0], [1.0], 0.1)
     chain = build_chain(ms, None, const_flow(0.5, 2e-3, 10), g)
     with pytest.raises(ConfigError):
-        solve_dp(chain, ms, const_flow(0.5, 2e-3, 12), )
+        solve_dp(chain, const_flow(0.5, 2e-3, 12), )
 
 
 # Floats whose shortest repr is easy to get wrong: signed zero, subnormal,
@@ -505,9 +529,9 @@ def test_value_csv_export(tmp_path):
     ms = model.make_preset("reflected_bm", UNIT_BOX, {"sigma": 1.0, "x0": 0.5})
     flow = const_flow(0.5, 2e-3, 3)
     g = DPGrid.regular([0.0], [1.0], 0.25)
-    field, _ = solve_dp(build_chain(ms, None, flow, g), ms, flow)
+    field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
     out = tmp_path / "value.csv"
-    value_to_csv(field, ms, out)
+    value_to_csv(field, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x_1,value,u_index"
     assert len(lines) == 1 + 4 * 5  # (M+1) slices x 5 nodes
@@ -518,7 +542,7 @@ def test_value_csv_export(tmp_path):
     edge = np.resize(np.concatenate([EDGE_FLOATS, -EDGE_FLOATS]), (4, 9))
     field2 = replace(field, grid=g2, V=edge,
                      argmin=np.arange(27).reshape(3, 9) % 4)
-    value_to_csv(field2, ms, out)
+    value_to_csv(field2, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x_1,x_2,value,u_index"
     assert all(row.endswith(",-1") for row in lines[-9:])

@@ -212,7 +212,7 @@ def test_coupling_distance_shrinks_with_penalty():
     ms = model.make_preset("reflected_bm", HALF_LINE,
                            {"sigma": 1.0, "horizon": 0.5, "x0": 0.0})
     from penmfg.controls import StrictFeedback
-    law = StrictFeedback(lambda t, x: np.zeros((x.shape[0], 1)))
+    law = StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=int))
     sim = SimConfig(n_particles=2000, dt=0.002, penalty=8, seed=15)
     far = coupling_distance(ms, sim, law, 8, None)
     near = coupling_distance(ms, sim, law, 512, None)

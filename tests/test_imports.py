@@ -1,10 +1,16 @@
-"""Static check that every import in src/ and tests/ is used.
+"""Static checks that the imports in src/ and tests/ and the parameters in src/ are used.
 
 No linter ships with the project, so this walks each file's syntax tree with
 the standard library's ``ast``.  A name bound by an import counts as used
 when it is read anywhere in the file (attribute roots included) or listed in
 ``__all__``.  ``from __future__`` imports are compiler directives, and an
 ``__init__.py`` imports to re-export, so neither is ever reported.
+
+A parameter of a module-level function or of a method counts as used when
+its name appears anywhere in the body, nested functions and lambdas
+included.  Nested defs and lambdas are not checked themselves: they are
+callbacks whose signature the caller fixes.  ``self``, ``cls`` and names
+starting with ``_`` are exempt.
 """
 
 import ast
@@ -38,6 +44,26 @@ def unused_imports(source: str, filename: str = "<string>") -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def unused_parameters(source: str, filename: str = "<string>") -> list:
+    """(line, function, parameter) of each parameter its function never reads."""
+    tree = ast.parse(source, filename)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = [node for node in tree.body if isinstance(node, funcs)]
+    defs += [item for node in tree.body if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, funcs)]
+    found = []
+    for fn in defs:
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)}
+        found += [(fn.lineno, fn.name, p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
 def test_no_unused_imports_in_src_or_tests():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert len(files) > 10
@@ -60,3 +86,32 @@ def test_no_unused_imports_in_src_or_tests():
 ])
 def test_unused_import_check_itself(source, filename, expected):
     assert unused_imports(source, filename) == expected
+
+
+def test_no_unused_parameters_in_src():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert len(files) > 10
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}({param})"
+             for path in files
+             for line, name, param in unused_parameters(
+                 path.read_text(encoding="utf-8"), str(path))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("def f(a, b):\n    return a\n", [(1, "f", "b")]),
+    ("def f(a, *, k, **kw):\n    pass\n", [(1, "f", "a"), (1, "f", "k"), (1, "f", "kw")]),
+    ("def f(*args):\n    return len(args)\n", []),
+    ("def f(_unused, self, cls):\n    pass\n", []),
+    ("class C:\n    def m(self, a):\n        pass\n", [(2, "m", "a")]),
+    ("class C:\n    @classmethod\n    def m(cls, a):\n        return cls(a)\n", []),
+    # a closure reading the parameter uses it; the nested def is not checked
+    ("def f(a):\n    def g(t, x):\n        return a\n    return g\n", []),
+    ("def f(a):\n    return lambda t: a\n", []),
+    ("g = lambda t, x: 0\n", []),
+    # defaults and annotations are not the body
+    ("def f(a, b=a):\n    pass\n", [(1, "f", "a"), (1, "f", "b")]),
+    ("def outer():\n    def inner(a):\n        pass\n    return inner\n", []),
+])
+def test_unused_parameter_check_itself(source, expected):
+    assert unused_parameters(source) == expected

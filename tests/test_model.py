@@ -111,17 +111,6 @@ def test_penalized_cost_dominates_when_h_nonnegative():
     assert np.all(fn >= ms.running_cost(0.0, x, mu, u) - 1e-15)
 
 
-def test_vector_boundary_cost_mode():
-    ms = model.make_preset("reflected_bm", HALF_LINE)
-    ms.vector_boundary_cost = True
-    ms.boundary_cost = lambda t, x, mu: np.tile([[-1.0]], (x.shape[0], 1))
-    out = model.penalized_running_cost(
-        ms, 4, 0.0, np.array([[-0.5]]), mu_of([[0.0]]), np.zeros((1, 1))
-    )
-    # <h, x - proj(x)> = (-1) * (-0.5) so the surcharge is again +2
-    np.testing.assert_allclose(out, [2.0])
-
-
 def test_penalty_level_validation():
     ms = model.make_preset("reflected_bm", HALF_LINE)
     with pytest.raises(PenmfgError):
@@ -222,14 +211,6 @@ def test_lq_control_cost_and_drift():
     np.testing.assert_allclose(ms.drift(0.0, x, mu, u), [[-1.0]])
     # 0.5*1 + 0.5*1 + 2*(0.5)^2
     np.testing.assert_allclose(ms.running_cost(0.0, x, mu, u), [1.5])
-
-
-def test_control_box_grid():
-    cb = model.ControlBox([-1.0, 0.0], [1.0, 2.0], resolution=3)
-    g = cb.grid()
-    assert g.shape == (9, 2)
-    assert cb.contains([[0.0, 1.0]])[0]
-    assert not cb.contains([[0.0, 2.5]])[0]
 
 
 def test_uniform_box_initial_law():

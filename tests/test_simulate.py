@@ -32,7 +32,7 @@ HALF_LINE = domain.half_space([-1.0], 0.0)  # D = [0, inf)
 
 
 def null_law():
-    return StrictFeedback(lambda t, x: np.zeros((x.shape[0], 1)))
+    return StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=int))
 
 
 def quiet_model(dom=HALF_LINE, **params):
@@ -288,7 +288,7 @@ def test_relaxed_law_records_weights_and_averages_running_cost():
     cfg = SimConfig(n_particles=50, dt=0.05, scheme="reflected_projected",
                     seed=4)
     paths, flow = simulate(ms, cfg, RelaxedOpenLoop(q))
-    assert paths.ctrl.values is None
+    assert paths.ctrl.indices is None
     assert paths.ctrl.weights.shape == (20, 50, 2)
     assert np.array_equal(paths.ctrl.atoms, q.atoms)
     rep = evaluate_cost(ms, paths, flow)

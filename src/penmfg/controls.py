@@ -26,7 +26,7 @@ chatters every node at once and yields a strict node-table law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -168,24 +168,43 @@ def _eval_weights(law, t: float, x: np.ndarray) -> np.ndarray:
             f"relaxed feedback returned shape {w.shape}, expected "
             f"({x.shape[0]}, {law.atoms.shape[0]})"
         )
-    if np.any(w < -1e-12) or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-9:
+    if np.any(w < -1e-12) or np.max(np.abs(_running_sums(w)[-1] - 1.0)) > 1e-9:
         raise ContractViolationError("relaxed feedback weights must be probabilities")
     return np.clip(w, 0.0, None)
 
 
+def _running_sums(weights: np.ndarray) -> list:
+    """Columns of ``np.cumsum(weights, axis=1)``, bit for bit, one array each.
+
+    The last one is the row sum, added left to right as ``weights.sum(axis=1)``
+    does for fewer than 8 atoms.  Column arithmetic avoids numpy's slow
+    reductions over a short trailing axis.
+    """
+    sums = [weights[:, 0]]
+    for j in range(1, weights.shape[1]):
+        sums.append(sums[-1] + weights[:, j])
+    return sums
+
+
 def _sample_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(weights, axis=1)
-    r = rng.random((weights.shape[0], 1)) * cum[:, -1:]
-    return np.minimum(np.sum(cum < r, axis=1), weights.shape[1] - 1)
+    """One atom index per row, drawn with probability proportional to its weight."""
+    sums = _running_sums(weights)
+    r = rng.random(weights.shape[0]) * sums[-1]
+    below = np.zeros(weights.shape[0], dtype=np.intp)
+    for s in sums:
+        below += s < r
+    return np.minimum(below, weights.shape[1] - 1)
 
 
-def sample_control(ms, law, t: float, x: np.ndarray, rng: np.random.Generator):
+def sample_control(ms, law, t: float, x: np.ndarray,
+                   rng: Optional[np.random.Generator]):
     """Control atoms for a batch of particles under a law.
 
     Returns ``(indices, weights)``: indices is (B,) int into the law's atoms
     (the model's control grid for strict feedback), weights the (B, nU)
     mixture they were drawn from for relaxed laws, None for strict ones.
-    Strict feedback output is checked against that index contract.
+    Strict feedback output is checked against that index contract.  Only
+    relaxed laws draw from ``rng``; strict ones may be given None.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(law, StrictFeedback):

@@ -37,6 +37,31 @@ BOUNDARY_RTOL = 1e-9
 DYKSTRA_MAX_SWEEPS = 10_000
 DYKSTRA_TOL = 1e-12
 
+# numpy adds up a row shorter than this left to right; longer rows go pairwise
+_SEQUENTIAL_ROW = 8
+
+
+def row_sumsq(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a**2, axis=1)`` of a (B, d) array, bit for bit.
+
+    A reduction over a trailing axis of a few entries costs far more than
+    the same additions done column by column, in the same order.
+    """
+    if a.shape[1] >= _SEQUENTIAL_ROW:
+        return np.sum(a * a, axis=1)
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * a[:, j]
+    return out
+
+
+def row_norm(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)`` of a (B, d) array, bit for bit.
+
+    Like numpy, it does not rescale: a square may underflow to 0 or overflow.
+    """
+    return np.sqrt(row_sumsq(a))
+
 
 def tol_boundary(x: np.ndarray) -> np.ndarray:
     """Width of the membership tolerance band at x: 1e-9 * (1 + |x|)."""

@@ -129,11 +129,16 @@ class DPGrid:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
-        """Raveled index of the closest node, clamping outside points."""
+        """Raveled (row-major) index of the closest node, clamping outside points.
+
+        Ravels axis by axis on whole columns, as ``np.ravel_multi_index`` would.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        idx = np.round((x - self.lower) / self.hx).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.shape) - 1)
-        return np.ravel_multi_index(tuple(idx.T), self.shape)
+        hx, flat = self.hx, 0
+        for j, size in enumerate(self.shape):
+            idx = np.round((x[:, j] - self.lower[j]) / hx).astype(int)
+            flat = flat * size + np.clip(idx, 0, size - 1)
+        return flat
 
 
 def penalty_margin(sigma_bar: float, dt: float, penalty: int) -> float:

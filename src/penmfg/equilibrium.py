@@ -22,6 +22,10 @@ Studies:
   the block length, and tabulates control-distance and cost gaps against the
   relaxed reference, all under one frozen equilibrium flow so only the
   control approximation varies.
+
+An equilibrium solve and both studies draw each step's noise once for all
+their runs (:func:`~penmfg.rng.shared_noise`): the runs share the seed, so
+they read the same normals.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .dp import exploitability as dp_exploitability
 from .errors import ConfigError, PenmfgError
 from .measures import MeasureFlow, d_relaxed, flow_from_states, w2_flow
 from .model import ModelSpec
-from .rng import SUBSAMPLE, stream
+from .rng import SUBSAMPLE, shared_noise, stream
 from .simulate import CostReport, SimConfig, evaluate_cost, simulate
 
 
@@ -139,6 +143,7 @@ def _constant_law() -> StrictFeedback:
     return StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=np.intp))
 
 
+@shared_noise()
 def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
                       ) -> EquilibriumReport:
     """Iterate best response against the induced flow until consistency.
@@ -248,6 +253,7 @@ class SweepReport:
         return "\n".join(lines)
 
 
+@shared_noise()
 def penalization_sweep(ms: ModelSpec, cfg: FixedPointConfig, n_list
                        ) -> SweepReport:
     """Equilibria across penalty levels versus the reflected reference.
@@ -328,6 +334,7 @@ class StrictRunReport:
         return "\n".join(lines)
 
 
+@shared_noise()
 def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
                              n0: float = 8.0,
                              epsilon: float = 0.1) -> StrictRunReport:
@@ -354,6 +361,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     ref_paths, _ = simulate(ms, frozen_cfg, relaxed, frozen_flow=flow)
     ref_cost = evaluate_cost(ms, ref_paths, flow)
     q_ref = realized_control_measure(ref_paths)
+    del ref_paths  # its (M, N, nU) weight record is not needed past here
     rows = []
     for delta in deltas:
         penalty = max(1, int(round(n0 / delta)))

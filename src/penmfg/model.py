@@ -391,8 +391,8 @@ def _build_lq_control(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec:
                     "h_const": h_const, "control_grid": ugrid.tolist()})
 
     def running_cost(t, x, mu, u):
-        return (0.5 * np.sum(u**2, axis=1) + c_state * np.sum(x**2, axis=1)
-                + gamma * np.sum((x - mu.mean) ** 2, axis=1))
+        return (0.5 * dom_mod.row_sumsq(u) + c_state * dom_mod.row_sumsq(x)
+                + gamma * dom_mod.row_sumsq(x - mu.mean))
 
     return ModelSpec(
         dim=d,

@@ -1,17 +1,28 @@
-"""Counter-based random streams.
+"""Counter-based random streams and the study-scoped noise block.
 
 Every random draw in the library comes from a Philox counter-based generator
-keyed by ``(seed, purpose, step)``.  Opening a stream is cheap and has no
-global state, so a simulation step can be replayed in isolation and results do
-not depend on the order in which steps or runs are executed.  Runs that share a
-seed share noise (common random numbers), which is what the penalization sweeps
-rely on.
+keyed by ``(seed, purpose, step)``.  Opening a stream is cheap and reads no
+shared state, so a simulation step can be replayed in isolation and results
+do not depend on the order in which steps or runs are executed.  Runs that
+share a seed share noise (common random numbers), which is what the
+penalization sweeps rely on.
 
 Within a stream the draw for particle ``i`` sits at a fixed offset, so a fixed
 ``(seed, N, dt)`` reproduces bit-identical paths.
+
+A study runs many simulations on one seed, so it draws the same noise over
+and over.  Inside :func:`shared_noise` (a context manager, also usable as a
+decorator) :func:`step_normals` keeps each ``(seed, step, n, m)`` block the
+first time it is drawn and hands that same array, made read-only, to every
+later call.  The block is the only module state: a nested entry reuses the
+outer block, and leaving the outermost entry frees it, also when its body
+raises.  Outside a block every call draws afresh, so a lone ``simulate``
+holds no extra memory.  Either way a step's noise is the same bits.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -23,6 +34,9 @@ SUBSAMPLE = 3
 PROBE = 4
 
 _MAX_STEP = 1 << 64
+
+# (seed, step, n, m) -> read-only normals while a shared_noise block is open
+_block: dict | None = None
 
 
 def stream(seed: int, purpose: int, step: int = 0) -> np.random.Generator:
@@ -40,6 +54,31 @@ def stream(seed: int, purpose: int, step: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
+@contextmanager
+def shared_noise():
+    """Keep every step's normals drawn inside the block for reuse until it ends."""
+    global _block
+    if _block is not None:
+        yield
+        return
+    _block = {}
+    try:
+        yield
+    finally:
+        _block = None
+
+
 def step_normals(seed: int, step: int, n: int, m: int) -> np.ndarray:
-    """The (n, m) standard-normal block driving simulation step ``step``."""
-    return stream(seed, NOISE, step).standard_normal((n, m))
+    """The (n, m) standard-normal block driving simulation step ``step``.
+
+    Read-only and shared with later calls inside :func:`shared_noise`.
+    """
+    if _block is None:
+        return stream(seed, NOISE, step).standard_normal((n, m))
+    key = (int(seed), int(step), int(n), int(m))
+    xi = _block.get(key)
+    if xi is None:
+        xi = stream(seed, NOISE, step).standard_normal((n, m))
+        xi.flags.writeable = False
+        _block[key] = xi
+    return xi

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controls import RelaxedFeedback, RelaxedOpenLoop, sample_control
+from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
     EmpiricalMeasure,
@@ -164,8 +165,7 @@ def step_penalized(ms: ModelSpec, n: int, dt: float, scheme: str, t: float,
         x_next = y - dk
     else:
         raise ConfigError(f"not a penalized scheme: {scheme!r}")
-    dkvar = np.linalg.norm(dk, axis=-1)
-    return x_next, dk, dkvar
+    return x_next, dk, row_norm(dk)
 
 
 def step_reflected(ms: ModelSpec, dt: float, t: float, x: np.ndarray,
@@ -180,8 +180,7 @@ def step_reflected(ms: ModelSpec, dt: float, t: float, x: np.ndarray,
     y = x + b * dt + noise
     x_next = ms.dom.project(y)
     dk = x_next - y
-    dkvar = np.linalg.norm(dk, axis=-1)
-    return x_next, dk, dkvar
+    return x_next, dk, row_norm(dk)
 
 
 def _n_steps(ms: ModelSpec, dt: float) -> int:
@@ -242,7 +241,8 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         xk = x[step]
         mu = frozen_flow.frames[step] if cfg.interaction == "frozen" \
             else EmpiricalMeasure(xk)
-        idx, w = sample_control(ms, law, t, xk, stream(cfg.seed, CONTROL, step))
+        draws = stream(cfg.seed, CONTROL, step) if relaxed else None
+        idx, w = sample_control(ms, law, t, xk, draws)
         record[step] = w if relaxed else idx
         u = atoms[idx]
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
@@ -252,8 +252,8 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
             x_next, dk, dkvar = step_penalized(
                 ms, penalty, cfg.dt, cfg.scheme, t, xk, mu, u, xi
             )
-        bad = ~np.isfinite(x_next).all(axis=-1)
-        if bad.any():
+        if not np.isfinite(x_next).all():
+            bad = ~np.isfinite(x_next).all(axis=-1)
             raise DivergenceError(step + 1, np.flatnonzero(bad))
         x[step + 1] = x_next
         k[step + 1] = k[step] + dk

@@ -100,6 +100,56 @@ def test_relaxed_feedback_weight_contract():
         sample_control(LQ, bad, 0.0, np.zeros((3, 1)), RNG)
 
 
+def sample_rows_reference(weights, gen):
+    """The cumsum/compare-sum sampler that the column-wise one replaced."""
+    cum = np.cumsum(weights, axis=1)
+    r = gen.random((weights.shape[0], 1)) * cum[:, -1:]
+    return np.minimum(np.sum(cum < r, axis=1), weights.shape[1] - 1)
+
+
+@pytest.mark.parametrize("n_u", [1, 2, 3, 9])
+def test_sample_rows_matches_cumsum_reference(n_u):
+    gen = np.random.default_rng(n_u)
+    w = gen.dirichlet(np.ones(n_u), size=(6, 500))
+    if n_u > 1:
+        w[1, np.arange(500), gen.integers(0, n_u, 500)] = 0.0  # a zero-weight atom
+        w[2, :, 1:] = 0.0                                      # all mass on atom 0
+        w[3, :, :-1] = 0.0                                     # all on the last
+        w[1:4] /= w[1:4].sum(axis=2, keepdims=True)
+    w[4] *= 1.0 + 1e-10                                    # row sums 1 +- 1e-10
+    w[5] *= 1.0 - 1e-10
+    w = w.reshape(-1, n_u)
+    sums = controls._running_sums(w)
+    for got, want in zip(sums, np.cumsum(w, axis=1).T):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if n_u < 8:  # numpy adds short rows left to right as well
+        np.testing.assert_array_equal(sums[-1], w.sum(axis=1))
+    # all-zero rows tie every running sum with the draw: strict < keeps atom 0
+    degenerate = np.vstack([w, np.zeros((3, n_u))])
+    got = controls._sample_rows(degenerate, rng.stream(6, rng.CONTROL, 2))
+    assert got.dtype == np.intp and np.all(got[-3:] == 0)
+    np.testing.assert_array_equal(
+        got, sample_rows_reference(degenerate, rng.stream(6, rng.CONTROL, 2)))
+    want = got[:len(w)]
+    law = RelaxedFeedback(lambda t, x: w, np.arange(n_u, dtype=float))
+    idx, weights = sample_control(LQ, law, 0.0, np.zeros((len(w), 1)),
+                                  rng.stream(6, rng.CONTROL, 2))
+    np.testing.assert_array_equal(idx, want)
+    np.testing.assert_array_equal(weights, w)
+
+
+@pytest.mark.parametrize("n_u", [1, 3])
+def test_row_sum_off_by_1e8_still_breaks_the_contract(n_u):
+    w = np.full((4, n_u), 1.0 / n_u)
+    w[2] *= 1.0 + 1e-8
+    law = RelaxedFeedback(lambda t, x: w, np.arange(n_u, dtype=float))
+    with pytest.raises(ContractViolationError):
+        sample_control(LQ, law, 0.0, np.zeros((4, 1)), RNG)
+    w[2] = 1.0 / n_u * (1.0 - 1e-8)
+    with pytest.raises(ContractViolationError):
+        sample_control(LQ, law, 0.0, np.zeros((4, 1)), RNG)
+
+
 # ---------------------------------------------------------------- chattering
 
 

@@ -5,6 +5,8 @@ enumerates active-constraint subsets and solves the corresponding equality
 system, which is exact for small face counts.
 """
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,54 @@ def test_box_polytope_agreement():
     )
     x = RNG.uniform(-4.0, 4.0, size=(200, 2))
     np.testing.assert_allclose(domain.project(bx, x), domain.project(pt, x), atol=1e-10)
+
+
+def test_dykstra_sweep_cap_warns_and_returns_the_last_iterate(monkeypatch, caplog):
+    """A narrow wedge needs many sweeps; capped at one, the first is returned."""
+    dom = domain.polytope([[1.0, 0.2], [-1.0, 0.2]], [0.0, 0.0])
+    x = np.array([[3.0, 5.0]])
+    want = project_polytope_oracle(dom.normals, dom.offsets, x[0])
+    y = x.copy()  # one sweep by hand: each face once, no corrections yet
+    for a, c in zip(dom.normals, dom.offsets):
+        y = y - max(y[0] @ a - c, 0.0) * a
+    with caplog.at_level(logging.WARNING, logger="penmfg.domain"):
+        np.testing.assert_allclose(domain.project(dom, x)[0], want, atol=1e-9)
+    assert not caplog.records
+    monkeypatch.setattr(domain, "DYKSTRA_MAX_SWEEPS", 1)
+    with caplog.at_level(logging.WARNING, logger="penmfg.domain"):
+        got = domain.project(dom, x)
+    assert [r.getMessage() for r in caplog.records] == [
+        "Dykstra projection hit the 1-sweep cap"]
+    np.testing.assert_array_equal(got, y)
+    assert np.max(np.abs(got[0] - want)) > 0.1  # one sweep is far from done
+
+
+# ------------------------------------------------------------ row reductions
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 9])
+def test_row_norm_matches_numpy_bitwise(d):
+    """Column-wise sums of squares give numpy's bits, specials included."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e200, -1e200, 1.5]
+    gen = np.random.default_rng(d)
+    a = np.vstack([
+        gen.choice(special, size=(400, d)),
+        gen.standard_normal((400, d)),  # comparable terms: rounding order shows
+        gen.standard_normal((400, d)) * 10.0 ** gen.integers(-170, 170, (400, d)),
+        np.broadcast_to(gen.standard_normal(d), (5, d)),  # a stride-0 view
+    ])
+    bits = lambda v: v.view(np.int64)  # noqa: E731 -- tells 0.0 from -0.0
+    with np.errstate(over="ignore", under="ignore"):
+        np.testing.assert_array_equal(bits(domain.row_norm(a)),
+                                      bits(np.linalg.norm(a, axis=-1)))
+        np.testing.assert_array_equal(bits(domain.row_sumsq(a)),
+                                      bits(np.sum(a**2, axis=1)))
+        # no rescaling, as in numpy: the square underflows to 0 or into the
+        # subnormals, where it loses bits, and overflows to inf
+        edge = np.zeros((3, d))
+        edge[:, 0] = [5e-324, 1e-160, 1e200]
+        got = domain.row_norm(edge)
+    assert got[0] == 0.0 and 0.0 < got[1] != 1e-160 and got[2] == np.inf
 
 
 # ---------------------------------------------------------------- construction

@@ -83,6 +83,38 @@ def test_grid_construction_and_lookup():
         DPGrid([0.0, 0.0], [1.0, 2.0], (11, 11))  # unequal spacings
 
 
+def nearest_node_reference(grid, x):
+    """The ravel_multi_index lookup that the column-wise one replaced."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    idx = np.round((x - grid.lower) / grid.hx).astype(int)
+    idx = np.clip(idx, 0, np.asarray(grid.shape) - 1)
+    return np.ravel_multi_index(tuple(idx.T), grid.shape)
+
+
+@pytest.mark.parametrize("grid", [
+    DPGrid.regular([0.0], [1.0], 0.05),
+    DPGrid.regular([-0.3], [0.45], 0.025),
+    DPGrid.regular([0.0, -1.0], [1.0, 0.5], 0.1),
+    DPGrid.regular([-0.2, 0.0], [0.2, 1.0], 0.05),
+], ids=["d1", "d1-offset", "d2", "d2-tall"])
+def test_nearest_node_matches_ravel_multi_index(grid):
+    gen = np.random.default_rng(grid.n_nodes)
+    lo, hi = grid.lower, grid.upper
+    span = hi - lo
+    x = np.vstack([
+        gen.uniform(lo - span, hi + span, size=(3000, grid.dim)),  # many clamped
+        grid.nodes(),
+        grid.nodes() + 0.5 * grid.hx,                   # halfway: round half even
+        [lo - 1e6, hi + 1e6, lo, hi],
+    ])
+    want = nearest_node_reference(grid, x)
+    got = grid.nearest_node(x)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert got.min() == 0 and got.max() == grid.n_nodes - 1
+    np.testing.assert_array_equal(grid.nearest_node(x[0]), want[:1])  # one point
+
+
 def test_for_model_pads_penalized_box_on_grid():
     ms = model.make_preset("reflected_bm", UNIT_BOX, {"x0": 0.5})
     g_ref = DPGrid.for_model(ms, hx=0.05)

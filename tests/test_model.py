@@ -213,6 +213,22 @@ def test_lq_control_cost_and_drift():
     np.testing.assert_allclose(ms.running_cost(0.0, x, mu, u), [1.5])
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lq_control_running_cost_matches_row_sum_expression(d):
+    """Column-wise sums give the bits of the np.sum(..., axis=1) expression."""
+    c, gamma = 0.7, 0.3
+    grid = np.array([[-1.0] * d, [0.0] * d, [0.5] * d])
+    ms = model.make_preset("lq_control", domain.box([-1.0] * d, [1.0] * d),
+                           {"c": c, "gamma": gamma, "control_grid": grid.tolist()})
+    gen = np.random.default_rng(d)
+    x = gen.uniform(-1.5, 1.5, size=(2000, d))
+    mu = mu_of(gen.uniform(-1.0, 1.0, size=(50, d)))
+    for u in (grid[gen.integers(0, 3, 2000)], np.broadcast_to(grid[2], (2000, d))):
+        want = (0.5 * np.sum(u**2, axis=1) + c * np.sum(x**2, axis=1)
+                + gamma * np.sum((x - mu.mean) ** 2, axis=1))
+        np.testing.assert_array_equal(ms.running_cost(0.0, x, mu, u), want)
+
+
 def test_uniform_box_initial_law():
     ms = model.make_preset(
         "reflected_bm",

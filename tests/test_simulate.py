@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from penmfg import domain, model
+from penmfg import domain, model, rng
 from penmfg.controls import RelaxedOpenLoop, StrictFeedback
 from penmfg.errors import ConfigError, DivergenceError
 from penmfg.measures import (
@@ -294,6 +294,27 @@ def test_relaxed_law_records_weights_and_averages_running_cost():
     rep = evaluate_cost(ms, paths, flow)
     # f = u^2 / 2 averaged under w = (1/2, 1/2) is 1/4, integrated over T = 1
     assert rep.running == pytest.approx(0.25, abs=1e-10)
+
+
+def test_control_stream_opened_only_for_relaxed_laws(monkeypatch):
+    """Strict laws draw nothing, so no CONTROL generator is built for them."""
+    ms = model.make_preset("lq_control", domain.box([0.0], [1.0]),
+                           {"control_grid": [0.0, 1.0], "x0": 0.25})
+    q = TimedControlMeasure(np.linspace(0.0, 1.0, 21), np.array([[0.0], [1.0]]),
+                            np.full((20, 2), 0.5))
+    cfg = SimConfig(n_particles=30, dt=0.05, scheme="reflected_projected", seed=4)
+    opened = []
+    stream = rng.stream
+
+    def counted(seed, purpose, step=0):
+        opened.append(purpose)
+        return stream(seed, purpose, step)
+
+    monkeypatch.setattr("penmfg.simulate.stream", counted)
+    simulate(ms, cfg, null_law())
+    assert opened.count(rng.CONTROL) == 0
+    simulate(ms, cfg, RelaxedOpenLoop(q))
+    assert opened.count(rng.CONTROL) == 20
 
 
 def test_reflected_local_time_matches_tanaka_scale():

@@ -168,7 +168,8 @@ def _eval_weights(law, t: float, x: np.ndarray) -> np.ndarray:
             f"relaxed feedback returned shape {w.shape}, expected "
             f"({x.shape[0]}, {law.atoms.shape[0]})"
         )
-    if np.any(w < -1e-12) or np.max(np.abs(_running_sums(w)[-1] - 1.0)) > 1e-9:
+    # a NaN weight makes its row sum NaN, which fails the `<=`
+    if np.any(w < -1e-12) or not np.max(np.abs(_running_sums(w)[-1] - 1.0)) <= 1e-9:
         raise ContractViolationError("relaxed feedback weights must be probabilities")
     return np.clip(w, 0.0, None)
 

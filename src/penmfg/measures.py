@@ -5,9 +5,14 @@ quantile coupling, which for uniform clouds of equal size pairs the points
 in sorted order, so each cloud is only sorted.  Multivariate pairs with at
 most ``EXACT_PAIR_LIMIT`` support-point pairs are solved exactly: Hungarian
 assignment for uniform equal-size supports, a transportation LP otherwise.
+The LP is solved by the network simplex in this module (numpy only), so a
+run whose distances are all 1-D or LPs, as every shipped config's are,
+never imports scipy.optimize, scipy.sparse, scipy.spatial or scipy.special.
 Larger problems fall back to entropy-regularized Sinkhorn with an annealed
 epsilon and a debiased cost (the two self-distances are subtracted), which
 lands within a couple percent of the exact value on the sizes used here.
+The assignment path loads scipy.optimize and Sinkhorn scipy.special, each
+on its first call.
 
 Distances between measure flows are taken as the supremum of the per-node
 marginal distances; a path-space alternative via coupled simulation lives in
@@ -26,15 +31,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .errors import PenmfgError
 
 EXACT_PAIR_LIMIT = 40_000
 WEIGHT_TOL = 1e-12
+LP_MAX_PIVOTS = 100_000
 
 # Sinkhorn defaults: epsilon is relative to the mean squared ground cost and
 # annealed geometrically; the sweep budget covers the whole schedule.
@@ -63,7 +65,8 @@ class EmpiricalMeasure:
             w = np.asarray(self.weights, dtype=float).reshape(-1)
             if w.size != x.shape[0]:
                 raise PenmfgError("one weight per sample required")
-            if np.any(w < 0.0) or abs(w.sum() - 1.0) > WEIGHT_TOL:
+            # a NaN weight makes the sum NaN, which fails the `<=`
+            if np.any(w < 0.0) or not abs(w.sum() - 1.0) <= WEIGHT_TOL:
                 raise PenmfgError("weights must be nonnegative and sum to 1")
             self.weights = w
 
@@ -217,7 +220,8 @@ class TimedControlMeasure:
                 f"weights must be (cells, atoms) = ({t.size - 1}, {a.shape[0]}),"
                 f" got {w.shape}"
             )
-        if np.any(w < 0.0) or np.max(np.abs(w.sum(axis=1) - 1.0)) > WEIGHT_TOL:
+        # a NaN weight makes its row sum NaN, which fails the `<=`
+        if np.any(w < 0.0) or not np.max(np.abs(w.sum(axis=1) - 1.0)) <= WEIGHT_TOL:
             raise PenmfgError("every weight row must be a probability vector")
         self.times, self.atoms, self.weights = t, a, w
 
@@ -304,29 +308,175 @@ def _discrete_ot_cost2(x1, w1, x2, w2_, method: str):
     if method == "assignment":
         if x1.shape[0] != x2.shape[0]:
             raise PenmfgError("assignment method needs equal-size supports")
-        cost = cdist(x1, x2, "sqeuclidean")
+        # imported here, not at start-up: scipy.optimize takes ~0.8 s to load
+        from scipy.optimize import linear_sum_assignment
+
+        cost = _sqdist(x1, x2)
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].mean()), {"method": "assignment"}
     if method == "lp":
-        cost = cdist(x1, x2, "sqeuclidean")
-        return _ot_lp(cost, w1, w2_), {"method": "lp"}
+        return _ot_lp(_sqdist(x1, x2), w1, w2_), {"method": "lp"}
     if method == "entropic":
         return _ot_entropic_debiased(x1, w1, x2, w2_)
     raise PenmfgError(f"unknown w2 method {method!r}")
 
 
+def _sqdist(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, (n1, n2), summed column by column left
+    to right: the bits of ``cdist(x1, x2, "sqeuclidean")`` for every d."""
+    out = np.zeros((x1.shape[0], x2.shape[0]))
+    for k in range(x1.shape[1]):
+        diff = x1[:, k, None] - x2[None, :, k]
+        out += diff * diff
+    return out
+
+
 def _ot_lp(cost: np.ndarray, w1: np.ndarray, w2_: np.ndarray) -> float:
-    """Transportation LP, exact for any weighted discrete pair."""
-    n1, n2 = cost.shape
-    row = sp.kron(sp.eye(n1), np.ones((1, n2)), format="csr")
-    col = sp.kron(np.ones((1, n1)), sp.eye(n2), format="csr")
-    # drop one redundant marginal constraint to keep the system full rank
-    a_eq = sp.vstack([row, col[:-1]], format="csr")
-    b_eq = np.concatenate([w1, w2_[:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:  # pragma: no cover
-        raise PenmfgError(f"transportation LP failed: {res.message}")
-    return float(res.fun)
+    """Transportation LP, exact for any weighted discrete pair: network simplex.
+
+    Row i is tree node i and column j node m + j; the m + n - 1 basic cells
+    are the edges of a spanning tree, each stored at its child node.  The
+    tree starts as the northwest corner.  Potentials keep u_i - w_j = c_ij on
+    every tree cell (w is the negated column potential); each pivot enters
+    the most negative reduced cost (Dantzig) and moves flow around the cycle
+    it closes.  Zero-mass points are dropped first.  The tree stays strongly
+    feasible, every cell without flow hanging its row below its column: the
+    northwest corner breaks ties by moving down a row, and the leaving cell is
+    the last blocking one on the cycle walked from its apex (Cunningham), so
+    degenerate pivots cannot cycle.  The tree's preorder is kept in arrays,
+    where every subtree is one contiguous range, so a pivot re-roots and
+    moves the detached subtree and shifts its potentials with a few array
+    operations.  Optimality is confirmed on potentials rebuilt from the tree.
+A pivot count over ``LP_MAX_PIVOTS`` raises instead of returning a bound.
+    """
+    keep1, keep2 = w1 > 0.0, w2_ > 0.0
+    c = cost[np.ix_(keep1, keep2)]
+    m, n = c.shape
+    par, flow, depth, order = _northwest_tree(w1[keep1].tolist(), w2_[keep2].tolist())
+    order, depth = np.array(order), np.array(depth)
+    order_depth = depth[order]
+    pos = np.empty(m + n, dtype=np.intp)
+    pos[order] = np.arange(m + n)
+
+    def potentials():
+        pot = np.zeros(m + n)
+        for node in order[1:].tolist():
+            p = par[node]
+            pot[node] = pot[p] + c[node, p - m] if node < m else pot[p] - c[p, node - m]
+        return pot
+
+    pot, fresh = potentials(), True
+    # reduced costs within tol of 0 are rounding in the updated potentials
+    tol = 1e-12 * float(np.abs(c).max())
+    red = np.empty_like(c)
+    pivots = 0
+    while True:
+        np.subtract(c, pot[:m, None], out=red)
+        red += pot[m:]
+        k = int(red.argmin())
+        delta = red.flat[k]
+        if not delta < -tol:
+            if fresh:
+                break
+            pot, fresh = potentials(), True
+            continue
+        if pivots == LP_MAX_PIVOTS:
+            raise PenmfgError(f"transportation LP: no optimum after {pivots} pivots")
+        pivots, fresh = pivots + 1, False
+        i, j = divmod(k, n)
+        # tree paths from row i and column j up to their common ancestor
+        x, y = i, m + j
+        path_i, path_j = [x], [y]
+        dx, dy = depth[x], depth[y]
+        while dx > dy:
+            x, dx = par[x], dx - 1
+            path_i.append(x)
+        while dy > dx:
+            y, dy = par[y], dy - 1
+            path_j.append(y)
+        while x != y:
+            x, y = par[x], par[y]
+            path_i.append(x)
+            path_j.append(y)
+        # the cells at even steps from the entering cell lose flow
+        theta = min([flow[s] for s in path_i[:-1:2] + path_j[:-1:2]])
+        # leave at the last blocking cell on the walk apex -> row i -> column
+        # j -> apex: the one nearest the apex on j's side, else nearest row i
+        blocking_j = [s for s in path_j[:-1:2] if flow[s] == theta]
+        if blocking_j:
+            path, leave, e_in, e_out, shift = path_j, blocking_j[-1], m + j, i, -delta
+        else:
+            leave = next(s for s in path_i[:-1:2] if flow[s] == theta)
+            path, e_in, e_out, shift = path_i, i, m + j, delta
+        if theta > 0.0:
+            for t, s in enumerate(path_i[:-1]):
+                flow[s] += theta if t & 1 else -theta
+            for t, s in enumerate(path_j[:-1]):
+                flow[s] += theta if t & 1 else -theta
+        hop = path.index(leave)
+        # the subtree of path[t] is the preorder range [lo[t], hi[t]); the one
+        # cut off at the leaving cell is [L, R), re-rooted at e_in it lists
+        # each range minus the one inside it, e_in's first
+        lo = pos[path[:hop + 1]]
+        d_in = int(depth[e_in])
+        run = np.minimum.accumulate(order_depth[lo[0] + 1:])
+        hi = lo[0] + 1 + (-run).searchsorted(np.arange(-d_in, hop + 1 - d_in))
+        L, R = int(lo[-1]), int(hi[-1])
+        span = np.arange(L, R)
+        level = (hop + 1 - lo[::-1].searchsorted(span, "right")
+                 + hi.searchsorted(span, "right"))
+        perm = level.argsort(kind="stable")
+        sub = order[L:R][perm]
+        sub_depth = order_depth[L:R][perm] + (int(depth[e_out]) + 1 - d_in
+                                              + 2 * level[perm])
+        prev, prev_flow = e_out, theta
+        for s in path[:hop + 1]:
+            par[s], prev = prev, s
+            flow[s], prev_flow = prev_flow, flow[s]
+        pot[sub] += shift  # the entering cell becomes tight
+        depth[sub] = sub_depth
+        pe = int(pos[e_out])
+        if pe < L:  # insert the subtree right after e_out
+            a, b = pe + 1, R
+            order[a:b] = np.concatenate([sub, order[a:L]])
+            order_depth[a:b] = np.concatenate([sub_depth, order_depth[a:L]])
+        else:
+            a, b = L, pe + 1
+            order[a:b] = np.concatenate([order[R:b], sub])
+            order_depth[a:b] = np.concatenate([order_depth[R:b], sub_depth])
+        pos[order[a:b]] = np.arange(a, b)
+    nodes = order[1:]
+    parents = np.array(par)[nodes]
+    rows = np.where(nodes < m, nodes, parents)
+    cols = np.where(nodes < m, parents, nodes) - m
+    return float(c[rows, cols] @ np.array(flow)[nodes])
+
+
+def _northwest_tree(a: list, b: list):
+    """Northwest-corner basis as a tree rooted at row 0, nodes in preorder.
+
+    Returns parent, flow on the edge to the parent and depth per node, and
+    the order the nodes were added in, which is a preorder.  On a tie the
+    corner moves down a row, so a cell carrying no flow hangs its row below
+    its column; the last column takes what its row has left.
+    """
+    m, n = len(a), len(b)
+    par, flow, depth, order = [-1] * (m + n), [0.0] * (m + n), [0] * (m + n), [0]
+    i = j = 0
+    ra, rb = a[0], b[0]
+    child, parent = m, 0
+    while True:
+        x = ra if j == n - 1 else min(ra, rb)
+        par[child], flow[child], depth[child] = parent, x, depth[parent] + 1
+        order.append(child)
+        if i == m - 1 and j == n - 1:
+            return par, flow, depth, order
+        if i < m - 1 and (j == n - 1 or ra <= rb):
+            i, ra, rb = i + 1, a[i + 1], rb - x
+            child, parent = i, m + j
+        else:
+            j, ra, rb = j + 1, ra - x, b[j + 1]
+            child, parent = m + j, i
 
 
 def _sinkhorn_potentials(cost, logw1, logw2, eps_schedule, budget):
@@ -335,6 +485,9 @@ def _sinkhorn_potentials(cost, logw1, logw2, eps_schedule, budget):
     Early epsilon levels only warm-start the potentials, so they get a short
     fixed allowance; the final level takes whatever budget remains.
     """
+    # imported here, not at start-up: scipy.special takes ~0.5 s to load
+    from scipy.special import logsumexp
+
     f = np.zeros(cost.shape[0])
     g = np.zeros(cost.shape[1])
     used = 0
@@ -368,7 +521,7 @@ def _marginal_violation(cost, f, g, logw1, logw2, eps) -> float:
 def _ot_entropic_debiased(x1, w1, x2, w2_):
     """Sinkhorn transport cost, debiased by the two self-distances."""
     logw1, logw2 = np.log(w1), np.log(w2_)
-    c12 = cdist(x1, x2, "sqeuclidean")
+    c12 = _sqdist(x1, x2)
     scale = float(c12.mean())
     if scale == 0.0:
         return 0.0, {"method": "entropic", "eps": 0.0, "sweeps": 0}
@@ -381,8 +534,8 @@ def _ot_entropic_debiased(x1, w1, x2, w2_):
 
     budget = SINKHORN_MAX_SWEEPS
     cross, eps, used, viol = transport_cost(c12, logw1, logw2, budget)
-    self1, _, u1, _ = transport_cost(cdist(x1, x1, "sqeuclidean"), logw1, logw1, budget)
-    self2, _, u2, _ = transport_cost(cdist(x2, x2, "sqeuclidean"), logw2, logw2, budget)
+    self1, _, u1, _ = transport_cost(_sqdist(x1, x1), logw1, logw1, budget)
+    self2, _, u2, _ = transport_cost(_sqdist(x2, x2), logw2, logw2, budget)
     cost2 = cross - 0.5 * (self1 + self2)
     info = {"method": "entropic", "eps": eps, "sweeps": used + u1 + u2,
             "marginal_violation": viol, "debiased": True}

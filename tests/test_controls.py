@@ -100,6 +100,13 @@ def test_relaxed_feedback_weight_contract():
         sample_control(LQ, bad, 0.0, np.zeros((3, 1)), RNG)
 
 
+def test_relaxed_feedback_nan_weight_breaks_the_contract():
+    law = RelaxedFeedback(lambda t, x: np.tile([np.nan, 0.5, 0.5], (x.shape[0], 1)),
+                          np.array([[-1.0], [0.0], [1.0]]))
+    with pytest.raises(ContractViolationError):
+        sample_control(LQ, law, 0.0, np.zeros((3, 1)), RNG)
+
+
 def sample_rows_reference(weights, gen):
     """The cumsum/compare-sum sampler that the column-wise one replaced."""
     cum = np.cumsum(weights, axis=1)

@@ -1,4 +1,5 @@
-"""Static checks that the imports in src/ and tests/ and the parameters in src/ are used.
+"""Static checks that the imports in src/ and tests/ and the parameters in src/ are used,
+and a run-time check that a shipped study loads none of scipy's heavy subpackages.
 
 No linter ships with the project, so this walks each file's syntax tree with
 the standard library's ``ast``.  A name bound by an import counts as used
@@ -11,14 +12,23 @@ its name appears anywhere in the body, nested functions and lambdas
 included.  Nested defs and lambdas are not checked themselves: they are
 callbacks whose signature the caller fixes.  ``self``, ``cls`` and names
 starting with ``_`` are exempt.
+
+scipy.optimize, scipy.sparse, scipy.spatial and scipy.special take about
+0.6 s to import together.  penmfg loads them only on the paths that need
+them (the assignment W2 and Sinkhorn), which no shipped config reaches.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+HEAVY = ("scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special")
 
 
 def unused_imports(source: str, filename: str = "<string>") -> list:
@@ -115,3 +125,29 @@ def test_no_unused_parameters_in_src():
 ])
 def test_unused_parameter_check_itself(source, expected):
     assert unused_parameters(source) == expected
+
+
+# Run in a fresh interpreter: reports the heavy modules loaded after importing
+# the CLI and after the study, the exit code and the transportation LPs solved.
+GUARD = """
+import json, sys
+import penmfg.cli
+from penmfg import measures
+heavy = %r
+after_import = [m for m in heavy if m in sys.modules]
+solve, lps = measures._ot_lp, []
+measures._ot_lp = lambda *args: lps.append(1) or solve(*args)
+code = penmfg.cli.main(sys.argv[1:])
+print(json.dumps([after_import, [m for m in heavy if m in sys.modules], code, len(lps)]))
+"""
+
+
+def test_chatter_run_loads_no_heavy_scipy_subpackage(tmp_path):
+    argv = ["chatter", "--config", str(ROOT / "scripts/configs/lq_box_chatter.cfg"),
+            "--override", "sim.n_particles=200", "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", GUARD % (HEAVY,), *argv], env=env,
+                          check=True, capture_output=True, text=True)
+    after_import, after_run, code, lps = json.loads(done.stdout.splitlines()[-1])
+    assert after_import == [] and after_run == []
+    assert code == 0 and lps == 3  # one d_U per switching period, each an LP

@@ -3,15 +3,19 @@
 Small-support cases are checked against an exhaustive permutation oracle
 (every coupling of uniform equal-size supports is a permutation) with frozen
 expected values, the 1D quantile path is checked against the assignment path,
-and the entropic path is checked against the exact one.
+the entropic path is checked against the exact one, and the network simplex
+is checked against scipy's HiGHS on the transportation LP it replaced.
 """
 
 from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from penmfg import measures
 from penmfg.errors import PenmfgError
@@ -177,6 +181,11 @@ def test_empirical_measure_validation():
     assert mu.second_moment == pytest.approx(0.25 * 5 + 0.75 * 25)
 
 
+def test_empirical_measure_rejects_nan_weights():
+    with pytest.raises(PenmfgError):
+        em([[0.0], [1.0]], weights=[np.nan, 1.0])
+
+
 def test_flow_validation_and_w2_flow():
     t = np.linspace(0.0, 1.0, 5)
     states = RNG.normal(size=(5, 20, 1))
@@ -246,6 +255,125 @@ def test_timed_control_measure_validation():
     q = TimedControlMeasure(t, [0.0, 1.0], np.full((3, 2), 0.5))
     pts, mass = q.support()
     assert pts.shape == (6, 2) and mass.sum() == pytest.approx(1.0)
+
+
+def test_timed_control_measure_rejects_nan_weights():
+    t = np.linspace(0, 1, 4)
+    with pytest.raises(PenmfgError):
+        TimedControlMeasure(t, [0.0, 1.0], [[np.nan, 1.0], [0.5, 0.5], [0.5, 0.5]])
+
+
+# -------------------------------------------------------- transportation LP
+
+
+def lp_reference(cost, w1, w2_):
+    """The sparse-constraint HiGHS transportation LP that the simplex replaced."""
+    n1, n2 = cost.shape
+    row = sp.kron(sp.eye(n1), np.ones((1, n2)), format="csr")
+    col = sp.kron(np.ones((1, n1)), sp.eye(n2), format="csr")
+    a_eq = sp.vstack([row, col[:-1]], format="csr")
+    b_eq = np.concatenate([w1, w2_[:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.success
+    return float(res.fun)
+
+
+def random_weights(gen, n):
+    w = gen.uniform(0.05, 1.0, n)
+    return w / w.sum()
+
+
+def assert_lp_matches_reference(x, w1, y, w2_):
+    cost = measures._sqdist(x, y)
+    got = measures._ot_lp(cost, w1, w2_)
+    assert got == pytest.approx(lp_reference(cost, w1, w2_), rel=1e-12)
+
+
+def test_sqdist_matches_cdist_bitwise():
+    gen = np.random.default_rng(11)
+    for d in (1, 2, 3, 9):
+        x = gen.normal(size=(31, d)) * 10.0 ** gen.integers(-4, 4, size=(31, d))
+        y = gen.normal(size=(17, d))
+        np.testing.assert_array_equal(measures._sqdist(x, y).view(np.int64),
+                                      cdist(x, y, "sqeuclidean").view(np.int64))
+
+
+def test_ot_lp_matches_highs_on_random_weighted_pairs():
+    gen = np.random.default_rng(12)
+    for _ in range(60):
+        n1, n2, d = (int(v) for v in gen.integers(1, [41, 41, 4]))
+        x, y = gen.normal(size=(n1, d)), gen.normal(size=(n2, d))
+        assert_lp_matches_reference(x, random_weights(gen, n1),
+                                    y, random_weights(gen, n2))
+
+
+def test_ot_lp_matches_highs_on_degenerate_pairs():
+    gen = np.random.default_rng(13)
+    for n, d in ((1, 1), (7, 1), (20, 2), (33, 3)):
+        x, y = gen.normal(size=(n, d)), gen.normal(size=(n, d))
+        uniform = np.full(n, 1.0 / n)
+        assert_lp_matches_reference(x, uniform, y, uniform)
+        # duplicated points: a few distinct locations, many ties in the cost
+        xd = gen.integers(0, 3, size=(n, d)).astype(float)
+        yd = gen.integers(0, 3, size=(n + 5, d)).astype(float)
+        assert_lp_matches_reference(xd, uniform, yd, np.full(n + 5, 1.0 / (n + 5)))
+        assert_lp_matches_reference(xd, random_weights(gen, n),
+                                    yd, random_weights(gen, n + 5))
+    for n in (1, 2, 25):  # one-point supports on either side
+        x, w = gen.normal(size=(n, 2)), random_weights(gen, n)
+        point = gen.normal(size=(1, 2))
+        assert_lp_matches_reference(point, np.ones(1), x, w)
+        assert_lp_matches_reference(x, w, point, np.ones(1))
+    # a zero mass drops its point; the reference keeps it
+    w = random_weights(gen, 10)
+    w[[0, 4]] = 0.0
+    w /= w.sum()
+    assert_lp_matches_reference(gen.normal(size=(10, 2)), w,
+                                gen.normal(size=(6, 2)), random_weights(gen, 6))
+
+
+def test_ot_lp_identical_measures_cost_exactly_zero():
+    gen = np.random.default_rng(14)
+    for n, d in ((1, 1), (9, 1), (30, 2), (40, 3)):
+        x = gen.normal(size=(n, d))
+        for w in (np.full(n, 1.0 / n), random_weights(gen, n)):
+            assert measures._ot_lp(measures._sqdist(x, x), w, w) == 0.0
+            assert measures.w2(em(x, w), em(x, w), method="lp") == 0.0
+
+
+@pytest.mark.parametrize("n_small", [48, 50])
+def test_d_relaxed_lp_matches_highs_at_the_chatter_shapes(n_small):
+    """The chatter study's LPs: 40 time cells, 86 support points for the
+    relaxed reference and 48 or 50 for a chattered run's realized control."""
+    gen = np.random.default_rng(n_small)
+    t = np.linspace(0.0, 0.5, 41)
+    atoms = np.array([-1.0, 0.0, 1.0])
+
+    def measure(n_support):
+        w = np.zeros((40, 3))
+        w[:, 0] = 1.0  # one atom per cell, then spread the rest at random
+        extra = gen.choice(40 * 2, n_support - 40, replace=False)
+        w[extra // 2, 1 + extra % 2] = gen.uniform(0.1, 1.0, extra.size)
+        return TimedControlMeasure(t, atoms, w / w.sum(axis=1, keepdims=True))
+
+    q_ref, q_strict = measure(86), measure(n_small)
+    p1, m1 = q_strict.support()
+    p2, m2 = q_ref.support()
+    assert (p1.shape[0], p2.shape[0]) == (n_small, 86)
+    value, info = measures.d_relaxed(q_strict, q_ref, return_info=True)
+    assert info["method"] == "lp"
+    want = lp_reference(cdist(p1, p2, "sqeuclidean"), m1, m2)
+    assert value == pytest.approx(np.sqrt(want), rel=1e-12)
+
+
+def test_ot_lp_pivot_cap_raises(monkeypatch):
+    gen = np.random.default_rng(15)
+    x, y = gen.normal(size=(12, 2)), gen.normal(size=(15, 2))
+    w1, w2_ = random_weights(gen, 12), random_weights(gen, 15)
+    measures._ot_lp(measures._sqdist(x, y), w1, w2_)
+    monkeypatch.setattr(measures, "LP_MAX_PIVOTS", 1)
+    with pytest.raises(PenmfgError, match="pivots"):
+        measures._ot_lp(measures._sqdist(x, y), w1, w2_)
 
 
 # ---------------------------------------------------------------- hypothesis

@@ -26,6 +26,12 @@ Studies:
 An equilibrium solve and both studies draw each step's noise once for all
 their runs (:func:`~penmfg.rng.shared_noise`): the runs share the seed, so
 they read the same normals.
+
+A study holds one run's path arrays at a time: each run's bundle (X, K,
+|K|, control record) and each returned flow that is not kept is dropped
+once its last reader is done, before the next ``simulate`` allocates.  Peak
+memory is the interpreter, plus the noise block, plus one frozen flow, plus
+one run.
 """
 
 from __future__ import annotations
@@ -125,6 +131,12 @@ def _mix_flows(old: MeasureFlow, new: MeasureFlow, theta: float,
 
     One particle permutation is shared by every time node, so mixed flows
     keep whole paths and stay coherent across time.
+
+    The frames are particle-major views of the concatenated fancy-indexed
+    stacks: row stride (M+1)·d elements, not C-contiguous.  Their ``mean``
+    is a BLAS dot whose summation order, hence bits, follows that layout, so
+    a contiguous gather would move the residuals and costs in the last
+    digits.
     """
     n = new.n
     take = int(np.ceil(theta * n - 1e-12))
@@ -163,17 +175,17 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     if grid is not None and penalty is not None:
         grid = pad_for_penalty(grid, ms, cfg.sim.dt, penalty)
     law = _constant_law()
-    bundle, flow = simulate(ms, cfg.sim, law)
+    paths, flow = simulate(ms, cfg.sim, law)
     frozen_cfg = replace(cfg.sim, interaction="frozen")
     field_v = None
     residuals = []
     converged = False
-    paths, sim_flow, frozen = bundle, flow, flow
+    sim_flow = frozen = flow
     for it in range(cfg.max_iters):
+        del paths, sim_flow  # the next run reads only the iterate
         frozen = flow
         if n_controls > 1:
-            chain = build_chain(ms, penalty, frozen, grid)
-            field_v, law = solve_dp(chain, frozen)
+            field_v, law = solve_dp(build_chain(ms, penalty, frozen, grid), frozen)
         paths, sim_flow = simulate(ms, frozen_cfg, law, frozen_flow=frozen)
         resid = w2_flow(sim_flow, frozen)
         residuals.append(float(resid))
@@ -183,6 +195,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
         flow = _mix_flows(frozen, sim_flow,
                           cfg.damping, stream(cfg.sim.seed, SUBSAMPLE, it))
     cost = evaluate_cost(ms, paths, frozen)
+    del paths, flow  # exploitability runs its own simulate under frozen
     exploit = None
     flagged = False
     if grid is not None:
@@ -207,8 +220,8 @@ def residual_noise_floor(ms: ModelSpec, cfg: FixedPointConfig, law,
     below which residuals are indistinguishable from Monte Carlo noise.
     """
     frozen = replace(cfg.sim, interaction="frozen")
-    _, a = simulate(ms, replace(frozen, seed=seeds[0]), law, frozen_flow=flow)
-    _, b = simulate(ms, replace(frozen, seed=seeds[1]), law, frozen_flow=flow)
+    a = simulate(ms, replace(frozen, seed=seeds[0]), law, frozen_flow=flow)[1]
+    b = simulate(ms, replace(frozen, seed=seeds[1]), law, frozen_flow=flow)[1]
     return float(w2_flow(a, b))
 
 
@@ -277,28 +290,29 @@ def penalization_sweep(ms: ModelSpec, cfg: FixedPointConfig, n_list
     rows = []
     for n in n_list:
         try:
-            run_cfg = replace(
-                cfg,
-                sim=replace(cfg.sim, scheme="penalized_splitting",
-                            penalty=int(n)),
-            )
-            rep = solve_equilibrium(ms, run_cfg)
-            diff = rep.cost.per_particle - ref_report.cost.per_particle
-            rows.append(SweepRow(
-                penalty=int(n), converged=rep.converged,
-                iterations=rep.iterations,
-                residual=rep.residuals[-1] if rep.residuals else np.nan,
-                cost=rep.cost.value, cost_se=rep.cost.stderr,
-                flow_gap=float(w2_flow(rep.flow, ref_report.flow)),
-                cost_gap=float(rep.cost.value - ref_report.cost.value),
-                cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),
-            ))
+            rows.append(_penalized_row(ms, cfg, int(n), ref_report))
         except PenmfgError as exc:
             rows.append(SweepRow(
                 penalty=int(n), converged=False, iterations=0,
                 residual=np.nan, cost=np.nan, cost_se=np.nan, error=str(exc),
             ))
     return SweepReport(rows=rows, reference=reference, seed=cfg.sim.seed)
+
+
+def _penalized_row(ms: ModelSpec, cfg: FixedPointConfig, n: int,
+                   ref_report: EquilibriumReport) -> SweepRow:
+    """One sweep level; its report (and final flow) dies on return."""
+    rep = solve_equilibrium(ms, replace(
+        cfg, sim=replace(cfg.sim, scheme="penalized_splitting", penalty=n)))
+    diff = rep.cost.per_particle - ref_report.cost.per_particle
+    return SweepRow(
+        penalty=n, converged=rep.converged, iterations=rep.iterations,
+        residual=rep.residuals[-1] if rep.residuals else np.nan,
+        cost=rep.cost.value, cost_se=rep.cost.stderr,
+        flow_gap=float(w2_flow(rep.flow, ref_report.flow)),
+        cost_gap=float(rep.cost.value - ref_report.cost.value),
+        cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),
+    )
 
 
 @dataclass(eq=False)
@@ -358,7 +372,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     relaxed = relaxed_probe(base.field, ms, epsilon=epsilon)
     flow = base.flow
     frozen_cfg = replace(cfg.sim, interaction="frozen")
-    ref_paths, _ = simulate(ms, frozen_cfg, relaxed, frozen_flow=flow)
+    ref_paths = simulate(ms, frozen_cfg, relaxed, frozen_flow=flow)[0]
     ref_cost = evaluate_cost(ms, ref_paths, flow)
     q_ref = realized_control_measure(ref_paths)
     del ref_paths  # its (M, N, nU) weight record is not needed past here
@@ -368,13 +382,14 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
         chat = chattered_probe(base.field, ms, float(delta), epsilon=epsilon)
         run_cfg = replace(frozen_cfg, scheme="penalized_splitting",
                           penalty=penalty)
-        paths, _ = simulate(ms, run_cfg, chat, frozen_flow=flow)
+        paths = simulate(ms, run_cfg, chat, frozen_flow=flow)[0]
         cost = evaluate_cost(ms, paths, flow)
+        q = realized_control_measure(paths)
+        del paths  # before d_relaxed and the next run
         diff = cost.per_particle - ref_cost.per_particle
         rows.append(StrictRunRow(
             delta=float(delta), penalty=penalty,
-            control_distance=float(d_relaxed(realized_control_measure(paths),
-                                             q_ref)),
+            control_distance=float(d_relaxed(q, q_ref)),
             cost=cost.value, cost_se=cost.stderr,
             cost_gap=float(cost.value - ref_cost.value),
             cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),

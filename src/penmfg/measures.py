@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -282,8 +282,15 @@ def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "auto",
 
 def _w2sq_sorted(x, y) -> float:
     """Squared W2 of equal-size uniform clouds; the bits of :func:`_w2sq_quantile`."""
-    seg = np.diff(np.concatenate([[0.0], np.cumsum(np.full(x.size, 1.0 / x.size))]))
-    return float(np.sum(seg * (np.sort(x) - np.sort(y)) ** 2))
+    return float(np.sum(_uniform_segments(x.size) * (np.sort(x) - np.sort(y)) ** 2))
+
+
+@lru_cache(maxsize=4)
+def _uniform_segments(n: int) -> np.ndarray:
+    """Read-only segment masses of n uniform atoms: cumsum differences, not 1/n."""
+    seg = np.diff(np.concatenate([[0.0], np.cumsum(np.full(n, 1.0 / n))]))
+    seg.flags.writeable = False
+    return seg
 
 
 def _w2sq_quantile(x, wx, y, wy) -> float:

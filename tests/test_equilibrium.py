@@ -1,15 +1,18 @@
 """Fixed-point loop: self-consistency, determinism, sweeps, chattering runs."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from penmfg import domain, model
+from penmfg import domain, dp, equilibrium, model
 from penmfg.dp import DPGrid
 from penmfg.equilibrium import (
     FixedPointConfig,
     SweepReport,
+    _mix_flows,
     coupling_distance,
     penalization_sweep,
     residual_noise_floor,
@@ -17,7 +20,8 @@ from penmfg.equilibrium import (
     strict_approximation_run,
 )
 from penmfg.errors import ConfigError
-from penmfg.measures import w2_flow
+from penmfg.measures import EmpiricalMeasure, flow_from_states, w2_flow
+from penmfg.rng import SUBSAMPLE, stream
 from penmfg.simulate import SimConfig, simulate
 
 UNIT_BOX = domain.box([0.0], [1.0])
@@ -226,3 +230,79 @@ def test_coupling_distance_shrinks_with_penalty():
         assert 1.0 - np.exp(-n * sim.dt) == 1.0
         assert coupling_distance(ms, sim, law, n, None) == 0.0
     assert np.exp(-10**6 * sim.dt) == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mix_flows_frames_pin_the_particle_major_layout(dim):
+    """Mixed frames are views of the concatenated fancy-indexed stacks, and
+    each frame's mean keeps their bits: a contiguous gather would sum the
+    means in another order."""
+    r = np.random.default_rng(21)
+    times = np.linspace(0.0, 0.5, 6)
+    old, new = (flow_from_states(times, r.normal(size=(6, 1000, dim)))
+                for _ in range(2))
+    mixed = _mix_flows(old, new, 0.5, stream(7, SUBSAMPLE, 2))
+    perm = stream(7, SUBSAMPLE, 2)
+    idx_new, idx_old = perm.permutation(1000)[:500], perm.permutation(1000)[:500]
+    want = np.concatenate([new.stack()[:, idx_new], old.stack()[:, idx_old]],
+                          axis=1)
+    for k, fr in enumerate(mixed.frames):
+        assert fr.samples.strides == want[k].strides == (6 * dim * 8, 8)
+        assert fr.samples.tobytes() == want[k].tobytes()
+        assert fr.mean.tobytes() == EmpiricalMeasure(want[k]).mean.tobytes()
+
+
+def test_studies_hold_one_run_at_a_time(monkeypatch):
+    """No run's PathBundle outlives its last reader: when a study calls
+    simulate, every bundle an earlier call returned is already freed, by
+    reference counting alone (gc is off).  Flows a study discards go too:
+    counted over the study's own runs, only the X arrays it still reads are
+    alive."""
+    refs, calls, study = [], [], ["solve"]
+
+    def tracked(real):
+        def run(*args, **kwargs):
+            calls.append((study[0],
+                          sum(b() is not None for _, b, _ in refs),
+                          sum(x() is not None for s, _, x in refs
+                              if s == study[0])))
+            out = real(*args, **kwargs)
+            refs.append((study[0], weakref.ref(out[0]), weakref.ref(out[0].X)))
+            return out
+        return run
+
+    monkeypatch.setattr(equilibrium, "simulate", tracked(equilibrium.simulate))
+    monkeypatch.setattr(dp, "simulate", tracked(dp.simulate))
+    ms = lq_model(gamma=0.25)
+    cfg = FixedPointConfig(  # tol out of reach: every iteration runs
+        sim=SimConfig(n_particles=300, dt=0.0125,
+                      scheme="reflected_projected", seed=9),
+        grid=DPGrid.regular([0.0], [1.0], 0.05),
+        damping=0.5, max_iters=3, tol=1e-9,
+    )
+    gc_on = gc.isenabled()
+    gc.disable()
+    try:
+        rep = solve_equilibrium(ms, cfg)
+        study[0] = "strict"
+        strict_approximation_run(ms, cfg, deltas=[0.2, 0.1], n0=2.0,
+                                 epsilon=0.25)
+        study[0] = "sweep"
+        penalization_sweep(ms, cfg, [8, 32])
+        study[0] = "floor"
+        residual_noise_floor(ms, cfg, rep.law, rep.flow)
+    finally:
+        if gc_on:
+            gc.enable()
+    # 5 runs per solve (start-up, 3 iterations, exploitability)
+    per_study = {"solve": 5, "strict": 5 + 3, "sweep": 3 * 5, "floor": 2}
+    assert [s for s, _, _ in calls] == [s for s, k in per_study.items()
+                                        for _ in range(k)]
+    assert [b for _, b, _ in calls] == [0] * len(calls), calls
+    # a solve's start-up flow is its first iterate, its last flow the report's;
+    # a later run of a study sees only the flows it still reads
+    solve = [0, 1, 0, 0, 1]
+    live_x = {s: [x for t, _, x in calls if t == s] for s in per_study}
+    assert live_x == {"solve": solve, "strict": solve + [1, 1, 1],
+                      "sweep": solve + [1 + x for x in solve] * 2,
+                      "floor": [0, 1]}, calls

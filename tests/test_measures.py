@@ -151,12 +151,14 @@ def test_w2_entropic_close_to_exact():
         assert abs(approx - exact) <= 0.02 * exact
 
 
-def test_w2_auto_dispatch():
-    big = em(RNG.normal(size=(300, 2)))
-    other = em(RNG.normal(size=(300, 2)))
+def test_w2_auto_dispatch(monkeypatch):
+    # a lowered limit sends a small pair past it: the label is what is tested
+    monkeypatch.setattr(measures, "EXACT_PAIR_LIMIT", 300)
+    big = em(RNG.normal(size=(20, 2)))
+    other = em(RNG.normal(size=(20, 2)))
     _, info = measures.w2(big, other, return_info=True)
     assert info["method"] == "entropic"
-    _, info = measures.w2(em(RNG.normal(size=(50, 2))), em(RNG.normal(size=(50, 2))),
+    _, info = measures.w2(em(RNG.normal(size=(15, 2))), em(RNG.normal(size=(15, 2))),
                           return_info=True)
     assert info["method"] == "assignment"
 

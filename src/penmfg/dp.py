@@ -539,14 +539,13 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
     averaged over the realized initial states, and clips the gap below at
     -3 standard errors: anything lower signals an inconsistency rather than
     a better-than-optimal law, so the report records the clip in ``clipped``.
+    The best response is ``field`` when given, else the DP solved on
+    ``grid``, which a penalized run must already have padded.
     """
     if field is None:
         if grid is None:
-            grid = DPGrid.for_model(ms, hx=0.05)
-            if penalty is not None:
-                grid = pad_for_penalty(grid, ms, flow.dt, penalty)
-        chain = build_chain(ms, penalty, flow, grid)
-        field, _ = solve_dp(chain, flow)
+            raise GridError("exploitability needs a best-response field or a DP grid")
+        field, _ = solve_dp(build_chain(ms, penalty, flow, grid), flow)
     scheme = "reflected_projected" if penalty is None else "penalized_splitting"
     cfg = SimConfig(n_particles=n_particles, dt=flow.dt, scheme=scheme,
                     penalty=penalty, seed=seed, interaction="frozen")

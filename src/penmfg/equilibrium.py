@@ -188,12 +188,13 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
             field_v, law = solve_dp(build_chain(ms, penalty, frozen, grid), frozen)
         paths, sim_flow = simulate(ms, frozen_cfg, law, frozen_flow=frozen)
         resid = w2_flow(sim_flow, frozen)
-        residuals.append(float(resid))
+        residuals.append(resid)
         if resid < cfg.tol:
             converged = True
             break
-        flow = _mix_flows(frozen, sim_flow,
-                          cfg.damping, stream(cfg.sim.seed, SUBSAMPLE, it))
+        if it + 1 < cfg.max_iters:  # a last iterate would go unread
+            flow = _mix_flows(frozen, sim_flow,
+                              cfg.damping, stream(cfg.sim.seed, SUBSAMPLE, it))
     cost = evaluate_cost(ms, paths, frozen)
     del paths, flow  # exploitability runs its own simulate under frozen
     exploit = None
@@ -222,7 +223,7 @@ def residual_noise_floor(ms: ModelSpec, cfg: FixedPointConfig, law,
     frozen = replace(cfg.sim, interaction="frozen")
     a = simulate(ms, replace(frozen, seed=seeds[0]), law, frozen_flow=flow)[1]
     b = simulate(ms, replace(frozen, seed=seeds[1]), law, frozen_flow=flow)[1]
-    return float(w2_flow(a, b))
+    return w2_flow(a, b)
 
 
 # ------------------------------------------------------------------ sweeps
@@ -309,7 +310,7 @@ def _penalized_row(ms: ModelSpec, cfg: FixedPointConfig, n: int,
         penalty=n, converged=rep.converged, iterations=rep.iterations,
         residual=rep.residuals[-1] if rep.residuals else np.nan,
         cost=rep.cost.value, cost_se=rep.cost.stderr,
-        flow_gap=float(w2_flow(rep.flow, ref_report.flow)),
+        flow_gap=w2_flow(rep.flow, ref_report.flow),
         cost_gap=float(rep.cost.value - ref_report.cost.value),
         cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),
     )
@@ -389,7 +390,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
         diff = cost.per_particle - ref_cost.per_particle
         rows.append(StrictRunRow(
             delta=float(delta), penalty=penalty,
-            control_distance=float(d_relaxed(q, q_ref)),
+            control_distance=d_relaxed(q, q_ref),
             cost=cost.value, cost_se=cost.stderr,
             cost_gap=float(cost.value - ref_cost.value),
             cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),

@@ -1,18 +1,21 @@
 """Empirical measures, measure flows, and Wasserstein-2 distances.
 
-Distances dispatch by problem size.  One-dimensional pairs use the exact
-quantile coupling, which for uniform clouds of equal size pairs the points
-in sorted order, so each cloud is only sorted.  Multivariate pairs with at
-most ``EXACT_PAIR_LIMIT`` support-point pairs are solved exactly: Hungarian
-assignment for uniform equal-size supports, a transportation LP otherwise.
-The LP is solved by the network simplex in this module (numpy only), so a
-run whose distances are all 1-D or LPs, as every shipped config's are,
+Every distance is exact, and the inputs pick its path:
+
+- one-dimensional uniform clouds of equal size pair their points in sorted
+  order (``_w2sq_sorted``);
+- every other one-dimensional pair takes the quantile coupling
+  (``_w2sq_quantile``);
+- uniform clouds of equal size in d >= 2 take the optimal assignment
+  (``_assignment_cost2``), which builds the N x N cost matrix and loads
+  scipy.optimize on its first call;
+- every other pair, each ``d_relaxed`` pair included, is a transportation LP
+  solved by the network simplex in this module (``_ot_lp``, numpy only).
+  An LP that needs more than ``LP_MAX_PIVOTS`` pivots raises a PenmfgError
+  naming its shape.
+
+So a run whose distances are all 1-D or LPs, as every shipped config's are,
 never imports scipy.optimize, scipy.sparse, scipy.spatial or scipy.special.
-Larger problems fall back to entropy-regularized Sinkhorn with an annealed
-epsilon and a debiased cost (the two self-distances are subtracted), which
-lands within a couple percent of the exact value on the sizes used here.
-The assignment path loads scipy.optimize and Sinkhorn scipy.special, each
-on its first call.
 
 Distances between measure flows are taken as the supremum of the per-node
 marginal distances; a path-space alternative via coupled simulation lives in
@@ -34,15 +37,8 @@ import numpy as np
 
 from .errors import PenmfgError
 
-EXACT_PAIR_LIMIT = 40_000
 WEIGHT_TOL = 1e-12
 LP_MAX_PIVOTS = 100_000
-
-# Sinkhorn defaults: epsilon is relative to the mean squared ground cost and
-# annealed geometrically; the sweep budget covers the whole schedule.
-SINKHORN_EPS_SCHEDULE = tuple(np.geomspace(1e-1, 1e-3, 7))
-SINKHORN_MAX_SWEEPS = 500
-SINKHORN_MARGINAL_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -249,35 +245,23 @@ class TimedControlMeasure:
 # ------------------------------------------------------------------ distances
 
 
-def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure, method: str = "auto",
-       return_info: bool = False):
+def w2(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Wasserstein-2 distance between two empirical measures."""
     if mu.dim != nu.dim:
         raise PenmfgError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if method == "auto":
-        if mu.dim == 1:
-            method = "quantile"
-        elif mu.n * nu.n <= EXACT_PAIR_LIMIT:
-            uniform = mu.weights is None and nu.weights is None and mu.n == nu.n
-            method = "assignment" if uniform else "lp"
-        else:
-            method = "entropic"
-
-    if method == "quantile":
-        if mu.dim != 1:
-            raise PenmfgError("quantile method is for one-dimensional measures")
+    uniform = mu.weights is None and nu.weights is None and mu.n == nu.n
+    if mu.dim == 1:
         x, y = mu.samples[:, 0], nu.samples[:, 0]
-        if mu.weights is None and nu.weights is None and mu.n == nu.n:
+        if uniform:
             cost2 = _w2sq_sorted(x, y)
         else:
             cost2 = _w2sq_quantile(x, mu.weight_vector(), y, nu.weight_vector())
-        info = {"method": "quantile"}
+    elif uniform:
+        cost2 = _assignment_cost2(mu.samples, nu.samples)
     else:
-        cost2, info = _discrete_ot_cost2(
-            mu.samples, mu.weight_vector(), nu.samples, nu.weight_vector(), method
-        )
-    value = float(np.sqrt(max(cost2, 0.0)))
-    return (value, info) if return_info else value
+        cost2 = _ot_lp(_sqdist(mu.samples, nu.samples),
+                       mu.weight_vector(), nu.weight_vector())
+    return float(np.sqrt(max(cost2, 0.0)))
 
 
 def _w2sq_sorted(x, y) -> float:
@@ -310,22 +294,14 @@ def _w2sq_quantile(x, wx, y, wy) -> float:
     return float(np.sum(seg * (qx - qy) ** 2))
 
 
-def _discrete_ot_cost2(x1, w1, x2, w2_, method: str):
-    """Squared-distance OT cost between two weighted supports."""
-    if method == "assignment":
-        if x1.shape[0] != x2.shape[0]:
-            raise PenmfgError("assignment method needs equal-size supports")
-        # imported here, not at start-up: scipy.optimize takes ~0.8 s to load
-        from scipy.optimize import linear_sum_assignment
+def _assignment_cost2(x1: np.ndarray, x2: np.ndarray) -> float:
+    """Squared W2 of uniform clouds of equal size: the optimal assignment."""
+    # imported here, not at start-up: scipy.optimize takes ~0.8 s to load
+    from scipy.optimize import linear_sum_assignment
 
-        cost = _sqdist(x1, x2)
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].mean()), {"method": "assignment"}
-    if method == "lp":
-        return _ot_lp(_sqdist(x1, x2), w1, w2_), {"method": "lp"}
-    if method == "entropic":
-        return _ot_entropic_debiased(x1, w1, x2, w2_)
-    raise PenmfgError(f"unknown w2 method {method!r}")
+    cost = _sqdist(x1, x2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
 
 
 def _sqdist(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -354,7 +330,7 @@ def _ot_lp(cost: np.ndarray, w1: np.ndarray, w2_: np.ndarray) -> float:
     where every subtree is one contiguous range, so a pivot re-roots and
     moves the detached subtree and shifts its potentials with a few array
     operations.  Optimality is confirmed on potentials rebuilt from the tree.
-A pivot count over ``LP_MAX_PIVOTS`` raises instead of returning a bound.
+    A pivot count over ``LP_MAX_PIVOTS`` raises instead of returning a bound.
     """
     keep1, keep2 = w1 > 0.0, w2_ > 0.0
     c = cost[np.ix_(keep1, keep2)]
@@ -388,7 +364,8 @@ A pivot count over ``LP_MAX_PIVOTS`` raises instead of returning a bound.
             pot, fresh = potentials(), True
             continue
         if pivots == LP_MAX_PIVOTS:
-            raise PenmfgError(f"transportation LP: no optimum after {pivots} pivots")
+            raise PenmfgError(f"transportation LP of {m} x {n} points: "
+                             f"no optimum after {pivots} pivots")
         pivots, fresh = pivots + 1, False
         i, j = divmod(k, n)
         # tree paths from row i and column j up to their common ancestor
@@ -486,81 +463,14 @@ def _northwest_tree(a: list, b: list):
             child, parent = m + j, i
 
 
-def _sinkhorn_potentials(cost, logw1, logw2, eps_schedule, budget):
-    """Annealed log-domain Sinkhorn; returns potentials, eps and sweeps used.
-
-    Early epsilon levels only warm-start the potentials, so they get a short
-    fixed allowance; the final level takes whatever budget remains.
-    """
-    # imported here, not at start-up: scipy.special takes ~0.5 s to load
-    from scipy.special import logsumexp
-
-    f = np.zeros(cost.shape[0])
-    g = np.zeros(cost.shape[1])
-    used = 0
-    viol = np.inf
-    for lvl, eps in enumerate(eps_schedule):
-        last = lvl == len(eps_schedule) - 1
-        tol = SINKHORN_MARGINAL_TOL if last else 1e-4
-        allowance = budget - used if last else min(30, budget - used)
-        for _ in range(max(allowance, 1)):
-            f = -eps * logsumexp((g[None, :] - cost) / eps + logw2[None, :], axis=1)
-            g = -eps * logsumexp((f[:, None] - cost) / eps + logw1[:, None], axis=0)
-            used += 1
-            viol = _marginal_violation(cost, f, g, logw1, logw2, eps)
-            if viol < tol:
-                break
-    return f, g, eps, used, viol
-
-
-def _plan(cost, f, g, logw1, logw2, eps):
-    return np.exp((f[:, None] + g[None, :] - cost) / eps + logw1[:, None] + logw2[None, :])
-
-
-def _marginal_violation(cost, f, g, logw1, logw2, eps) -> float:
-    p = _plan(cost, f, g, logw1, logw2, eps)
-    return float(
-        np.abs(p.sum(axis=1) - np.exp(logw1)).sum()
-        + np.abs(p.sum(axis=0) - np.exp(logw2)).sum()
-    )
-
-
-def _ot_entropic_debiased(x1, w1, x2, w2_):
-    """Sinkhorn transport cost, debiased by the two self-distances."""
-    logw1, logw2 = np.log(w1), np.log(w2_)
-    c12 = _sqdist(x1, x2)
-    scale = float(c12.mean())
-    if scale == 0.0:
-        return 0.0, {"method": "entropic", "eps": 0.0, "sweeps": 0}
-    eps_schedule = [e * scale for e in SINKHORN_EPS_SCHEDULE]
-
-    def transport_cost(cost, la, lb, budget):
-        f, g, eps, used, viol = _sinkhorn_potentials(cost, la, lb, eps_schedule, budget)
-        p = _plan(cost, f, g, la, lb, eps)
-        return float((p * cost).sum()), eps, used, viol
-
-    budget = SINKHORN_MAX_SWEEPS
-    cross, eps, used, viol = transport_cost(c12, logw1, logw2, budget)
-    self1, _, u1, _ = transport_cost(_sqdist(x1, x1), logw1, logw1, budget)
-    self2, _, u2, _ = transport_cost(_sqdist(x2, x2), logw2, logw2, budget)
-    cost2 = cross - 0.5 * (self1 + self2)
-    info = {"method": "entropic", "eps": eps, "sweeps": used + u1 + u2,
-            "marginal_violation": viol, "debiased": True}
-    return max(cost2, 0.0), info
-
-
-def w2_flow(a: MeasureFlow, b: MeasureFlow, method: str = "auto",
-            return_profile: bool = False):
+def w2_flow(a: MeasureFlow, b: MeasureFlow) -> float:
     """Supremum over grid nodes of the marginal W2 distances."""
     if a.times.size != b.times.size or not np.allclose(a.times, b.times, rtol=1e-9):
         raise PenmfgError("measure flows live on different time grids")
-    vals = np.array([w2(fa, fb, method=method) for fa, fb in zip(a.frames, b.frames)])
-    top = float(vals.max())
-    return (top, vals) if return_profile else top
+    return max(w2(fa, fb) for fa, fb in zip(a.frames, b.frames))
 
 
-def d_relaxed(q1: TimedControlMeasure, q2: TimedControlMeasure,
-              method: str = "auto", return_info: bool = False):
+def d_relaxed(q1: TimedControlMeasure, q2: TimedControlMeasure) -> float:
     """Distance between relaxed controls: W2 on time-control product space.
 
     Both measures are normalized by the horizon so they compare as probability
@@ -574,8 +484,4 @@ def d_relaxed(q1: TimedControlMeasure, q2: TimedControlMeasure,
         raise PenmfgError("control atoms have mismatched dimensions")
     p1, m1 = q1.support()
     p2, m2 = q2.support()
-    if method == "auto":
-        method = "lp" if p1.shape[0] * p2.shape[0] <= EXACT_PAIR_LIMIT else "entropic"
-    cost2, info = _discrete_ot_cost2(p1, m1, p2, m2, method)
-    value = float(np.sqrt(max(cost2, 0.0)))
-    return (value, info) if return_info else value
+    return float(np.sqrt(max(_ot_lp(_sqdist(p1, p2), m1, m2), 0.0)))

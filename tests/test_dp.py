@@ -394,6 +394,8 @@ def test_exploitability_clip_is_recorded():
     field, law = solve_dp(build_chain(ms, None, flow, g), flow)
     fair = exploitability(ms, flow, law, n_particles=500, seed=5, field=field)
     assert not fair.clipped
+    with pytest.raises(GridError):  # no field, and no grid to solve one on
+        exploitability(ms, flow, law, n_particles=500, seed=5)
     # a best response that claims 1.0 more than the law's cost is inconsistent
     inflated = replace(field, V=field.V + 1.0)
     rep = exploitability(ms, flow, law, n_particles=500, seed=5, field=inflated)

@@ -153,6 +153,24 @@ def test_max_iters_zero_reports_not_converged():
     assert rep.cost.value is not None
 
 
+def test_solve_out_of_iterations_mixes_only_iterates_it_reads(monkeypatch):
+    """Every pass but the last mixes the iterate the next pass freezes; a
+    solve that runs out of iterations builds no iterate after its last."""
+    mixes = []
+    mix = equilibrium._mix_flows
+    monkeypatch.setattr(equilibrium, "_mix_flows",
+                        lambda *a: mixes.append(1) or mix(*a))
+    cfg = FixedPointConfig(  # tol out of reach: every iteration runs
+        sim=SimConfig(n_particles=300, dt=0.0125,
+                      scheme="reflected_projected", seed=9),
+        grid=DPGrid.regular([0.0], [1.0], 0.05),
+        damping=0.5, max_iters=3, tol=1e-9,
+    )
+    rep = solve_equilibrium(lq_model(gamma=0.25), cfg)
+    assert rep.iterations == 3 and not rep.converged
+    assert len(mixes) == 2
+
+
 def test_penalization_sweep_gaps_shrink_with_n():
     ms = ou_model(sigma=0.5)
     cfg = FixedPointConfig(

@@ -14,8 +14,9 @@ callbacks whose signature the caller fixes.  ``self``, ``cls`` and names
 starting with ``_`` are exempt.
 
 scipy.optimize, scipy.sparse, scipy.spatial and scipy.special take about
-0.6 s to import together.  penmfg loads them only on the paths that need
-them (the assignment W2 and Sinkhorn), which no shipped config reaches.
+0.6 s to import together.  penmfg loads only scipy.optimize, and only on the
+path that needs it (the assignment W2 of uniform clouds in d >= 2), which no
+shipped config reaches.
 """
 
 import ast

@@ -2,9 +2,10 @@
 
 Small-support cases are checked against an exhaustive permutation oracle
 (every coupling of uniform equal-size supports is a permutation) with frozen
-expected values, the 1D quantile path is checked against the assignment path,
-the entropic path is checked against the exact one, and the network simplex
-is checked against scipy's HiGHS on the transportation LP it replaced.
+expected values, the 1D quantile path is checked against the assignment path
+and the transportation LP, and the network simplex is checked against scipy's
+HiGHS on the transportation LP it replaced.  Which path a pair takes is read
+off its inputs alone.
 """
 
 from itertools import permutations
@@ -64,15 +65,16 @@ def test_w2_small_supports_match_permutation_oracle():
         n, d = int(RNG.integers(2, 6)), int(RNG.integers(1, 4))
         x, y = RNG.normal(size=(n, d)), RNG.normal(size=(n, d))
         want = w2_permutation_oracle(x, y)
-        got = measures.w2(em(x), em(y), method="assignment")
+        got = np.sqrt(measures._assignment_cost2(x, y))
         assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_w2_quantile_agrees_with_assignment_1d():
     for n in (3, 17, 100, 200):
         x, y = RNG.normal(size=n), 0.5 + 0.8 * RNG.normal(size=n)
-        a = measures.w2(em(x), em(y), method="quantile")
-        b = measures.w2(em(x), em(y), method="assignment")
+        w = np.full(n, 1.0 / n)
+        a = np.sqrt(measures._w2sq_quantile(x, w, y, w))
+        b = np.sqrt(measures._assignment_cost2(x[:, None], y[:, None]))
         assert abs(a - b) <= 1e-9
 
 
@@ -113,9 +115,9 @@ def test_w2_quantile_weighted_vs_lp():
         x, y = RNG.normal(size=(n1, 1)), RNG.normal(size=(n2, 1))
         w1 = RNG.uniform(0.1, 1.0, n1)
         w2_ = RNG.uniform(0.1, 1.0, n2)
-        mu, nu = em(x, w1 / w1.sum()), em(y, w2_ / w2_.sum())
-        a = measures.w2(mu, nu, method="quantile")
-        b = measures.w2(mu, nu, method="lp")
+        w1, w2_ = w1 / w1.sum(), w2_ / w2_.sum()
+        a = np.sqrt(measures._w2sq_quantile(x[:, 0], w1, y[:, 0], w2_))
+        b = np.sqrt(measures._ot_lp(measures._sqdist(x, y), w1, w2_))
         assert abs(a - b) <= 1e-8
 
 
@@ -140,27 +142,33 @@ def test_w2_scaling():
         assert measures.w2(em(s * x), em(s * y)) == pytest.approx(abs(s) * base, rel=1e-9)
 
 
-def test_w2_entropic_close_to_exact():
-    for d, n in ((2, 120), (3, 80)):
-        x = RNG.normal(size=(n, d))
-        y = RNG.normal(size=(n, d)) + 0.7
-        exact = measures.w2(em(x), em(y), method="assignment")
-        approx, info = measures.w2(em(x), em(y), method="entropic", return_info=True)
-        assert info["method"] == "entropic" and info["debiased"]
-        assert info["sweeps"] <= measures.SINKHORN_MAX_SWEEPS * 3
-        assert abs(approx - exact) <= 0.02 * exact
+def test_w2_input_picks_the_path(monkeypatch):
+    """Dimension, weights and equal sizes choose the path, the support count
+    does not: a 201 x 201 cloud pair and a 240 x 240 d_relaxed pair stay on
+    the exact paths."""
+    taken = []
+    for name in ("_w2sq_sorted", "_w2sq_quantile", "_assignment_cost2", "_ot_lp"):
+        real = getattr(measures, name)
+        monkeypatch.setattr(measures, name,
+                            lambda *a, _n=name, _f=real: taken.append(_n) or _f(*a))
 
+    def path(mu, nu, distance=measures.w2):
+        taken.clear()
+        distance(mu, nu)
+        return taken[:]
 
-def test_w2_auto_dispatch(monkeypatch):
-    # a lowered limit sends a small pair past it: the label is what is tested
-    monkeypatch.setattr(measures, "EXACT_PAIR_LIMIT", 300)
-    big = em(RNG.normal(size=(20, 2)))
-    other = em(RNG.normal(size=(20, 2)))
-    _, info = measures.w2(big, other, return_info=True)
-    assert info["method"] == "entropic"
-    _, info = measures.w2(em(RNG.normal(size=(15, 2))), em(RNG.normal(size=(15, 2))),
-                          return_info=True)
-    assert info["method"] == "assignment"
+    x, y = RNG.normal(size=(201, 2)), RNG.normal(size=(201, 2))
+    w = random_weights(RNG, 201)
+    assert path(em(x[:, :1]), em(y[:, :1])) == ["_w2sq_sorted"]
+    assert path(em(x[:, :1], w), em(y[:, :1])) == ["_w2sq_quantile"]
+    assert path(em(x[:, :1]), em(y[:200, :1])) == ["_w2sq_quantile"]
+    assert path(em(x), em(y)) == ["_assignment_cost2"]  # 201 x 201
+    assert path(em(x, w), em(y)) == ["_ot_lp"]
+    assert path(em(x), em(y[:200])) == ["_ot_lp"]
+    t = np.linspace(0.0, 1.0, 81)
+    q1 = TimedControlMeasure(t, [-1.0, 0.0, 1.0], RNG.dirichlet(np.ones(3), 80))
+    q2 = TimedControlMeasure(t, [-1.0, 0.0, 1.0], RNG.dirichlet(np.ones(3), 80))
+    assert path(q1, q2, measures.d_relaxed) == ["_ot_lp"]  # 240 x 240
 
 
 def test_w2_dimension_mismatch():
@@ -193,10 +201,8 @@ def test_flow_validation_and_w2_flow():
     states = RNG.normal(size=(5, 20, 1))
     a = measures.flow_from_states(t, states)
     b = measures.flow_from_states(t, states + 0.1 * RNG.normal(size=states.shape))
-    top, profile = measures.w2_flow(a, b, return_profile=True)
     per_node = [measures.w2(fa, fb) for fa, fb in zip(a.frames, b.frames)]
-    np.testing.assert_allclose(profile, per_node)
-    assert top == pytest.approx(max(per_node))
+    assert measures.w2_flow(a, b) == max(per_node)
     assert measures.w2_flow(a, a) <= 1e-12
 
 
@@ -340,7 +346,7 @@ def test_ot_lp_identical_measures_cost_exactly_zero():
         x = gen.normal(size=(n, d))
         for w in (np.full(n, 1.0 / n), random_weights(gen, n)):
             assert measures._ot_lp(measures._sqdist(x, x), w, w) == 0.0
-            assert measures.w2(em(x, w), em(x, w), method="lp") == 0.0
+            assert measures.w2(em(x, w), em(x, w)) == 0.0
 
 
 @pytest.mark.parametrize("n_small", [48, 50])
@@ -362,10 +368,23 @@ def test_d_relaxed_lp_matches_highs_at_the_chatter_shapes(n_small):
     p1, m1 = q_strict.support()
     p2, m2 = q_ref.support()
     assert (p1.shape[0], p2.shape[0]) == (n_small, 86)
-    value, info = measures.d_relaxed(q_strict, q_ref, return_info=True)
-    assert info["method"] == "lp"
+    value = measures.d_relaxed(q_strict, q_ref)
     want = lp_reference(cdist(p1, p2, "sqeuclidean"), m1, m2)
     assert value == pytest.approx(np.sqrt(want), rel=1e-12)
+
+
+def test_d_relaxed_matches_highs_on_a_large_pair():
+    """80 cells x 3 atoms a side: 57,600 support pairs, still one exact LP."""
+    gen = np.random.default_rng(80)
+    t = np.linspace(0.0, 1.0, 81)
+    atoms = np.array([-1.0, 0.0, 1.0])
+    q1 = TimedControlMeasure(t, atoms, gen.dirichlet(np.ones(3), 80))
+    q2 = TimedControlMeasure(t, atoms, gen.dirichlet(np.ones(3), 80))
+    p1, m1 = q1.support()
+    p2, m2 = q2.support()
+    assert (p1.shape[0], p2.shape[0]) == (240, 240)
+    want = lp_reference(cdist(p1, p2, "sqeuclidean"), m1, m2)
+    assert measures.d_relaxed(q1, q2) == pytest.approx(np.sqrt(want), rel=1e-12)
 
 
 def test_ot_lp_pivot_cap_raises(monkeypatch):
@@ -374,7 +393,7 @@ def test_ot_lp_pivot_cap_raises(monkeypatch):
     w1, w2_ = random_weights(gen, 12), random_weights(gen, 15)
     measures._ot_lp(measures._sqdist(x, y), w1, w2_)
     monkeypatch.setattr(measures, "LP_MAX_PIVOTS", 1)
-    with pytest.raises(PenmfgError, match="pivots"):
+    with pytest.raises(PenmfgError, match="LP of 12 x 15 points: .* after 1 pivots"):
         measures._ot_lp(measures._sqdist(x, y), w1, w2_)
 
 

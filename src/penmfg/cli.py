@@ -128,11 +128,10 @@ def _cmd_dp(cfg: RunConfig, ms, out: Path) -> int:
     grid = build_grid(cfg, ms)
     if grid is None:
         raise PenmfgError("the dp command needs [dp] hx")
-    penalty = sim.penalty if sim.scheme.startswith("penalized") else None
-    if penalty is not None:
-        grid = pad_for_penalty(grid, ms, sim.dt, penalty)
+    if sim.penalty is not None:
+        grid = pad_for_penalty(grid, ms, sim.dt, sim.penalty)
     _, flow = simulate(ms, sim, _constant_law())
-    chain = build_chain(ms, penalty, flow, grid)
+    chain = build_chain(ms, sim.penalty, flow, grid)
     field, _ = solve_dp(chain, flow)
     value_to_csv(field, out / "value.csv")
     v0 = field.V[0]
@@ -181,8 +180,7 @@ def _sweep_rows(report) -> list:
 def _cmd_sweep(cfg: RunConfig, ms, out: Path) -> int:
     grid = build_grid(cfg, ms)
     fp = build_fixed_point(cfg, build_sim(cfg), grid)
-    n_list = cfg.sweep.get("n_list", (8, 32, 128))
-    report = penalization_sweep(ms, fp, list(n_list))
+    report = penalization_sweep(ms, fp, list(cfg.sweep["n_list"]))
     _write_text(out / "sweep.csv", _csv_table(_SWEEP_HEADER,
                                               _sweep_rows(report)))
     _write_text(out / "report.txt",
@@ -202,8 +200,8 @@ def _cmd_chatter(cfg: RunConfig, ms, out: Path) -> int:
         raise PenmfgError("the chatter command needs [dp] hx")
     fp = build_fixed_point(cfg, build_sim(cfg), grid)
     report = strict_approximation_run(
-        ms, fp, deltas=list(cfg.sweep.get("deltas", (0.2, 0.1, 0.05))),
-        n0=cfg.sweep.get("n0", 8.0), epsilon=cfg.sweep.get("epsilon", 0.1),
+        ms, fp, deltas=list(cfg.sweep["deltas"]), n0=cfg.sweep["n0"],
+        epsilon=cfg.sweep["epsilon"],
     )
     rows = [[_ff(r.delta), r.penalty, _ff(r.control_distance), _ff(r.cost),
              _ff(r.cost_se), _ff(r.cost_gap), _ff(r.cost_gap_se)]
@@ -222,7 +220,7 @@ def _cmd_diagnose(cfg: RunConfig, ms, out: Path) -> int:
     lines.append(str(empirical_growth_constants(ms, seed=cfg.seed)))
     dt = cfg.sim.get("dt")
     penalty = cfg.sim.get("penalty")
-    scheme = cfg.sim.get("scheme", "penalized_splitting")
+    scheme = cfg.sim["scheme"]
     if dt is not None and penalty is not None:
         ratio = penalty * dt
         lines.append(

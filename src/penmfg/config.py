@@ -55,7 +55,7 @@ _SCHEMA = {
             "out": ("str", "out")},
     "sim": {"n_particles": ("int", None), "dt": ("float", None),
             "scheme": ("str", "penalized_splitting"),
-            "penalty": ("int", None), "interaction": ("str", "self")},
+            "penalty": ("int", None)},
     "dp": {"hx": ("float", None), "lower": ("floats", None),
            "upper": ("floats", None)},
     "fixed_point": {"damping": ("float", 0.5), "max_iters": ("int", 30),
@@ -282,8 +282,7 @@ def _validate_builds(cfg: RunConfig, raw: dict, model_lines: dict) -> None:
     if cfg.dp.get("hx") is not None and cfg.dp["hx"] <= 0:
         raise ConfigError("[dp] hx must be positive",
                           _section_line(raw, "dp", "hx"))
-    if cfg.sweep.get("epsilon") is not None \
-            and not 0.0 <= cfg.sweep["epsilon"] <= 0.5:
+    if not 0.0 <= cfg.sweep["epsilon"] <= 0.5:
         raise ConfigError("[sweep] epsilon must lie in [0, 1/2]",
                           _section_line(raw, "sweep", "epsilon"))
 
@@ -302,28 +301,29 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         if "." not in dotted:
             raise ConfigError(f"override {item!r} is not section.key=value")
         section, key = dotted.split(".", 1)
-        if section == "run" and key in ("command", "seed", "out"):
-            kind = _SCHEMA["run"][key][0]
-            cfg = replace(cfg, **{key: _parse_scalar(value, kind, 0)})
-        elif section in ("sim", "dp", "fixed_point", "sweep"):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"override {item!r}: unknown key {key!r} in [{section}]")
-            kind = _SCHEMA[section][key][0]
-            updated = dict(getattr(cfg, section))
-            updated[key] = _parse_scalar(value, kind, 0)
-            cfg = replace(cfg, **{section: updated})
-        elif section == "model":
+        if section == "model":
             updated = dict(cfg.model)
             updated[key] = value if key == "preset" \
                 else _model_value(value)
             cfg = replace(cfg, model=updated)
-        elif section == "domain":
+            continue
+        if section == "domain":
             raise ConfigError(
                 f"override {item!r}: edit the [domain] section instead")
-        else:
+        if section not in _SCHEMA:
             raise ConfigError(f"override {item!r}: unknown section "
                               f"{section!r}")
+        if key not in _SCHEMA[section]:
+            raise ConfigError(
+                f"override {item!r}: unknown key {key!r} in [{section}]")
+        try:
+            parsed = _parse_scalar(value, _SCHEMA[section][key][0], None)
+        except ConfigError as exc:
+            raise ConfigError(f"override {item!r}: {dotted} {exc}") from None
+        if section == "run":
+            cfg = replace(cfg, **{key: parsed})
+        else:
+            cfg = replace(cfg, **{section: {**getattr(cfg, section), key: parsed}})
     # re-validate the patched config through the canonical text; keep the
     # original default log for the run report
     validated = parse_config(serialize(cfg))
@@ -398,9 +398,7 @@ def build_model(cfg: RunConfig, dom=None) -> ModelSpec:
 def build_sim(cfg: RunConfig) -> SimConfig:
     return SimConfig(
         n_particles=cfg.sim["n_particles"], dt=cfg.sim["dt"],
-        scheme=cfg.sim.get("scheme", "penalized_splitting"),
-        penalty=cfg.sim.get("penalty"), seed=cfg.seed,
-        interaction=cfg.sim.get("interaction", "self"),
+        scheme=cfg.sim["scheme"], penalty=cfg.sim.get("penalty"), seed=cfg.seed,
     )
 
 
@@ -421,6 +419,6 @@ def build_fixed_point(cfg: RunConfig, sim: SimConfig | None = None,
     fp = cfg.fixed_point
     return FixedPointConfig(
         sim=build_sim(cfg) if sim is None else sim, grid=grid,
-        damping=fp.get("damping", 0.5), max_iters=fp.get("max_iters", 30),
-        tol=fp.get("tol", 5e-2), tol_exploit=fp.get("tol_exploit", 5e-2),
+        damping=fp["damping"], max_iters=fp["max_iters"], tol=fp["tol"],
+        tol_exploit=fp["tol_exploit"],
     )

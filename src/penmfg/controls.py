@@ -1,16 +1,14 @@
-"""Control laws: strict and relaxed feedback, open-loop measures, chattering.
+"""Control laws: strict and relaxed feedback, chattering.
 
 A control law is one of
 
 - :class:`StrictFeedback`         atom index = fn(t, x)
 - :class:`RelaxedFeedback`        weights over a control grid as fn(t, x)
-- :class:`RelaxedOpenLoop`        a TimedControlMeasure, identical for all states
-- :class:`PiecewiseConstantControl`  a deterministic open-loop switching schedule
 
 A strict control is always one atom of a finite control set, so strict laws
 speak in atom indices: a feedback returns row indices into the model's
-control grid, a schedule holds indices into its own atoms, and the simulation
-records the indices and hands the coefficients ``atoms[index]``.
+control grid, and the simulation records the indices and hands the
+coefficients ``atoms[index]``.
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
@@ -18,9 +16,9 @@ number of whole time cells proportional to its block-averaged weight (largest
 remainder rounding, atoms in fixed grid order).  As delta shrinks the schedule
 occupies the relaxed measure's mass pattern ever more finely, which is what
 the strict-approximation studies sweep.  :func:`chattered_indices` allocates
-any weight table whose leading axis is the time cell: an open-loop measure's
-(cells, nU) weights, or a per-node feedback table (cells, nodes, nU), which
-chatters every node at once and yields a strict node-table law.
+any weight table whose leading axis is the time cell: a relaxed control
+measure's (cells, nU) weights, or a per-node feedback table (cells, nodes,
+nU), which chatters every node at once and yields a strict node-table law.
 """
 
 from __future__ import annotations
@@ -54,37 +52,6 @@ class RelaxedFeedback:
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float)
         self.atoms = a[:, None] if a.ndim == 1 else a
-
-
-@dataclass(eq=False)
-class RelaxedOpenLoop:
-    """One relaxed control path shared by every particle."""
-
-    measure: TimedControlMeasure
-
-
-@dataclass(eq=False)
-class PiecewiseConstantControl:
-    """Open-loop schedule: one control atom per time cell."""
-
-    times: np.ndarray
-    indices: np.ndarray
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.indices = np.asarray(self.indices, dtype=int)
-        a = np.asarray(self.atoms, dtype=float)
-        self.atoms = a[:, None] if a.ndim == 1 else a
-        if self.indices.size != self.times.size - 1:
-            raise PenmfgError("need one control index per time cell")
-        if np.any(self.indices < 0) or np.any(self.indices >= self.atoms.shape[0]):
-            raise PenmfgError("control index out of range")
-
-    def as_timed_measure(self) -> TimedControlMeasure:
-        w = np.zeros((self.indices.size, self.atoms.shape[0]))
-        w[np.arange(self.indices.size), self.indices] = 1.0
-        return TimedControlMeasure(self.times, self.atoms, w)
 
 
 def time_cell(times: np.ndarray, t: float) -> int:
@@ -130,23 +97,14 @@ def largest_remainder_counts(quotas: np.ndarray, total: int) -> np.ndarray:
     return counts if np.asarray(quotas).ndim == 2 else counts[0]
 
 
-def chattering(q: TimedControlMeasure, delta: float) -> PiecewiseConstantControl:
-    """Deterministic switching schedule approximating a relaxed control.
+def chattered_indices(times: np.ndarray, weights: np.ndarray, delta: float) -> np.ndarray:
+    """Chattering schedule of a (cells, ..., nU) weight table: (cells, ...) atom indices.
 
     Within each block of length delta, atom j occupies a contiguous run of
     whole cells whose count is the largest-remainder rounding of
     (block-averaged weight of j) * (cells per block); atoms appear in grid
-    order.  Each atom's occupation time is within one cell of delta times its
-    averaged weight.
-    """
-    return PiecewiseConstantControl(q.times, chattered_indices(q.times, q.weights, delta),
-                                    q.atoms)
-
-
-def chattered_indices(times: np.ndarray, weights: np.ndarray, delta: float) -> np.ndarray:
-    """Chattering schedule of a (cells, ..., nU) weight table: (cells, ...) atom indices.
-
-    Each entry of the batch axes is allocated on its own, as in :func:`chattering`.
+    order, so each atom's occupation time is within one cell of delta times
+    its averaged weight.  Each entry of the batch axes is allocated on its own.
     """
     k = _cells_per_block(times, delta)
     w = np.asarray(weights, dtype=float)
@@ -224,13 +182,6 @@ def sample_control(ms, law, t: float, x: np.ndarray,
     if isinstance(law, RelaxedFeedback):
         w = _eval_weights(law, t, x)
         return _sample_rows(w, rng), w
-    if isinstance(law, RelaxedOpenLoop):
-        q = law.measure
-        w = np.broadcast_to(q.weights[time_cell(q.times, t)],
-                            (x.shape[0], q.atoms.shape[0])).copy()
-        return _sample_rows(w, rng), w
-    if isinstance(law, PiecewiseConstantControl):
-        return np.full(x.shape[0], law.indices[time_cell(law.times, t)]), None
     raise PenmfgError(f"unknown control law {type(law).__name__}")
 
 

@@ -527,29 +527,24 @@ class ExploitabilityReport:
     clipped: bool = False  # the raw gap fell below -3 SE and was raised to it
 
 
-def exploitability(ms: ModelSpec, flow: MeasureFlow, law,
-                   penalty: Optional[int] = None,
+def exploitability(ms: ModelSpec, flow: MeasureFlow, law, sim: SimConfig,
                    grid: Optional[DPGrid] = None,
-                   n_particles: int = 4000, seed: int = 0,
                    field: Optional[ValueField] = None) -> ExploitabilityReport:
     """How much the candidate law loses to the DP best response under mu.
 
-    Simulates the candidate under the frozen flow (splitting scheme at the
-    given penalty, projected scheme otherwise), compares with the DP value
+    Simulates the candidate under the frozen flow with the run's own
+    ``sim`` (scheme, penalty, particles, seed), compares with the DP value
     averaged over the realized initial states, and clips the gap below at
     -3 standard errors: anything lower signals an inconsistency rather than
     a better-than-optimal law, so the report records the clip in ``clipped``.
     The best response is ``field`` when given, else the DP solved on
-    ``grid``, which a penalized run must already have padded.
+    ``grid`` at ``sim.penalty``, which a penalized run must already have padded.
     """
     if field is None:
         if grid is None:
             raise GridError("exploitability needs a best-response field or a DP grid")
-        field, _ = solve_dp(build_chain(ms, penalty, flow, grid), flow)
-    scheme = "reflected_projected" if penalty is None else "penalized_splitting"
-    cfg = SimConfig(n_particles=n_particles, dt=flow.dt, scheme=scheme,
-                    penalty=penalty, seed=seed, interaction="frozen")
-    paths, _ = simulate(ms, cfg, law, frozen_flow=flow)
+        field, _ = solve_dp(build_chain(ms, sim.penalty, flow, grid), flow)
+    paths, _ = simulate(ms, sim, law, frozen_flow=flow)
     rep = evaluate_cost(ms, paths, flow)
     dp0 = float(np.mean(field.value_at(0, paths.X[0])))
     gap, floor = rep.value - dp0, -3.0 * rep.stderr

@@ -82,11 +82,6 @@ class FixedPointConfig:
             raise ConfigError("max_iters must be nonnegative")
         if self.tol <= 0.0 or self.tol_exploit <= 0.0:
             raise ConfigError("tolerances must be positive")
-        if self.sim.interaction != "self":
-            raise ConfigError(
-                "fixed-point config owns the interaction switch; pass a "
-                "sim config with interaction='self'"
-            )
 
 
 @dataclass(eq=False)
@@ -132,11 +127,10 @@ def _mix_flows(old: MeasureFlow, new: MeasureFlow, theta: float,
     One particle permutation is shared by every time node, so mixed flows
     keep whole paths and stay coherent across time.
 
-    The frames are particle-major views of the concatenated fancy-indexed
-    stacks: row stride (M+1)·d elements, not C-contiguous.  Their ``mean``
-    is a BLAS dot whose summation order, hence bits, follows that layout, so
-    a contiguous gather would move the residuals and costs in the last
-    digits.
+    The frames are particle-major views of one (N, M+1, d) buffer: row
+    stride (M+1)·d elements, not C-contiguous.  Their ``mean`` is a BLAS dot
+    whose summation order, hence bits, follows that layout, so a contiguous
+    gather would move the residuals and costs in the last digits.
     """
     n = new.n
     take = int(np.ceil(theta * n - 1e-12))
@@ -144,10 +138,13 @@ def _mix_flows(old: MeasureFlow, new: MeasureFlow, theta: float,
         return new
     idx_new = rng.permutation(n)[:take]
     idx_old = rng.permutation(old.n)[: n - take]
-    states = np.concatenate(
-        [new.stack()[:, idx_new], old.stack()[:, idx_old]], axis=1
-    )
-    return flow_from_states(new.times, states)
+    states = np.empty((n, len(new.frames), new.dim))
+    # permutation indices are in range; mode="clip" gathers straight into the
+    # strided slice, where the default mode="raise" buffers a copy first
+    for k, (fr_new, fr_old) in enumerate(zip(new.frames, old.frames)):
+        np.take(fr_new.samples, idx_new, axis=0, out=states[:take, k], mode="clip")
+        np.take(fr_old.samples, idx_old, axis=0, out=states[take:, k], mode="clip")
+    return flow_from_states(new.times, states.transpose(1, 0, 2))
 
 
 def _constant_law() -> StrictFeedback:
@@ -176,7 +173,6 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
         grid = pad_for_penalty(grid, ms, cfg.sim.dt, penalty)
     law = _constant_law()
     paths, flow = simulate(ms, cfg.sim, law)
-    frozen_cfg = replace(cfg.sim, interaction="frozen")
     field_v = None
     residuals = []
     converged = False
@@ -186,7 +182,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
         frozen = flow
         if n_controls > 1:
             field_v, law = solve_dp(build_chain(ms, penalty, frozen, grid), frozen)
-        paths, sim_flow = simulate(ms, frozen_cfg, law, frozen_flow=frozen)
+        paths, sim_flow = simulate(ms, cfg.sim, law, frozen_flow=frozen)
         resid = w2_flow(sim_flow, frozen)
         residuals.append(resid)
         if resid < cfg.tol:
@@ -200,10 +196,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     exploit = None
     flagged = False
     if grid is not None:
-        exploit = dp_exploitability(
-            ms, frozen, law, penalty=penalty, grid=grid,
-            n_particles=cfg.sim.n_particles, seed=cfg.sim.seed, field=field_v,
-        )
+        exploit = dp_exploitability(ms, frozen, law, cfg.sim, grid=grid, field=field_v)
         flagged = exploit.gap > cfg.tol_exploit * (1.0 + abs(cost.value))
     return EquilibriumReport(
         flow=sim_flow, law=law, residuals=residuals, cost=cost,
@@ -220,9 +213,8 @@ def residual_noise_floor(ms: ModelSpec, cfg: FixedPointConfig, law,
     differing only in their noise seed; their w2_flow distance is the level
     below which residuals are indistinguishable from Monte Carlo noise.
     """
-    frozen = replace(cfg.sim, interaction="frozen")
-    a = simulate(ms, replace(frozen, seed=seeds[0]), law, frozen_flow=flow)[1]
-    b = simulate(ms, replace(frozen, seed=seeds[1]), law, frozen_flow=flow)[1]
+    a = simulate(ms, replace(cfg.sim, seed=seeds[0]), law, frozen_flow=flow)[1]
+    b = simulate(ms, replace(cfg.sim, seed=seeds[1]), law, frozen_flow=flow)[1]
     return w2_flow(a, b)
 
 
@@ -372,8 +364,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
         raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls)")
     relaxed = relaxed_probe(base.field, ms, epsilon=epsilon)
     flow = base.flow
-    frozen_cfg = replace(cfg.sim, interaction="frozen")
-    ref_paths = simulate(ms, frozen_cfg, relaxed, frozen_flow=flow)[0]
+    ref_paths = simulate(ms, cfg.sim, relaxed, frozen_flow=flow)[0]
     ref_cost = evaluate_cost(ms, ref_paths, flow)
     q_ref = realized_control_measure(ref_paths)
     del ref_paths  # its (M, N, nU) weight record is not needed past here
@@ -381,8 +372,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     for delta in deltas:
         penalty = max(1, int(round(n0 / delta)))
         chat = chattered_probe(base.field, ms, float(delta), epsilon=epsilon)
-        run_cfg = replace(frozen_cfg, scheme="penalized_splitting",
-                          penalty=penalty)
+        run_cfg = replace(cfg.sim, scheme="penalized_splitting", penalty=penalty)
         paths = simulate(ms, run_cfg, chat, frozen_flow=flow)[0]
         cost = evaluate_cost(ms, paths, flow)
         q = realized_control_measure(paths)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import RelaxedFeedback, RelaxedOpenLoop, sample_control
+from .controls import RelaxedFeedback, sample_control
 from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
@@ -50,19 +50,13 @@ EXPLICIT_PENALTY_LIMIT = 0.5
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Particle-system discretization parameters.
-
-    ``interaction`` selects whether the empirical measure entering the
-    coefficients is the simulated cloud itself ("self") or a frozen flow
-    passed to `simulate` ("frozen").
-    """
+    """Particle-system discretization parameters."""
 
     n_particles: int
     dt: float
     scheme: str = "penalized_splitting"
     penalty: Optional[int] = None
     seed: int = 0
-    interaction: str = "self"
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -73,8 +67,6 @@ class SimConfig:
             raise ConfigError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
-        if self.interaction not in ("self", "frozen"):
-            raise ConfigError("interaction must be 'self' or 'frozen'")
         if self.scheme.startswith("penalized"):
             if self.penalty is None:
                 raise ConfigError(f"scheme {self.scheme!r} requires a penalty level")
@@ -122,9 +114,6 @@ class PathBundle:
     Kvar: np.ndarray
     ctrl: ControlRecord
     scheme: str
-    penalty: Optional[int]
-    seed: int
-    config: SimConfig = field(repr=False, default=None)
 
     @property
     def n_steps(self) -> int:
@@ -196,9 +185,11 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
              frozen_flow: Optional[MeasureFlow] = None):
     """Run the particle system; returns (PathBundle, MeasureFlow).
 
+    The coefficients see the simulated cloud itself, or the frames of
+    ``frozen_flow`` when one is passed (it must share the run's time grid).
     The returned flow is the empirical flow of the simulated cloud at every
-    grid node (also under frozen interaction, where it is the realized flow
-    rather than the input one).  Noise, initial draws, and control sampling
+    grid node, also in a frozen run, where it is the realized flow rather
+    than the input one.  Noise, initial draws, and control sampling
     come from disjoint counter-based streams of cfg.seed, so runs with equal
     seeds share their randomness across schemes and penalty levels.
     """
@@ -206,19 +197,13 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     n, d = cfg.n_particles, ms.dim
     times = np.arange(m_steps + 1) * cfg.dt
 
-    if cfg.interaction == "frozen":
-        if frozen_flow is None:
-            raise ConfigError("interaction='frozen' requires a frozen flow")
-        if frozen_flow.n_steps != m_steps or not np.allclose(
-            frozen_flow.times, times, atol=1e-9
-        ):
-            raise ConfigError(
-                "frozen flow grid does not match the simulation grid "
-                f"({frozen_flow.n_steps} steps of dt={frozen_flow.dt!r} vs "
-                f"{m_steps} steps of dt={cfg.dt!r})"
-            )
-    elif frozen_flow is not None:
-        raise ConfigError("frozen_flow given but interaction is 'self'")
+    if frozen_flow is not None and (frozen_flow.n_steps != m_steps or not np.allclose(
+            frozen_flow.times, times, atol=1e-9)):
+        raise ConfigError(
+            "frozen flow grid does not match the simulation grid "
+            f"({frozen_flow.n_steps} steps of dt={frozen_flow.dt!r} vs "
+            f"{m_steps} steps of dt={cfg.dt!r})"
+        )
 
     x = np.empty((m_steps + 1, n, d))
     k = np.zeros((m_steps + 1, n, d))
@@ -226,21 +211,16 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
 
     # the atoms the law's indices name; strict feedback indexes the model grid
-    if isinstance(law, RelaxedOpenLoop):
-        atoms = law.measure.atoms.copy()
-    else:
-        atoms = getattr(law, "atoms", ms.control_grid()).copy()
-    relaxed = isinstance(law, (RelaxedFeedback, RelaxedOpenLoop))
+    relaxed = isinstance(law, RelaxedFeedback)
+    atoms = (law.atoms if relaxed else ms.control_grid()).copy()
     record = (np.empty((m_steps, n, atoms.shape[0])) if relaxed
               else np.empty((m_steps, n), dtype=np.intp))
 
-    penalty = cfg.penalty
     reflected = cfg.scheme == "reflected_projected"
     for step in range(m_steps):
         t = times[step]
         xk = x[step]
-        mu = frozen_flow.frames[step] if cfg.interaction == "frozen" \
-            else EmpiricalMeasure(xk)
+        mu = EmpiricalMeasure(xk) if frozen_flow is None else frozen_flow.frames[step]
         draws = stream(cfg.seed, CONTROL, step) if relaxed else None
         idx, w = sample_control(ms, law, t, xk, draws)
         record[step] = w if relaxed else idx
@@ -250,7 +230,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
             x_next, dk, dkvar = step_reflected(ms, cfg.dt, t, xk, mu, u, xi)
         else:
             x_next, dk, dkvar = step_penalized(
-                ms, penalty, cfg.dt, cfg.scheme, t, xk, mu, u, xi
+                ms, cfg.penalty, cfg.dt, cfg.scheme, t, xk, mu, u, xi
             )
         if not np.isfinite(x_next).all():
             bad = ~np.isfinite(x_next).all(axis=-1)
@@ -261,10 +241,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
 
     ctrl = (ControlRecord(atoms, weights=record) if relaxed
             else ControlRecord(atoms, indices=record))
-    bundle = PathBundle(
-        times=times, X=x, K=k, Kvar=kvar, ctrl=ctrl,
-        scheme=cfg.scheme, penalty=penalty, seed=cfg.seed, config=cfg,
-    )
+    bundle = PathBundle(times=times, X=x, K=k, Kvar=kvar, ctrl=ctrl, scheme=cfg.scheme)
     return bundle, flow_from_states(times, x)
 
 

@@ -15,7 +15,7 @@ from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
 from penmfg import domain, model
-from penmfg.controls import chattering
+from penmfg.controls import chattered_indices
 from penmfg.dp import DPGrid, build_chain, solve_dp
 from penmfg.equilibrium import (
     FixedPointConfig,
@@ -334,9 +334,8 @@ def test_08_chattering_distance():
     q = TimedControlMeasure(times, atoms, np.full((80, 2), 0.5))
     dists = []
     for delta in (0.2, 0.1, 0.05, 0.025):
-        sched = chattering(q, delta)
         onehot = np.zeros((80, 2))
-        onehot[np.arange(80), sched.indices] = 1.0
+        onehot[np.arange(80), chattered_indices(times, q.weights, delta)] = 1.0
         dists.append(d_relaxed(TimedControlMeasure(times, atoms, onehot), q))
     strict = all(b < a for a, b in zip(dists, dists[1:]))
     ratio = dists[-1] / dists[0]
@@ -384,8 +383,7 @@ def test_10_dp_self_consistency():
     _, flow = simulate(ms, sim, _constant_law())
     chain = build_chain(ms, None, flow, grid)
     field, law = solve_dp(chain, flow)
-    paths, _ = simulate(ms, replace(sim, interaction="frozen"), law,
-                        frozen_flow=flow)
+    paths, _ = simulate(ms, sim, law, frozen_flow=flow)
     cost = evaluate_cost(ms, paths, flow)
     v0 = float(field.value_at(0, np.array([[0.4]]))[0])
     gap = abs(cost.value - v0)

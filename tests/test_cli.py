@@ -193,6 +193,22 @@ def test_parse_error_exits_one_with_line_number(tmp_path, capsys):
     assert "nonsense" in err and "line" in err
 
 
+def test_unknown_override_key_names_the_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                   "--override", "run.foo=1") == 1
+    assert capsys.readouterr().err == \
+        "error: override 'run.foo=1': unknown key 'foo' in [run]\n"
+
+
+def test_mistyped_override_names_the_override(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                   "--override", "sim.dt=abc") == 1
+    assert capsys.readouterr().err == \
+        "error: override 'sim.dt=abc': sim.dt expected float, got 'abc'\n"
+
+
 def test_dp_without_grid_section_fails_cleanly(tmp_path, capsys):
     text = BASE.replace("[dp]\nhx = 0.05\n\n", "")
     cfg = write_cfg(tmp_path, text)

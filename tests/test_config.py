@@ -1,8 +1,11 @@
 """Config format: parsing, validation with line numbers, round-tripping."""
 
+from dataclasses import fields
+
 import pytest
 
 from penmfg.config import (
+    _SCHEMA,
     RunConfig,
     apply_overrides,
     build_domain,
@@ -15,6 +18,7 @@ from penmfg.config import (
     serialize,
 )
 from penmfg.errors import ConfigError
+from penmfg.simulate import SimConfig
 
 MINIMAL = """\
 [run]
@@ -81,7 +85,7 @@ def test_minimal_config_applies_documented_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.command == "simulate"
     assert cfg.seed == 0 and cfg.out == "out"
-    assert cfg.sim["interaction"] == "self"
+    assert cfg.sim["scheme"] == "reflected_projected"
     assert cfg.fixed_point["damping"] == 0.5
     joined = "\n".join(cfg.defaults_applied)
     assert "run.seed = 0" in joined
@@ -116,6 +120,21 @@ def test_unknown_key_cites_the_line():
     except ConfigError as exc:
         assert exc.line == len(MINIMAL.splitlines()) + 1
         assert str(exc).startswith(f"line {exc.line}:")
+
+
+def test_sim_keys_are_the_simconfig_fields():
+    # the seed is the [run] seed; every other SimConfig field is one [sim] key
+    assert list(_SCHEMA["sim"]) == [f.name for f in fields(SimConfig)
+                                    if f.name != "seed"]
+
+
+def test_interaction_is_an_unknown_sim_key():
+    # a run is frozen when it is handed a flow, so no key selects it
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "interaction = self\n")
+    line = len(MINIMAL.splitlines()) + 1
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: unknown key 'interaction' in [sim]"
 
 
 def test_type_mismatch_cites_the_line():

@@ -8,10 +8,8 @@ import pytest
 from penmfg import controls, domain, measures, model, rng
 from penmfg.controls import (
     RelaxedFeedback,
-    RelaxedOpenLoop,
     StrictFeedback,
     chattered_indices,
-    chattering,
     largest_remainder_counts,
     sample_control,
     time_cell,
@@ -28,6 +26,11 @@ def tcm(atoms, weights, cells, horizon=1.0):
     t = np.linspace(0.0, horizon, cells + 1)
     w = np.tile(np.asarray(weights, dtype=float), (cells, 1))
     return TimedControlMeasure(t, np.asarray(atoms, dtype=float), w)
+
+
+def chatter(q, delta):
+    """Chattering schedule of a relaxed control measure: one atom index per cell."""
+    return chattered_indices(q.times, q.weights, delta)
 
 
 def fake_bundle(times, *, weights=None, indices=None, atoms):
@@ -82,10 +85,13 @@ def test_relaxed_feedback_sampling_frequencies():
 
 
 def test_relaxed_open_loop_uses_cell_weights():
+    # an open-loop relaxed control is a feedback that ignores the state
     q = TimedControlMeasure(
         np.array([0.0, 0.5, 1.0]), [[-1.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]]
     )
-    law = RelaxedOpenLoop(q)
+    law = RelaxedFeedback(
+        lambda t, x: np.tile(q.weights[time_cell(q.times, t)], (x.shape[0], 1)),
+        q.atoms)
     x = np.zeros((50, 1))
     idx, w = sample_control(LQ, law, 0.0, x, RNG)
     assert np.all(idx == 0) and np.all(w[:, 0] == 1.0)
@@ -162,22 +168,18 @@ def test_row_sum_off_by_1e8_still_breaks_the_contract(n_u):
 
 def test_chattering_dirac_is_constant():
     q = tcm([[0.0], [1.0]], [1.0, 0.0], cells=10)
-    sched = chattering(q, 0.2)
-    assert np.all(sched.indices == 0)
-    np.testing.assert_array_equal(sched.atoms, [[0.0], [1.0]])
+    assert np.all(chatter(q, 0.2) == 0)
 
 
 def test_chattering_half_half_block_pattern():
     # four cells per block, equal weights: two cells each, atom order fixed
     q = tcm([[-1.0], [1.0]], [0.5, 0.5], cells=8, horizon=0.4)
-    sched = chattering(q, 0.2)
-    np.testing.assert_array_equal(sched.indices, [0, 0, 1, 1, 0, 0, 1, 1])
+    np.testing.assert_array_equal(chatter(q, 0.2), [0, 0, 1, 1, 0, 0, 1, 1])
 
 
 def test_chattering_tie_break_prefers_lower_atom():
     q = tcm([[-1.0], [1.0]], [0.5, 0.5], cells=3, horizon=0.3)
-    sched = chattering(q, 0.1)  # one cell per block, tie every block
-    assert np.all(sched.indices == 0)
+    assert np.all(chatter(q, 0.1) == 0)  # one cell per block, tie every block
 
 
 def test_chattering_occupation_within_one_cell():
@@ -187,12 +189,12 @@ def test_chattering_occupation_within_one_cell():
     w = gen.dirichlet(np.ones(n_atoms), size=cells)
     q = TimedControlMeasure(t, np.arange(n_atoms, dtype=float), w)
     delta = 0.25  # five cells per block
-    sched = chattering(q, delta)
+    sched = chatter(q, delta)
     dt = t[1] - t[0]
     for start in range(0, cells, 5):
         stop = min(start + 5, cells)
         w_bar = w[start:stop].mean(axis=0)
-        occupancy = np.bincount(sched.indices[start:stop], minlength=n_atoms) * dt
+        occupancy = np.bincount(sched[start:stop], minlength=n_atoms) * dt
         assert np.all(np.abs(occupancy - (stop - start) * dt * w_bar) < dt + 1e-12)
 
 
@@ -200,8 +202,8 @@ def test_chattering_distance_shrinks_with_delta():
     q = tcm([[-1.0], [1.0]], [0.5, 0.5], cells=80)
     dists = []
     for delta in (0.2, 0.1, 0.05, 0.025):
-        sched = chattering(q, delta)
-        dists.append(measures.d_relaxed(sched.as_timed_measure(), q))
+        onehot = np.eye(2)[chatter(q, delta)]
+        dists.append(measures.d_relaxed(TimedControlMeasure(q.times, q.atoms, onehot), q))
     assert all(a > b for a, b in zip(dists, dists[1:]))
     assert dists[-1] <= 0.5 * dists[0]
     assert dists[-1] > 0.0
@@ -210,9 +212,9 @@ def test_chattering_distance_shrinks_with_delta():
 def test_chattering_rejects_bad_periods():
     q = tcm([[0.0]], [1.0], cells=10)
     with pytest.raises(PenmfgError):
-        chattering(q, 0.05)  # below dt
+        chatter(q, 0.05)  # below dt
     with pytest.raises(PenmfgError):
-        chattering(q, 0.15)  # not a multiple of dt
+        chatter(q, 0.15)  # not a multiple of dt
 
 
 def test_chattered_feedback_law():
@@ -237,14 +239,9 @@ def test_chattered_open_loop_matches_schedule():
         idx = chattered_indices(t, table, delta)
         for node in range(n_nodes):
             q = TimedControlMeasure(t, np.arange(3.0), table[:, node])
-            np.testing.assert_array_equal(idx[:, node], chattering(q, delta).indices)
+            np.testing.assert_array_equal(idx[:, node], chatter(q, delta))
     q = tcm([[-1.0], [1.0]], [0.25, 0.75], cells=8, horizon=0.4)
-    sched = chattering(q, 0.2)
-    np.testing.assert_array_equal(sched.indices, [0, 1, 1, 1, 0, 1, 1, 1])
-    for t_, expected in ((0.0, 0), (0.07, 1), (0.22, 0), (0.39, 1)):
-        idx, w = sample_control(LQ, sched, t_, np.zeros((3, 1)), RNG)
-        assert w is None
-        np.testing.assert_array_equal(idx, [expected] * 3)
+    np.testing.assert_array_equal(chatter(q, 0.2), [0, 1, 1, 1, 0, 1, 1, 1])
 
 
 def test_largest_remainder_exact_quotas():

@@ -357,7 +357,7 @@ def test_dp_value_matches_monte_carlo_rollout():
     chain = build_chain(ms, None, flow, g)
     field, law = solve_dp(chain, flow)
     cfg = SimConfig(n_particles=3000, dt=dt, scheme="reflected_projected",
-                    seed=17, interaction="frozen")
+                    seed=17)
     paths, _ = simulate(ms, cfg, law, frozen_flow=flow)
     rep = evaluate_cost(ms, paths, flow)
     v0 = float(np.mean(field.value_at(0, paths.X[0])))
@@ -373,14 +373,13 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     g = DPGrid.regular([0.0], [1.0], 0.05)
     chain = build_chain(ms, None, flow, g)
     field, law = solve_dp(chain, flow)
-    good = exploitability(ms, flow, law, grid=g, n_particles=2000, seed=5,
-                          field=field)
+    sim = SimConfig(n_particles=2000, dt=dt, scheme="reflected_projected", seed=5)
+    good = exploitability(ms, flow, law, sim, grid=g, field=field)
     assert isinstance(good, ExploitabilityReport)
     assert good.gap <= 3.0 * good.cost_se + 2.0 * (0.05 + dt)
     assert good.gap >= -3.0 * good.cost_se - 1e-12
     push = StrictFeedback(lambda t, x: np.full(x.shape[0], 2))  # the atom +1
-    bad = exploitability(ms, flow, push, grid=g, n_particles=2000, seed=5,
-                         field=field)
+    bad = exploitability(ms, flow, push, sim, grid=g, field=field)
     assert bad.gap > 0.05
     assert bad.gap > 5.0 * max(good.gap, 1e-3)
 
@@ -392,13 +391,14 @@ def test_exploitability_clip_is_recorded():
     flow = const_flow(0.4, 0.0125, 40)
     g = DPGrid.regular([0.0], [1.0], 0.05)
     field, law = solve_dp(build_chain(ms, None, flow, g), flow)
-    fair = exploitability(ms, flow, law, n_particles=500, seed=5, field=field)
+    sim = SimConfig(n_particles=500, dt=0.0125, scheme="reflected_projected", seed=5)
+    fair = exploitability(ms, flow, law, sim, field=field)
     assert not fair.clipped
     with pytest.raises(GridError):  # no field, and no grid to solve one on
-        exploitability(ms, flow, law, n_particles=500, seed=5)
+        exploitability(ms, flow, law, sim)
     # a best response that claims 1.0 more than the law's cost is inconsistent
     inflated = replace(field, V=field.V + 1.0)
-    rep = exploitability(ms, flow, law, n_particles=500, seed=5, field=inflated)
+    rep = exploitability(ms, flow, law, sim, field=inflated)
     assert rep.clipped
     assert rep.gap == -3.0 * rep.cost_se
     assert rep.cost - rep.dp_value < rep.gap
@@ -412,6 +412,32 @@ def test_exploitability_clip_is_recorded():
 
     assert exploit_line(rep) == f"exploit    {rep.gap:.6f}  [CLIPPED]"
     assert exploit_line(fair) == f"exploit    {fair.gap:.6f}"
+
+
+def test_exploitability_replays_the_runs_own_scheme():
+    """The candidate runs under the SimConfig it is given, explicit penalized
+    scheme included: its report equals a direct frozen run, bit for bit."""
+    ms = model.make_preset("lq_control", UNIT_BOX, {
+        "sigma": 0.5, "horizon": 0.5, "c": 1.0, "h_const": 0.5, "x0": 0.1,
+    })
+    dt = 0.0125
+    flow = const_flow(0.4, dt, 40)
+    sim = SimConfig(n_particles=500, dt=dt, scheme="penalized_explicit",
+                    penalty=8, seed=5)
+    grid = pad_for_penalty(DPGrid.regular([0.0], [1.0], 0.05), ms, dt, 8)
+    field, law = solve_dp(build_chain(ms, 8, flow, grid), flow)
+    rep = exploitability(ms, flow, law, sim, field=field)
+    paths, _ = simulate(ms, sim, law, frozen_flow=flow)
+    cost = evaluate_cost(ms, paths, flow)
+    dp0 = float(np.mean(field.value_at(0, paths.X[0])))
+    assert (rep.cost, rep.cost_se, rep.dp_value) == (cost.value, cost.stderr, dp0)
+    assert rep.gap == max(cost.value - dp0, -3.0 * cost.stderr)
+    # solving the DP on the grid uses the run's penalty, so the same report
+    assert exploitability(ms, flow, law, sim, grid=grid) == rep
+    # the scheme matters: a splitting replay of the same run costs otherwise
+    split = simulate(ms, replace(sim, scheme="penalized_splitting"), law,
+                     frozen_flow=flow)[0]
+    assert evaluate_cost(ms, split, flow).value != rep.cost
 
 
 def test_relaxed_probe_mixture_weights():
@@ -503,7 +529,7 @@ def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
     law = chattered_probe(field, ms, 0.2, epsilon=0.25)
     assert calls == []  # tabulating the schedule looks up no state
     cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
-                    penalty=10, seed=3, interaction="frozen")
+                    penalty=10, seed=3)
     simulate(ms, cfg, law, frozen_flow=flow)
     assert calls == [64] * flow.n_steps
 
@@ -520,7 +546,7 @@ def test_chattered_run_records_table_indices():
     field = replace(field, argmin=arg, runner_up=(arg + gen.integers(1, 3, arg.shape)) % 3)
     table = chattered_indices(field.times, _probe_weights(field, 3, 0.25), 0.2)
     cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
-                    penalty=10, seed=3, interaction="frozen")
+                    penalty=10, seed=3)
     paths, _ = simulate(ms, cfg, chattered_probe(field, ms, 0.2, epsilon=0.25),
                         frozen_flow=flow)
     rec = paths.ctrl.indices

@@ -52,8 +52,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         FixedPointConfig(sim=sim, tol=0.0)
     with pytest.raises(ConfigError):
-        FixedPointConfig(sim=replace(sim, interaction="frozen"))
-    with pytest.raises(ConfigError):
         solve_equilibrium(lq_model(), FixedPointConfig(sim=sim))  # no grid
 
 
@@ -82,8 +80,7 @@ def test_self_map_residual_sits_at_noise_floor():
         damping=1.0, max_iters=3, tol=1e-2,
     )
     rep = solve_equilibrium(ms, cfg)
-    frozen = replace(cfg.sim, interaction="frozen")
-    _, flow2 = simulate(ms, frozen, rep.law, frozen_flow=rep.flow)
+    _, flow2 = simulate(ms, cfg.sim, rep.law, frozen_flow=rep.flow)
     resid = w2_flow(flow2, rep.flow)
     floor = residual_noise_floor(ms, cfg, rep.law, rep.flow)
     assert resid <= 2.0 * floor + 1e-12

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from penmfg import domain, model, rng
-from penmfg.controls import RelaxedOpenLoop, StrictFeedback
+from penmfg.controls import RelaxedFeedback, StrictFeedback
 from penmfg.errors import ConfigError, DivergenceError
 from penmfg.measures import (
     EmpiricalMeasure,
-    TimedControlMeasure,
     flow_from_states,
     flow_to_csv,
     format_float,
@@ -201,22 +200,17 @@ def test_divergence_reports_step_and_particles():
 
 
 def test_frozen_interaction_grid_checks():
+    # a run is frozen exactly when it is given a flow on its own time grid
     ms = quiet_model(sigma=1.0, x0=0.5)
     cfg = SimConfig(n_particles=32, dt=0.05, penalty=8, seed=7)
     paths, flow = simulate(ms, cfg, null_law())
-    cfg_f = SimConfig(n_particles=32, dt=0.05, penalty=8, seed=7,
-                      interaction="frozen")
-    paths_f, _ = simulate(ms, cfg_f, null_law(), frozen_flow=flow)
+    paths_f, _ = simulate(ms, cfg, null_law(), frozen_flow=flow)
     # coefficients ignore mu here, so frozen and self runs coincide exactly
     assert np.array_equal(paths.X, paths_f.X)
-    with pytest.raises(ConfigError):
-        simulate(ms, cfg_f, null_law())  # frozen without a flow
-    with pytest.raises(ConfigError):
-        simulate(ms, cfg, null_law(), frozen_flow=flow)  # self with a flow
     _, coarse_flow = simulate(ms, SimConfig(n_particles=8, dt=0.1, penalty=8),
                               null_law())
     with pytest.raises(ConfigError):
-        simulate(ms, cfg_f, null_law(), frozen_flow=coarse_flow)
+        simulate(ms, cfg, null_law(), frozen_flow=coarse_flow)
 
 
 def test_config_validation():
@@ -232,8 +226,6 @@ def test_config_validation():
         SimConfig(n_particles=10, dt=1e-3, scheme="euler")
     with pytest.raises(ConfigError):
         SimConfig(n_particles=0, dt=1e-3, penalty=1)
-    with pytest.raises(ConfigError):
-        SimConfig(n_particles=4, dt=1e-3, penalty=1, interaction="both")
     with pytest.raises(ConfigError):
         simulate(quiet_model(), SimConfig(n_particles=4, dt=0.3, penalty=1),
                  null_law())  # 0.3 does not divide T = 1
@@ -276,21 +268,24 @@ def test_splitting_literal_penalty_cost_close_to_k_charge():
     assert abs(literal - from_record) <= 0.25 * from_record
 
 
+def even_mixture():
+    """Relaxed law with weight 1/2 on each of the atoms 0 and 1, everywhere."""
+    return RelaxedFeedback(lambda t, x: np.full((x.shape[0], 2), 0.5),
+                           np.array([[0.0], [1.0]]))
+
+
 def test_relaxed_law_records_weights_and_averages_running_cost():
     dom = domain.box([0.0], [1.0])
     ms = model.make_preset("lq_control", dom, {
         "sigma": 0.05, "c": 0.0, "control_grid": [0.0, 1.0], "x0": 0.25,
     })
-    q = TimedControlMeasure(
-        np.linspace(0.0, 1.0, 21), np.array([[0.0], [1.0]]),
-        np.full((20, 2), 0.5),
-    )
+    law = even_mixture()
     cfg = SimConfig(n_particles=50, dt=0.05, scheme="reflected_projected",
                     seed=4)
-    paths, flow = simulate(ms, cfg, RelaxedOpenLoop(q))
+    paths, flow = simulate(ms, cfg, law)
     assert paths.ctrl.indices is None
     assert paths.ctrl.weights.shape == (20, 50, 2)
-    assert np.array_equal(paths.ctrl.atoms, q.atoms)
+    assert np.array_equal(paths.ctrl.atoms, law.atoms)
     rep = evaluate_cost(ms, paths, flow)
     # f = u^2 / 2 averaged under w = (1/2, 1/2) is 1/4, integrated over T = 1
     assert rep.running == pytest.approx(0.25, abs=1e-10)
@@ -300,8 +295,6 @@ def test_control_stream_opened_only_for_relaxed_laws(monkeypatch):
     """Strict laws draw nothing, so no CONTROL generator is built for them."""
     ms = model.make_preset("lq_control", domain.box([0.0], [1.0]),
                            {"control_grid": [0.0, 1.0], "x0": 0.25})
-    q = TimedControlMeasure(np.linspace(0.0, 1.0, 21), np.array([[0.0], [1.0]]),
-                            np.full((20, 2), 0.5))
     cfg = SimConfig(n_particles=30, dt=0.05, scheme="reflected_projected", seed=4)
     opened = []
     stream = rng.stream
@@ -313,7 +306,7 @@ def test_control_stream_opened_only_for_relaxed_laws(monkeypatch):
     monkeypatch.setattr("penmfg.simulate.stream", counted)
     simulate(ms, cfg, null_law())
     assert opened.count(rng.CONTROL) == 0
-    simulate(ms, cfg, RelaxedOpenLoop(q))
+    simulate(ms, cfg, even_mixture())
     assert opened.count(rng.CONTROL) == 20
 
 

@@ -44,7 +44,11 @@ class StrictFeedback:
 
 @dataclass(eq=False)
 class RelaxedFeedback:
-    """State-dependent mixture over control atoms: fn(t, x) -> (B, nU)."""
+    """State-dependent mixture over control atoms: fn(t, x) -> (B, nU).
+
+    ``fn`` must be a pure function of (t, x): a run records the law, not
+    its weights, and every reader re-evaluates ``fn`` on the recorded states.
+    """
 
     fn: Callable
     atoms: np.ndarray
@@ -119,7 +123,8 @@ def chattered_indices(times: np.ndarray, weights: np.ndarray, delta: float) -> n
     return indices
 
 
-def _eval_weights(law, t: float, x: np.ndarray) -> np.ndarray:
+def relaxed_weights(law: RelaxedFeedback, t: float, x: np.ndarray) -> np.ndarray:
+    """The (B, nU) mixture ``law.fn(t, x)``, checked to be probabilities."""
     w = np.asarray(law.fn(t, x), dtype=float)
     if w.shape != (x.shape[0], law.atoms.shape[0]):
         raise ContractViolationError(
@@ -180,7 +185,7 @@ def sample_control(ms, law, t: float, x: np.ndarray,
             )
         return idx, None
     if isinstance(law, RelaxedFeedback):
-        w = _eval_weights(law, t, x)
+        w = relaxed_weights(law, t, x)
         return _sample_rows(w, rng), w
     raise PenmfgError(f"unknown control law {type(law).__name__}")
 
@@ -189,11 +194,13 @@ def realized_control_measure(paths) -> TimedControlMeasure:
     """Population-averaged relaxed control measure realized along a bundle.
 
     Strict records count each step's atom indices, which is the mean of
-    their point masses bit for bit.
+    their point masses bit for bit.  Relaxed records re-evaluate the law's
+    weights at each step's states, one step at a time.
     """
     ctrl = paths.ctrl
-    if ctrl.weights is not None:
-        w = ctrl.weights.mean(axis=1)
+    if ctrl.law is not None:
+        w = np.stack([relaxed_weights(ctrl.law, t, x).mean(axis=0)
+                      for t, x in zip(paths.times[:-1], paths.X)])
     else:
         n_u = ctrl.atoms.shape[0]
         w = np.stack([np.bincount(row, minlength=n_u) for row in ctrl.indices])

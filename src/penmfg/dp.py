@@ -496,8 +496,9 @@ def relaxed_probe(field: ValueField, ms: ModelSpec,
     atoms = ms.control_grid()
     table = _probe_weights(field, atoms.shape[0], epsilon)
 
-    def fn(t, x):
-        return table[time_cell(field.times, t)][field.grid.nearest_node(x)]
+    def fn(t, x):  # np.take gathers the rows faster than table[k][nodes], same bits
+        return np.take(table[time_cell(field.times, t)], field.grid.nearest_node(x),
+                       axis=0)
 
     return RelaxedFeedback(fn, atoms)
 

@@ -31,7 +31,10 @@ A study holds one run's path arrays at a time: each run's bundle (X, K,
 |K|, control record) and each returned flow that is not kept is dropped
 once its last reader is done, before the next ``simulate`` allocates.  Peak
 memory is the interpreter, plus the noise block, plus one frozen flow, plus
-one run.
+one run.  A run is its X, K and |K| plus, for a strict law, its atom
+indices (one byte per particle-step); a relaxed run keeps its law, not its
+(M, N, nU) weights, so the relaxed reference of the strict-approximation
+study is no larger than a chattered run.
 """
 
 from __future__ import annotations
@@ -102,7 +105,6 @@ class EquilibriumReport:
     cost: CostReport
     iterations: int
     converged: bool
-    seed: int
     exploitability: object = None
     flagged_exploit: bool = False
     field: Optional[ValueField] = field(default=None, repr=False)
@@ -200,7 +202,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
         flagged = exploit.gap > cfg.tol_exploit * (1.0 + abs(cost.value))
     return EquilibriumReport(
         flow=sim_flow, law=law, residuals=residuals, cost=cost,
-        iterations=len(residuals), converged=converged, seed=cfg.sim.seed,
+        iterations=len(residuals), converged=converged,
         exploitability=exploit, flagged_exploit=flagged, field=field_v,
     )
 
@@ -241,7 +243,6 @@ class SweepReport:
 
     rows: list
     reference: SweepRow
-    seed: int
 
     def summary(self) -> str:
         lines = ["penalty  conv  iters  residual   J          "
@@ -289,7 +290,7 @@ def penalization_sweep(ms: ModelSpec, cfg: FixedPointConfig, n_list
                 penalty=int(n), converged=False, iterations=0,
                 residual=np.nan, cost=np.nan, cost_se=np.nan, error=str(exc),
             ))
-    return SweepReport(rows=rows, reference=reference, seed=cfg.sim.seed)
+    return SweepReport(rows=rows, reference=reference)
 
 
 def _penalized_row(ms: ModelSpec, cfg: FixedPointConfig, n: int,
@@ -326,7 +327,6 @@ class StrictRunReport:
     reference_cost: float
     reference_cost_se: float
     rows: list
-    seed: int
     base_converged: bool = True
 
     def summary(self) -> str:
@@ -367,7 +367,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     ref_paths = simulate(ms, cfg.sim, relaxed, frozen_flow=flow)[0]
     ref_cost = evaluate_cost(ms, ref_paths, flow)
     q_ref = realized_control_measure(ref_paths)
-    del ref_paths  # its (M, N, nU) weight record is not needed past here
+    del ref_paths  # before the first chattered run allocates
     rows = []
     for delta in deltas:
         penalty = max(1, int(round(n0 / delta)))
@@ -387,8 +387,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
         ))
     return StrictRunReport(reference_cost=ref_cost.value,
                            reference_cost_se=ref_cost.stderr,
-                           rows=rows, seed=cfg.sim.seed,
-                           base_converged=base.converged)
+                           rows=rows, base_converged=base.converged)
 
 
 def coupling_distance(ms: ModelSpec, sim_cfg: SimConfig, law,

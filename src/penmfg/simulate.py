@@ -11,8 +11,10 @@ Three one-step schemes for the controlled McKean-Vlasov system:
   closure; the discrete reflection term is the projection displacement.
 
 All schemes record the reflection/penalization term K alongside the state,
-and the control realization: atom indices for strict laws, the sampled-from
-mixture weights for relaxed ones.  The coefficients see ``atoms[index]``.
+and the control realization: atom indices for strict laws (one byte per
+particle-step up to 256 atoms), the law itself for relaxed ones, whose
+mixture weights are a pure function of (t, X) and are re-evaluated by each
+reader instead of stored.  The coefficients see ``atoms[index]``.
 Sign convention: penalized schemes store the *outward* increment
 n(X - proj(X)) dt, matching the integral that defines K^n; the projected
 scheme stores the *inward* displacement proj(Y) - Y applied to the particle.
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import RelaxedFeedback, sample_control
+from .controls import RelaxedFeedback, relaxed_weights, sample_control
 from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
@@ -91,13 +93,15 @@ class ControlRecord:
     """Per-step control realization along the simulated paths.
 
     ``atoms`` is the (nU, du) control grid of the law.  Exactly one of
-    ``indices`` (strict laws: (M, N) atom indices) and ``weights`` (relaxed
-    laws: (M, N, nU) mixtures) is set.
+    ``indices`` (strict laws: (M, N) atom indices in the smallest unsigned
+    dtype that holds nU - 1) and ``law`` (relaxed laws) is set.  A relaxed
+    run's step-k weights are ``relaxed_weights(law, times[k], X[k])``, the
+    mixture its controls were drawn from, bit for bit.
     """
 
     atoms: np.ndarray
     indices: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
+    law: Optional[RelaxedFeedback] = None
 
 
 @dataclass
@@ -213,8 +217,8 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     # the atoms the law's indices name; strict feedback indexes the model grid
     relaxed = isinstance(law, RelaxedFeedback)
     atoms = (law.atoms if relaxed else ms.control_grid()).copy()
-    record = (np.empty((m_steps, n, atoms.shape[0])) if relaxed
-              else np.empty((m_steps, n), dtype=np.intp))
+    indices = None if relaxed else np.empty(
+        (m_steps, n), dtype=np.min_scalar_type(atoms.shape[0] - 1))
 
     reflected = cfg.scheme == "reflected_projected"
     for step in range(m_steps):
@@ -222,8 +226,9 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         xk = x[step]
         mu = EmpiricalMeasure(xk) if frozen_flow is None else frozen_flow.frames[step]
         draws = stream(cfg.seed, CONTROL, step) if relaxed else None
-        idx, w = sample_control(ms, law, t, xk, draws)
-        record[step] = w if relaxed else idx
+        idx = sample_control(ms, law, t, xk, draws)[0]
+        if not relaxed:
+            indices[step] = idx
         u = atoms[idx]
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
         if reflected:
@@ -239,8 +244,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         k[step + 1] = k[step] + dk
         kvar[step + 1] = kvar[step] + dkvar
 
-    ctrl = (ControlRecord(atoms, weights=record) if relaxed
-            else ControlRecord(atoms, indices=record))
+    ctrl = ControlRecord(atoms, indices=indices, law=law if relaxed else None)
     bundle = PathBundle(times=times, X=x, K=k, Kvar=kvar, ctrl=ctrl, scheme=cfg.scheme)
     return bundle, flow_from_states(times, x)
 
@@ -252,9 +256,9 @@ def _stepwise_cost(paths: PathBundle, flow: MeasureFlow, fn: Callable,
     xk = paths.X[step]
     mu = flow.frames[step]
     ctrl = paths.ctrl
-    if ctrl.weights is None:
+    if ctrl.law is None:
         return fn(t, xk, mu, ctrl.atoms[ctrl.indices[step]])
-    w = ctrl.weights[step]
+    w = relaxed_weights(ctrl.law, t, xk)
     out = np.zeros(paths.n_particles)
     for j in range(ctrl.atoms.shape[0]):
         uj = np.broadcast_to(ctrl.atoms[j], (paths.n_particles, ctrl.atoms.shape[1]))

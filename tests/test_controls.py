@@ -33,10 +33,10 @@ def chatter(q, delta):
     return chattered_indices(q.times, q.weights, delta)
 
 
-def fake_bundle(times, *, weights=None, indices=None, atoms):
-    ctrl = SimpleNamespace(weights=weights, indices=indices,
+def fake_bundle(times, *, atoms, indices=None, law=None, X=None):
+    ctrl = SimpleNamespace(indices=indices, law=law,
                            atoms=np.asarray(atoms, float).reshape(len(atoms), -1))
-    return SimpleNamespace(times=np.asarray(times, float), ctrl=ctrl)
+    return SimpleNamespace(times=np.asarray(times, float), ctrl=ctrl, X=X)
 
 
 # ------------------------------------------------------------------ sampling
@@ -256,7 +256,7 @@ def test_largest_remainder_exact_quotas():
 
 def test_realized_control_measure_from_strict_bundle():
     times = np.array([0.0, 0.5, 1.0])
-    idx = np.array([[1] * 4, [0, 0, 1, 1]])
+    idx = np.array([[1] * 4, [0, 0, 1, 1]], dtype=np.uint8)  # as simulate records
     b = fake_bundle(times, indices=idx, atoms=[-1.0, 1.0])
     q = controls.realized_control_measure(b)
     np.testing.assert_allclose(q.weights, [[0.0, 1.0], [0.5, 0.5]])
@@ -265,7 +265,7 @@ def test_realized_control_measure_from_strict_bundle():
 def test_realized_control_measure_counts_equal_one_hot_mean():
     gen = np.random.default_rng(3)
     n_u, steps, n = 5, 6, 997  # 997 particles: no count / n is a short binary
-    idx = gen.integers(0, n_u, size=(steps, n))
+    idx = gen.integers(0, n_u, size=(steps, n), dtype=np.uint8)
     idx[2][idx[2] == 3] = 1  # atom 3 is never chosen at step 2
     idx[4] = 0  # every particle on one atom
     one_hot = np.zeros((steps, n, n_u))
@@ -274,8 +274,11 @@ def test_realized_control_measure_counts_equal_one_hot_mean():
     times = np.linspace(0.0, 1.0, steps + 1)
     from_counts = controls.realized_control_measure(
         fake_bundle(times, indices=idx, atoms=atoms)).weights
+    # the same one-hot mixtures as a relaxed law, re-evaluated step by step
+    law = RelaxedFeedback(lambda t, x: one_hot[time_cell(times, t)], atoms)
     from_weights = controls.realized_control_measure(
-        fake_bundle(times, weights=one_hot, atoms=atoms)).weights
+        fake_bundle(times, law=law, atoms=atoms,
+                    X=np.zeros((steps + 1, n, 1)))).weights
     assert from_counts[2, 3] == 0.0
     assert from_counts.tobytes() == one_hot.mean(axis=1).tobytes()
     assert from_counts.tobytes() == from_weights.tobytes()

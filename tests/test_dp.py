@@ -9,9 +9,9 @@ import pytest
 from penmfg import domain, model
 from penmfg.controls import (
     StrictFeedback,
-    _eval_weights,
     chattered_indices,
     largest_remainder_counts,
+    relaxed_weights,
     sample_control,
 )
 from penmfg.dp import (
@@ -406,7 +406,7 @@ def test_exploitability_clip_is_recorded():
     def exploit_line(report):
         eq = EquilibriumReport(flow=flow, law=law, residuals=[0.01],
                                cost=SimpleNamespace(value=rep.cost, stderr=rep.cost_se),
-                               iterations=1, converged=True, seed=5,
+                               iterations=1, converged=True,
                                exploitability=report)
         return eq.summary().splitlines()[-1]
 
@@ -468,7 +468,7 @@ def reference_chattered_indices(probe, times, delta, t, x):
     cell = int(np.clip(np.floor((t - times[0]) / dt + 1e-12), 0, m - 1))
     start = (cell // k) * k
     stop = min(start + k, m)
-    w = np.stack([_eval_weights(probe, times[c], x) for c in range(start, stop)])
+    w = np.stack([relaxed_weights(probe, times[c], x) for c in range(start, stop)])
     w_bar = w.mean(axis=0)
     counts = largest_remainder_counts(w_bar * (stop - start), stop - start)
     cum = np.cumsum(counts, axis=1)
@@ -550,7 +550,7 @@ def test_chattered_run_records_table_indices():
     paths, _ = simulate(ms, cfg, chattered_probe(field, ms, 0.2, epsilon=0.25),
                         frozen_flow=flow)
     rec = paths.ctrl.indices
-    assert paths.ctrl.weights is None and rec.shape == (40, 64)
+    assert paths.ctrl.law is None and rec.shape == (40, 64) and rec.dtype == np.uint8
     assert sum(np.unique(row).size > 1 for row in rec) >= 10  # particles differ
     for k in range(flow.n_steps):
         np.testing.assert_array_equal(rec[k], table[k][grid.nearest_node(paths.X[k])])

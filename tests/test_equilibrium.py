@@ -1,6 +1,7 @@
 """Fixed-point loop: self-consistency, determinism, sweeps, chattering runs."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -272,11 +273,16 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     simulate, every bundle an earlier call returned is already freed, by
     reference counting alone (gc is off).  Flows a study discards go too:
     counted over the study's own runs, only the X arrays it still reads are
-    alive."""
-    refs, calls, study = [], [], ["solve"]
+    alive.  The strict study's traced peak is its exploitability run, which
+    holds the solve's last flow beside the frozen one: the relaxed
+    reference keeps its law, not an (M, N, nU) weight record."""
+    refs, calls, study, peaks = [], [], ["solve"], []
 
     def tracked(real):
         def run(*args, **kwargs):
+            if tracemalloc.is_tracing():  # the peak since the previous run began
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
             calls.append((study[0],
                           sum(b() is not None for _, b, _ in refs),
                           sum(x() is not None for s, _, x in refs
@@ -300,8 +306,13 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     try:
         rep = solve_equilibrium(ms, cfg)
         study[0] = "strict"
-        strict_approximation_run(ms, cfg, deltas=[0.2, 0.1], n0=2.0,
-                                 epsilon=0.25)
+        tracemalloc.start()
+        try:
+            strict_approximation_run(ms, cfg, deltas=[0.2, 0.1], n0=2.0,
+                                     epsilon=0.25)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
         study[0] = "sweep"
         penalization_sweep(ms, cfg, [8, 32])
         study[0] = "floor"
@@ -321,3 +332,7 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     assert live_x == {"solve": solve, "strict": solve + [1, 1, 1],
                       "sweep": solve + [1 + x for x in solve] * 2,
                       "floor": [0, 1]}, calls
+    # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered
+    run_peaks = peaks[1:]
+    assert len(run_peaks) == 8
+    assert int(np.argmax(run_peaks)) == 4 and run_peaks[5] < run_peaks[4], peaks

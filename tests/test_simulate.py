@@ -1,12 +1,19 @@
 """Particle simulator: schemes, K bookkeeping, costs, martingale residuals."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from penmfg import domain, model, rng
-from penmfg.controls import RelaxedFeedback, StrictFeedback
+from penmfg import simulate as simulate_mod
+from penmfg.controls import (
+    RelaxedFeedback,
+    StrictFeedback,
+    realized_control_measure,
+    sample_control,
+)
 from penmfg.errors import ConfigError, DivergenceError
 from penmfg.measures import (
     EmpiricalMeasure,
@@ -283,8 +290,8 @@ def test_relaxed_law_records_weights_and_averages_running_cost():
     cfg = SimConfig(n_particles=50, dt=0.05, scheme="reflected_projected",
                     seed=4)
     paths, flow = simulate(ms, cfg, law)
-    assert paths.ctrl.indices is None
-    assert paths.ctrl.weights.shape == (20, 50, 2)
+    # the record keeps the law; readers re-evaluate its weights
+    assert paths.ctrl.indices is None and paths.ctrl.law is law
     assert np.array_equal(paths.ctrl.atoms, law.atoms)
     rep = evaluate_cost(ms, paths, flow)
     # f = u^2 / 2 averaged under w = (1/2, 1/2) is 1/4, integrated over T = 1
@@ -308,6 +315,125 @@ def test_control_stream_opened_only_for_relaxed_laws(monkeypatch):
     assert opened.count(rng.CONTROL) == 0
     simulate(ms, cfg, even_mixture())
     assert opened.count(rng.CONTROL) == 20
+
+
+# ---------------------------------------------------------- control records
+
+
+def lq_three_controls(d, **params):
+    """lq_control in the unit box of dimension d with three control atoms."""
+    grid = [[-1.0], [0.0], [0.5]] if d == 1 else [[-1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]
+    params = {"sigma": 0.3, "c": 1.0, "gamma": 0.5, "control_grid": grid,
+              "x0": 0.4, **params}
+    return model.make_preset("lq_control", domain.box([0.0] * d, [1.0] * d), params)
+
+
+def state_mixture(atoms):
+    """A relaxed law whose weights vary with both t and x."""
+    def fn(t, x):
+        s = x.sum(axis=1)
+        w = np.column_stack([np.ones_like(s), 1.0 + np.sin(3.0 * s + t),
+                             np.exp(-s * s)])
+        return w / w.sum(axis=1, keepdims=True)
+    return RelaxedFeedback(fn, atoms)
+
+
+def spy_sample_control(monkeypatch):
+    """Record the (indices, weights) pairs sample_control returns to simulate."""
+    seen = []
+
+    def spy(*args):
+        out = sample_control(*args)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(simulate_mod, "sample_control", spy)
+    return seen
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
+    """A relaxed run keeps its law; every reader re-evaluates it and gets the
+    same bits as the (M, N, nU) weight tensor it was sampled from."""
+    ms = lq_three_controls(d)
+    law = state_mixture(ms.control_grid())
+    cfg = SimConfig(n_particles=200, dt=0.05, penalty=8, seed=21)
+    seen = spy_sample_control(monkeypatch)
+    paths, flow = simulate(ms, cfg, law)
+    monkeypatch.undo()
+    tensor = np.stack([w for _, w in seen])
+    assert tensor.shape == (20, 200, 3)
+    assert np.ptp(tensor[:, :, 1]) > 0.1  # the mixture moves with the state
+    phi = quadratic_probe(dim=d)
+    new_cost = evaluate_cost(ms, paths, flow)
+    new_mart = martingale_residual(ms, paths, flow, phi)
+    q = realized_control_measure(paths)
+
+    def stored_stepwise_cost(paths, flow, fn, step):  # the weight-record reader
+        xk, atoms = paths.X[step], paths.ctrl.atoms
+        w = tensor[step]
+        out = np.zeros(paths.n_particles)
+        for j in range(atoms.shape[0]):
+            uj = np.broadcast_to(atoms[j], (paths.n_particles, atoms.shape[1]))
+            out += w[:, j] * fn(paths.times[step], xk, flow.frames[step], uj)
+        return out
+
+    monkeypatch.setattr(simulate_mod, "_stepwise_cost", stored_stepwise_cost)
+    old_cost = evaluate_cost(ms, paths, flow)
+    old_mart = martingale_residual(ms, paths, flow, phi)
+    assert new_cost.per_particle.tobytes() == old_cost.per_particle.tobytes()
+    assert (new_cost.value, new_cost.running) == (old_cost.value, old_cost.running)
+    assert q.weights.tobytes() == tensor.mean(axis=1).tobytes()
+    assert new_mart.aggregate_mean == old_mart.aggregate_mean
+    assert new_mart.aggregate_se == old_mart.aggregate_se
+    assert new_mart.per_step_mean.tobytes() == old_mart.per_step_mean.tobytes()
+    assert new_mart.per_step_se.tobytes() == old_mart.per_step_se.tobytes()
+
+
+def bundle_arrays(paths):
+    """Every array a bundle holds, its control record included."""
+    fields = [*vars(paths).values(), *vars(paths.ctrl).values()]
+    return [a for a in fields if isinstance(a, np.ndarray)]
+
+
+def test_control_records_stay_lean(monkeypatch):
+    ms = lq_three_controls(2)
+    atoms = ms.control_grid()
+    cfg = SimConfig(n_particles=50, dt=0.05, penalty=8, seed=5)
+    seen = spy_sample_control(monkeypatch)
+    strict = StrictFeedback(lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, 1] > 0.5))
+    paths, _ = simulate(ms, cfg, strict)
+    monkeypatch.undo()
+    rec, want = paths.ctrl.indices, np.stack([idx for idx, _ in seen])
+    assert want.dtype == np.intp and rec.dtype == np.uint8
+    assert np.array_equal(rec, want) and np.unique(want).size == 3
+    # a relaxed bundle keeps no (particle, atom) array
+    paths, _ = simulate(ms, cfg, state_mixture(atoms))
+    assert paths.ctrl.indices is None
+    for a in bundle_arrays(paths):
+        assert not {50, 3} <= set(a.shape), a.shape
+
+
+def test_relaxed_run_peaks_no_higher_than_a_strict_one():
+    """At N = 20,000, M = 40, nU = 3 a weight record would be 18 MiB; the
+    relaxed run's traced peak stays within 1 MiB of the strict run's."""
+    ms = lq_three_controls(1, horizon=0.5)
+    cfg = SimConfig(n_particles=20_000, dt=0.0125, penalty=8, seed=3)
+    relaxed = state_mixture(ms.control_grid())
+    strict = StrictFeedback(lambda t, x: np.where(x[:, 0] > 0.4, 2, 0))
+
+    def traced_peak(law):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = simulate(ms, cfg, law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out[0].n_steps == 40
+        return peak - base
+
+    assert traced_peak(relaxed) <= traced_peak(strict) + 2**20
 
 
 def test_reflected_local_time_matches_tanaka_scale():

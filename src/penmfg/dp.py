@@ -559,7 +559,8 @@ def value_to_csv(field: ValueField, path) -> None:
     nodes = field.grid.nodes()
     xs = [f"x_{j + 1}" for j in range(nodes.shape[1])]
     u_index = np.vstack((field.argmin[:len(field.V) - 1], np.full((1, len(nodes)), -1)))
-    heads = (",".join(map(format_float, row)) for row in nodes)
+    heads = [",".join(map(format_float, row)) for row in nodes]
     write_csv_steps([(path, ",".join(["t"] + xs + ["value", "u_index"]),
-                      map(format_float, field.times), heads, 2)],
-                    (repr, "%d".__mod__), map(np.column_stack, zip(field.V, u_index)))
+                      list(map(format_float, field.times)), heads, 2)],
+                    (repr, "%d".__mod__),
+                    lambda k: np.column_stack((field.V[k], u_index[k])), len(field.V))

@@ -191,6 +191,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
             converged = True
             break
         if it + 1 < cfg.max_iters:  # a last iterate would go unread
+            paths = None  # the mix reads flows only: K and |K| go first
             flow = _mix_flows(frozen, sim_flow,
                               cfg.damping, stream(cfg.sim.seed, SUBSAMPLE, it))
     cost = evaluate_cost(ms, paths, frozen)

@@ -414,6 +414,8 @@ def paths_to_csv(paths: PathBundle, paths_csv, flow_csv) -> None:
     """Write paths.csv rows (t, particle, x_*, k_*, kvar) and the flow.csv of X."""
     m, n, d = paths.X.shape
     cols = ["t", "particle", *(f"{c}_{j + 1}" for c in "xk" for j in range(d)), "kvar"]
-    table = paths_csv, ",".join(cols), map(format_float, paths.times), range(n), 2 * d + 1
+    leads = list(map(format_float, paths.times))
+    table = paths_csv, ",".join(cols), leads, list(range(n)), 2 * d + 1
     write_csv_steps([table, flow_table(flow_csv, m, n, d)], (repr,) * (2 * d + 1),
-                    map(np.column_stack, zip(paths.X, paths.K, paths.Kvar)))
+                    lambda k: np.column_stack((paths.X[k], paths.K[k], paths.Kvar[k])),
+                    m)

@@ -5,11 +5,17 @@ import sys
 import numpy as np
 import scipy
 
+from penmfg import measures
 from penmfg.cli import main
 from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.equilibrium import _constant_law
 from penmfg.simulate import simulate
-from test_simulate import reference_flow_csv, reference_paths_csv
+from test_simulate import (
+    assert_no_helper_left,
+    reference_flow_csv,
+    reference_paths_csv,
+    refuse_parts,
+)
 
 BASE = """\
 [run]
@@ -183,6 +189,17 @@ def test_diagnose_command(tmp_path):
     report = (out / "report.txt").read_text()
     assert "growth constants" in report
     assert "lq_control" in report or "sigma" in report
+
+
+def test_failed_csv_helper_exits_one(tmp_path, capsys, monkeypatch, split_writes):
+    """A split write whose helper cannot open its part is an i/o error, and
+    leaves neither a .part file nor a child process."""
+    monkeypatch.setattr(measures, "open", refuse_parts, raising=False)
+    out = tmp_path / "x"
+    assert run_cli("simulate", "--config", write_cfg(tmp_path), "--out", str(out)) == 1
+    assert "i/o error" in capsys.readouterr().err
+    assert split_writes
+    assert_no_helper_left(out)
 
 
 def test_parse_error_exits_one_with_line_number(tmp_path, capsys):

@@ -585,7 +585,7 @@ def reference_value_csv(field) -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
-def test_value_csv_export(tmp_path):
+def test_value_csv_export(tmp_path, request):
     ms = model.make_preset("reflected_bm", UNIT_BOX, {"sigma": 1.0, "x0": 0.5})
     flow = const_flow(0.5, 2e-3, 3)
     g = DPGrid.regular([0.0], [1.0], 0.25)
@@ -607,3 +607,14 @@ def test_value_csv_export(tmp_path):
     assert lines[0] == "t,x_1,x_2,value,u_index"
     assert all(row.endswith(",-1") for row in lines[-9:])
     assert out.read_bytes() == reference_value_csv(field2)
+    # split writes: a forked helper writes slices [m // 2, m), the same bytes
+    # for both fields and for their first one and two slices
+    forks = request.getfixturevalue("split_writes")
+    fields = [field, field2] + [
+        replace(f, times=f.times[:m], V=f.V[:m], argmin=f.argmin[:m - 1])
+        for f in (field, field2) for m in (1, 2)]
+    for f in fields:
+        value_to_csv(f, out)
+        assert out.read_bytes() == reference_value_csv(f)
+    assert len(forks) == len(fields) - 2  # one slice: serial
+    assert not list(tmp_path.glob("*.part"))

@@ -275,8 +275,13 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     counted over the study's own runs, only the X arrays it still reads are
     alive.  The strict study's traced peak is its exploitability run, which
     holds the solve's last flow beside the frozen one: the relaxed
-    reference keeps its law, not an (M, N, nU) weight record."""
+    reference keeps its law, not an (M, N, nU) weight record.  A solve's
+    flow mix runs with no bundle alive either: it starts, and so peaks, at
+    least the bytes of K and |K| lower than with its run's bundle alive."""
     refs, calls, study, peaks = [], [], ["solve"], []
+    # traced: the live bytes after the last run and its K and |K| bytes, and
+    # per mix those two plus the live bytes at its entry
+    last_run, mixes, mix_studies = [None], [], []
 
     def tracked(real):
         def run(*args, **kwargs):
@@ -288,12 +293,23 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
                           sum(x() is not None for s, _, x in refs
                               if s == study[0])))
             out = real(*args, **kwargs)
+            if tracemalloc.is_tracing():
+                last_run[0] = (tracemalloc.get_traced_memory()[0],
+                               out[0].K.nbytes + out[0].Kvar.nbytes)
             refs.append((study[0], weakref.ref(out[0]), weakref.ref(out[0].X)))
             return out
         return run
 
+    def tracked_mix(*args, **kwargs):
+        mix_studies.append((study[0], sum(b() is not None for _, b, _ in refs)))
+        if tracemalloc.is_tracing():
+            mixes.append((*last_run[0], tracemalloc.get_traced_memory()[0]))
+        return real_mix(*args, **kwargs)
+
+    real_mix = equilibrium._mix_flows
     monkeypatch.setattr(equilibrium, "simulate", tracked(equilibrium.simulate))
     monkeypatch.setattr(dp, "simulate", tracked(dp.simulate))
+    monkeypatch.setattr(equilibrium, "_mix_flows", tracked_mix)
     ms = lq_model(gamma=0.25)
     cfg = FixedPointConfig(  # tol out of reach: every iteration runs
         sim=SimConfig(n_particles=300, dt=0.0125,
@@ -332,6 +348,15 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     assert live_x == {"solve": solve, "strict": solve + [1, 1, 1],
                       "sweep": solve + [1 + x for x in solve] * 2,
                       "floor": [0, 1]}, calls
+    # two mixes per solve (the last iteration does not mix), each with no
+    # bundle alive; under tracemalloc (the strict study's solve) a mix's peak
+    # is its live bytes at entry plus its own growth, and that entry sits at
+    # least K and |K| below the live bytes right after its run
+    assert mix_studies == [(s, 0) for s in ("solve", "strict", "sweep",
+                                            "sweep", "sweep") for _ in range(2)]
+    assert len(mixes) == 2
+    for after_run, k_bytes, live in mixes:
+        assert after_run - live >= k_bytes, mixes
     # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered
     run_peaks = peaks[1:]
     assert len(run_peaks) == 8

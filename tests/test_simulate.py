@@ -1,12 +1,15 @@
 """Particle simulator: schemes, K bookkeeping, costs, martingale residuals."""
 
+import os
+import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from penmfg import domain, model, rng
+from penmfg import domain, measures, model, rng
 from penmfg import simulate as simulate_mod
 from penmfg.controls import (
     RelaxedFeedback,
@@ -20,6 +23,7 @@ from penmfg.measures import (
     flow_from_states,
     flow_to_csv,
     format_float,
+    write_csv_steps,
 )
 from penmfg.model import linear_probe, quadratic_probe
 from penmfg.rng import step_normals
@@ -599,7 +603,41 @@ def moving_cells(d):
     return x, k, kvar
 
 
-def test_csv_exports_are_deterministic(tmp_path):
+def csv_cases(paths):
+    """(bundle, flow) pairs whose CSVs must equal the per-cell writers':
+    edge floats in d = 1 and d = 2, including the lead time cell, and the
+    moving_cells steps, whose signed-zero flip (steps 2 to 3) and held cells
+    straddle the split step m // 2 = 3 of their six-step tables."""
+    times = edge_array(paths.times.shape)
+    for d in (1, 2):
+        edge = replace(paths, times=times, X=edge_array((5, 5, d)),
+                       K=edge_array((5, 5, d))[::-1], Kvar=edge_array((5, 5)).T)
+        yield edge, flow_from_states(paths.times, edge.X)
+        x, k, kvar = moving_cells(d)
+        moving = replace(paths, times=np.linspace(0.0, 1.25, 6), X=x, K=k, Kvar=kvar)
+        yield moving, flow_from_states(moving.times, x)
+
+
+def assert_csv_exports(paths, flow, tmp_path):
+    """Both entry points, paths_to_csv and flow_to_csv, against the oracles;
+    a one-step bundle has no MeasureFlow (a flow needs two time nodes), so
+    it is given as None and only paths_to_csv runs."""
+    p, f, g = tmp_path / "a.csv", tmp_path / "f.csv", tmp_path / "g.csv"
+    paths_to_csv(paths, p, f)
+    assert p.read_bytes() == reference_paths_csv(paths)
+    frames = SimpleNamespace(dim=paths.dim, frames=list(map(EmpiricalMeasure, paths.X)))
+    assert f.read_bytes() == reference_flow_csv(frames)
+    if flow is not None:
+        flow_to_csv(flow, g)
+        assert g.read_bytes() == reference_flow_csv(flow)
+
+
+def first_steps(paths, m):
+    return replace(paths, times=paths.times[:m], X=paths.X[:m], K=paths.K[:m],
+                   Kvar=paths.Kvar[:m])
+
+
+def test_csv_exports_are_deterministic(tmp_path, request):
     ms = quiet_model(sigma=1.0, x0=0.5)
     paths, flow = simulate(ms, SimConfig(n_particles=5, dt=0.25, penalty=4,
                                          seed=8), null_law())
@@ -615,29 +653,65 @@ def test_csv_exports_are_deterministic(tmp_path):
     flines = f1.read_text().splitlines()
     assert flines[0] == "t_index,particle_index,x_1"
     assert len(flines) == 1 + 5 * 5
-    assert p1.read_bytes() == reference_paths_csv(paths)
-    assert f1.read_bytes() == reference_flow_csv(flow)
-    flow_to_csv(flow, f2)
-    assert f2.read_bytes() == reference_flow_csv(flow)
-    # edge floats in d = 1 and d = 2, including the lead time cell
-    times = edge_array(paths.times.shape)
-    for d in (1, 2):
-        edge = replace(paths, times=times, X=edge_array((5, 5, d)),
-                       K=edge_array((5, 5, d))[::-1], Kvar=edge_array((5, 5)).T)
-        edge_flow = flow_from_states(paths.times, edge.X)
-        paths_to_csv(edge, p1, f1)
-        assert p1.read_bytes() == reference_paths_csv(edge)
-        assert f1.read_bytes() == reference_flow_csv(edge_flow)
-        flow_to_csv(edge_flow, f2)
-        assert f2.read_bytes() == reference_flow_csv(edge_flow)
-        # strings reused between steps: signed-zero flips, held-then-moved
-        # cells and an unchanged step, written by both entry points
-        x, k, kvar = moving_cells(d)
-        moving = replace(paths, times=np.linspace(0.0, 1.25, 6), X=x, K=k, Kvar=kvar)
-        moving_flow = flow_from_states(moving.times, x)
-        paths_to_csv(moving, p1, f1)
-        assert p1.read_bytes() == reference_paths_csv(moving)
-        assert f1.read_bytes() == reference_flow_csv(moving_flow)
-        flow_to_csv(moving_flow, f2)
-        assert f2.read_bytes() == reference_flow_csv(moving_flow)
-        assert b"-0.0" in p1.read_bytes() and b"-0.0" in f1.read_bytes()
+    assert_csv_exports(paths, flow, tmp_path)
+    # strings reused between steps: signed-zero flips, held-then-moved
+    # cells and an unchanged step, written by both entry points
+    cases = list(csv_cases(paths))
+    for bundle, bundle_flow in cases:
+        assert_csv_exports(bundle, bundle_flow, tmp_path)
+    assert b"-0.0" in p1.read_bytes() and b"-0.0" in f1.read_bytes()
+    # split writes: the same bytes when a helper writes the second half of
+    # every table, also of the one- and two-step tables of each case
+    forks = request.getfixturevalue("split_writes")
+    cases.append((paths, flow))
+    two = [first_steps(b, 2) for b, _ in cases]
+    cases += [(b, flow_from_states(b.times, b.X)) for b in two]
+    cases += [(first_steps(b, 1), None) for b in two]
+    for bundle, bundle_flow in cases:
+        assert_csv_exports(bundle, bundle_flow, tmp_path)
+    assert len(forks) == 2 * (len(cases) - len(two))  # one step: serial
+    assert not list(tmp_path.glob("*.part"))
+
+
+def refuse_parts(path, *args, **kwargs):
+    """``open`` for the CSV writer, failing on the helper's ``.part`` files."""
+    if str(path).endswith(".part"):
+        raise PermissionError(f"refused: {path}")
+    return open(path, *args, **kwargs)
+
+
+def assert_no_helper_left(out_dir):
+    assert not list(out_dir.glob("*.part"))
+    with pytest.raises(ChildProcessError):  # no child process, reaped or not
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_write_failures_leave_no_helper_or_part(tmp_path, monkeypatch,
+                                                      split_writes):
+    table = [(tmp_path / "t.csv", "t,i,x", list("0123"), [0, 1, 2], 1)]
+
+    def block(k):
+        return np.full((3, 1), 0.5 * k)
+
+    # a helper that cannot open its part: OSError in the parent
+    with monkeypatch.context() as m:
+        m.setattr(measures, "open", refuse_parts, raising=False)
+        with pytest.raises(OSError, match="CSV helper"):
+            write_csv_steps(table, (repr,), block, 4)
+    assert_no_helper_left(tmp_path)
+    # the parent's half fails while the helper is still busy: the helper is
+    # killed, not waited out, and the parent's error propagates
+    def parent_fails(k):
+        if k >= 2:
+            time.sleep(30)
+        raise ValueError("bad block")
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bad block"):
+        write_csv_steps(table, (repr,), parent_fails, 4)
+    assert time.perf_counter() - start < 10
+    assert_no_helper_left(tmp_path)
+    write_csv_steps(table, (repr,), block, 4)
+    assert (tmp_path / "t.csv").read_text() == "".join(
+        ["t,i,x\n"] + [f"{k},{i},{0.5 * k!r}\n" for k in range(4) for i in range(3)])
+    assert len(split_writes) == 3

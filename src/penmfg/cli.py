@@ -37,7 +37,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -285,17 +284,11 @@ def main(argv=None) -> int:
                         version=f"penmfg {__version__}")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config_file(args.config)
-        if args.command is not None:
-            cfg = replace(cfg, command=args.command)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise PenmfgError("--seed must be nonnegative")
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
-        cfg = apply_overrides(cfg, args.override)
-        return run(cfg)
+        flags = {"command": args.command, "seed": args.seed, "out": args.out}
+        patches = [f"run.{key}={value}" for key, value in flags.items()
+                   if value is not None]
+        return run(apply_overrides(parse_config_file(args.config),
+                                   patches + args.override))
     except PenmfgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

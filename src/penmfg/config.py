@@ -17,7 +17,9 @@ type mismatches, and range violations all fail with the offending line
 number, and the domain / model / sim configs are actually constructed so
 their own guards (e.g. the explicit-scheme penalty*dt stability limit) fire
 at parse time.  Defaults that were applied are recorded on the returned
-config so run logs can echo them.
+config so run logs can echo them.  `apply_overrides` patches the typed values
+and runs the same validation; a patched key leaves the defaults log, and an
+error it causes names the override instead of a line.
 
 `serialize` writes the canonical form; parse(serialize(cfg)) == cfg, and the
 manifest hash is the digest of that canonical text.
@@ -81,6 +83,8 @@ class RunConfig:
     fixed_point: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
     defaults_applied: tuple = field(default=(), compare=False, repr=False)
+    # section -> key -> its line number, or the text of the override that set it
+    sources: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 # ------------------------------------------------------------------ parsing
@@ -190,24 +194,11 @@ def _domain_section(raw: dict) -> dict:
     return values
 
 
-def _model_section(raw: dict) -> tuple[dict, dict]:
+def _model_section(raw: dict) -> dict:
     if "preset" not in raw:
         raise ConfigError(f"[model] needs a preset; known: {preset_names()}")
-    values = {"preset": raw["preset"][0]}
-    lines = {"preset": raw["preset"][1]}
-    for key, (value, lineno) in raw.items():
-        if key == "preset":
-            continue
-        values[key] = _model_value(value)
-        lines[key] = lineno
-    return values, lines
-
-
-def _model_param_line(exc: PenmfgError, lines: dict) -> int | None:
-    for key, lineno in lines.items():
-        if f"'{key}'" in str(exc):
-            return lineno
-    return lines.get("preset")
+    return {key: value if key == "preset" else _model_value(value)
+            for key, (value, _) in raw.items()}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -215,20 +206,12 @@ def parse_config(text: str) -> RunConfig:
     raw = _raw_sections(text)
     defaults_log: list = []
     run = _typed_section("run", raw.get("run", {}), defaults_log)
-    if run["command"] not in COMMANDS:
-        line = raw.get("run", {}).get("command", (None, None))[1]
-        raise ConfigError(
-            f"unknown command {run['command']!r}; expected one of "
-            f"{', '.join(COMMANDS)}", line)
-    if run["seed"] < 0:
-        raise ConfigError("seed must be nonnegative",
-                          _section_line(raw, "run", "seed"))
     if "domain" not in raw:
         raise ConfigError("missing [domain] section")
     if "model" not in raw:
         raise ConfigError("missing [model] section")
     domain = _domain_section(raw["domain"])
-    model, model_lines = _model_section(raw["model"])
+    model = _model_section(raw["model"])
     sim = _typed_section("sim", raw.get("sim", {}), defaults_log)
     dp = _typed_section("dp", raw.get("dp", {}), defaults_log)
     fixed_point = _typed_section("fixed_point", raw.get("fixed_point", {}),
@@ -239,52 +222,61 @@ def parse_config(text: str) -> RunConfig:
         domain=domain, model=model, sim=sim, dp=dp,
         fixed_point=fixed_point, sweep=sweep,
         defaults_applied=tuple(defaults_log),
+        sources={name: {key: line for key, (_, line) in body.items()}
+                 for name, body in raw.items()},
     )
-    _validate_builds(cfg, raw, model_lines)
+    _validate_builds(cfg)
     return cfg
 
 
-def _section_line(raw: dict, name: str, key: str | None = None) -> int | None:
-    section = raw.get(name, {})
-    if key is not None and key in section:
-        return section[key][1]
-    return min((ln for _, ln in section.values()), default=None)
+def _invalid(cfg: RunConfig, message: str, section: str,
+             key: str | None = None) -> ConfigError:
+    """An error about [section] (key), placed where the culprit was set.
+
+    That is the override that set the key, else any override into the
+    section, else the key's line, else the section's first line.
+    """
+    found = cfg.sources.get(section, {})
+    overrides = [where for where in found.values() if isinstance(where, str)]
+    if isinstance(found.get(key), str):
+        overrides.append(found[key])
+    if overrides:
+        return ConfigError(f"{overrides[-1]}: {message}")
+    return ConfigError(message, found.get(key, min(found.values(), default=None)))
 
 
-def _validate_builds(cfg: RunConfig, raw: dict, model_lines: dict) -> None:
+def _validate_builds(cfg: RunConfig) -> None:
+    if cfg.command not in COMMANDS:
+        raise _invalid(cfg, f"unknown command {cfg.command!r}; expected one of "
+                       f"{', '.join(COMMANDS)}", "run", "command")
+    if cfg.seed < 0:
+        raise _invalid(cfg, "seed must be nonnegative", "run", "seed")
     try:
         dom = build_domain(cfg)
     except PenmfgError as exc:
-        raise ConfigError(f"[domain] {exc}",
-                          _section_line(raw, "domain")) from exc
+        raise _invalid(cfg, f"[domain] {exc}", "domain") from exc
     try:
         build_model(cfg, dom)
     except PenmfgError as exc:
-        raise ConfigError(f"[model] {exc}",
-                          _model_param_line(exc, model_lines)) from exc
+        key = next((k for k in cfg.model if f"'{k}'" in str(exc)), "preset")
+        raise _invalid(cfg, f"[model] {exc}", "model", key) from exc
     needs_sim = cfg.command != "diagnose"
     if needs_sim or cfg.sim.get("n_particles") is not None:
         for key in ("n_particles", "dt"):
             if cfg.sim.get(key) is None:
-                raise ConfigError(f"[sim] needs key {key!r}",
-                                  _section_line(raw, "sim"))
+                raise _invalid(cfg, f"[sim] needs key {key!r}", "sim")
         try:
             sim = build_sim(cfg)
         except PenmfgError as exc:
-            line = _section_line(raw, "sim", "penalty") \
-                or _section_line(raw, "sim")
-            raise ConfigError(f"[sim] {exc}", line) from exc
+            raise _invalid(cfg, f"[sim] {exc}", "sim", "penalty") from exc
         try:
             build_fixed_point(cfg, sim)
         except PenmfgError as exc:
-            raise ConfigError(f"[fixed_point] {exc}",
-                              _section_line(raw, "fixed_point")) from exc
+            raise _invalid(cfg, f"[fixed_point] {exc}", "fixed_point") from exc
     if cfg.dp.get("hx") is not None and cfg.dp["hx"] <= 0:
-        raise ConfigError("[dp] hx must be positive",
-                          _section_line(raw, "dp", "hx"))
+        raise _invalid(cfg, "[dp] hx must be positive", "dp", "hx")
     if not 0.0 <= cfg.sweep["epsilon"] <= 0.5:
-        raise ConfigError("[sweep] epsilon must lie in [0, 1/2]",
-                          _section_line(raw, "sweep", "epsilon"))
+        raise _invalid(cfg, "[sweep] epsilon must lie in [0, 1/2]", "sweep", "epsilon")
 
 
 def parse_config_file(path) -> RunConfig:
@@ -293,7 +285,11 @@ def parse_config_file(path) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
-    """Apply `section.key=value` strings on top of a parsed config."""
+    """Apply `section.key=value` strings on top of a parsed config.
+
+    Patches the typed values and validates the result as `parse_config`
+    does; patched keys leave the defaults log and errors name the override.
+    """
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not section.key=value")
@@ -302,32 +298,34 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
             raise ConfigError(f"override {item!r} is not section.key=value")
         section, key = dotted.split(".", 1)
         if section == "model":
-            updated = dict(cfg.model)
-            updated[key] = value if key == "preset" \
-                else _model_value(value)
-            cfg = replace(cfg, model=updated)
-            continue
-        if section == "domain":
+            value = value if key == "preset" else _model_value(value)
+        elif section == "domain":
             raise ConfigError(
                 f"override {item!r}: edit the [domain] section instead")
-        if section not in _SCHEMA:
+        elif section not in _SCHEMA:
             raise ConfigError(f"override {item!r}: unknown section "
                               f"{section!r}")
-        if key not in _SCHEMA[section]:
+        elif key not in _SCHEMA[section]:
             raise ConfigError(
                 f"override {item!r}: unknown key {key!r} in [{section}]")
-        try:
-            parsed = _parse_scalar(value, _SCHEMA[section][key][0], None)
-        except ConfigError as exc:
-            raise ConfigError(f"override {item!r}: {dotted} {exc}") from None
-        if section == "run":
-            cfg = replace(cfg, **{key: parsed})
         else:
-            cfg = replace(cfg, **{section: {**getattr(cfg, section), key: parsed}})
-    # re-validate the patched config through the canonical text; keep the
-    # original default log for the run report
-    validated = parse_config(serialize(cfg))
-    return replace(validated, defaults_applied=cfg.defaults_applied)
+            try:
+                value = _parse_scalar(value, _SCHEMA[section][key][0], None)
+            except ConfigError as exc:
+                raise ConfigError(f"override {item!r}: {dotted} {exc}") from None
+        if section == "run":
+            cfg = replace(cfg, **{key: value})
+        else:
+            cfg = replace(cfg, **{section: {**getattr(cfg, section), key: value}})
+        cfg = replace(
+            cfg,
+            defaults_applied=tuple(entry for entry in cfg.defaults_applied
+                                   if not entry.startswith(f"{dotted} = ")),
+            sources={**cfg.sources,
+                     section: {**cfg.sources.get(section, {}), key: f"override {item!r}"}},
+        )
+    _validate_builds(cfg)
+    return cfg
 
 
 # ------------------------------------------------------------ serialization

@@ -124,7 +124,13 @@ def chattered_indices(times: np.ndarray, weights: np.ndarray, delta: float) -> n
 
 
 def relaxed_weights(law: RelaxedFeedback, t: float, x: np.ndarray) -> np.ndarray:
-    """The (B, nU) mixture ``law.fn(t, x)``, checked to be probabilities."""
+    """The (B, nU) mixture ``law.fn(t, x)``, checked to be probabilities.
+
+    A row may sum to one within 1e-9; it is divided by its sum, so every
+    reader (the sampler, the cost, the realized control measure) gets the
+    probability vectors a :class:`TimedControlMeasure` demands.  A row that
+    sums to exactly 1.0 comes back unchanged.
+    """
     w = np.asarray(law.fn(t, x), dtype=float)
     if w.shape != (x.shape[0], law.atoms.shape[0]):
         raise ContractViolationError(
@@ -134,7 +140,8 @@ def relaxed_weights(law: RelaxedFeedback, t: float, x: np.ndarray) -> np.ndarray
     # a NaN weight makes its row sum NaN, which fails the `<=`
     if np.any(w < -1e-12) or not np.max(np.abs(_running_sums(w)[-1] - 1.0)) <= 1e-9:
         raise ContractViolationError("relaxed feedback weights must be probabilities")
-    return np.clip(w, 0.0, None)
+    w = np.clip(w, 0.0, None)
+    return w / _running_sums(w)[-1][:, None]
 
 
 def _running_sums(weights: np.ndarray) -> list:

@@ -187,9 +187,9 @@ def _stencil_offsets(d: int) -> np.ndarray:
 class _Geometry:
     """Static redirect geometry: targets, charged and truncated overflow."""
 
-    idx: np.ndarray         # (n_nodes, n_st) redirected target nodes
-    charged_disp: np.ndarray  # (n_nodes, n_st, d) outward displacement, charged axes
-    truncated: np.ndarray   # (n_nodes, n_st) bool, uncharged overflow happened
+    idx: np.ndarray          # (n_nodes, n_st) redirected target nodes
+    charged_len: np.ndarray  # (n_nodes, n_st) length of the charged outward move
+    truncated: np.ndarray    # (n_nodes, n_st) 1.0 where uncharged overflow happened
 
 
 def _face_is_boundary(grid: DPGrid, dom, axis: int, side: int) -> bool:
@@ -235,7 +235,8 @@ def _build_geometry(grid: DPGrid, dom, penalized: bool) -> _Geometry:
                 disp[hi_over, s, ax] = grid.hx
             else:
                 trunc[:, s] |= hi_over
-    return _Geometry(idx=idx, charged_disp=disp, truncated=trunc)
+    return _Geometry(idx=idx, charged_len=np.linalg.norm(disp, axis=2),
+                     truncated=trunc * 1.0)
 
 
 @dataclass(eq=False)
@@ -269,57 +270,49 @@ class TransitionModel:
 
 
 def _slice_rows(ms: ModelSpec, penalty, grid: DPGrid, geo: _Geometry,
-                nodes: np.ndarray, t: float, mu, dt: float):
-    """Probability rows, charges and costs for one time slice.
+                x: np.ndarray, u: np.ndarray, t: float, mu, dt: float):
+    """Probability rows, charges and costs for one time slice, every control at once.
 
+    ``x`` and ``u`` hold B = nU * n_nodes rows, nodes tiled and atoms
+    repeated, so row ui * n_nodes + i is control ui at node i.  An axis
+    neighbour +-e_j gets slack_j / 2 + hx b^-+_j, where slack_j is a_jj less
+    |a_01| (d = 2) and a_00 (d = 1); a corner gets max(+-a_01, 0) / 2.
     Returns (probs (nU, n_nodes, n_st), charge, f, substeps, trunc_mass).
     """
-    atoms = ms.control_grid()
-    n_nodes, d = nodes.shape
-    hx = grid.hx
-    n_st = geo.idx.shape[1]
-    coeff = np.zeros((atoms.shape[0], n_nodes, n_st))
-    fvals = np.empty((atoms.shape[0], n_nodes))
-    hval = np.asarray(ms.boundary_cost(t, nodes, mu), dtype=float)
-    worst = 0.0
-    for ui, atom in enumerate(atoms):
-        u = np.broadcast_to(atom, (n_nodes, atoms.shape[1]))
-        if penalty is not None:
-            b = model_mod.penalized_drift(ms, penalty, t, nodes, mu, u)
-            fvals[ui] = penalized_running_cost(ms, penalty, t, nodes, mu, u)
-        else:
-            b = np.asarray(ms.drift(t, nodes, mu, u), dtype=float)
-            fvals[ui] = np.asarray(ms.running_cost(t, nodes, mu, u), dtype=float)
-        sig = np.asarray(ms.diffusion(t, nodes, mu, u), dtype=float)
-        a = np.einsum("bim,bjm->bij", sig, sig)
-        bp = np.maximum(b, 0.0)
-        bm = np.maximum(-b, 0.0)
-        if d == 1:
-            a00 = a[:, 0, 0]
-            coeff[ui, :, 1] = a00 / 2.0 + hx * bm[:, 0]
-            coeff[ui, :, 2] = a00 / 2.0 + hx * bp[:, 0]
-        else:
-            cross = a[:, 0, 1]
-            slack0 = a[:, 0, 0] - np.abs(cross)
-            slack1 = a[:, 1, 1] - np.abs(cross)
-            bad = np.minimum(slack0, slack1)
-            if np.min(bad) < -PROB_TOL * max(1.0, float(np.max(np.abs(a)))):
-                node = int(np.argmin(bad))
-                raise GridError(
-                    "covariance is not diagonally dominant at node "
-                    f"{nodes[node]} (control {atom}): |a01|={abs(cross[node]):g}"
-                    f" exceeds a00={a[node, 0, 0]:g} or a11={a[node, 1, 1]:g};"
-                    " the upwind stencil cannot produce probabilities"
-                )
-            coeff[ui, :, 1] = slack0 / 2.0 + hx * bm[:, 0]
-            coeff[ui, :, 2] = slack0 / 2.0 + hx * bp[:, 0]
-            coeff[ui, :, 3] = slack1 / 2.0 + hx * bm[:, 1]
-            coeff[ui, :, 4] = slack1 / 2.0 + hx * bp[:, 1]
-            coeff[ui, :, 5] = np.maximum(cross, 0.0) / 2.0
-            coeff[ui, :, 6] = np.maximum(cross, 0.0) / 2.0
-            coeff[ui, :, 7] = np.maximum(-cross, 0.0) / 2.0
-            coeff[ui, :, 8] = np.maximum(-cross, 0.0) / 2.0
-        worst = max(worst, float(np.max(coeff[ui].sum(axis=1))))
+    n_nodes, d, hx = geo.idx.shape[0], x.shape[1], grid.hx
+    n_u = len(x) // n_nodes
+    if penalty is None:
+        b = np.asarray(ms.drift(t, x, mu, u), dtype=float)
+        f = np.asarray(ms.running_cost(t, x, mu, u), dtype=float)
+        h = np.asarray(ms.boundary_cost(t, x[:n_nodes], mu), dtype=float)
+    else:  # the padded box charges nothing: the boundary cost enters f only
+        b = model_mod.penalized_drift(ms, penalty, t, x, mu, u)
+        f = np.asarray(penalized_running_cost(ms, penalty, t, x, mu, u), dtype=float)
+        h = 0.0
+    sig = np.asarray(ms.diffusion(t, x, mu, u), dtype=float)
+    a = np.einsum("bim,bjm->bij", sig, sig)
+    cross = a[:, 0, 1] if d == 2 else np.zeros(len(a))
+    slack = np.diagonal(a, axis1=1, axis2=2) - np.abs(cross)[:, None]
+    bad = np.min(slack, axis=1).reshape(n_u, n_nodes)
+    scale = np.maximum(1.0, np.max(np.abs(a).reshape(n_u, -1), axis=1))
+    failing = np.flatnonzero(np.min(bad, axis=1) < -PROB_TOL * scale)
+    if failing.size:
+        r = failing[0] * n_nodes + int(np.argmin(bad[failing[0]]))
+        raise GridError(
+            "covariance is not diagonally dominant at node "
+            f"{x[r]} (control {u[r]}): |a01|={abs(cross[r]):g}"
+            f" exceeds a00={a[r, 0, 0]:g} or a11={a[r, 1, 1]:g};"
+            " the upwind stencil cannot produce probabilities"
+        )
+    coeff = np.zeros((len(x), geo.idx.shape[1]))
+    for s, off in enumerate(_stencil_offsets(d).tolist()):
+        axes = [j for j in range(d) if off[j]]
+        if len(axes) == 1:
+            j = axes[0]
+            coeff[:, s] = slack[:, j] / 2.0 + hx * np.maximum(off[j] * b[:, j], 0.0)
+        elif len(axes) == 2:
+            coeff[:, s] = np.maximum(off[0] * off[1] * cross, 0.0) / 2.0
+    worst = float(np.max(coeff.sum(axis=1)))
     substeps = max(1, int(np.ceil(worst * dt / hx**2 - PROB_TOL)))
     if substeps > MAX_SUBSTEPS:
         raise GridError(
@@ -328,15 +321,14 @@ def _slice_rows(ms: ModelSpec, penalty, grid: DPGrid, geo: _Geometry,
             "diffusion this strong; enlarge hx or reduce dt"
         )
     dts = dt / substeps
-    probs = coeff * (dts / hx**2)
+    probs = coeff.reshape(n_u, n_nodes, -1) * (dts / hx**2)
     probs[:, :, 0] = 1.0 - probs[:, :, 1:].sum(axis=2)
     if np.min(probs[:, :, 0]) < -PROB_TOL:
         raise GridError("internal: stay probability negative after substepping")
     np.clip(probs[:, :, 0], 0.0, None, out=probs[:, :, 0])
-    disp_norm = np.linalg.norm(geo.charged_disp, axis=2)
-    charge = np.einsum("uns,ns->un", probs, disp_norm) * hval[None, :]
-    trunc = float(np.max(np.einsum("uns,ns->un", probs, geo.truncated * 1.0)))
-    return probs, charge, fvals, substeps, trunc
+    charge = np.einsum("uns,ns->un", probs, geo.charged_len) * h
+    trunc = float(np.max(np.einsum("uns,ns->un", probs, geo.truncated)))
+    return probs, charge, f.reshape(n_u, n_nodes), substeps, trunc
 
 
 def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
@@ -361,11 +353,16 @@ def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
                 "domain or use penalized mode"
             )
     geo = _build_geometry(grid, ms.dom, penalized=penalty is not None)
+    atoms = ms.control_grid()
+    # every control at every node, read-only since each slice hands them out again
+    x = np.tile(nodes, (len(atoms), 1))
+    u = np.repeat(atoms, len(nodes), axis=0)
+    x.flags.writeable = u.flags.writeable = False
     probs, charges, costs, subs = [], [], [], []
     worst_trunc = 0.0
     for k in range(flow.n_steps):
         p, c, f, s, tr = _slice_rows(
-            ms, penalty, grid, geo, nodes, float(flow.times[k]),
+            ms, penalty, grid, geo, x, u, float(flow.times[k]),
             flow.frames[k], flow.dt,
         )
         probs.append(p)
@@ -393,8 +390,8 @@ class ValueField:
 
     ``V`` has shape (M+1, n_nodes); ``argmin`` (M, n_nodes) holds the
     minimizing control index per slice (ties to the lowest index), and
-    ``runner_gap`` the value handicap of the second-best control, zero when
-    only one control exists.
+    ``runner_up`` the second-best one (the argmin itself when only one
+    control exists).
     """
 
     grid: DPGrid
@@ -402,7 +399,6 @@ class ValueField:
     V: np.ndarray
     argmin: np.ndarray
     runner_up: np.ndarray
-    runner_gap: np.ndarray
 
     def value_at(self, t_index: int, x: np.ndarray) -> np.ndarray:
         return self.V[t_index][self.grid.nearest_node(x)]
@@ -433,11 +429,9 @@ def solve_dp(chain: TransitionModel, flow: MeasureFlow):
         raise ConfigError("chain and flow time grids do not match")
     m = chain.n_slices
     n_nodes = chain.grid.n_nodes
-    n_u = chain.probs[0].shape[0]
     v_all = np.empty((m + 1, n_nodes))
     arg = np.empty((m, n_nodes), dtype=np.int64)
     arg2 = np.empty((m, n_nodes), dtype=np.int64)
-    gap = np.zeros((m, n_nodes))
     v_all[m] = chain.terminal
     v = chain.terminal
     dt = chain.dt
@@ -446,17 +440,11 @@ def solve_dp(chain: TransitionModel, flow: MeasureFlow):
         best = np.argmin(q, axis=0)
         arg[k] = best
         v = q[best, np.arange(n_nodes)]
-        if n_u > 1:
-            masked = q.copy()
-            masked[best, np.arange(n_nodes)] = np.inf
-            second = np.argmin(masked, axis=0)
-            arg2[k] = second
-            gap[k] = masked[second, np.arange(n_nodes)] - v
-        else:
-            arg2[k] = best
+        q[best, np.arange(n_nodes)] = np.inf  # one control: the runner-up is the argmin
+        arg2[k] = np.argmin(q, axis=0)
         v_all[k] = v
     field = ValueField(grid=chain.grid, times=chain.times, V=v_all,
-                       argmin=arg, runner_up=arg2, runner_gap=gap)
+                       argmin=arg, runner_up=arg2)
     return field, feedback_law(field)
 
 

@@ -11,6 +11,11 @@ callbacks are vectorized over a particle batch:
     terminal_cost(x, mu)      (B, d) -> (B,)
     initial_law(n, rng)             -> (n, d) samples inside the domain
 
+The callbacks are row-wise: output row i depends only on input row i (of
+``x`` and ``u``), ``t`` and ``mu``.  Callers may therefore stack unrelated
+states and controls into one batch; the DP chain evaluates every control at
+every grid node in a single call per time slice.
+
 ``mu`` is an :class:`~penmfg.measures.EmpiricalMeasure`; coefficients read a
 finite summary from it (``mu.mean``, ``mu.second_moment``, or the samples).
 

@@ -226,6 +226,40 @@ def test_mistyped_override_names_the_override(tmp_path, capsys):
         "error: override 'sim.dt=abc': sim.dt expected float, got 'abc'\n"
 
 
+def test_out_flag_keeps_a_hash_sign(tmp_path):
+    """A '#' in a flag value is part of the value, not a comment."""
+    out = tmp_path / "o#2"
+    assert run_cli("diagnose", "--config", write_cfg(tmp_path), "--out", str(out)) == 0
+    assert (out / "report.txt").exists()
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_lists_no_overridden_key_as_a_default(tmp_path):
+    cfg = write_cfg(tmp_path, BASE.replace("max_iters = 6\n", ""))
+    out = tmp_path / "x"
+    assert run_cli("diagnose", "--config", cfg, "--out", str(out),
+                   "--override", "fixed_point.max_iters=3") == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    defaults = lines[lines.index("defaults applied:") + 1:lines.index(
+        "domain box  dim 1")]
+    assert "  fixed_point.tol_exploit = 0.05" in defaults
+    assert not [entry for entry in defaults
+                if entry.startswith(("  fixed_point.max_iters", "  run.out"))]
+
+
+def test_override_errors_name_the_override_not_a_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                   "--override", "sim.penalty=-2",
+                   "--override", "sim.scheme=penalized_splitting") == 1
+    assert capsys.readouterr().err == \
+        "error: override 'sim.penalty=-2': [sim] penalty must be an integer >= 1\n"
+    assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+                   "--seed", "-3") == 1
+    assert capsys.readouterr().err == \
+        "error: override 'run.seed=-3': seed must be nonnegative\n"
+
+
 def test_dp_without_grid_section_fails_cleanly(tmp_path, capsys):
     text = BASE.replace("[dp]\nhx = 0.05\n\n", "")
     cfg = write_cfg(tmp_path, text)

@@ -227,6 +227,22 @@ def test_overrides_patch_and_revalidate():
         apply_overrides(cfg, ["sim.penalty=-2"])
 
 
+def test_overrides_are_validated_in_place():
+    """No round trip through the canonical text: values keep a '#', patched
+    keys leave the defaults log, and errors name the override."""
+    cfg = parse_config(MINIMAL)
+    patched = apply_overrides(cfg, ["run.out=runs/o#2", "fixed_point.max_iters=3"])
+    assert patched.out == "runs/o#2" and patched.fixed_point["max_iters"] == 3
+    assert "fixed_point.max_iters = 30" in cfg.defaults_applied
+    assert patched.defaults_applied == tuple(
+        entry for entry in cfg.defaults_applied
+        if not entry.startswith(("run.out", "fixed_point.max_iters")))
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(parse_config(FULL), ["sim.penalty=-2"])
+    assert err.value.line is None
+    assert str(err.value).startswith("override 'sim.penalty=-2': [sim] ")
+
+
 def test_hash_tracks_content():
     cfg = parse_config(FULL)
     other = apply_overrides(cfg, ["sim.penalty=64"])

@@ -1,11 +1,14 @@
 """Control law tests: index contract, sampling, chattering allocation."""
 
+from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from penmfg import controls, domain, measures, model, rng
+from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.controls import (
     RelaxedFeedback,
     StrictFeedback,
@@ -16,6 +19,9 @@ from penmfg.controls import (
 )
 from penmfg.errors import ContractViolationError, PenmfgError
 from penmfg.measures import TimedControlMeasure
+from penmfg.simulate import simulate
+
+CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
 
 RNG = np.random.default_rng(11)
 
@@ -148,7 +154,8 @@ def test_sample_rows_matches_cumsum_reference(n_u):
     idx, weights = sample_control(LQ, law, 0.0, np.zeros((len(w), 1)),
                                   rng.stream(6, rng.CONTROL, 2))
     np.testing.assert_array_equal(idx, want)
-    np.testing.assert_array_equal(weights, w)
+    # the weights handed out are the rows divided by their running-sum totals
+    np.testing.assert_array_equal(weights, w / sums[-1][:, None])
 
 
 @pytest.mark.parametrize("n_u", [1, 3])
@@ -161,6 +168,25 @@ def test_row_sum_off_by_1e8_still_breaks_the_contract(n_u):
     w[2] = 1.0 / n_u * (1.0 - 1e-8)
     with pytest.raises(ContractViolationError):
         sample_control(LQ, law, 0.0, np.zeros((4, 1)), RNG)
+
+
+def test_near_probability_rows_are_normalized_for_every_reader():
+    """Rows within 1e-9 of one pass the law's contract; the realized control
+    measure, which demands 1e-12, must accept the run they drive."""
+    cfg = parse_config_file(CONFIGS / "lq_box_chatter.cfg")
+    ms = build_model(cfg)
+    law = RelaxedFeedback(lambda t, x: np.tile([0.2, 0.3, 0.5 + 1e-10], (len(x), 1)),
+                          ms.control_grid())
+    paths, _ = simulate(ms, replace(build_sim(cfg), n_particles=40), law)
+    q = controls.realized_control_measure(paths)
+    assert np.max(np.abs(q.weights.sum(axis=1) - 1.0)) <= 1e-15
+    w = controls.relaxed_weights(law, 0.0, paths.X[0])
+    np.testing.assert_array_equal(w, np.tile([0.2, 0.3, 0.5 + 1e-10], (40, 1))
+                                  / (0.2 + 0.3 + (0.5 + 1e-10)))
+    exact = RelaxedFeedback(lambda t, x: np.tile([0.25, 0.25, 0.5], (len(x), 1)),
+                            ms.control_grid())
+    assert controls.relaxed_weights(exact, 0.0, paths.X[0]).tobytes() == \
+        np.tile([0.25, 0.25, 0.5], (40, 1)).tobytes()
 
 
 # ---------------------------------------------------------------- chattering

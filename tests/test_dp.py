@@ -1,12 +1,14 @@
 """Markov-chain DP: grid, stencil consistency, recursion laws, exploitability."""
 
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from penmfg import domain, model
+from penmfg.config import build_model, parse_config_file
 from penmfg.controls import (
     StrictFeedback,
     chattered_indices,
@@ -17,7 +19,9 @@ from penmfg.controls import (
 from penmfg.dp import (
     DPGrid,
     ExploitabilityReport,
+    _face_is_boundary,
     _probe_weights,
+    _stencil_offsets,
     build_chain,
     chattered_probe,
     exploitability,
@@ -292,6 +296,162 @@ def test_consistency_residual_shrinks_linearly_in_hx():
     assert errs[0.025] <= 0.7 * errs[0.05]
 
 
+# ------------------------------------------------ chain assembly reference
+
+
+def reference_geometry(grid, dom, penalized):
+    """Per (node, stencil cell): redirect target, charged step length, truncation."""
+    offsets = _stencil_offsets(grid.dim)
+    multi = np.stack(np.unravel_index(np.arange(grid.n_nodes), grid.shape), axis=1)
+    shape = np.asarray(grid.shape)
+    idx = np.empty((grid.n_nodes, len(offsets)), dtype=np.int64)
+    disp = np.zeros((grid.n_nodes, len(offsets), grid.dim))
+    trunc = np.zeros((grid.n_nodes, len(offsets)), dtype=bool)
+    for s, off in enumerate(offsets):
+        tgt = multi + off
+        clipped = np.clip(tgt, 0, shape - 1)
+        idx[:, s] = np.ravel_multi_index(tuple(clipped.T), grid.shape)
+        over = tgt - clipped
+        for ax in range(grid.dim):
+            for side, hit in ((-1, over[:, ax] < 0), (1, over[:, ax] > 0)):
+                if not penalized and _face_is_boundary(grid, dom, ax, side):
+                    disp[hit, s, ax] = side * grid.hx
+                else:
+                    trunc[:, s] |= hit
+    return idx, np.linalg.norm(disp, axis=2), trunc * 1.0
+
+
+def reference_slice(ms, penalty, hx, disp_norm, trunc_mask, nodes, t, mu, dt):
+    """One slice assembled control by control, with hand-written stencil columns."""
+    atoms = ms.control_grid()
+    n_nodes, d = nodes.shape
+    coeff = np.zeros((atoms.shape[0], n_nodes, disp_norm.shape[1]))
+    fvals = np.empty((atoms.shape[0], n_nodes))
+    hval = np.asarray(ms.boundary_cost(t, nodes, mu), dtype=float)
+    worst = 0.0
+    for ui, atom in enumerate(atoms):
+        u = np.broadcast_to(atom, (n_nodes, atoms.shape[1]))
+        if penalty is not None:
+            b = model.penalized_drift(ms, penalty, t, nodes, mu, u)
+            fvals[ui] = model.penalized_running_cost(ms, penalty, t, nodes, mu, u)
+        else:
+            b = np.asarray(ms.drift(t, nodes, mu, u), dtype=float)
+            fvals[ui] = np.asarray(ms.running_cost(t, nodes, mu, u), dtype=float)
+        sig = np.asarray(ms.diffusion(t, nodes, mu, u), dtype=float)
+        a = np.einsum("bim,bjm->bij", sig, sig)
+        bp = np.maximum(b, 0.0)
+        bm = np.maximum(-b, 0.0)
+        if d == 1:
+            coeff[ui, :, 1] = a[:, 0, 0] / 2.0 + hx * bm[:, 0]
+            coeff[ui, :, 2] = a[:, 0, 0] / 2.0 + hx * bp[:, 0]
+        else:
+            cross = a[:, 0, 1]
+            slack0 = a[:, 0, 0] - np.abs(cross)
+            slack1 = a[:, 1, 1] - np.abs(cross)
+            assert np.min(np.minimum(slack0, slack1)) >= 0.0
+            coeff[ui, :, 1] = slack0 / 2.0 + hx * bm[:, 0]
+            coeff[ui, :, 2] = slack0 / 2.0 + hx * bp[:, 0]
+            coeff[ui, :, 3] = slack1 / 2.0 + hx * bm[:, 1]
+            coeff[ui, :, 4] = slack1 / 2.0 + hx * bp[:, 1]
+            coeff[ui, :, 5] = np.maximum(cross, 0.0) / 2.0
+            coeff[ui, :, 6] = np.maximum(cross, 0.0) / 2.0
+            coeff[ui, :, 7] = np.maximum(-cross, 0.0) / 2.0
+            coeff[ui, :, 8] = np.maximum(-cross, 0.0) / 2.0
+        worst = max(worst, float(np.max(coeff[ui].sum(axis=1))))
+    substeps = max(1, int(np.ceil(worst * dt / hx**2 - 1e-12)))
+    probs = coeff * (dt / substeps / hx**2)
+    probs[:, :, 0] = 1.0 - probs[:, :, 1:].sum(axis=2)
+    np.clip(probs[:, :, 0], 0.0, None, out=probs[:, :, 0])
+    charge = np.einsum("uns,ns->un", probs, disp_norm) * hval[None, :]
+    trunc = float(np.max(np.einsum("uns,ns->un", probs, trunc_mask)))
+    return probs, charge, fvals, substeps, trunc
+
+
+def lq_box_model():
+    cfg = parse_config_file(Path(__file__).parents[1] / "scripts/configs/lq_box.cfg")
+    return build_model(cfg), cfg.sim["dt"], cfg.dp["hx"]
+
+
+def sheared_2d_model():
+    """2-D, nine controls, x- and mu-dependent drift, non-diagonal x-dependent sigma."""
+    side = np.array([-1.0, 0.0, 1.0])
+    atoms = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    def diffusion(t, x, mu, u):
+        sig = np.zeros((x.shape[0], 2, 2))
+        sig[:, 0, 0] = 0.5 + 0.2 * x[:, 1] + 0.05 * u[:, 0]
+        sig[:, 0, 1] = 0.15 * np.cos(x[:, 0]) + t
+        sig[:, 1, 1] = 0.45 + 0.1 * x[:, 0] ** 2
+        return sig
+
+    ms = model.ModelSpec(
+        dim=2, noise_dim=2, horizon=1.0, controls=model.ControlGrid(atoms),
+        drift=lambda t, x, mu, u: u + 0.5 * np.sin(3.0 * x) + 0.3 * (mu.mean - x),
+        diffusion=diffusion,
+        running_cost=lambda t, x, mu, u: (0.5 * np.sum(u**2, axis=1)
+                                          + np.sum((x - mu.mean) ** 2, axis=1)
+                                          + 0.1 * x[:, 0] * u[:, 1]),
+        boundary_cost=lambda t, x, mu: 1.0 + 0.5 * x[:, 0] - 0.2 * x[:, 1] * t,
+        terminal_cost=lambda x, mu: np.sum(x**2, axis=1),
+        initial_law=model._point_law(np.array([0.4, 0.6])),
+        dom=domain.box([0.0, 0.0], [1.0, 1.0]),
+    )
+    return ms, 0.005, 0.05
+
+
+CHAIN_CASES = {
+    "lq_box-penalized": (lq_box_model, 128),
+    "lq_box-reflected": (lq_box_model, None),
+    "sheared2d-penalized": (sheared_2d_model, 64),
+    "sheared2d-reflected": (sheared_2d_model, None),
+}
+
+
+def chain_case(name, slices=4):
+    """Model, penalty, grid (padded when penalized) and a random flow in the domain."""
+    make, penalty = CHAIN_CASES[name]
+    ms, dt, hx = make()
+    grid = DPGrid.for_model(ms, hx)
+    if penalty is not None:
+        grid = pad_for_penalty(grid, ms, dt, penalty)
+    gen = np.random.default_rng(7)
+    states = gen.uniform(0.0, 1.0, size=(slices + 1, 50, ms.dim))
+    return ms, penalty, grid, flow_from_states(np.arange(slices + 1) * dt, states)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_chain_matches_per_control_reference(name):
+    """Every array of the chain equals the control-by-control assembly, bit for bit."""
+    ms, penalty, grid, flow = chain_case(name)
+    chain = build_chain(ms, penalty, flow, grid)
+    idx, disp_norm, trunc_mask = reference_geometry(grid, ms.dom, penalty is not None)
+    np.testing.assert_array_equal(chain.geometry.idx, idx)
+    nodes = grid.nodes()
+    rows = [reference_slice(ms, penalty, grid.hx, disp_norm, trunc_mask, nodes,
+                            float(flow.times[k]), flow.frames[k], flow.dt)
+            for k in range(flow.n_steps)]
+    for k, (probs, charge, f, substeps, _) in enumerate(rows):
+        np.testing.assert_array_equal(chain.probs[k], probs)
+        np.testing.assert_array_equal(chain.charge[k], charge)
+        np.testing.assert_array_equal(chain.run_cost[k], f)
+        assert chain.substeps[k] == substeps
+    assert chain.truncated_mass == max(row[4] for row in rows)
+    assert (chain.truncated_mass > 0.0) == (penalty is not None)
+
+
+@pytest.mark.parametrize("name", list(CHAIN_CASES))
+def test_chain_calls_each_coefficient_once_per_slice(name):
+    ms, penalty, grid, flow = chain_case(name)
+    calls = {}
+    for key in ("drift", "diffusion", "running_cost", "boundary_cost"):
+        def counted(*args, _fn=getattr(ms, key), _key=key):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args)
+        setattr(ms, key, counted)
+    build_chain(ms, penalty, flow, grid)
+    assert calls == dict.fromkeys(calls, flow.n_steps) and len(calls) == 4
+
+
 # ---------------------------------------------------------------- recursion
 
 
@@ -455,7 +615,6 @@ def test_relaxed_probe_mixture_weights():
     assert np.isclose(np.sort(w[0])[-1], 0.9)
     strict_w = relaxed_probe(field, ms, epsilon=0.0).fn(0.0, x)
     assert np.allclose(np.max(strict_w, axis=1), 1.0)
-    assert np.all(field.runner_gap >= 0.0)
     with pytest.raises(ConfigError):
         relaxed_probe(field, ms, epsilon=0.9)
 

@@ -1,5 +1,6 @@
 """Static checks that the imports in src/ and tests/ and the parameters in src/ are used,
-and a run-time check that a shipped study loads none of scipy's heavy subpackages.
+a run-time check that a shipped study loads none of scipy's heavy subpackages,
+and a check that every function the benchmark hooks into still exists.
 
 No linter ships with the project, so this walks each file's syntax tree with
 the standard library's ``ast``.  A name bound by an import counts as used
@@ -20,6 +21,8 @@ shipped config reaches.
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -152,3 +155,20 @@ def test_chatter_run_loads_no_heavy_scipy_subpackage(tmp_path):
     after_import, after_run, code, lps = json.loads(done.stdout.splitlines()[-1])
     assert after_import == [] and after_run == []
     assert code == 0 and lps == 3  # one d_U per switching period, each an LP
+
+
+def test_benchmark_hooks_exist():
+    """Every function the benchmark wraps or patches is still there by name.
+
+    bench/spans.py traces ``(module, function)`` pairs and bench/child.py
+    patches ``penmfg.cli.build_model``; a rename would otherwise surface only
+    in the benchmark's own slow self-check.
+    """
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench/spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooks = [(module, name) for module, name, _, _ in spans.TRACED]
+    assert len(hooks) > 10
+    for module, name in hooks + [("penmfg.cli", "build_model")]:
+        assert callable(getattr(importlib.import_module(module), name, None)), \
+            f"{module}.{name}"

@@ -347,22 +347,33 @@ def _render(value) -> str:
     raise ConfigError(f"cannot render {value!r}")
 
 
+def _line(section: str, key: str, value) -> str:
+    """``key = value``; a string holding '#' would read back cut at it."""
+    if isinstance(value, str) and "#" in value:
+        raise ConfigError(f"{section}.{key} = {value!r} cannot be serialized: "
+                          "the config format reads '#' as a comment")
+    return f"{key} = {_render(value)}"
+
+
 def serialize(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    lines = ["[run]", f"command = {cfg.command}", f"seed = {cfg.seed}",
-             f"out = {cfg.out}", "", "[domain]"]
-    for key in ("kind", *DOMAIN_KINDS[cfg.domain["kind"]]):
-        lines.append(f"{key} = {_render(cfg.domain[key])}")
-    lines += ["", "[model]", f"preset = {cfg.model['preset']}"]
-    for key in sorted(k for k in cfg.model if k != "preset"):
-        lines.append(f"{key} = {_render(cfg.model[key])}")
+    """Canonical text form; parse(serialize(cfg)) == cfg.
+
+    A string value holding '#' has no canonical form and raises ConfigError.
+    """
+    lines = ["[run]", *(_line("run", key, getattr(cfg, key))
+                        for key in ("command", "seed", "out")), "", "[domain]"]
+    lines += [_line("domain", key, cfg.domain[key])
+              for key in ("kind", *DOMAIN_KINDS[cfg.domain["kind"]])]
+    lines += ["", "[model]", _line("model", "preset", cfg.model["preset"])]
+    lines += [_line("model", key, cfg.model[key])
+              for key in sorted(k for k in cfg.model if k != "preset")]
     for section in ("sim", "dp", "fixed_point", "sweep"):
         body = getattr(cfg, section)
         keys = [k for k in _SCHEMA[section] if body.get(k) is not None]
         if not keys:
             continue
         lines += ["", f"[{section}]"]
-        lines += [f"{key} = {_render(body[key])}" for key in keys]
+        lines += [_line(section, key, body[key]) for key in keys]
     return "\n".join(lines) + "\n"
 
 

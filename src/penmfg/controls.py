@@ -197,19 +197,29 @@ def sample_control(ms, law, t: float, x: np.ndarray,
     raise PenmfgError(f"unknown control law {type(law).__name__}")
 
 
+def control_mass(n_u: int, indices: np.ndarray,
+                 weights: Optional[np.ndarray]) -> np.ndarray:
+    """One step's population-averaged control mass over the atoms: the mean
+    of the (B, nU) relaxed weights when given, else of the point masses at
+    the strict indices, counted."""
+    if weights is not None:
+        return weights.mean(axis=0)
+    return np.bincount(indices, minlength=n_u) / indices.size
+
+
 def realized_control_measure(paths) -> TimedControlMeasure:
     """Population-averaged relaxed control measure realized along a bundle.
 
     Strict records count each step's atom indices, which is the mean of
     their point masses bit for bit.  Relaxed records re-evaluate the law's
-    weights at each step's states, one step at a time.
+    weights at each step's states, one step at a time.  A lean run sums the
+    same masses as it steps (``LeanRun.controls``).
     """
     ctrl = paths.ctrl
+    n_u = ctrl.atoms.shape[0]
     if ctrl.law is not None:
-        w = np.stack([relaxed_weights(ctrl.law, t, x).mean(axis=0)
-                      for t, x in zip(paths.times[:-1], paths.X)])
+        w = [control_mass(n_u, None, relaxed_weights(ctrl.law, t, x))
+             for t, x in zip(paths.times[:-1], paths.X)]
     else:
-        n_u = ctrl.atoms.shape[0]
-        w = np.stack([np.bincount(row, minlength=n_u) for row in ctrl.indices])
-        w = w / ctrl.indices.shape[1]
-    return TimedControlMeasure(paths.times, ctrl.atoms, w)
+        w = [control_mass(n_u, row, None) for row in ctrl.indices]
+    return TimedControlMeasure(paths.times, ctrl.atoms, np.stack(w))

@@ -36,7 +36,7 @@ from .controls import RelaxedFeedback, StrictFeedback, chattered_indices, time_c
 from .errors import ConfigError, GridError
 from .measures import EmpiricalMeasure, MeasureFlow, format_float, write_csv_steps
 from .model import ModelSpec, penalized_running_cost, validate_penalty
-from .simulate import SimConfig, evaluate_cost, simulate
+from .simulate import SimConfig, simulate
 
 MAX_SUBSTEPS = 64
 PROB_TOL = 1e-12
@@ -533,9 +533,9 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law, sim: SimConfig,
         if grid is None:
             raise GridError("exploitability needs a best-response field or a DP grid")
         field, _ = solve_dp(build_chain(ms, sim.penalty, flow, grid), flow)
-    paths, _ = simulate(ms, sim, law, frozen_flow=flow)
-    rep = evaluate_cost(ms, paths, flow)
-    dp0 = float(np.mean(field.value_at(0, paths.X[0])))
+    run, _ = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)
+    rep = run.cost
+    dp0 = float(np.mean(field.value_at(0, run.X[0])))
     gap, floor = rep.value - dp0, -3.0 * rep.stderr
     return ExploitabilityReport(gap=max(gap, floor), cost=rep.value,
                                 cost_se=rep.stderr, dp_value=dp0,

@@ -27,14 +27,14 @@ An equilibrium solve and both studies draw each step's noise once for all
 their runs (:func:`~penmfg.rng.shared_noise`): the runs share the seed, so
 they read the same normals.
 
-A study holds one run's path arrays at a time: each run's bundle (X, K,
-|K|, control record) and each returned flow that is not kept is dropped
-once its last reader is done, before the next ``simulate`` allocates.  Peak
-memory is the interpreter, plus the noise block, plus one frozen flow, plus
-one run.  A run is its X, K and |K| plus, for a strict law, its atom
-indices (one byte per particle-step); a relaxed run keeps its law, not its
-(M, N, nU) weights, so the relaxed reference of the strict-approximation
-study is no larger than a chattered run.
+Every run here is lean (``simulate(..., keep_paths=False)``): it stores X,
+which is its returned flow's buffer, and nothing else per particle-step.
+Its cost under the flow it saw and its realized control measure are summed
+as it steps, so no study keeps K, |K| or control indices.  A study holds
+one run at a time: each run and each returned flow that is not kept is
+dropped once its last reader is done, before the next ``simulate``
+allocates.  Peak memory is the interpreter, plus the noise block, plus the
+flows a study still reads, plus one run's X.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import StrictFeedback, realized_control_measure
+from .controls import StrictFeedback
 from .dp import (
     DPGrid,
     ValueField,
@@ -56,10 +56,16 @@ from .dp import (
 )
 from .dp import exploitability as dp_exploitability
 from .errors import ConfigError, PenmfgError
-from .measures import MeasureFlow, d_relaxed, flow_from_states, w2_flow
+from .measures import (
+    MeasureFlow,
+    TimedControlMeasure,
+    d_relaxed,
+    flow_from_states,
+    w2_flow,
+)
 from .model import ModelSpec
 from .rng import SUBSAMPLE, shared_noise, stream
-from .simulate import CostReport, SimConfig, evaluate_cost, simulate
+from .simulate import CostReport, SimConfig, simulate
 
 
 @dataclass(frozen=True)
@@ -174,28 +180,28 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     if grid is not None and penalty is not None:
         grid = pad_for_penalty(grid, ms, cfg.sim.dt, penalty)
     law = _constant_law()
-    paths, flow = simulate(ms, cfg.sim, law)
+    run, flow = simulate(ms, cfg.sim, law, keep_paths=False)
     field_v = None
     residuals = []
     converged = False
     sim_flow = frozen = flow
     for it in range(cfg.max_iters):
-        del paths, sim_flow  # the next run reads only the iterate
+        del run, sim_flow  # the next run reads only the iterate
         frozen = flow
         if n_controls > 1:
             field_v, law = solve_dp(build_chain(ms, penalty, frozen, grid), frozen)
-        paths, sim_flow = simulate(ms, cfg.sim, law, frozen_flow=frozen)
+        run, sim_flow = simulate(ms, cfg.sim, law, frozen_flow=frozen,
+                                 keep_paths=False)
         resid = w2_flow(sim_flow, frozen)
         residuals.append(resid)
         if resid < cfg.tol:
             converged = True
             break
         if it + 1 < cfg.max_iters:  # a last iterate would go unread
-            paths = None  # the mix reads flows only: K and |K| go first
             flow = _mix_flows(frozen, sim_flow,
                               cfg.damping, stream(cfg.sim.seed, SUBSAMPLE, it))
-    cost = evaluate_cost(ms, paths, frozen)
-    del paths, flow  # exploitability runs its own simulate under frozen
+    cost = run.cost  # under frozen, the flow the last run saw
+    del run  # exploitability runs its own simulate under frozen (= flow here)
     exploit = None
     flagged = False
     if grid is not None:
@@ -216,8 +222,10 @@ def residual_noise_floor(ms: ModelSpec, cfg: FixedPointConfig, law,
     differing only in their noise seed; their w2_flow distance is the level
     below which residuals are indistinguishable from Monte Carlo noise.
     """
-    a = simulate(ms, replace(cfg.sim, seed=seeds[0]), law, frozen_flow=flow)[1]
-    b = simulate(ms, replace(cfg.sim, seed=seeds[1]), law, frozen_flow=flow)[1]
+    a = simulate(ms, replace(cfg.sim, seed=seeds[0]), law, frozen_flow=flow,
+                 keep_paths=False)[1]
+    b = simulate(ms, replace(cfg.sim, seed=seeds[1]), law, frozen_flow=flow,
+                 keep_paths=False)[1]
     return w2_flow(a, b)
 
 
@@ -365,19 +373,13 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
         raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls)")
     relaxed = relaxed_probe(base.field, ms, epsilon=epsilon)
     flow = base.flow
-    ref_paths = simulate(ms, cfg.sim, relaxed, frozen_flow=flow)[0]
-    ref_cost = evaluate_cost(ms, ref_paths, flow)
-    q_ref = realized_control_measure(ref_paths)
-    del ref_paths  # before the first chattered run allocates
+    ref_cost, q_ref = _cost_and_controls(ms, cfg.sim, relaxed, flow)
     rows = []
     for delta in deltas:
         penalty = max(1, int(round(n0 / delta)))
         chat = chattered_probe(base.field, ms, float(delta), epsilon=epsilon)
         run_cfg = replace(cfg.sim, scheme="penalized_splitting", penalty=penalty)
-        paths = simulate(ms, run_cfg, chat, frozen_flow=flow)[0]
-        cost = evaluate_cost(ms, paths, flow)
-        q = realized_control_measure(paths)
-        del paths  # before d_relaxed and the next run
+        cost, q = _cost_and_controls(ms, run_cfg, chat, flow)
         diff = cost.per_particle - ref_cost.per_particle
         rows.append(StrictRunRow(
             delta=float(delta), penalty=penalty,
@@ -389,6 +391,13 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     return StrictRunReport(reference_cost=ref_cost.value,
                            reference_cost_se=ref_cost.stderr,
                            rows=rows, base_converged=base.converged)
+
+
+def _cost_and_controls(ms: ModelSpec, sim: SimConfig, law, flow: MeasureFlow
+                       ) -> tuple[CostReport, TimedControlMeasure]:
+    """One lean run under the frozen flow; the run and its X die on return."""
+    run = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)[0]
+    return run.cost, run.controls
 
 
 def coupling_distance(ms: ModelSpec, sim_cfg: SimConfig, law,
@@ -403,7 +412,7 @@ def coupling_distance(ms: ModelSpec, sim_cfg: SimConfig, law,
     def run(p):
         scheme = "reflected_projected" if p is None else "penalized_splitting"
         cfg = replace(sim_cfg, scheme=scheme, penalty=p)
-        return simulate(ms, cfg, law)[0]
+        return simulate(ms, cfg, law, keep_paths=False)[0]
 
     xa = run(penalty_a).X
     xb = run(penalty_b).X

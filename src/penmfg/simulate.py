@@ -10,11 +10,16 @@ Three one-step schemes for the controlled McKean-Vlasov system:
 * ``reflected_projected``: Euler step followed by projection onto the domain
   closure; the discrete reflection term is the projection displacement.
 
-All schemes record the reflection/penalization term K alongside the state,
-and the control realization: atom indices for strict laws (one byte per
-particle-step up to 256 atoms), the law itself for relaxed ones, whose
-mixture weights are a pure function of (t, X) and are re-evaluated by each
-reader instead of stored.  The coefficients see ``atoms[index]``.
+A run comes in one of two forms.  By default it is a :class:`PathBundle`:
+the state X, the reflection/penalization term K, its running total
+variation |K|, and the control realization: atom indices for strict laws
+(one byte per particle-step up to 256 atoms), the law itself for relaxed
+ones, whose mixture weights are a pure function of (t, X) and are
+re-evaluated by each reader instead of stored.  The coefficients see
+``atoms[index]``.  With ``keep_paths=False`` it is a :class:`LeanRun`,
+which stores X and nothing else per particle-step: its cost and realized
+control measure are summed as it steps, bit for bit what `evaluate_cost`
+and `realized_control_measure` read off the full bundle.
 Sign convention: penalized schemes store the *outward* increment
 n(X - proj(X)) dt, matching the integral that defines K^n; the projected
 scheme stores the *inward* displacement proj(Y) - Y applied to the particle.
@@ -28,12 +33,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import RelaxedFeedback, relaxed_weights, sample_control
+from .controls import RelaxedFeedback, control_mass, relaxed_weights, sample_control
 from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
     EmpiricalMeasure,
     MeasureFlow,
+    TimedControlMeasure,
     flow_from_states,
     flow_table,
     format_float,
@@ -90,7 +96,7 @@ class SimConfig:
 
 @dataclass
 class ControlRecord:
-    """Per-step control realization along the simulated paths.
+    """Per-step control realization along a bundle's paths.
 
     ``atoms`` is the (nU, du) control grid of the law.  Exactly one of
     ``indices`` (strict laws: (M, N) atom indices in the smallest unsigned
@@ -105,18 +111,11 @@ class ControlRecord:
 
 
 @dataclass
-class PathBundle:
-    """Simulated particle system with its reflection bookkeeping.
-
-    X, K have shape (M+1, N, d); Kvar is the running total variation |K|,
-    shape (M+1, N), nondecreasing in the time index.  K[0] = 0.
-    """
+class Run:
+    """A simulated run's time grid and states X, shape (M+1, N, d)."""
 
     times: np.ndarray
     X: np.ndarray
-    K: np.ndarray
-    Kvar: np.ndarray
-    ctrl: ControlRecord
     scheme: str
 
     @property
@@ -131,11 +130,37 @@ class PathBundle:
     def dim(self) -> int:
         return self.X.shape[2]
 
+
+@dataclass
+class PathBundle(Run):
+    """A run with its reflection bookkeeping and control record.
+
+    K has the shape of X; Kvar is the running total variation |K|, shape
+    (M+1, N), nondecreasing in the time index.  K[0] = 0.
+    """
+
+    K: np.ndarray
+    Kvar: np.ndarray
+    ctrl: ControlRecord
+
     def outward_k(self) -> np.ndarray:
         """K in the outward (integral) orientation regardless of scheme."""
         if self.scheme == "reflected_projected":
             return -self.K
         return self.K
+
+
+@dataclass
+class LeanRun(Run):
+    """A run that keeps X and what the studies read of it, nothing more.
+
+    ``cost`` is the run's `CostReport` under the flow it saw (the frozen
+    flow, or its own cloud) and ``controls`` its realized
+    `TimedControlMeasure`, both summed while the run stepped.
+    """
+
+    cost: CostReport
+    controls: TimedControlMeasure
 
 
 def step_penalized(ms: ModelSpec, n: int, dt: float, scheme: str, t: float,
@@ -186,8 +211,8 @@ def _n_steps(ms: ModelSpec, dt: float) -> int:
 
 
 def simulate(ms: ModelSpec, cfg: SimConfig, law,
-             frozen_flow: Optional[MeasureFlow] = None):
-    """Run the particle system; returns (PathBundle, MeasureFlow).
+             frozen_flow: Optional[MeasureFlow] = None, keep_paths: bool = True):
+    """Run the particle system; returns (run, MeasureFlow).
 
     The coefficients see the simulated cloud itself, or the frames of
     ``frozen_flow`` when one is passed (it must share the run's time grid).
@@ -196,6 +221,11 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     than the input one.  Noise, initial draws, and control sampling
     come from disjoint counter-based streams of cfg.seed, so runs with equal
     seeds share their randomness across schemes and penalty levels.
+
+    The run is a :class:`PathBundle`, or with ``keep_paths=False`` a
+    :class:`LeanRun` whose X is the returned flow's buffer: no K, |K| or
+    control indices are stored, and each relaxed weight row is evaluated
+    once, by the sampler.
     """
     m_steps = _n_steps(ms, cfg.dt)
     n, d = cfg.n_particles, ms.dim
@@ -210,15 +240,19 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         )
 
     x = np.empty((m_steps + 1, n, d))
-    k = np.zeros((m_steps + 1, n, d))
-    kvar = np.zeros((m_steps + 1, n))
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
 
     # the atoms the law's indices name; strict feedback indexes the model grid
     relaxed = isinstance(law, RelaxedFeedback)
     atoms = (law.atoms if relaxed else ms.control_grid()).copy()
-    indices = None if relaxed else np.empty(
-        (m_steps, n), dtype=np.min_scalar_type(atoms.shape[0] - 1))
+    if keep_paths:
+        k = np.zeros((m_steps + 1, n, d))
+        kvar = np.zeros((m_steps + 1, n))
+        indices = None if relaxed else np.empty(
+            (m_steps, n), dtype=np.min_scalar_type(atoms.shape[0] - 1))
+    else:
+        running, boundary, kv = np.zeros(n), np.zeros(n), np.zeros(n)
+        mass = np.empty((m_steps, atoms.shape[0]))
 
     reflected = cfg.scheme == "reflected_projected"
     for step in range(m_steps):
@@ -226,9 +260,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         xk = x[step]
         mu = EmpiricalMeasure(xk) if frozen_flow is None else frozen_flow.frames[step]
         draws = stream(cfg.seed, CONTROL, step) if relaxed else None
-        idx = sample_control(ms, law, t, xk, draws)[0]
-        if not relaxed:
-            indices[step] = idx
+        idx, w = sample_control(ms, law, t, xk, draws)
         u = atoms[idx]
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
         if reflected:
@@ -241,29 +273,77 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
             bad = ~np.isfinite(x_next).all(axis=-1)
             raise DivergenceError(step + 1, np.flatnonzero(bad))
         x[step + 1] = x_next
-        k[step + 1] = k[step] + dk
-        kvar[step + 1] = kvar[step] + dkvar
+        if keep_paths:
+            if not relaxed:
+                indices[step] = idx
+            k[step + 1] = k[step] + dk
+            kvar[step + 1] = kvar[step] + dkvar
+        else:
+            # (kvar + dkvar) - kvar, not dkvar: the bits of a recorded |K| increment
+            kv_next = kv + dkvar
+            _add_step_cost(ms, running, boundary, t, times[step + 1] - t, xk, mu,
+                           _control_average(ms.running_cost, t, xk, mu, atoms, u, w),
+                           kv_next - kv)
+            kv = kv_next
+            mass[step] = control_mass(atoms.shape[0], idx, w)
 
-    ctrl = ControlRecord(atoms, indices=indices, law=law if relaxed else None)
-    bundle = PathBundle(times=times, X=x, K=k, Kvar=kvar, ctrl=ctrl, scheme=cfg.scheme)
-    return bundle, flow_from_states(times, x)
+    flow = flow_from_states(times, x)
+    if keep_paths:
+        ctrl = ControlRecord(atoms, indices=indices, law=law if relaxed else None)
+        return PathBundle(times=times, X=x, scheme=cfg.scheme, K=k, Kvar=kvar,
+                          ctrl=ctrl), flow
+    seen = flow if frozen_flow is None else frozen_flow
+    cost = _cost_report(ms, running, boundary, x[-1], seen.frames[-1])
+    return LeanRun(times=times, X=x, scheme=cfg.scheme, cost=cost,
+                   controls=TimedControlMeasure(times, atoms, mass)), flow
+
+
+def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure,
+                     atoms: np.ndarray, u: Optional[np.ndarray],
+                     w: Optional[np.ndarray]) -> np.ndarray:
+    """A running-cost-like fn at the controls u, or averaged over the atoms
+    with the relaxed weights w when they are given."""
+    if w is None:
+        return fn(t, x, mu, u)
+    out = np.zeros(x.shape[0])
+    for j in range(atoms.shape[0]):
+        uj = np.broadcast_to(atoms[j], (x.shape[0], atoms.shape[1]))
+        out += w[:, j] * fn(t, x, mu, uj)
+    return out
 
 
 def _stepwise_cost(paths: PathBundle, flow: MeasureFlow, fn: Callable,
                    step: int) -> np.ndarray:
-    """Evaluate a running-cost-like fn at one step, averaging relaxed weights."""
-    t = paths.times[step]
-    xk = paths.X[step]
-    mu = flow.frames[step]
-    ctrl = paths.ctrl
+    """Evaluate a running-cost-like fn at one step of a bundle's record."""
+    t, xk, ctrl = paths.times[step], paths.X[step], paths.ctrl
     if ctrl.law is None:
-        return fn(t, xk, mu, ctrl.atoms[ctrl.indices[step]])
-    w = relaxed_weights(ctrl.law, t, xk)
-    out = np.zeros(paths.n_particles)
-    for j in range(ctrl.atoms.shape[0]):
-        uj = np.broadcast_to(ctrl.atoms[j], (paths.n_particles, ctrl.atoms.shape[1]))
-        out += w[:, j] * fn(t, xk, mu, uj)
-    return out
+        u, w = ctrl.atoms[ctrl.indices[step]], None
+    else:
+        u, w = None, relaxed_weights(ctrl.law, t, xk)
+    return _control_average(fn, t, xk, flow.frames[step], ctrl.atoms, u, w)
+
+
+def _add_step_cost(ms: ModelSpec, running: np.ndarray, boundary: np.ndarray,
+                   t: float, dt: float, x: np.ndarray, mu: EmpiricalMeasure,
+                   f: np.ndarray, dkvar: np.ndarray) -> None:
+    """Charge one step into the per-particle sums: the (control-averaged)
+    running cost f times dt, and h times the boundary measure dkvar."""
+    running += f * dt
+    boundary += ms.boundary_cost(t, x, mu) * dkvar
+
+
+def _cost_report(ms: ModelSpec, running: np.ndarray, boundary: np.ndarray,
+                 x_final: np.ndarray, mu_final: EmpiricalMeasure) -> CostReport:
+    terminal = ms.terminal_cost(x_final, mu_final)
+    total = running + boundary + terminal
+    return CostReport(
+        value=float(np.mean(total)),
+        stderr=float(np.std(total) / np.sqrt(total.size)),
+        running=float(np.mean(running)),
+        boundary=float(np.mean(boundary)),
+        terminal=float(np.mean(terminal)),
+        per_particle=total,
+    )
 
 
 @dataclass
@@ -295,6 +375,8 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     boundary charge is instead the literal penalized running cost
     n*h*dist(X) dt evaluated along the paths; the two versions agree up to
     discretization error and give a cheap cross-check of the K bookkeeping.
+    A lean run sums the unset-``penalty`` version as it steps
+    (``LeanRun.cost``), with the same per-step charge.
     """
     if flow.n_steps != paths.n_steps or not np.allclose(
         flow.times, paths.times, atol=1e-9
@@ -305,25 +387,15 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     boundary = np.zeros(n)
     for step in range(paths.n_steps):
         dt = paths.times[step + 1] - paths.times[step]
-        running += _stepwise_cost(paths, flow, ms.running_cost, step) * dt
-        t = paths.times[step]
         xk = paths.X[step]
-        hval = ms.boundary_cost(t, xk, flow.frames[step])
-        if penalty is not None:
-            excess = xk - ms.dom.project(xk)
-            boundary += penalty * hval * np.linalg.norm(excess, axis=-1) * dt
+        if penalty is not None:  # n dist(X) dt charged in place of |dK|
+            dkvar = penalty * np.linalg.norm(xk - ms.dom.project(xk), axis=-1) * dt
         else:
-            boundary += hval * (paths.Kvar[step + 1] - paths.Kvar[step])
-    terminal = ms.terminal_cost(paths.X[-1], flow.frames[-1])
-    total = running + boundary + terminal
-    return CostReport(
-        value=float(np.mean(total)),
-        stderr=float(np.std(total) / np.sqrt(n)),
-        running=float(np.mean(running)),
-        boundary=float(np.mean(boundary)),
-        terminal=float(np.mean(terminal)),
-        per_particle=total,
-    )
+            dkvar = paths.Kvar[step + 1] - paths.Kvar[step]
+        _add_step_cost(ms, running, boundary, paths.times[step], dt, xk,
+                       flow.frames[step], _stepwise_cost(paths, flow, ms.running_cost, step),
+                       dkvar)
+    return _cost_report(ms, running, boundary, paths.X[-1], flow.frames[-1])
 
 
 @dataclass

@@ -243,6 +243,17 @@ def test_overrides_are_validated_in_place():
     assert str(err.value).startswith("override 'sim.penalty=-2': [sim] ")
 
 
+def test_serialize_refuses_a_value_holding_a_hash_sign():
+    """'#' starts a comment, so such a value has no canonical text; the
+    hash normalizes ``out`` and still works."""
+    cfg = apply_overrides(parse_config(MINIMAL), ["run.out=o#2"])
+    with pytest.raises(ConfigError, match=r"run\.out = 'o#2'"):
+        serialize(cfg)
+    clean = apply_overrides(cfg, ["run.out=o"])
+    assert config_hash(cfg) == config_hash(clean)
+    assert parse_config(serialize(clean)) == clean
+
+
 def test_hash_tracks_content():
     cfg = parse_config(FULL)
     other = apply_overrides(cfg, ["sim.penalty=64"])

@@ -269,19 +269,20 @@ def test_mix_flows_frames_pin_the_particle_major_layout(dim):
 
 
 def test_studies_hold_one_run_at_a_time(monkeypatch):
-    """No run's PathBundle outlives its last reader: when a study calls
-    simulate, every bundle an earlier call returned is already freed, by
-    reference counting alone (gc is off).  Flows a study discards go too:
-    counted over the study's own runs, only the X arrays it still reads are
-    alive.  The strict study's traced peak is its exploitability run, which
-    holds the solve's last flow beside the frozen one: the relaxed
-    reference keeps its law, not an (M, N, nU) weight record.  A solve's
-    flow mix runs with no bundle alive either: it starts, and so peaks, at
-    least the bytes of K and |K| lower than with its run's bundle alive."""
+    """No run outlives its last reader: when a study calls simulate, every
+    run an earlier call returned is already freed, by reference counting
+    alone (gc is off).  Flows a study discards go too: counted over the
+    study's own runs, only the X arrays it still reads are alive.  Every
+    study run is lean: under tracemalloc (the strict study) each run adds
+    its X and a few N-vectors to the live bytes, no K, |K| or control
+    indices (the first run also draws the study's noise block).  The strict
+    study's traced peak is its exploitability run, which holds the solve's
+    last flow beside the frozen one and its own X; the relaxed reference
+    holds only the frozen flow beside its X, and keeps its law, not an
+    (M, N, nU) weight record."""
     refs, calls, study, peaks = [], [], ["solve"], []
-    # traced: the live bytes after the last run and its K and |K| bytes, and
-    # per mix those two plus the live bytes at its entry
-    last_run, mixes, mix_studies = [None], [], []
+    # traced: per run, the growth of the live bytes and its X bytes
+    growth, mix_studies = [], []
 
     def tracked(real):
         def run(*args, **kwargs):
@@ -292,18 +293,17 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
                           sum(b() is not None for _, b, _ in refs),
                           sum(x() is not None for s, _, x in refs
                               if s == study[0])))
+            live = tracemalloc.get_traced_memory()[0]
             out = real(*args, **kwargs)
             if tracemalloc.is_tracing():
-                last_run[0] = (tracemalloc.get_traced_memory()[0],
-                               out[0].K.nbytes + out[0].Kvar.nbytes)
+                growth.append((tracemalloc.get_traced_memory()[0] - live,
+                               out[0].X.nbytes))
             refs.append((study[0], weakref.ref(out[0]), weakref.ref(out[0].X)))
             return out
         return run
 
     def tracked_mix(*args, **kwargs):
         mix_studies.append((study[0], sum(b() is not None for _, b, _ in refs)))
-        if tracemalloc.is_tracing():
-            mixes.append((*last_run[0], tracemalloc.get_traced_memory()[0]))
         return real_mix(*args, **kwargs)
 
     real_mix = equilibrium._mix_flows
@@ -348,15 +348,16 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     assert live_x == {"solve": solve, "strict": solve + [1, 1, 1],
                       "sweep": solve + [1 + x for x in solve] * 2,
                       "floor": [0, 1]}, calls
-    # two mixes per solve (the last iteration does not mix), each with no
-    # bundle alive; under tracemalloc (the strict study's solve) a mix's peak
-    # is its live bytes at entry plus its own growth, and that entry sits at
-    # least K and |K| below the live bytes right after its run
-    assert mix_studies == [(s, 0) for s in ("solve", "strict", "sweep",
+    # two mixes per solve (the last iteration does not mix), each with only
+    # its iteration's run alive, whose X is the flow the mix reads
+    assert mix_studies == [(s, 1) for s in ("solve", "strict", "sweep",
                                             "sweep", "sweep") for _ in range(2)]
-    assert len(mixes) == 2
-    for after_run, k_bytes, live in mixes:
-        assert after_run - live >= k_bytes, mixes
+    # a lean run adds its X, its flow's frame objects and a few N-vectors;
+    # a full bundle's K, |K| and indices would add about 90 N-vectors more
+    noise = 40 * 300 * 8  # the strict study's (M, N, 1) normals
+    assert len(growth) == 8
+    for i, (added, x_bytes) in enumerate(growth):
+        assert added <= x_bytes + (noise if i == 0 else 0) + 16 * 8 * 300, growth
     # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered
     run_peaks = peaks[1:]
     assert len(run_peaks) == 8

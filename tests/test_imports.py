@@ -1,6 +1,7 @@
 """Static checks that the imports in src/ and tests/ and the parameters in src/ are used,
 a run-time check that a shipped study loads none of scipy's heavy subpackages,
-and a check that every function the benchmark hooks into still exists.
+and checks that every function the benchmark hooks into still exists and
+that a traced study makes the calls the benchmark counts on.
 
 No linter ships with the project, so this walks each file's syntax tree with
 the standard library's ``ast``.  A name bound by an import counts as used
@@ -157,6 +158,15 @@ def test_chatter_run_loads_no_heavy_scipy_subpackage(tmp_path):
     assert code == 0 and lps == 3  # one d_U per switching period, each an LP
 
 
+def _bench_module(name: str):
+    """bench/<name>.py loaded by path, without putting bench/ on sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / f"bench/{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_hooks_exist():
     """Every function the benchmark wraps or patches is still there by name.
 
@@ -164,11 +174,28 @@ def test_benchmark_hooks_exist():
     patches ``penmfg.cli.build_model``; a rename would otherwise surface only
     in the benchmark's own slow self-check.
     """
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench/spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    hooks = [(module, name) for module, name, _, _ in spans.TRACED]
+    hooks = [(module, name) for module, name, _, _ in _bench_module("spans").TRACED]
     assert len(hooks) > 10
     for module, name in hooks + [("penmfg.cli", "build_model")]:
         assert callable(getattr(importlib.import_module(module), name, None)), \
             f"{module}.{name}"
+
+
+def test_traced_chatter_keeps_the_benchmark_call_counts(tmp_path):
+    """bench/child.py traced on a 2,000-particle chatter run counts the calls
+    the lq-chatter workload expects for its iterations: a study that skips
+    or adds a simulate, sample_control or solver call fails here, not only
+    in the benchmark's slow self-check."""
+    result = tmp_path / "result.json"
+    cmd = [sys.executable, str(ROOT / "bench/child.py"), "trace", str(tmp_path / "out"),
+           str(result), "--", "chatter",
+           "--config", str(ROOT / "scripts/configs/lq_box_chatter.cfg"),
+           "--override", "sim.n_particles=2000"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run(cmd, env=env, cwd=ROOT, check=True, capture_output=True, timeout=120)
+    traced = json.loads(result.read_text(encoding="utf-8"))
+    assert traced["exit"] == 0
+    iterations = traced["layers"]["equilibrium.iterations"][0]
+    expected = _bench_module("workloads").WORKLOADS["lq-chatter"].calls(iterations)
+    assert {name: traced["calls"].get(name, 0) for name in expected} == expected

@@ -715,3 +715,73 @@ def test_split_write_failures_leave_no_helper_or_part(tmp_path, monkeypatch,
     assert (tmp_path / "t.csv").read_text() == "".join(
         ["t,i,x\n"] + [f"{k},{i},{0.5 * k!r}\n" for k in range(4) for i in range(3)])
     assert len(split_writes) == 3
+
+
+# ------------------------------------------------------------------ lean runs
+
+
+def charged_model(d):
+    """lq_three_controls with a state- and flow-dependent boundary and
+    terminal cost, so every charge of a cost sum reads its frame."""
+    ms = lq_three_controls(d, horizon=0.5, sigma=0.5)
+    return replace(
+        ms,
+        boundary_cost=lambda t, x, mu: 0.7 + x.sum(axis=1) ** 2 + t * mu.mean.sum(),
+        terminal_cost=lambda x, mu: ((x - mu.mean) ** 2).sum(axis=1),
+    )
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["self", "frozen"])
+@pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme,penalty", [
+    ("penalized_explicit", 8), ("penalized_splitting", 8),
+    ("reflected_projected", None),
+])
+def test_lean_run_sums_what_the_bundle_readers_read(scheme, penalty, d,
+                                                    relaxed, frozen):
+    """A lean run's cost and realized control measure are, bit for bit,
+    evaluate_cost and realized_control_measure on the full bundle of the
+    same law, flow and seed."""
+    ms = charged_model(d)
+    cfg = SimConfig(n_particles=96, dt=0.05, scheme=scheme, penalty=penalty,
+                    seed=17)
+    atoms = ms.control_grid()
+    law = (state_mixture(atoms) if relaxed else StrictFeedback(
+        lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, -1] > 0.6)))
+    flow_in = simulate(ms, replace(cfg, seed=18), law)[1] if frozen else None
+    paths, flow = simulate(ms, cfg, law, frozen_flow=flow_in)
+    lean, lean_flow = simulate(ms, cfg, law, frozen_flow=flow_in, keep_paths=False)
+    assert paths.Kvar[-1].max() > 0.0  # the boundary charge is exercised
+    want = evaluate_cost(ms, paths, flow if flow_in is None else flow_in)
+    got = lean.cost
+    for name in ("value", "stderr", "running", "boundary", "terminal"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.per_particle.tobytes() == want.per_particle.tobytes()
+    q_want, q_got = realized_control_measure(paths), lean.controls
+    assert q_got.times.tobytes() == q_want.times.tobytes()
+    assert q_got.atoms.tobytes() == q_want.atoms.tobytes()
+    assert q_got.weights.tobytes() == q_want.weights.tobytes()
+    assert lean.X.tobytes() == paths.X.tobytes()
+    assert lean_flow.frames[3].samples.base is lean.X  # X is the flow's buffer
+    assert (lean.n_particles, lean.n_steps, lean.scheme) == (96, 10, scheme)
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
+def test_lean_run_allocates_x_plus_order_n(relaxed):
+    """At N = 20,000 and M = 100 a lean run's traced peak is its X plus a
+    few N-vectors: no K (the size of X) or |K| (M+1 N-vectors) is kept."""
+    ms = lq_three_controls(1, horizon=1.0)
+    n = 20_000
+    cfg = SimConfig(n_particles=n, dt=0.01, penalty=8, seed=3)
+    law = (state_mixture(ms.control_grid()) if relaxed
+           else StrictFeedback(lambda t, x: np.where(x[:, 0] > 0.4, 2, 0)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run, flow = simulate(ms, cfg, law, keep_paths=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert run.n_steps == 100
+    assert peak <= run.X.nbytes + 32 * 8 * n, (peak - run.X.nbytes) / (8 * n)

@@ -12,7 +12,8 @@ and runs a single command into the output directory:
     chatter      chattered strict controls closing on a relaxed reference
     diagnose     coefficient growth constants and discretization guards
 
-Artifacts are plain CSV / text: paths.csv (about 70 bytes per particle-step,
+Artifacts are plain CSV / text: paths.csv (X, the reflection term K, outward
+for every scheme, and its variation |K|; about 70 bytes per particle-step,
 135 MB for the shipped half_line_bm.cfg), flow.csv, value.csv, sweep.csv,
 report.txt as applicable, plus manifest.txt with the seed, the penmfg,
 Python, numpy and scipy versions, and the config text's sha256.  A CSV float
@@ -136,7 +137,7 @@ def _cmd_dp(cfg: RunConfig, ms, out: Path) -> int:
         raise PenmfgError("the dp command needs [dp] hx")
     if sim.penalty is not None:
         grid = pad_for_penalty(grid, ms, sim.dt, sim.penalty)
-    _, flow = simulate(ms, sim, _constant_law())
+    _, flow = simulate(ms, sim, _constant_law(), keep_paths=False)
     chain = build_chain(ms, sim.penalty, flow, grid)
     field, _ = solve_dp(chain, flow)
     value_to_csv(field, out / "value.csv")

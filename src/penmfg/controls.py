@@ -7,8 +7,10 @@ A control law is one of
 
 A strict control is always one atom of a finite control set, so strict laws
 speak in atom indices: a feedback returns row indices into the model's
-control grid, and the simulation records the indices and hands the
-coefficients ``atoms[index]``.
+control grid, and the simulation hands the coefficients ``atoms[index]``.
+Both kinds of feedback are pure functions of (t, x): a run records the law,
+not its indices or weights, and :func:`read_controls` re-evaluates them at
+the recorded states for every reader.
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
@@ -37,7 +39,10 @@ from .measures import TimedControlMeasure
 
 @dataclass(eq=False)
 class StrictFeedback:
-    """Deterministic feedback: fn(t, x) picks one control grid row per state."""
+    """Deterministic feedback: fn(t, x) picks one control grid row per state.
+
+    ``fn`` must be a pure function of (t, x), which every reader re-evaluates.
+    """
 
     fn: Callable  # (t, (B, d)) -> (B,) int indices into ms.control_grid()
 
@@ -46,8 +51,7 @@ class StrictFeedback:
 class RelaxedFeedback:
     """State-dependent mixture over control atoms: fn(t, x) -> (B, nU).
 
-    ``fn`` must be a pure function of (t, x): a run records the law, not
-    its weights, and every reader re-evaluates ``fn`` on the recorded states.
+    ``fn`` must be a pure function of (t, x), which every reader re-evaluates.
     """
 
     fn: Callable
@@ -207,19 +211,27 @@ def control_mass(n_u: int, indices: np.ndarray,
     return np.bincount(indices, minlength=n_u) / indices.size
 
 
-def realized_control_measure(paths) -> TimedControlMeasure:
+def read_controls(ms, law, t: float, x: np.ndarray):
+    """The controls a run under ``law`` used at states x and time t.
+
+    ``(indices, None)`` for strict feedback, read through `sample_control`
+    with its index contract check; ``(None, weights)`` for a relaxed law,
+    the mixture its controls were drawn from, bit for bit.
+    """
+    if isinstance(law, RelaxedFeedback):
+        return None, relaxed_weights(law, t, x)
+    return sample_control(ms, law, t, x, None)
+
+
+def realized_control_measure(ms, paths) -> TimedControlMeasure:
     """Population-averaged relaxed control measure realized along a bundle.
 
-    Strict records count each step's atom indices, which is the mean of
-    their point masses bit for bit.  Relaxed records re-evaluate the law's
-    weights at each step's states, one step at a time.  A lean run sums the
-    same masses as it steps (``LeanRun.controls``).
+    Each step's controls are re-read at its states (`read_controls`):
+    strict indices are counted, which is the mean of their point masses bit
+    for bit, and relaxed weights averaged.  A lean run sums the same masses
+    as it steps (``LeanRun.controls``).
     """
-    ctrl = paths.ctrl
-    n_u = ctrl.atoms.shape[0]
-    if ctrl.law is not None:
-        w = [control_mass(n_u, None, relaxed_weights(ctrl.law, t, x))
-             for t, x in zip(paths.times[:-1], paths.X)]
-    else:
-        w = [control_mass(n_u, row, None) for row in ctrl.indices]
-    return TimedControlMeasure(paths.times, ctrl.atoms, np.stack(w))
+    n_u = paths.atoms.shape[0]
+    w = [control_mass(n_u, *read_controls(ms, paths.law, t, x))
+         for t, x in zip(paths.times[:-1], paths.X)]
+    return TimedControlMeasure(paths.times, paths.atoms, np.stack(w))

@@ -30,7 +30,7 @@ they read the same normals.
 Every run here is lean (``simulate(..., keep_paths=False)``): it stores X,
 which is its returned flow's buffer, and nothing else per particle-step.
 Its cost under the flow it saw and its realized control measure are summed
-as it steps, so no study keeps K, |K| or control indices.  A study holds
+as it steps, so no study keeps K or |K|.  A study holds
 one run at a time: each run and each returned flow that is not kept is
 dropped once its last reader is done, before the next ``simulate``
 allocates.  Peak memory is the interpreter, plus the noise block, plus the

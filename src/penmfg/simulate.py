@@ -8,32 +8,27 @@ Three one-step schemes for the controlled McKean-Vlasov system:
   x' = -n(x - proj(x)) over one step.  Unconditionally stable in n, so it is
   the default for large penalties.
 * ``reflected_projected``: Euler step followed by projection onto the domain
-  closure; the discrete reflection term is the projection displacement.
+  closure; the discrete reflection term is the excess Y - proj(Y).
 
-A run comes in one of two forms.  By default it is a :class:`PathBundle`:
-the state X, the reflection/penalization term K, its running total
-variation |K|, and the control realization: atom indices for strict laws
-(one byte per particle-step up to 256 atoms), the law itself for relaxed
-ones, whose mixture weights are a pure function of (t, X) and are
-re-evaluated by each reader instead of stored.  The coefficients see
-``atoms[index]``.  With ``keep_paths=False`` it is a :class:`LeanRun`,
+K is outward for every scheme, like the integral n(X - proj(X)) dt that
+defines K^n, so K^n - K = X - X^n on common noise.  A run is by default a
+:class:`PathBundle`: X, K, its running total variation |K|, and the control
+law, whose strict indices or relaxed weights every reader re-evaluates
+(`read_controls`).  With ``keep_paths=False`` it is a :class:`LeanRun`,
 which stores X and nothing else per particle-step: its cost and realized
 control measure are summed as it steps, bit for bit what `evaluate_cost`
 and `realized_control_measure` read off the full bundle.
-Sign convention: penalized schemes store the *outward* increment
-n(X - proj(X)) dt, matching the integral that defines K^n; the projected
-scheme stores the *inward* displacement proj(Y) - Y applied to the particle.
-`martingale_residual` converts to a common orientation internally.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import RelaxedFeedback, control_mass, relaxed_weights, sample_control
+from .controls import RelaxedFeedback, control_mass, read_controls, sample_control
 from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
@@ -95,28 +90,11 @@ class SimConfig:
 
 
 @dataclass
-class ControlRecord:
-    """Per-step control realization along a bundle's paths.
-
-    ``atoms`` is the (nU, du) control grid of the law.  Exactly one of
-    ``indices`` (strict laws: (M, N) atom indices in the smallest unsigned
-    dtype that holds nU - 1) and ``law`` (relaxed laws) is set.  A relaxed
-    run's step-k weights are ``relaxed_weights(law, times[k], X[k])``, the
-    mixture its controls were drawn from, bit for bit.
-    """
-
-    atoms: np.ndarray
-    indices: Optional[np.ndarray] = None
-    law: Optional[RelaxedFeedback] = None
-
-
-@dataclass
 class Run:
     """A simulated run's time grid and states X, shape (M+1, N, d)."""
 
     times: np.ndarray
     X: np.ndarray
-    scheme: str
 
     @property
     def n_steps(self) -> int:
@@ -133,21 +111,17 @@ class Run:
 
 @dataclass
 class PathBundle(Run):
-    """A run with its reflection bookkeeping and control record.
+    """A run with its reflection bookkeeping and control law.
 
     K has the shape of X; Kvar is the running total variation |K|, shape
-    (M+1, N), nondecreasing in the time index.  K[0] = 0.
+    (M+1, N), nondecreasing in the time index.  K[0] = 0.  ``atoms`` is
+    the (nU, du) grid the law's indices name.
     """
 
     K: np.ndarray
     Kvar: np.ndarray
-    ctrl: ControlRecord
-
-    def outward_k(self) -> np.ndarray:
-        """K in the outward (integral) orientation regardless of scheme."""
-        if self.scheme == "reflected_projected":
-            return -self.K
-        return self.K
+    law: object
+    atoms: np.ndarray
 
 
 @dataclass
@@ -163,41 +137,29 @@ class LeanRun(Run):
     controls: TimedControlMeasure
 
 
-def step_penalized(ms: ModelSpec, n: int, dt: float, scheme: str, t: float,
-                   x: np.ndarray, mu: EmpiricalMeasure, u: np.ndarray,
-                   xi: np.ndarray):
-    """One penalized step; returns (x_next, dK, dKvar).
+def scheme_step(ms: ModelSpec, sim: SimConfig, t: float, x: np.ndarray,
+                mu: EmpiricalMeasure, u: np.ndarray, xi: np.ndarray):
+    """One step of ``sim.scheme``; returns (x_next, dK, dKvar).
 
-    dK is the outward penalization increment accumulated over the step.
+    dK is the outward increment: the penalization accumulated over the step,
+    or the excess y - proj(y) of the Euler point y over the domain.  The
+    projected state is proj(y) itself, so it lies in the closure bit for bit.
     """
+    dt = sim.dt
     b = ms.drift(t, x, mu, u)
     noise = np.einsum("bim,bm->bi", ms.diffusion(t, x, mu, u), xi) * np.sqrt(dt)
-    if scheme == "penalized_explicit":
-        dk = (n * dt) * (x - ms.dom.project(x))
+    if sim.scheme == "penalized_explicit":
+        dk = (sim.penalty * dt) * (x - ms.dom.project(x))
         x_next = x + b * dt - dk + noise
-    elif scheme == "penalized_splitting":
+    else:
         y = x + b * dt + noise
         py = ms.dom.project(y)
-        dk = (1.0 - np.exp(-n * dt)) * (y - py)
-        # exact flow of x' = -n(x - proj(x)): proj is constant along the ray
-        x_next = y - dk
-    else:
-        raise ConfigError(f"not a penalized scheme: {scheme!r}")
-    return x_next, dk, row_norm(dk)
-
-
-def step_reflected(ms: ModelSpec, dt: float, t: float, x: np.ndarray,
-                   mu: EmpiricalMeasure, u: np.ndarray, xi: np.ndarray):
-    """One projected Euler step; returns (x_next, dK, dKvar).
-
-    dK is the inward displacement proj(Y) - Y pushing the particle back into
-    the domain; x is assumed to lie in the closure already.
-    """
-    b = ms.drift(t, x, mu, u)
-    noise = np.einsum("bim,bm->bi", ms.diffusion(t, x, mu, u), xi) * np.sqrt(dt)
-    y = x + b * dt + noise
-    x_next = ms.dom.project(y)
-    dk = x_next - y
+        if sim.scheme == "reflected_projected":
+            x_next, dk = py, y - py
+        else:
+            dk = (1.0 - np.exp(-sim.penalty * dt)) * (y - py)
+            # exact flow of x' = -n(x - proj(x)): proj is constant along the ray
+            x_next = y - dk
     return x_next, dk, row_norm(dk)
 
 
@@ -208,6 +170,16 @@ def _n_steps(ms: ModelSpec, dt: float) -> int:
             f"dt={dt!r} does not divide the horizon {ms.horizon!r} evenly"
         )
     return m
+
+
+def _check_grid(flow: MeasureFlow, times: np.ndarray, what: str) -> None:
+    """Refuse a flow whose time grid is not the run's grid ``times``."""
+    m = times.size - 1
+    if flow.n_steps != m or not np.allclose(flow.times, times, atol=1e-9):
+        raise ConfigError(
+            f"{what} grid does not match the run grid ({flow.n_steps} steps of "
+            f"dt={flow.dt!r} vs {m} steps of dt={times[1] - times[0]!r})"
+        )
 
 
 def simulate(ms: ModelSpec, cfg: SimConfig, law,
@@ -223,21 +195,15 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     seeds share their randomness across schemes and penalty levels.
 
     The run is a :class:`PathBundle`, or with ``keep_paths=False`` a
-    :class:`LeanRun` whose X is the returned flow's buffer: no K, |K| or
-    control indices are stored, and each relaxed weight row is evaluated
-    once, by the sampler.
+    :class:`LeanRun` whose X is the returned flow's buffer: no K or |K| is
+    stored, and each relaxed weight row is evaluated once, by the sampler.
     """
     m_steps = _n_steps(ms, cfg.dt)
     n, d = cfg.n_particles, ms.dim
     times = np.arange(m_steps + 1) * cfg.dt
 
-    if frozen_flow is not None and (frozen_flow.n_steps != m_steps or not np.allclose(
-            frozen_flow.times, times, atol=1e-9)):
-        raise ConfigError(
-            "frozen flow grid does not match the simulation grid "
-            f"({frozen_flow.n_steps} steps of dt={frozen_flow.dt!r} vs "
-            f"{m_steps} steps of dt={cfg.dt!r})"
-        )
+    if frozen_flow is not None:
+        _check_grid(frozen_flow, times, "frozen flow")
 
     x = np.empty((m_steps + 1, n, d))
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
@@ -248,13 +214,10 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     if keep_paths:
         k = np.zeros((m_steps + 1, n, d))
         kvar = np.zeros((m_steps + 1, n))
-        indices = None if relaxed else np.empty(
-            (m_steps, n), dtype=np.min_scalar_type(atoms.shape[0] - 1))
     else:
         running, boundary, kv = np.zeros(n), np.zeros(n), np.zeros(n)
         mass = np.empty((m_steps, atoms.shape[0]))
 
-    reflected = cfg.scheme == "reflected_projected"
     for step in range(m_steps):
         t = times[step]
         xk = x[step]
@@ -263,19 +226,12 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         idx, w = sample_control(ms, law, t, xk, draws)
         u = atoms[idx]
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
-        if reflected:
-            x_next, dk, dkvar = step_reflected(ms, cfg.dt, t, xk, mu, u, xi)
-        else:
-            x_next, dk, dkvar = step_penalized(
-                ms, cfg.penalty, cfg.dt, cfg.scheme, t, xk, mu, u, xi
-            )
+        x_next, dk, dkvar = scheme_step(ms, cfg, t, xk, mu, u, xi)
         if not np.isfinite(x_next).all():
             bad = ~np.isfinite(x_next).all(axis=-1)
             raise DivergenceError(step + 1, np.flatnonzero(bad))
         x[step + 1] = x_next
         if keep_paths:
-            if not relaxed:
-                indices[step] = idx
             k[step + 1] = k[step] + dk
             kvar[step + 1] = kvar[step] + dkvar
         else:
@@ -289,12 +245,11 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
 
     flow = flow_from_states(times, x)
     if keep_paths:
-        ctrl = ControlRecord(atoms, indices=indices, law=law if relaxed else None)
-        return PathBundle(times=times, X=x, scheme=cfg.scheme, K=k, Kvar=kvar,
-                          ctrl=ctrl), flow
+        return PathBundle(times=times, X=x, K=k, Kvar=kvar, law=law,
+                          atoms=atoms), flow
     seen = flow if frozen_flow is None else frozen_flow
     cost = _cost_report(ms, running, boundary, x[-1], seen.frames[-1])
-    return LeanRun(times=times, X=x, scheme=cfg.scheme, cost=cost,
+    return LeanRun(times=times, X=x, cost=cost,
                    controls=TimedControlMeasure(times, atoms, mass)), flow
 
 
@@ -312,15 +267,13 @@ def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure
     return out
 
 
-def _stepwise_cost(paths: PathBundle, flow: MeasureFlow, fn: Callable,
-                   step: int) -> np.ndarray:
-    """Evaluate a running-cost-like fn at one step of a bundle's record."""
-    t, xk, ctrl = paths.times[step], paths.X[step], paths.ctrl
-    if ctrl.law is None:
-        u, w = ctrl.atoms[ctrl.indices[step]], None
-    else:
-        u, w = None, relaxed_weights(ctrl.law, t, xk)
-    return _control_average(fn, t, xk, flow.frames[step], ctrl.atoms, u, w)
+def _stepwise_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
+                   fn: Callable, step: int) -> np.ndarray:
+    """Evaluate a running-cost-like fn at one step of a bundle's controls."""
+    t, xk = paths.times[step], paths.X[step]
+    idx, w = read_controls(ms, paths.law, t, xk)
+    u = None if idx is None else paths.atoms[idx]
+    return _control_average(fn, t, xk, flow.frames[step], paths.atoms, u, w)
 
 
 def _add_step_cost(ms: ModelSpec, running: np.ndarray, boundary: np.ndarray,
@@ -378,10 +331,7 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     A lean run sums the unset-``penalty`` version as it steps
     (``LeanRun.cost``), with the same per-step charge.
     """
-    if flow.n_steps != paths.n_steps or not np.allclose(
-        flow.times, paths.times, atol=1e-9
-    ):
-        raise ConfigError("flow grid does not match the path grid")
+    _check_grid(flow, paths.times, "flow")
     n = paths.n_particles
     running = np.zeros(n)
     boundary = np.zeros(n)
@@ -393,7 +343,8 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
         else:
             dkvar = paths.Kvar[step + 1] - paths.Kvar[step]
         _add_step_cost(ms, running, boundary, paths.times[step], dt, xk,
-                       flow.frames[step], _stepwise_cost(paths, flow, ms.running_cost, step),
+                       flow.frames[step],
+                       _stepwise_cost(ms, paths, flow, ms.running_cost, step),
                        dkvar)
     return _cost_report(ms, running, boundary, paths.X[-1], flow.frames[-1])
 
@@ -428,38 +379,32 @@ class MartingaleReport:
 
 def martingale_residual(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
                         phi: SmoothFn) -> MartingaleReport:
-    """Discrete residual of phi(X) - int L phi dt + int Dphi . dK_outward.
+    """Discrete residual of phi(X) - int L phi dt + int Dphi . dK.
 
     Within a step the push moves the state along the chord from the pre-push
-    point y = X_{k+1} + dK_out to X_{k+1}, so int Dphi . dK over the chord is
+    point y = X_{k+1} + dK to X_{k+1}, so int Dphi . dK over the chord is
     phi(y) - phi(X_{k+1}) exactly (gradient theorem; no quadrature error for
     any smooth phi).  An endpoint rule Dphi(X_{k+1}) . dK drops the phi mass
     lost in the push and biases quadratic probes by O(sqrt(dt)) near the
-    boundary.  With K in the outward orientation the same formula is
-    conditionally centered for every scheme: the K term cancels the
+    boundary.  K is outward for every scheme, so the same formula is
+    conditionally centered for all of them: the K term cancels the
     penalization drift in penalized runs and restores the free Euler
     increment in projected runs.  Relaxed controls enter L phi through their
-    weights.
+    weights.  The flow must share the run's time grid.
     """
+    _check_grid(flow, paths.times, "flow")
     n = paths.n_particles
     resid = np.zeros(n)
     per_step = np.empty((paths.n_steps, n))
-    k_out = paths.outward_k()
+    generator = partial(generator_apply, ms, phi)
     for step in range(paths.n_steps):
-        t = paths.times[step]
-        xk = paths.X[step]
-        mu = flow.frames[step]
+        xk, x_next = paths.X[step], paths.X[step + 1]
         dt = paths.times[step + 1] - paths.times[step]
-        lphi = _stepwise_cost(
-            paths, flow,
-            lambda tt, xx, mm, uu: generator_apply(ms, phi, tt, xx, mm, uu),
-            step,
-        )
-        dk = k_out[step + 1] - k_out[step]
+        dk = paths.K[step + 1] - paths.K[step]
         delta = (
-            phi.value(paths.X[step + 1]) - phi.value(xk)
-            - lphi * dt
-            + phi.value(paths.X[step + 1] + dk) - phi.value(paths.X[step + 1])
+            phi.value(x_next) - phi.value(xk)
+            - _stepwise_cost(ms, paths, flow, generator, step) * dt
+            + phi.value(x_next + dk) - phi.value(x_next)
         )
         per_step[step] = delta
         resid += delta

@@ -5,11 +5,11 @@ import sys
 import numpy as np
 import scipy
 
-from penmfg import measures
+from penmfg import cli, measures
 from penmfg.cli import main
 from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.equilibrium import _constant_law
-from penmfg.simulate import simulate
+from penmfg.simulate import LeanRun, simulate
 from test_simulate import (
     assert_no_helper_left,
     reference_flow_csv,
@@ -131,6 +131,22 @@ def test_dp_command_writes_value_table(tmp_path):
     assert lines[0] == "t,x_1,value,u_index"
     assert len(lines) == 1 + (10 + 1) * 21
     assert lines[-1].endswith(",-1")  # terminal slice has no control
+
+
+def test_dp_command_reads_its_flow_off_a_lean_run(tmp_path, monkeypatch):
+    """dp reads only the uncontrolled run's flow, so its run keeps no K or
+    |K| beside X."""
+    runs = []
+
+    def spy(*args, **kwargs):
+        out = simulate(*args, **kwargs)
+        runs.append(out[0])
+        return out
+
+    monkeypatch.setattr(cli, "simulate", spy)
+    cfg = write_cfg(tmp_path)
+    assert run_cli("dp", "--config", cfg, "--out", str(tmp_path / "dp")) == 0
+    assert len(runs) == 1 and isinstance(runs[0], LeanRun)
 
 
 def test_equilibrium_exit_codes(tmp_path):

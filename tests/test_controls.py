@@ -39,10 +39,17 @@ def chatter(q, delta):
     return chattered_indices(q.times, q.weights, delta)
 
 
-def fake_bundle(times, *, atoms, indices=None, law=None, X=None):
-    ctrl = SimpleNamespace(indices=indices, law=law,
-                           atoms=np.asarray(atoms, float).reshape(len(atoms), -1))
-    return SimpleNamespace(times=np.asarray(times, float), ctrl=ctrl, X=X)
+def fake_run(times, *, atoms, n, indices=None, law=None):
+    """(ms, bundle): a bundle of n particles at zero under ``law``, or under
+    the strict law that reads the (steps, n) ``indices`` table by time cell,
+    and a model whose control grid is ``atoms``."""
+    times = np.asarray(times, float)
+    atoms = np.asarray(atoms, float).reshape(len(atoms), -1)
+    if law is None:
+        law = StrictFeedback(lambda t, x: indices[time_cell(times, t)])
+    bundle = SimpleNamespace(times=times, X=np.zeros((times.size, n, 1)),
+                             law=law, atoms=atoms)
+    return SimpleNamespace(control_grid=lambda: atoms), bundle
 
 
 # ------------------------------------------------------------------ sampling
@@ -178,7 +185,7 @@ def test_near_probability_rows_are_normalized_for_every_reader():
     law = RelaxedFeedback(lambda t, x: np.tile([0.2, 0.3, 0.5 + 1e-10], (len(x), 1)),
                           ms.control_grid())
     paths, _ = simulate(ms, replace(build_sim(cfg), n_particles=40), law)
-    q = controls.realized_control_measure(paths)
+    q = controls.realized_control_measure(ms, paths)
     assert np.max(np.abs(q.weights.sum(axis=1) - 1.0)) <= 1e-15
     w = controls.relaxed_weights(law, 0.0, paths.X[0])
     np.testing.assert_array_equal(w, np.tile([0.2, 0.3, 0.5 + 1e-10], (40, 1))
@@ -282,9 +289,9 @@ def test_largest_remainder_exact_quotas():
 
 def test_realized_control_measure_from_strict_bundle():
     times = np.array([0.0, 0.5, 1.0])
-    idx = np.array([[1] * 4, [0, 0, 1, 1]], dtype=np.uint8)  # as simulate records
-    b = fake_bundle(times, indices=idx, atoms=[-1.0, 1.0])
-    q = controls.realized_control_measure(b)
+    idx = np.array([[1] * 4, [0, 0, 1, 1]])
+    q = controls.realized_control_measure(
+        *fake_run(times, indices=idx, atoms=[-1.0, 1.0], n=4))
     np.testing.assert_allclose(q.weights, [[0.0, 1.0], [0.5, 0.5]])
 
 
@@ -299,12 +306,11 @@ def test_realized_control_measure_counts_equal_one_hot_mean():
     atoms = np.linspace(-1.0, 1.0, n_u)
     times = np.linspace(0.0, 1.0, steps + 1)
     from_counts = controls.realized_control_measure(
-        fake_bundle(times, indices=idx, atoms=atoms)).weights
+        *fake_run(times, indices=idx, atoms=atoms, n=n)).weights
     # the same one-hot mixtures as a relaxed law, re-evaluated step by step
     law = RelaxedFeedback(lambda t, x: one_hot[time_cell(times, t)], atoms)
     from_weights = controls.realized_control_measure(
-        fake_bundle(times, law=law, atoms=atoms,
-                    X=np.zeros((steps + 1, n, 1)))).weights
+        *fake_run(times, law=law, atoms=atoms, n=n)).weights
     assert from_counts[2, 3] == 0.0
     assert from_counts.tobytes() == one_hot.mean(axis=1).tobytes()
     assert from_counts.tobytes() == from_weights.tobytes()

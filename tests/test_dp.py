@@ -13,6 +13,7 @@ from penmfg.controls import (
     StrictFeedback,
     chattered_indices,
     largest_remainder_counts,
+    read_controls,
     relaxed_weights,
     sample_control,
 )
@@ -708,12 +709,13 @@ def test_chattered_run_records_table_indices():
                     penalty=10, seed=3)
     paths, _ = simulate(ms, cfg, chattered_probe(field, ms, 0.2, epsilon=0.25),
                         frozen_flow=flow)
-    rec = paths.ctrl.indices
-    assert paths.ctrl.law is None and rec.shape == (40, 64) and rec.dtype == np.uint8
+    rec = np.stack([read_controls(ms, paths.law, t, x)[0]
+                    for t, x in zip(paths.times[:-1], paths.X)])
+    assert rec.shape == (40, 64)
     assert sum(np.unique(row).size > 1 for row in rec) >= 10  # particles differ
     for k in range(flow.n_steps):
         np.testing.assert_array_equal(rec[k], table[k][grid.nearest_node(paths.X[k])])
-    np.testing.assert_array_equal(paths.ctrl.atoms, ms.control_grid())
+    np.testing.assert_array_equal(paths.atoms, ms.control_grid())
 
 
 def test_chain_flow_mismatch_raises():

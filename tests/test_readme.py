@@ -1,0 +1,32 @@
+"""README's fenced Python runs as written and prints the numbers it shows."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs_and_prints_its_comment():
+    """Each ``print(...)  # a  b`` line of a fenced block prints a and b to
+    their shown decimals, so a renamed API or a moved number fails here
+    instead of leaving the README stale."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"),
+                        re.S)
+    assert blocks
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, str(README), "exec"), {})
+        shown = [line.split("#", 1)[1].split() for line in block.splitlines()
+                 if line.startswith("print(") and "#" in line]
+        printed = [line.split() for line in out.getvalue().splitlines()]
+        assert len(printed) == len(shown)
+        for got, want in zip(printed, shown):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                decimals = len(w.partition(".")[2])
+                assert float(g) == pytest.approx(float(w), abs=0.5 * 10.0**-decimals)

@@ -14,6 +14,7 @@ from penmfg import simulate as simulate_mod
 from penmfg.controls import (
     RelaxedFeedback,
     StrictFeedback,
+    read_controls,
     realized_control_measure,
     sample_control,
 )
@@ -33,9 +34,8 @@ from penmfg.simulate import (
     martingale_residual,
     moment_summary,
     paths_to_csv,
+    scheme_step,
     simulate,
-    step_penalized,
-    step_reflected,
 )
 
 HALF_LINE = domain.half_space([-1.0], 0.0)  # D = [0, inf)
@@ -85,8 +85,8 @@ def test_splitting_step_halved_excursion():
     mu = EmpiricalMeasure(x)
     u = np.zeros((1, 1))
     xi = np.zeros((1, 1))
-    x_next, dk, dkvar = step_penalized(
-        ms, 1, dt, "penalized_splitting", 0.0, x, mu, u, xi
+    x_next, dk, dkvar = scheme_step(
+        ms, SimConfig(1, dt, "penalized_splitting", 1), 0.0, x, mu, u, xi
     )
     assert x_next[0, 0] == pytest.approx(-0.5, abs=1e-12)
     assert dk[0, 0] == pytest.approx(-0.5, abs=1e-12)
@@ -96,8 +96,8 @@ def test_splitting_step_halved_excursion():
 def test_explicit_step_outward_increment():
     ms = quiet_model()
     x = one([-0.5])
-    x_next, dk, dkvar = step_penalized(
-        ms, 4, 0.1, "penalized_explicit", 0.0, x,
+    x_next, dk, dkvar = scheme_step(
+        ms, SimConfig(1, 0.1, "penalized_explicit", 4), 0.0, x,
         EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1)),
     )
     # dK = n (x - proj x) dt = 0.4 * (-0.5); the state moves against it
@@ -106,15 +106,17 @@ def test_explicit_step_outward_increment():
     assert dkvar[0] == pytest.approx(0.2, abs=1e-14)
 
 
-def test_reflected_step_projects_and_records_inward_push():
+def test_reflected_step_projects_and_records_outward_excess():
     ms = drifted_model(-3.0)
     x = one([0.0])
-    x_next, dk, dkvar = step_reflected(
-        ms, 0.1, 0.0, x, EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1))
+    x_next, dk, dkvar = scheme_step(
+        ms, SimConfig(1, 0.1, "reflected_projected"), 0.0, x,
+        EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1))
     )
-    # Euler proposal -0.3 is projected back to 0; dK is the inward push
+    # Euler proposal -0.3 is projected back to 0; dK = y - proj(y) is outward,
+    # the orientation of the penalized increment n (x - proj x) dt
     assert x_next[0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert dk[0, 0] == pytest.approx(0.3, abs=1e-14)
+    assert dk[0, 0] == pytest.approx(-0.3, abs=1e-14)
     assert dkvar[0] == pytest.approx(0.3, abs=1e-14)
 
 
@@ -122,8 +124,8 @@ def test_explicit_and_splitting_agree_to_second_order():
     ms = quiet_model()
     x = one([-0.1])
     args = (0.0, x, EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1)))
-    xe, _, _ = step_penalized(ms, 1, 0.05, "penalized_explicit", *args)
-    xs, _, _ = step_penalized(ms, 1, 0.05, "penalized_splitting", *args)
+    xe, _, _ = scheme_step(ms, SimConfig(1, 0.05, "penalized_explicit", 1), *args)
+    xs, _, _ = scheme_step(ms, SimConfig(1, 0.05, "penalized_splitting", 1), *args)
     gap = abs(xe[0, 0] - xs[0, 0])
     assert 0.0 < gap < 2.0 * (0.05**2) * 0.1
 
@@ -135,8 +137,8 @@ def test_splitting_bookkeeping_identity():
     x = rng.uniform(-0.5, 1.5, size=(64, 1))
     xi = rng.standard_normal((64, 1))
     dt = 0.02
-    x_next, dk, _ = step_penalized(
-        ms, 128, dt, "penalized_splitting", 0.0, x,
+    x_next, dk, _ = scheme_step(
+        ms, SimConfig(64, dt, "penalized_splitting", 128), 0.0, x,
         EmpiricalMeasure(x), np.zeros((64, 1)), xi,
     )
     y = x + 1.0 * xi * np.sqrt(dt)
@@ -144,6 +146,32 @@ def test_splitting_bookkeeping_identity():
 
 
 # ------------------------------------------------------- full-run invariants
+
+
+def test_penalized_k_converges_to_the_reflected_k():
+    """K^n -> K on reflected BM on the half line under common noise.  Both
+    K are outward and both runs add them back to the same free Euler path,
+    so K^n - K = X - X^n path by path; the L2 sup gap
+    sqrt(E sup_t |K^n_t - K_t|^2) shrinks as n grows (0.445, 0.191, 0.056)."""
+    ms = quiet_model(sigma=1.0)
+    ref, _ = simulate(ms, SimConfig(2000, 1e-3, "reflected_projected", seed=5),
+                      null_law())
+    gaps = []
+    for n in (8, 64, 512):
+        pen, _ = simulate(ms, SimConfig(2000, 1e-3, penalty=n, seed=5), null_law())
+        assert np.abs((pen.K - ref.K) - (ref.X - pen.X)).max() <= 1e-12
+        gaps.append(np.sqrt(np.mean(np.abs(pen.K - ref.K).max(axis=0)[:, 0] ** 2)))
+    assert gaps[0] > gaps[1] > gaps[2], gaps
+
+
+def test_path_readers_refuse_a_flow_on_another_grid():
+    ms = quiet_model(sigma=1.0, x0=0.5)
+    paths, _ = simulate(ms, SimConfig(32, 0.01, penalty=8, seed=3), null_law())
+    _, fine = simulate(ms, SimConfig(32, 0.005, penalty=8, seed=3), null_law())
+    with pytest.raises(ConfigError, match="flow grid does not match the run grid"):
+        evaluate_cost(ms, paths, fine)
+    with pytest.raises(ConfigError, match="flow grid does not match the run grid"):
+        martingale_residual(ms, paths, fine, quadratic_probe(dim=1))
 
 
 def test_simulate_deterministic_in_seed():
@@ -294,9 +322,9 @@ def test_relaxed_law_records_weights_and_averages_running_cost():
     cfg = SimConfig(n_particles=50, dt=0.05, scheme="reflected_projected",
                     seed=4)
     paths, flow = simulate(ms, cfg, law)
-    # the record keeps the law; readers re-evaluate its weights
-    assert paths.ctrl.indices is None and paths.ctrl.law is law
-    assert np.array_equal(paths.ctrl.atoms, law.atoms)
+    # the bundle keeps the law; readers re-evaluate its weights
+    assert paths.law is law
+    assert np.array_equal(paths.atoms, law.atoms)
     rep = evaluate_cost(ms, paths, flow)
     # f = u^2 / 2 averaged under w = (1/2, 1/2) is 1/4, integrated over T = 1
     assert rep.running == pytest.approx(0.25, abs=1e-10)
@@ -371,10 +399,10 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
     phi = quadratic_probe(dim=d)
     new_cost = evaluate_cost(ms, paths, flow)
     new_mart = martingale_residual(ms, paths, flow, phi)
-    q = realized_control_measure(paths)
+    q = realized_control_measure(ms, paths)
 
-    def stored_stepwise_cost(paths, flow, fn, step):  # the weight-record reader
-        xk, atoms = paths.X[step], paths.ctrl.atoms
+    def stored_stepwise_cost(ms, paths, flow, fn, step):  # the weight-record reader
+        xk, atoms = paths.X[step], paths.atoms
         w = tensor[step]
         out = np.zeros(paths.n_particles)
         for j in range(atoms.shape[0]):
@@ -394,13 +422,10 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
     assert new_mart.per_step_se.tobytes() == old_mart.per_step_se.tobytes()
 
 
-def bundle_arrays(paths):
-    """Every array a bundle holds, its control record included."""
-    fields = [*vars(paths).values(), *vars(paths.ctrl).values()]
-    return [a for a in fields if isinstance(a, np.ndarray)]
-
-
 def test_control_records_stay_lean(monkeypatch):
+    """A bundle keeps its law and no per-particle control array: times, X,
+    K, |K| and the atoms are all it holds, and read_controls re-reads the
+    strict indices the sampler returned."""
     ms = lq_three_controls(2)
     atoms = ms.control_grid()
     cfg = SimConfig(n_particles=50, dt=0.05, penalty=8, seed=5)
@@ -408,14 +433,15 @@ def test_control_records_stay_lean(monkeypatch):
     strict = StrictFeedback(lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, 1] > 0.5))
     paths, _ = simulate(ms, cfg, strict)
     monkeypatch.undo()
-    rec, want = paths.ctrl.indices, np.stack([idx for idx, _ in seen])
-    assert want.dtype == np.intp and rec.dtype == np.uint8
-    assert np.array_equal(rec, want) and np.unique(want).size == 3
-    # a relaxed bundle keeps no (particle, atom) array
-    paths, _ = simulate(ms, cfg, state_mixture(atoms))
-    assert paths.ctrl.indices is None
-    for a in bundle_arrays(paths):
-        assert not {50, 3} <= set(a.shape), a.shape
+    want = np.stack([idx for idx, _ in seen])
+    got = np.stack([read_controls(ms, paths.law, t, x)[0]
+                    for t, x in zip(paths.times[:-1], paths.X)])
+    assert np.array_equal(got, want) and np.unique(want).size == 3
+    for law in (strict, state_mixture(atoms)):
+        paths, _ = simulate(ms, cfg, law)
+        assert paths.law is law
+        shapes = [a.shape for a in vars(paths).values() if isinstance(a, np.ndarray)]
+        assert shapes == [(21,), (21, 50, 2), (21, 50, 2), (21, 50), (3, 2)]
 
 
 def test_relaxed_run_peaks_no_higher_than_a_strict_one():
@@ -758,13 +784,13 @@ def test_lean_run_sums_what_the_bundle_readers_read(scheme, penalty, d,
     for name in ("value", "stderr", "running", "boundary", "terminal"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.per_particle.tobytes() == want.per_particle.tobytes()
-    q_want, q_got = realized_control_measure(paths), lean.controls
+    q_want, q_got = realized_control_measure(ms, paths), lean.controls
     assert q_got.times.tobytes() == q_want.times.tobytes()
     assert q_got.atoms.tobytes() == q_want.atoms.tobytes()
     assert q_got.weights.tobytes() == q_want.weights.tobytes()
     assert lean.X.tobytes() == paths.X.tobytes()
     assert lean_flow.frames[3].samples.base is lean.X  # X is the flow's buffer
-    assert (lean.n_particles, lean.n_steps, lean.scheme) == (96, 10, scheme)
+    assert (lean.n_particles, lean.n_steps) == (96, 10)
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])

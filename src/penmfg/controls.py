@@ -1,16 +1,18 @@
-"""Control laws: strict and relaxed feedback, chattering.
+"""Control laws: strict and relaxed feedback, node tables, chattering.
 
 A control law is one of
 
-- :class:`StrictFeedback`         atom index = fn(t, x)
-- :class:`RelaxedFeedback`        weights over a control grid as fn(t, x)
+- :class:`StrictFeedback`   atom index = fn(t, x), checked on every call
+- :class:`RelaxedFeedback`  atom weights = fn(t, x), checked on every call
+- :class:`NodeTable`        indices or weights per time cell and grid node,
+                            checked once when built; every DP law is one
 
 A strict control is always one atom of a finite control set, so strict laws
-speak in atom indices: a feedback returns row indices into the model's
-control grid, and the simulation hands the coefficients ``atoms[index]``.
-Both kinds of feedback are pure functions of (t, x): a run records the law,
-not its indices or weights, and :func:`read_controls` re-evaluates them at
-the recorded states for every reader.
+speak in atom indices into the law's atoms (the model's control grid for
+strict feedback), and relaxed weight rows must be probabilities within 1e-9.
+:func:`sample_control` is the one per-step entry point for every kind.  Every
+law is a pure function of (t, x): a run records the law, not its controls,
+and readers re-evaluate it at the recorded states.
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
@@ -20,13 +22,13 @@ occupies the relaxed measure's mass pattern ever more finely, which is what
 the strict-approximation studies sweep.  :func:`chattered_indices` allocates
 any weight table whose leading axis is the time cell: a relaxed control
 measure's (cells, nU) weights, or a per-node feedback table (cells, nodes,
-nU), which chatters every node at once and yields a strict node-table law.
+nU), which chatters every node at once and yields a strict node table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +47,7 @@ class StrictFeedback:
     """
 
     fn: Callable  # (t, (B, d)) -> (B,) int indices into ms.control_grid()
+    relaxed = False
 
 
 @dataclass(eq=False)
@@ -56,10 +59,49 @@ class RelaxedFeedback:
 
     fn: Callable
     atoms: np.ndarray
+    relaxed = True
 
     def __post_init__(self):
         a = np.asarray(self.atoms, dtype=float)
         self.atoms = a[:, None] if a.ndim == 1 else a
+
+
+@dataclass(eq=False)
+class NodeTable:
+    """A feedback law read at a state's time cell and nearest grid node.
+
+    ``table`` holds (M, n_nodes) indices into the (nU, du) ``atoms``, a strict
+    law, or (M, n_nodes, nU) weights, a relaxed one, over the M cells of
+    ``times`` and the nodes of ``grid`` (a `dp.DPGrid`).  Weight rows are
+    stored as `relaxed_weights` hands them out, divided by their sums.
+    """
+
+    times: np.ndarray
+    grid: object
+    table: np.ndarray
+    atoms: np.ndarray
+
+    def __post_init__(self):
+        table, n_u = np.asarray(self.table), self.atoms.shape[0]
+        self.relaxed = table.ndim == 3
+        want = (self.times.size - 1, self.grid.n_nodes) + (n_u,) * self.relaxed
+        if table.shape != want:
+            raise ContractViolationError(f"node table shape {table.shape}, not {want}")
+        if self.relaxed:
+            table = _probabilities(table.reshape(-1, n_u)).reshape(want)
+        elif table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= n_u:
+            raise ContractViolationError(f"node table indices must lie in 0..{n_u - 1}")
+        self.table = table
+
+
+class StepControls(NamedTuple):
+    """One step's controls for B states: the (B, du) atoms used (None for a
+    relaxed law read without a generator), the (B, nU) relaxed weights (None
+    for a strict law) and the (nU,) population-averaged control mass."""
+
+    u: Optional[np.ndarray]
+    weights: Optional[np.ndarray]
+    mass: np.ndarray
 
 
 def time_cell(times: np.ndarray, t: float) -> int:
@@ -141,6 +183,12 @@ def relaxed_weights(law: RelaxedFeedback, t: float, x: np.ndarray) -> np.ndarray
             f"relaxed feedback returned shape {w.shape}, expected "
             f"({x.shape[0]}, {law.atoms.shape[0]})"
         )
+    return _probabilities(w)
+
+
+def _probabilities(w: np.ndarray) -> np.ndarray:
+    """(B, nU) weight rows checked to be probabilities within 1e-9, each
+    clipped at zero and divided by its running-sum total."""
     # a NaN weight makes its row sum NaN, which fails the `<=`
     if np.any(w < -1e-12) or not np.max(np.abs(_running_sums(w)[-1] - 1.0)) <= 1e-9:
         raise ContractViolationError("relaxed feedback weights must be probabilities")
@@ -172,66 +220,51 @@ def _sample_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_control(ms, law, t: float, x: np.ndarray,
-                   rng: Optional[np.random.Generator]):
-    """Control atoms for a batch of particles under a law.
+                   rng: Optional[np.random.Generator]) -> StepControls:
+    """The controls a batch of particles uses under a law at time t.
 
-    Returns ``(indices, weights)``: indices is (B,) int into the law's atoms
-    (the model's control grid for strict feedback), weights the (B, nU)
-    mixture they were drawn from for relaxed laws, None for strict ones.
-    Strict feedback output is checked against that index contract.  Only
-    relaxed laws draw from ``rng``; strict ones may be given None.
+    Only relaxed laws draw, from ``rng``: given None they return their
+    weights and no atoms, which is how readers re-evaluate a recorded run.
+    A node table looks each state's node up once and reads its time cell's
+    row; its strict mass counts the states per node, a bincount of exact
+    integers, so it has the bits of counting the atoms per particle.  A
+    strict function law's output is checked against the index contract.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(law, StrictFeedback):
-        idx = np.asarray(law.fn(t, x))
-        n_u = ms.control_grid().shape[0]
-        if idx.shape != (x.shape[0],) or idx.dtype.kind not in "iu":
+    if isinstance(law, NodeTable):
+        nodes = law.grid.nearest_node(x)
+        row = law.table[time_cell(law.times, t)]
+        if not law.relaxed:
+            mass = np.bincount(row, np.bincount(nodes, minlength=row.size),
+                               law.atoms.shape[0]) / x.shape[0]
+            return StepControls(np.take(law.atoms[row], nodes, axis=0), None, mass)
+        w = np.take(row, nodes, axis=0)
+    elif isinstance(law, RelaxedFeedback):
+        w = relaxed_weights(law, t, x)
+    elif isinstance(law, StrictFeedback):
+        idx, atoms = np.asarray(law.fn(t, x)), ms.control_grid()
+        if (idx.shape != (x.shape[0],) or idx.dtype.kind not in "iu"
+                or np.any(idx < 0) or np.any(idx >= len(atoms))):
             raise ContractViolationError(
                 f"feedback returned {idx.dtype} of shape {idx.shape}, expected "
-                f"({x.shape[0]},) integer indices into the control grid"
+                f"({x.shape[0]},) integer indices in 0..{len(atoms) - 1}"
             )
-        if np.any(idx < 0) or np.any(idx >= n_u):
-            raise ContractViolationError(
-                f"feedback returned a control index outside 0..{n_u - 1}"
-            )
-        return idx, None
-    if isinstance(law, RelaxedFeedback):
-        w = relaxed_weights(law, t, x)
-        return _sample_rows(w, rng), w
-    raise PenmfgError(f"unknown control law {type(law).__name__}")
-
-
-def control_mass(n_u: int, indices: np.ndarray,
-                 weights: Optional[np.ndarray]) -> np.ndarray:
-    """One step's population-averaged control mass over the atoms: the mean
-    of the (B, nU) relaxed weights when given, else of the point masses at
-    the strict indices, counted."""
-    if weights is not None:
-        return weights.mean(axis=0)
-    return np.bincount(indices, minlength=n_u) / indices.size
-
-
-def read_controls(ms, law, t: float, x: np.ndarray):
-    """The controls a run under ``law`` used at states x and time t.
-
-    ``(indices, None)`` for strict feedback, read through `sample_control`
-    with its index contract check; ``(None, weights)`` for a relaxed law,
-    the mixture its controls were drawn from, bit for bit.
-    """
-    if isinstance(law, RelaxedFeedback):
-        return None, relaxed_weights(law, t, x)
-    return sample_control(ms, law, t, x, None)
+        return StepControls(np.take(atoms, idx, axis=0), None,
+                            np.bincount(idx, minlength=len(atoms)) / idx.size)
+    else:
+        raise PenmfgError(f"unknown control law {type(law).__name__}")
+    u = None if rng is None else np.take(law.atoms, _sample_rows(w, rng), axis=0)
+    return StepControls(u, w, w.mean(axis=0))
 
 
 def realized_control_measure(ms, paths) -> TimedControlMeasure:
     """Population-averaged relaxed control measure realized along a bundle.
 
-    Each step's controls are re-read at its states (`read_controls`):
-    strict indices are counted, which is the mean of their point masses bit
-    for bit, and relaxed weights averaged.  A lean run sums the same masses
-    as it steps (``LeanRun.controls``).
+    Each step's control mass is re-read at its states (`sample_control`
+    without a generator): strict atoms counted, which is the mean of their
+    point masses bit for bit, and relaxed weights averaged.  A lean run sums
+    the same masses as it steps (``LeanRun.controls``).
     """
-    n_u = paths.atoms.shape[0]
-    w = [control_mass(n_u, *read_controls(ms, paths.law, t, x))
+    w = [sample_control(ms, paths.law, t, x, None).mass
          for t, x in zip(paths.times[:-1], paths.X)]
     return TimedControlMeasure(paths.times, paths.atoms, np.stack(w))

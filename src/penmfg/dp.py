@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import model as model_mod
-from .controls import RelaxedFeedback, StrictFeedback, chattered_indices, time_cell
+from .controls import NodeTable, chattered_indices
 from .errors import ConfigError, GridError
 from .measures import EmpiricalMeasure, MeasureFlow, format_float, write_csv_steps
 from .model import ModelSpec, penalized_running_cost, validate_penalty
@@ -131,14 +131,18 @@ class DPGrid:
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
         """Raveled (row-major) index of the closest node, clamping outside points.
 
-        Ravels axis by axis on whole columns, as ``np.ravel_multi_index`` would.
+        Ravels axis by axis on whole columns, as ``np.ravel_multi_index`` would,
+        in floats: each axis index is clipped before the one integer cast, so a
+        point however far outside reaches its own end of the grid.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        hx, flat = self.hx, 0
+        hx, flat = self.hx, None
         for j, size in enumerate(self.shape):
-            idx = np.round((x[:, j] - self.lower[j]) / hx).astype(int)
-            flat = flat * size + np.clip(idx, 0, size - 1)
-        return flat
+            idx = x[:, j] - self.lower[j]
+            idx /= hx
+            np.clip(np.rint(idx, out=idx), 0, size - 1, out=idx)
+            flat = idx if flat is None else flat * size + idx
+        return flat.astype(np.intp)
 
 
 def penalty_margin(sigma_bar: float, dt: float, penalty: int) -> float:
@@ -246,12 +250,14 @@ class TransitionModel:
     ``probs[k]`` has shape (nU, n_nodes, n_stencil) and rows summing to one;
     ``charge[k]`` is the expected per-substep boundary cost; ``run_cost[k]``
     the running cost (penalized surcharge included) at the slice; ``substeps``
-    the per-slice substep count that makes the stay probability nonnegative.
+    the per-slice substep count that makes the stay probability nonnegative;
+    ``atoms`` the model's (nU, du) control grid.
     """
 
     grid: DPGrid
     times: np.ndarray
     penalty: Optional[int]
+    atoms: np.ndarray = dc_field(repr=False, default=None)
     geometry: _Geometry = dc_field(repr=False, default=None)
     probs: list = dc_field(repr=False, default=None)
     charge: list = dc_field(repr=False, default=None)
@@ -375,7 +381,7 @@ def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
     )
     return TransitionModel(
         grid=grid, times=np.asarray(flow.times, dtype=float), penalty=penalty,
-        geometry=geo, probs=probs, charge=charges, run_cost=costs,
+        atoms=atoms, geometry=geo, probs=probs, charge=charges, run_cost=costs,
         terminal=terminal, substeps=np.asarray(subs, dtype=int),
         truncated_mass=worst_trunc,
     )
@@ -391,7 +397,7 @@ class ValueField:
     ``V`` has shape (M+1, n_nodes); ``argmin`` (M, n_nodes) holds the
     minimizing control index per slice (ties to the lowest index), and
     ``runner_up`` the second-best one (the argmin itself when only one
-    control exists).
+    control exists), both indices into the (nU, du) control grid ``atoms``.
     """
 
     grid: DPGrid
@@ -399,6 +405,7 @@ class ValueField:
     V: np.ndarray
     argmin: np.ndarray
     runner_up: np.ndarray
+    atoms: np.ndarray
 
     def value_at(self, t_index: int, x: np.ndarray) -> np.ndarray:
         return self.V[t_index][self.grid.nearest_node(x)]
@@ -417,7 +424,7 @@ def _apply_control_step(chain: TransitionModel, k: int, v: np.ndarray
 
 
 def solve_dp(chain: TransitionModel, flow: MeasureFlow):
-    """Backward recursion; returns (ValueField, StrictFeedback).
+    """Backward recursion; returns (ValueField, its strict feedback NodeTable).
 
     V(t_k) = min_u [ f(t_k, x, mu_k, u) dt + boundary charges + E V(t_{k+1}) ]
     with terminal V = g.  The feedback law looks the control index up at the
@@ -444,22 +451,13 @@ def solve_dp(chain: TransitionModel, flow: MeasureFlow):
         arg2[k] = np.argmin(q, axis=0)
         v_all[k] = v
     field = ValueField(grid=chain.grid, times=chain.times, V=v_all,
-                       argmin=arg, runner_up=arg2)
+                       argmin=arg, runner_up=arg2, atoms=chain.atoms)
     return field, feedback_law(field)
 
 
-def _node_table_law(field: ValueField, table: np.ndarray) -> StrictFeedback:
-    """Strict law table[time slice][nearest node], table (M, n_nodes) indices."""
-
-    def fn(t, x):
-        return table[time_cell(field.times, t)][field.grid.nearest_node(x)]
-
-    return StrictFeedback(fn)
-
-
-def feedback_law(field: ValueField) -> StrictFeedback:
+def feedback_law(field: ValueField) -> NodeTable:
     """Strict feedback: the argmin control index at the nearest node."""
-    return _node_table_law(field, field.argmin)
+    return NodeTable(field.times, field.grid, field.argmin, field.atoms)
 
 
 def _probe_weights(field: ValueField, n_u: int, epsilon: float) -> np.ndarray:
@@ -474,7 +472,7 @@ def _probe_weights(field: ValueField, n_u: int, epsilon: float) -> np.ndarray:
 
 
 def relaxed_probe(field: ValueField, ms: ModelSpec,
-                  epsilon: float = 0.1) -> RelaxedFeedback:
+                  epsilon: float = 0.1) -> NodeTable:
     """Mixture law: weight 1 - eps on the argmin control, eps on the runner-up.
 
     A cheap probe of whether genuinely relaxed controls would improve on the
@@ -482,24 +480,21 @@ def relaxed_probe(field: ValueField, ms: ModelSpec,
     law in relaxed form.
     """
     atoms = ms.control_grid()
-    table = _probe_weights(field, atoms.shape[0], epsilon)
-
-    def fn(t, x):  # np.take gathers the rows faster than table[k][nodes], same bits
-        return np.take(table[time_cell(field.times, t)], field.grid.nearest_node(x),
-                       axis=0)
-
-    return RelaxedFeedback(fn, atoms)
+    return NodeTable(field.times, field.grid,
+                     _probe_weights(field, atoms.shape[0], epsilon), atoms)
 
 
 def chattered_probe(field: ValueField, ms: ModelSpec, delta: float,
-                    epsilon: float = 0.1) -> StrictFeedback:
+                    epsilon: float = 0.1) -> NodeTable:
     """The relaxed probe chattered at block length delta, as a strict law.
 
     The probe's weights depend on the state only through its nearest node,
     so each node's switching schedule is tabulated once for the whole run.
     """
-    table = _probe_weights(field, ms.control_grid().shape[0], epsilon)
-    return _node_table_law(field, chattered_indices(field.times, table, delta))
+    atoms = ms.control_grid()
+    table = _probe_weights(field, atoms.shape[0], epsilon)
+    return NodeTable(field.times, field.grid,
+                     chattered_indices(field.times, table, delta), atoms)
 
 
 # ------------------------------------------------------------ exploitability

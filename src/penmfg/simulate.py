@@ -13,8 +13,8 @@ Three one-step schemes for the controlled McKean-Vlasov system:
 K is outward for every scheme, like the integral n(X - proj(X)) dt that
 defines K^n, so K^n - K = X - X^n on common noise.  A run is by default a
 :class:`PathBundle`: X, K, its running total variation |K|, and the control
-law, whose strict indices or relaxed weights every reader re-evaluates
-(`read_controls`).  With ``keep_paths=False`` it is a :class:`LeanRun`,
+law, whose controls every reader re-evaluates (`sample_control` without a
+generator).  With ``keep_paths=False`` it is a :class:`LeanRun`,
 which stores X and nothing else per particle-step: its cost and realized
 control measure are summed as it steps, bit for bit what `evaluate_cost`
 and `realized_control_measure` read off the full bundle.
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import RelaxedFeedback, control_mass, read_controls, sample_control
+from .controls import StepControls, StrictFeedback, sample_control
 from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
@@ -115,7 +115,7 @@ class PathBundle(Run):
 
     K has the shape of X; Kvar is the running total variation |K|, shape
     (M+1, N), nondecreasing in the time index.  K[0] = 0.  ``atoms`` is
-    the (nU, du) grid the law's indices name.
+    the (nU, du) grid the law's controls name.
     """
 
     K: np.ndarray
@@ -196,7 +196,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
 
     The run is a :class:`PathBundle`, or with ``keep_paths=False`` a
     :class:`LeanRun` whose X is the returned flow's buffer: no K or |K| is
-    stored, and each relaxed weight row is evaluated once, by the sampler.
+    stored, and each step's controls are read once, by the sampler.
     """
     m_steps = _n_steps(ms, cfg.dt)
     n, d = cfg.n_particles, ms.dim
@@ -208,9 +208,8 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     x = np.empty((m_steps + 1, n, d))
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
 
-    # the atoms the law's indices name; strict feedback indexes the model grid
-    relaxed = isinstance(law, RelaxedFeedback)
-    atoms = (law.atoms if relaxed else ms.control_grid()).copy()
+    # the atoms the law's controls name; strict feedback indexes the model grid
+    atoms = (ms.control_grid() if isinstance(law, StrictFeedback) else law.atoms).copy()
     if keep_paths:
         k = np.zeros((m_steps + 1, n, d))
         kvar = np.zeros((m_steps + 1, n))
@@ -222,11 +221,10 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         t = times[step]
         xk = x[step]
         mu = EmpiricalMeasure(xk) if frozen_flow is None else frozen_flow.frames[step]
-        draws = stream(cfg.seed, CONTROL, step) if relaxed else None
-        idx, w = sample_control(ms, law, t, xk, draws)
-        u = atoms[idx]
+        draws = stream(cfg.seed, CONTROL, step) if law.relaxed else None
+        c = sample_control(ms, law, t, xk, draws)
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
-        x_next, dk, dkvar = scheme_step(ms, cfg, t, xk, mu, u, xi)
+        x_next, dk, dkvar = scheme_step(ms, cfg, t, xk, mu, c.u, xi)
         if not np.isfinite(x_next).all():
             bad = ~np.isfinite(x_next).all(axis=-1)
             raise DivergenceError(step + 1, np.flatnonzero(bad))
@@ -238,10 +236,10 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
             # (kvar + dkvar) - kvar, not dkvar: the bits of a recorded |K| increment
             kv_next = kv + dkvar
             _add_step_cost(ms, running, boundary, t, times[step + 1] - t, xk, mu,
-                           _control_average(ms.running_cost, t, xk, mu, atoms, u, w),
+                           _control_average(ms.running_cost, t, xk, mu, atoms, c),
                            kv_next - kv)
             kv = kv_next
-            mass[step] = control_mass(atoms.shape[0], idx, w)
+            mass[step] = c.mass
 
     flow = flow_from_states(times, x)
     if keep_paths:
@@ -254,16 +252,15 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
 
 
 def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure,
-                     atoms: np.ndarray, u: Optional[np.ndarray],
-                     w: Optional[np.ndarray]) -> np.ndarray:
-    """A running-cost-like fn at the controls u, or averaged over the atoms
-    with the relaxed weights w when they are given."""
-    if w is None:
-        return fn(t, x, mu, u)
+                     atoms: np.ndarray, c: StepControls) -> np.ndarray:
+    """A running-cost-like fn at a step's strict controls, or averaged over
+    the atoms with its relaxed weights."""
+    if c.weights is None:
+        return fn(t, x, mu, c.u)
     out = np.zeros(x.shape[0])
     for j in range(atoms.shape[0]):
         uj = np.broadcast_to(atoms[j], (x.shape[0], atoms.shape[1]))
-        out += w[:, j] * fn(t, x, mu, uj)
+        out += c.weights[:, j] * fn(t, x, mu, uj)
     return out
 
 
@@ -271,9 +268,8 @@ def _stepwise_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
                    fn: Callable, step: int) -> np.ndarray:
     """Evaluate a running-cost-like fn at one step of a bundle's controls."""
     t, xk = paths.times[step], paths.X[step]
-    idx, w = read_controls(ms, paths.law, t, xk)
-    u = None if idx is None else paths.atoms[idx]
-    return _control_average(fn, t, xk, flow.frames[step], paths.atoms, u, w)
+    return _control_average(fn, t, xk, flow.frames[step], paths.atoms,
+                            sample_control(ms, paths.law, t, xk, None))
 
 
 def _add_step_cost(ms: ModelSpec, running: np.ndarray, boundary: np.ndarray,

@@ -10,6 +10,7 @@ import pytest
 from penmfg import controls, domain, measures, model, rng
 from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.controls import (
+    NodeTable,
     RelaxedFeedback,
     StrictFeedback,
     chattered_indices,
@@ -17,6 +18,7 @@ from penmfg.controls import (
     sample_control,
     time_cell,
 )
+from penmfg.dp import DPGrid
 from penmfg.errors import ContractViolationError, PenmfgError
 from penmfg.measures import TimedControlMeasure
 from penmfg.simulate import simulate
@@ -59,10 +61,10 @@ def test_strict_feedback_values_and_grid_check():
     # LQ's control grid is -1, 0, 1: a strict law names rows 0..2
     law = StrictFeedback(lambda t, x: np.where(x[:, 0] > 0, 2, 0))
     x = np.array([[0.5], [-0.5], [0.2]])
-    idx, w = sample_control(LQ, law, 0.0, x, RNG)
-    np.testing.assert_array_equal(idx, [2, 0, 2])
-    np.testing.assert_array_equal(LQ.control_grid()[idx], [[1.0], [-1.0], [1.0]])
-    assert w is None
+    c = sample_control(LQ, law, 0.0, x, RNG)
+    np.testing.assert_array_equal(c.u, [[1.0], [-1.0], [1.0]])
+    assert c.weights is None
+    np.testing.assert_array_equal(c.mass, [1 / 3, 0.0, 2 / 3])
     bad = [
         np.zeros((3, 1), dtype=int),  # a column, not (B,)
         np.zeros(2, dtype=int),       # one index short
@@ -88,13 +90,16 @@ def test_relaxed_feedback_sampling_frequencies():
     atoms = np.array([[-1.0], [1.0]])
     law = RelaxedFeedback(lambda t, x: np.tile([0.5, 0.5], (x.shape[0], 1)), atoms)
     x = np.zeros((100_000, 1))
-    idx, w = sample_control(LQ, law, 0.0, x, rng.stream(4, rng.CONTROL, 0))
-    assert w.shape == (100_000, 2)
-    frac = np.mean(idx == 1)
+    c = sample_control(LQ, law, 0.0, x, rng.stream(4, rng.CONTROL, 0))
+    assert c.weights.shape == (100_000, 2)
+    frac = np.mean(c.u[:, 0] == 1.0)
     assert abs(frac - 0.5) <= 0.01  # ~3 binomial sigmas is 0.005
     skew = RelaxedFeedback(lambda t, x: np.tile([0.9, 0.1], (x.shape[0], 1)), atoms)
-    idx, _ = sample_control(LQ, skew, 0.0, x, rng.stream(4, rng.CONTROL, 1))
-    assert abs(np.mean(idx == 1) - 0.1) <= 0.01
+    u = sample_control(LQ, skew, 0.0, x, rng.stream(4, rng.CONTROL, 1)).u
+    assert abs(np.mean(u[:, 0] == 1.0) - 0.1) <= 0.01
+    # without a generator a relaxed law hands out its weights and no atoms
+    c = sample_control(LQ, skew, 0.0, x[:3], None)
+    assert c.u is None and np.allclose(c.mass, [0.9, 0.1])
 
 
 def test_relaxed_open_loop_uses_cell_weights():
@@ -106,10 +111,9 @@ def test_relaxed_open_loop_uses_cell_weights():
         lambda t, x: np.tile(q.weights[time_cell(q.times, t)], (x.shape[0], 1)),
         q.atoms)
     x = np.zeros((50, 1))
-    idx, w = sample_control(LQ, law, 0.0, x, RNG)
-    assert np.all(idx == 0) and np.all(w[:, 0] == 1.0)
-    idx, _ = sample_control(LQ, law, 0.6, x, RNG)
-    assert np.all(idx == 1)
+    c = sample_control(LQ, law, 0.0, x, RNG)
+    assert np.all(c.u == -1.0) and np.all(c.weights[:, 0] == 1.0)
+    assert np.all(sample_control(LQ, law, 0.6, x, RNG).u == 1.0)
 
 
 def test_relaxed_feedback_weight_contract():
@@ -158,11 +162,11 @@ def test_sample_rows_matches_cumsum_reference(n_u):
         got, sample_rows_reference(degenerate, rng.stream(6, rng.CONTROL, 2)))
     want = got[:len(w)]
     law = RelaxedFeedback(lambda t, x: w, np.arange(n_u, dtype=float))
-    idx, weights = sample_control(LQ, law, 0.0, np.zeros((len(w), 1)),
-                                  rng.stream(6, rng.CONTROL, 2))
-    np.testing.assert_array_equal(idx, want)
+    c = sample_control(LQ, law, 0.0, np.zeros((len(w), 1)),
+                       rng.stream(6, rng.CONTROL, 2))
+    np.testing.assert_array_equal(c.u[:, 0], want)  # atom j is the value j
     # the weights handed out are the rows divided by their running-sum totals
-    np.testing.assert_array_equal(weights, w / sums[-1][:, None])
+    np.testing.assert_array_equal(c.weights, w / sums[-1][:, None])
 
 
 @pytest.mark.parametrize("n_u", [1, 3])
@@ -194,6 +198,46 @@ def test_near_probability_rows_are_normalized_for_every_reader():
                             ms.control_grid())
     assert controls.relaxed_weights(exact, 0.0, paths.X[0]).tobytes() == \
         np.tile([0.25, 0.25, 0.5], (40, 1)).tobytes()
+
+
+# --------------------------------------------------------------- node tables
+
+
+def node_table(table):
+    """A node table over 5 time cells, the 11 nodes of [0, 1] and 3 atoms."""
+    return NodeTable(np.linspace(0.0, 0.5, 6), DPGrid.regular([0.0], [1.0], 0.1),
+                     table, np.array([[-1.0], [0.0], [1.0]]))
+
+
+def test_node_table_contract_is_checked_when_built():
+    strict = np.tile(np.arange(11) % 3, (5, 1))
+    relaxed = np.full((5, 11, 3), 1.0 / 3.0)
+    assert not node_table(strict).relaxed and node_table(relaxed).relaxed
+    bad = {"index >= nU": strict.copy(), "negative index": strict.copy(),
+           "float indices": strict * 1.0, "negative weight": relaxed.copy(),
+           "row sum + 2e-9": relaxed.copy(), "NaN weight": relaxed.copy(),
+           "too few times": strict[:4], "too few nodes": strict[:, :10],
+           "too few atoms": relaxed[:, :, :2], "flat": strict.ravel()}
+    bad["index >= nU"][2, 4] = 3
+    bad["negative index"][0, 0] = -1
+    bad["negative weight"][1, 2] = [1.5, -0.5, 0.0]
+    bad["row sum + 2e-9"][3, 7, 0] += 2e-9
+    bad["NaN weight"][4, 10, 1] = np.nan
+    for name, table in bad.items():
+        with pytest.raises(ContractViolationError):
+            node_table(table)
+            pytest.fail(name)
+
+
+def test_node_table_normalizes_its_rows_once():
+    """Rows within 1e-9 of one are stored divided by their sums, as
+    relaxed_weights hands them out; a read gathers them with no further check."""
+    row = [0.2, 0.3, 0.5 + 1e-10]
+    law = node_table(np.tile(row, (5, 11, 1)))
+    want = np.array(row) / (0.2 + 0.3 + (0.5 + 1e-10))
+    assert law.table.tobytes() == np.tile(want, (5, 11, 1)).tobytes()
+    c = sample_control(LQ, law, 0.3, np.array([[0.26], [-3.0], [7.0]]), None)
+    assert c.u is None and c.weights.tobytes() == np.tile(want, (3, 1)).tobytes()
 
 
 # ---------------------------------------------------------------- chattering

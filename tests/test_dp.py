@@ -7,25 +7,28 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from penmfg import domain, model
+from penmfg import domain, model, rng
 from penmfg.config import build_model, parse_config_file
 from penmfg.controls import (
+    RelaxedFeedback,
     StrictFeedback,
     chattered_indices,
     largest_remainder_counts,
-    read_controls,
     relaxed_weights,
     sample_control,
+    time_cell,
 )
 from penmfg.dp import (
     DPGrid,
     ExploitabilityReport,
+    ValueField,
     _face_is_boundary,
     _probe_weights,
     _stencil_offsets,
     build_chain,
     chattered_probe,
     exploitability,
+    feedback_law,
     pad_for_penalty,
     penalty_margin,
     relaxed_probe,
@@ -118,6 +121,21 @@ def test_nearest_node_matches_ravel_multi_index(grid):
     np.testing.assert_array_equal(got, want)
     assert got.min() == 0 and got.max() == grid.n_nodes - 1
     np.testing.assert_array_equal(grid.nearest_node(x[0]), want[:1])  # one point
+
+
+@pytest.mark.parametrize("far", [1e18, 1e300])
+def test_nearest_node_clamps_far_points_to_their_own_end(far):
+    """An integer cast before the clip sent these to INT_MIN, hence node 0."""
+    g = DPGrid.regular([0.0], [1.0], 0.05)
+    np.testing.assert_array_equal(g.nearest_node([[far], [-far]]), [20, 0])
+    g2 = DPGrid.regular([0.0, -1.0], [1.0, 0.5], 0.1)  # 11 x 16 nodes
+    corners = [[far, far], [far, -far], [-far, far], [-far, -far]]
+    np.testing.assert_array_equal(g2.nearest_node(corners),
+                                  [g2.n_nodes - 1, 10 * 16, 15, 0])
+    zeros = np.zeros((1, 21), int)
+    field = ValueField(grid=g, times=np.array([0.0, 1.0]), V=np.arange(42.0).reshape(2, 21),
+                       argmin=zeros, runner_up=zeros, atoms=np.zeros((1, 1)))
+    np.testing.assert_array_equal(field.value_at(0, [[far], [-far]]), [20.0, 0.0])
 
 
 def test_for_model_pads_penalized_box_on_grid():
@@ -467,9 +485,9 @@ def test_zero_costs_give_zero_value_and_lowest_tie_index():
     field, law = solve_dp(build_chain(ms, None, flow, g), flow)
     assert np.max(np.abs(field.V)) == 0.0
     assert np.all(field.argmin == 0)
-    idx = law.fn(0.0, np.array([[0.3], [0.9]]))
-    assert np.array_equal(idx, [0, 0])
-    assert np.array_equal(ms.control_grid()[idx], [[-1.0], [-1.0]])  # atom 0
+    c = sample_control(ms, law, 0.0, np.array([[0.3], [0.9]]), None)
+    assert np.array_equal(c.u, [[-1.0], [-1.0]])  # atom 0
+    assert c.mass.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_constant_running_cost_integrates_exactly():
@@ -610,14 +628,87 @@ def test_relaxed_probe_mixture_weights():
     field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
     probe = relaxed_probe(field, ms, epsilon=0.1)
     x = np.array([[0.15], [0.85]])
-    w = probe.fn(0.0, x)
+    w = sample_control(ms, probe, 0.0, x, None).weights
     assert w.shape == (2, 3)
     assert np.allclose(w.sum(axis=1), 1.0)
     assert np.isclose(np.sort(w[0])[-1], 0.9)
-    strict_w = relaxed_probe(field, ms, epsilon=0.0).fn(0.0, x)
+    strict_w = sample_control(ms, relaxed_probe(field, ms, epsilon=0.0), 0.0, x,
+                              None).weights
     assert np.allclose(np.max(strict_w, axis=1), 1.0)
     with pytest.raises(ConfigError):
         relaxed_probe(field, ms, epsilon=0.9)
+
+
+# The per-particle closure laws that the DP node tables replaced, kept as the
+# reference: every call looks each state's node up with the ravel_multi_index
+# lookup and goes through the function-law checks of sample_control.
+
+
+def closure_table_law(field, table):
+    return StrictFeedback(lambda t, x: table[time_cell(field.times, t)][
+        nearest_node_reference(field.grid, x)])
+
+
+def closure_feedback_law(field):
+    return closure_table_law(field, field.argmin)
+
+
+def closure_relaxed_probe(field, ms, epsilon=0.1):
+    atoms = ms.control_grid()
+    table = _probe_weights(field, atoms.shape[0], epsilon)
+    return RelaxedFeedback(lambda t, x: np.take(table[time_cell(field.times, t)],
+                                                nearest_node_reference(field.grid, x),
+                                                axis=0), atoms)
+
+
+def closure_chattered_probe(field, ms, delta, epsilon=0.1):
+    table = _probe_weights(field, ms.control_grid().shape[0], epsilon)
+    return closure_table_law(field, chattered_indices(field.times, table, delta))
+
+
+def table_case(d, penalty):
+    """(ms, field) on the unit box in dimension d, on the penalty-padded grid
+    when a penalty is given, with argmin and runner-up scrambled per node."""
+    atoms = [[-1.0], [0.0], [1.0]] if d == 1 else [[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    ms = model.make_preset("lq_control", domain.box([0.0] * d, [1.0] * d), {
+        "sigma": 0.4, "horizon": 0.1, "c": 1.0, "x0": [0.4] * d, "control_grid": atoms})
+    flow = const_flow([0.4] * d, 0.0125, 8)
+    grid = DPGrid.regular([0.0] * d, [1.0] * d, 0.1 if d == 1 else 0.25)
+    if penalty is not None:
+        grid = pad_for_penalty(grid, ms, 0.0125, penalty)
+    field, _ = solve_dp(build_chain(ms, penalty, flow, grid), flow)
+    gen = np.random.default_rng(3 * d)
+    arg = gen.integers(0, 3, size=field.argmin.shape)
+    return ms, replace(field, argmin=arg,
+                       runner_up=(arg + gen.integers(1, 3, arg.shape)) % 3)
+
+
+@pytest.mark.parametrize("penalty", [None, 8], ids=["reflected", "padded"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_node_tables_read_what_the_closures_read(d, penalty):
+    """u, relaxed weights and control mass of every DP law equal, bit for
+    bit, those of its per-particle closure, at nodes, half-way points and
+    clamped points far outside the grid."""
+    ms, field = table_case(d, penalty)
+    g = field.grid
+    gen = np.random.default_rng(d)
+    span = g.upper - g.lower
+    x = np.vstack([g.nodes(), g.nodes() + 0.5 * g.hx,  # half-way: round half even
+                   gen.uniform(g.lower - span, g.upper + span, (400, d)),
+                   [g.lower - 1e6, g.upper + 1e6, g.lower - 0.5 * g.hx]])
+    pairs = [(feedback_law(field), closure_feedback_law(field))]
+    for eps in (0.0, 0.25):
+        pairs += [(relaxed_probe(field, ms, eps), closure_relaxed_probe(field, ms, eps)),
+                  (chattered_probe(field, ms, 0.025, eps),
+                   closure_chattered_probe(field, ms, 0.025, eps))]
+    for law, ref in pairs:
+        for k, t in enumerate(field.times[:-1]):
+            for draws in (None, 7):  # relaxed laws read, then sample
+                got, want = (sample_control(ms, f, t, x, draws and rng.stream(
+                    draws, rng.CONTROL, k)) for f in (law, ref))
+                for a, b in zip(got, want):
+                    assert (a is None) == (b is None)
+                    assert a is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def reference_chattered_indices(probe, times, delta, t, x):
@@ -657,7 +748,7 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
     nodes = g.nearest_node(x)
     for f in fields:
         for eps in (0.0, 0.25):
-            probe = relaxed_probe(f, ms, epsilon=eps)
+            probe = closure_relaxed_probe(f, ms, epsilon=eps)
             table = _probe_weights(f, n_u, eps)
             for delta in (0.2, 0.1, 0.05):  # 0.2: blocks of 16, 16 and 8 cells
                 sched = chattered_indices(f.times, table, delta)
@@ -666,9 +757,9 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
                     t = float(f.times[c])
                     ref = reference_chattered_indices(probe, f.times, delta, t, x)
                     np.testing.assert_array_equal(sched[c][nodes], ref)
-                    idx, w = sample_control(ms, law, t, x, None)
-                    assert w is None
-                    np.testing.assert_array_equal(idx, ref)
+                    c = sample_control(ms, law, t, x, None)
+                    assert c.weights is None
+                    np.testing.assert_array_equal(c.u, ms.control_grid()[ref])
 
 
 def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
@@ -709,12 +800,13 @@ def test_chattered_run_records_table_indices():
                     penalty=10, seed=3)
     paths, _ = simulate(ms, cfg, chattered_probe(field, ms, 0.2, epsilon=0.25),
                         frozen_flow=flow)
-    rec = np.stack([read_controls(ms, paths.law, t, x)[0]
+    rec = np.stack([sample_control(ms, paths.law, t, x, None).u
                     for t, x in zip(paths.times[:-1], paths.X)])
-    assert rec.shape == (40, 64)
+    assert rec.shape == (40, 64, 1)
     assert sum(np.unique(row).size > 1 for row in rec) >= 10  # particles differ
     for k in range(flow.n_steps):
-        np.testing.assert_array_equal(rec[k], table[k][grid.nearest_node(paths.X[k])])
+        np.testing.assert_array_equal(
+            rec[k], ms.control_grid()[table[k][grid.nearest_node(paths.X[k])]])
     np.testing.assert_array_equal(paths.atoms, ms.control_grid())
 
 

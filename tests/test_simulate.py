@@ -14,7 +14,6 @@ from penmfg import simulate as simulate_mod
 from penmfg.controls import (
     RelaxedFeedback,
     StrictFeedback,
-    read_controls,
     realized_control_measure,
     sample_control,
 )
@@ -371,7 +370,7 @@ def state_mixture(atoms):
 
 
 def spy_sample_control(monkeypatch):
-    """Record the (indices, weights) pairs sample_control returns to simulate."""
+    """Record the StepControls records sample_control returns to simulate."""
     seen = []
 
     def spy(*args):
@@ -393,7 +392,7 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
     seen = spy_sample_control(monkeypatch)
     paths, flow = simulate(ms, cfg, law)
     monkeypatch.undo()
-    tensor = np.stack([w for _, w in seen])
+    tensor = np.stack([c.weights for c in seen])
     assert tensor.shape == (20, 200, 3)
     assert np.ptp(tensor[:, :, 1]) > 0.1  # the mixture moves with the state
     phi = quadratic_probe(dim=d)
@@ -424,8 +423,8 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
 
 def test_control_records_stay_lean(monkeypatch):
     """A bundle keeps its law and no per-particle control array: times, X,
-    K, |K| and the atoms are all it holds, and read_controls re-reads the
-    strict indices the sampler returned."""
+    K, |K| and the atoms are all it holds, and a reader re-reads the strict
+    controls the sampler returned."""
     ms = lq_three_controls(2)
     atoms = ms.control_grid()
     cfg = SimConfig(n_particles=50, dt=0.05, penalty=8, seed=5)
@@ -433,10 +432,11 @@ def test_control_records_stay_lean(monkeypatch):
     strict = StrictFeedback(lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, 1] > 0.5))
     paths, _ = simulate(ms, cfg, strict)
     monkeypatch.undo()
-    want = np.stack([idx for idx, _ in seen])
-    got = np.stack([read_controls(ms, paths.law, t, x)[0]
+    want = np.stack([c.u for c in seen])
+    got = np.stack([sample_control(ms, paths.law, t, x, None).u
                     for t, x in zip(paths.times[:-1], paths.X)])
-    assert np.array_equal(got, want) and np.unique(want).size == 3
+    assert np.array_equal(got, want)
+    assert np.unique(want.reshape(-1, 2), axis=0).shape[0] == 3
     for law in (strict, state_mixture(atoms)):
         paths, _ = simulate(ms, cfg, law)
         assert paths.law is law

@@ -9,7 +9,7 @@ converge to the reflected one.  The pieces:
 - ``domain``       convex geometry: projections, distances, membership
 - ``model``        coefficient bundles, penalized transforms, presets
 - ``measures``     empirical measures, Wasserstein-2 distances, control measures
-- ``controls``     feedback functions and per-node tables, sampling, chattering
+- ``controls``     control laws as node tables, sampling, chattering
 - ``simulate``     penalized and reflected particle schemes, costs, residuals
 - ``dp``           Markov-chain dynamic programming for best responses
 - ``equilibrium``  fixed-point iteration, penalization sweeps, strict runs

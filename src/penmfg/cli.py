@@ -55,9 +55,9 @@ from .config import (
     config_hash,
     parse_config_file,
 )
+from .controls import constant_law
 from .dp import build_chain, pad_for_penalty, solve_dp, value_to_csv
 from .equilibrium import (
-    _constant_law,
     penalization_sweep,
     solve_equilibrium,
     strict_approximation_run,
@@ -109,7 +109,7 @@ def _csv_table(header: list, rows: list) -> str:
 
 def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
     sim = build_sim(cfg)
-    paths, flow = simulate(ms, sim, _constant_law())
+    paths, flow = simulate(ms, sim, constant_law(ms.control_grid()))
     paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
     lines.append(f"scheme {sim.scheme}"
@@ -137,7 +137,7 @@ def _cmd_dp(cfg: RunConfig, ms, out: Path) -> int:
         raise PenmfgError("the dp command needs [dp] hx")
     if sim.penalty is not None:
         grid = pad_for_penalty(grid, ms, sim.dt, sim.penalty)
-    _, flow = simulate(ms, sim, _constant_law(), keep_paths=False)
+    _, flow = simulate(ms, sim, constant_law(ms.control_grid()), keep_paths=False)
     chain = build_chain(ms, sim.penalty, flow, grid)
     field, _ = solve_dp(chain, flow)
     value_to_csv(field, out / "value.csv")

@@ -1,18 +1,15 @@
-"""Control laws: strict and relaxed feedback, node tables, chattering.
+"""Control laws: node tables, sampling, chattering.
 
-A control law is one of
-
-- :class:`StrictFeedback`   atom index = fn(t, x), checked on every call
-- :class:`RelaxedFeedback`  atom weights = fn(t, x), checked on every call
-- :class:`NodeTable`        indices or weights per time cell and grid node,
-                            checked once when built; every DP law is one
-
-A strict control is always one atom of a finite control set, so strict laws
-speak in atom indices into the law's atoms (the model's control grid for
-strict feedback), and relaxed weight rows must be probabilities within 1e-9.
-:func:`sample_control` is the one per-step entry point for every kind.  Every
-law is a pure function of (t, x): a run records the law, not its controls,
-and readers re-evaluate it at the recorded states.
+Every control law is a :class:`NodeTable`: atom indices (a strict law) or
+atom weights (a relaxed one) per time cell and grid node, checked once when
+built.  The DP's argmin feedback, relaxed probe and chattered schedules are
+tables over its grid; an open-loop law has no grid and one node per time
+cell, and :func:`constant_law` is the one-cell table that holds the first
+atom.  A strict control is always one atom of a finite control set, and
+relaxed weight rows must be probabilities within 1e-9.
+:func:`sample_control` is the one per-step entry point.  Every law is a pure
+function of (t, x): a run records the law, not its controls, and readers
+re-evaluate it at the recorded states.
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
@@ -28,7 +25,7 @@ nU), which chatters every node at once and yields a strict node table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,34 +33,7 @@ from .errors import ContractViolationError, PenmfgError
 from .measures import TimedControlMeasure
 
 
-# ------------------------------------------------------------------ variants
-
-
-@dataclass(eq=False)
-class StrictFeedback:
-    """Deterministic feedback: fn(t, x) picks one control grid row per state.
-
-    ``fn`` must be a pure function of (t, x), which every reader re-evaluates.
-    """
-
-    fn: Callable  # (t, (B, d)) -> (B,) int indices into ms.control_grid()
-    relaxed = False
-
-
-@dataclass(eq=False)
-class RelaxedFeedback:
-    """State-dependent mixture over control atoms: fn(t, x) -> (B, nU).
-
-    ``fn`` must be a pure function of (t, x), which every reader re-evaluates.
-    """
-
-    fn: Callable
-    atoms: np.ndarray
-    relaxed = True
-
-    def __post_init__(self):
-        a = np.asarray(self.atoms, dtype=float)
-        self.atoms = a[:, None] if a.ndim == 1 else a
+# ------------------------------------------------------------------- laws
 
 
 @dataclass(eq=False)
@@ -72,8 +42,10 @@ class NodeTable:
 
     ``table`` holds (M, n_nodes) indices into the (nU, du) ``atoms``, a strict
     law, or (M, n_nodes, nU) weights, a relaxed one, over the M cells of
-    ``times`` and the nodes of ``grid`` (a `dp.DPGrid`).  Weight rows are
-    stored as `relaxed_weights` hands them out, divided by their sums.
+    ``times`` and the nodes of ``grid`` (a `dp.DPGrid`).  With ``grid`` None
+    the law is open loop: every state reads the one node of its time cell,
+    so the table is (M, 1) or (M, 1, nU).  Weight rows must be probabilities
+    within 1e-9 and are stored divided by their sums.
     """
 
     times: np.ndarray
@@ -84,7 +56,8 @@ class NodeTable:
     def __post_init__(self):
         table, n_u = np.asarray(self.table), self.atoms.shape[0]
         self.relaxed = table.ndim == 3
-        want = (self.times.size - 1, self.grid.n_nodes) + (n_u,) * self.relaxed
+        n_nodes = 1 if self.grid is None else self.grid.n_nodes
+        want = (self.times.size - 1, n_nodes) + (n_u,) * self.relaxed
         if table.shape != want:
             raise ContractViolationError(f"node table shape {table.shape}, not {want}")
         if self.relaxed:
@@ -92,6 +65,16 @@ class NodeTable:
         elif table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= n_u:
             raise ContractViolationError(f"node table indices must lie in 0..{n_u - 1}")
         self.table = table
+
+
+def constant_law(atoms: np.ndarray) -> NodeTable:
+    """Open-loop strict law holding ``atoms[0]`` at every (t, x).
+
+    Its one time cell holds every t (`time_cell` clamps), and it has no
+    grid, so it runs in any dimension.
+    """
+    return NodeTable(np.array([0.0, 1.0]), None, np.zeros((1, 1), dtype=np.intp),
+                     atoms)
 
 
 class StepControls(NamedTuple):
@@ -169,29 +152,12 @@ def chattered_indices(times: np.ndarray, weights: np.ndarray, delta: float) -> n
     return indices
 
 
-def relaxed_weights(law: RelaxedFeedback, t: float, x: np.ndarray) -> np.ndarray:
-    """The (B, nU) mixture ``law.fn(t, x)``, checked to be probabilities.
-
-    A row may sum to one within 1e-9; it is divided by its sum, so every
-    reader (the sampler, the cost, the realized control measure) gets the
-    probability vectors a :class:`TimedControlMeasure` demands.  A row that
-    sums to exactly 1.0 comes back unchanged.
-    """
-    w = np.asarray(law.fn(t, x), dtype=float)
-    if w.shape != (x.shape[0], law.atoms.shape[0]):
-        raise ContractViolationError(
-            f"relaxed feedback returned shape {w.shape}, expected "
-            f"({x.shape[0]}, {law.atoms.shape[0]})"
-        )
-    return _probabilities(w)
-
-
 def _probabilities(w: np.ndarray) -> np.ndarray:
     """(B, nU) weight rows checked to be probabilities within 1e-9, each
     clipped at zero and divided by its running-sum total."""
     # a NaN weight makes its row sum NaN, which fails the `<=`
     if np.any(w < -1e-12) or not np.max(np.abs(_running_sums(w)[-1] - 1.0)) <= 1e-9:
-        raise ContractViolationError("relaxed feedback weights must be probabilities")
+        raise ContractViolationError("relaxed weights must be probabilities")
     w = np.clip(w, 0.0, None)
     return w / _running_sums(w)[-1][:, None]
 
@@ -219,45 +185,33 @@ def _sample_rows(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(below, weights.shape[1] - 1)
 
 
-def sample_control(ms, law, t: float, x: np.ndarray,
+def sample_control(law: NodeTable, t: float, x: np.ndarray,
                    rng: Optional[np.random.Generator]) -> StepControls:
     """The controls a batch of particles uses under a law at time t.
 
-    Only relaxed laws draw, from ``rng``: given None they return their
-    weights and no atoms, which is how readers re-evaluate a recorded run.
-    A node table looks each state's node up once and reads its time cell's
-    row; its strict mass counts the states per node, a bincount of exact
-    integers, so it has the bits of counting the atoms per particle.  A
-    strict function law's output is checked against the index contract.
+    Each state's node is looked up once and its time cell's row read.  A
+    strict law's mass counts the states per node, a bincount of exact
+    integers, so it has the bits of counting the atoms per particle.  Only
+    relaxed laws draw, from ``rng``: given None they return their weights
+    and no atoms, which is how readers re-evaluate a recorded run.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(law, NodeTable):
-        nodes = law.grid.nearest_node(x)
-        row = law.table[time_cell(law.times, t)]
-        if not law.relaxed:
-            mass = np.bincount(row, np.bincount(nodes, minlength=row.size),
-                               law.atoms.shape[0]) / x.shape[0]
-            return StepControls(np.take(law.atoms[row], nodes, axis=0), None, mass)
-        w = np.take(row, nodes, axis=0)
-    elif isinstance(law, RelaxedFeedback):
-        w = relaxed_weights(law, t, x)
-    elif isinstance(law, StrictFeedback):
-        idx, atoms = np.asarray(law.fn(t, x)), ms.control_grid()
-        if (idx.shape != (x.shape[0],) or idx.dtype.kind not in "iu"
-                or np.any(idx < 0) or np.any(idx >= len(atoms))):
-            raise ContractViolationError(
-                f"feedback returned {idx.dtype} of shape {idx.shape}, expected "
-                f"({x.shape[0]},) integer indices in 0..{len(atoms) - 1}"
-            )
-        return StepControls(np.take(atoms, idx, axis=0), None,
-                            np.bincount(idx, minlength=len(atoms)) / idx.size)
-    else:
+    if not isinstance(law, NodeTable):
         raise PenmfgError(f"unknown control law {type(law).__name__}")
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n = x.shape[0]
+    nodes = np.zeros(n, np.intp) if law.grid is None else law.grid.nearest_node(x)
+    row = law.table[time_cell(law.times, t)]
+    if not law.relaxed:
+        mass = np.bincount(row, np.bincount(nodes, minlength=row.size),
+                           law.atoms.shape[0]) / n
+        return StepControls(np.take(law.atoms[row], nodes, axis=0), None, mass)
+    w = np.take(row, nodes, axis=0)
     u = None if rng is None else np.take(law.atoms, _sample_rows(w, rng), axis=0)
-    return StepControls(u, w, w.mean(axis=0))
+    # the bits of w.mean(axis=0), which reduces axis 0 far more slowly
+    return StepControls(u, w, np.cumsum(w, axis=0)[-1] / n)
 
 
-def realized_control_measure(ms, paths) -> TimedControlMeasure:
+def realized_control_measure(paths) -> TimedControlMeasure:
     """Population-averaged relaxed control measure realized along a bundle.
 
     Each step's control mass is re-read at its states (`sample_control`
@@ -265,6 +219,6 @@ def realized_control_measure(ms, paths) -> TimedControlMeasure:
     point masses bit for bit, and relaxed weights averaged.  A lean run sums
     the same masses as it steps (``LeanRun.controls``).
     """
-    w = [sample_control(ms, paths.law, t, x, None).mass
+    w = [sample_control(paths.law, t, x, None).mass
          for t, x in zip(paths.times[:-1], paths.X)]
-    return TimedControlMeasure(paths.times, paths.atoms, np.stack(w))
+    return TimedControlMeasure(paths.times, paths.law.atoms, np.stack(w))

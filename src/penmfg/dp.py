@@ -460,41 +460,38 @@ def feedback_law(field: ValueField) -> NodeTable:
     return NodeTable(field.times, field.grid, field.argmin, field.atoms)
 
 
-def _probe_weights(field: ValueField, n_u: int, epsilon: float) -> np.ndarray:
+def _probe_weights(field: ValueField, epsilon: float) -> np.ndarray:
     """(M, n_nodes, nU) table: 1 - eps on the argmin control, eps on the runner-up."""
     if not 0.0 <= epsilon <= 0.5:
         raise ConfigError("epsilon must lie in [0, 1/2]")
-    w = np.zeros(field.argmin.shape + (n_u,))
+    w = np.zeros(field.argmin.shape + (field.atoms.shape[0],))
     k, node = np.indices(field.argmin.shape)
     w[k, node, field.argmin] += 1.0 - epsilon
     w[k, node, field.runner_up] += epsilon
     return w
 
 
-def relaxed_probe(field: ValueField, ms: ModelSpec,
-                  epsilon: float = 0.1) -> NodeTable:
+def relaxed_probe(field: ValueField, epsilon: float = 0.1) -> NodeTable:
     """Mixture law: weight 1 - eps on the argmin control, eps on the runner-up.
 
     A cheap probe of whether genuinely relaxed controls would improve on the
     strict DP law; with one control, or eps = 0, it degenerates to the strict
     law in relaxed form.
     """
-    atoms = ms.control_grid()
-    return NodeTable(field.times, field.grid,
-                     _probe_weights(field, atoms.shape[0], epsilon), atoms)
+    return NodeTable(field.times, field.grid, _probe_weights(field, epsilon),
+                     field.atoms)
 
 
-def chattered_probe(field: ValueField, ms: ModelSpec, delta: float,
+def chattered_probe(field: ValueField, delta: float,
                     epsilon: float = 0.1) -> NodeTable:
     """The relaxed probe chattered at block length delta, as a strict law.
 
     The probe's weights depend on the state only through its nearest node,
     so each node's switching schedule is tabulated once for the whole run.
     """
-    atoms = ms.control_grid()
-    table = _probe_weights(field, atoms.shape[0], epsilon)
+    table = _probe_weights(field, epsilon)
     return NodeTable(field.times, field.grid,
-                     chattered_indices(field.times, table, delta), atoms)
+                     chattered_indices(field.times, table, delta), field.atoms)
 
 
 # ------------------------------------------------------------ exploitability

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .controls import StrictFeedback
+from .controls import constant_law
 from .dp import (
     DPGrid,
     ValueField,
@@ -155,11 +155,6 @@ def _mix_flows(old: MeasureFlow, new: MeasureFlow, theta: float,
     return flow_from_states(new.times, states.transpose(1, 0, 2))
 
 
-def _constant_law() -> StrictFeedback:
-    """Strict law holding the first control atom everywhere."""
-    return StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=np.intp))
-
-
 @shared_noise()
 def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
                       ) -> EquilibriumReport:
@@ -179,7 +174,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     grid = cfg.grid
     if grid is not None and penalty is not None:
         grid = pad_for_penalty(grid, ms, cfg.sim.dt, penalty)
-    law = _constant_law()
+    law = constant_law(ms.control_grid())
     run, flow = simulate(ms, cfg.sim, law, keep_paths=False)
     field_v = None
     residuals = []
@@ -371,13 +366,13 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     base = solve_equilibrium(ms, cfg)
     if base.field is None:
         raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls)")
-    relaxed = relaxed_probe(base.field, ms, epsilon=epsilon)
+    relaxed = relaxed_probe(base.field, epsilon=epsilon)
     flow = base.flow
     ref_cost, q_ref = _cost_and_controls(ms, cfg.sim, relaxed, flow)
     rows = []
     for delta in deltas:
         penalty = max(1, int(round(n0 / delta)))
-        chat = chattered_probe(base.field, ms, float(delta), epsilon=epsilon)
+        chat = chattered_probe(base.field, float(delta), epsilon=epsilon)
         run_cfg = replace(cfg.sim, scheme="penalized_splitting", penalty=penalty)
         cost, q = _cost_and_controls(ms, run_cfg, chat, flow)
         diff = cost.per_particle - ref_cost.per_particle

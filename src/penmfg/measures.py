@@ -119,10 +119,6 @@ class MeasureFlow:
         return float(self.times[1] - self.times[0])
 
     @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def n(self) -> int:
         return self.frames[0].n
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import StepControls, StrictFeedback, sample_control
+from .controls import StepControls, sample_control
 from .domain import row_norm
 from .errors import ConfigError, DivergenceError
 from .measures import (
@@ -114,14 +114,13 @@ class PathBundle(Run):
     """A run with its reflection bookkeeping and control law.
 
     K has the shape of X; Kvar is the running total variation |K|, shape
-    (M+1, N), nondecreasing in the time index.  K[0] = 0.  ``atoms`` is
-    the (nU, du) grid the law's controls name.
+    (M+1, N), nondecreasing in the time index.  K[0] = 0.  ``law`` is the
+    `controls.NodeTable` the run followed.
     """
 
     K: np.ndarray
     Kvar: np.ndarray
     law: object
-    atoms: np.ndarray
 
 
 @dataclass
@@ -208,8 +207,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     x = np.empty((m_steps + 1, n, d))
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
 
-    # the atoms the law's controls name; strict feedback indexes the model grid
-    atoms = (ms.control_grid() if isinstance(law, StrictFeedback) else law.atoms).copy()
+    atoms = law.atoms
     if keep_paths:
         k = np.zeros((m_steps + 1, n, d))
         kvar = np.zeros((m_steps + 1, n))
@@ -222,7 +220,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
         xk = x[step]
         mu = EmpiricalMeasure(xk) if frozen_flow is None else frozen_flow.frames[step]
         draws = stream(cfg.seed, CONTROL, step) if law.relaxed else None
-        c = sample_control(ms, law, t, xk, draws)
+        c = sample_control(law, t, xk, draws)
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
         x_next, dk, dkvar = scheme_step(ms, cfg, t, xk, mu, c.u, xi)
         if not np.isfinite(x_next).all():
@@ -243,8 +241,7 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
 
     flow = flow_from_states(times, x)
     if keep_paths:
-        return PathBundle(times=times, X=x, K=k, Kvar=kvar, law=law,
-                          atoms=atoms), flow
+        return PathBundle(times=times, X=x, K=k, Kvar=kvar, law=law), flow
     seen = flow if frozen_flow is None else frozen_flow
     cost = _cost_report(ms, running, boundary, x[-1], seen.frames[-1])
     return LeanRun(times=times, X=x, cost=cost,
@@ -264,12 +261,12 @@ def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure
     return out
 
 
-def _stepwise_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
-                   fn: Callable, step: int) -> np.ndarray:
+def _stepwise_cost(paths: PathBundle, flow: MeasureFlow, fn: Callable,
+                   step: int) -> np.ndarray:
     """Evaluate a running-cost-like fn at one step of a bundle's controls."""
     t, xk = paths.times[step], paths.X[step]
-    return _control_average(fn, t, xk, flow.frames[step], paths.atoms,
-                            sample_control(ms, paths.law, t, xk, None))
+    return _control_average(fn, t, xk, flow.frames[step], paths.law.atoms,
+                            sample_control(paths.law, t, xk, None))
 
 
 def _add_step_cost(ms: ModelSpec, running: np.ndarray, boundary: np.ndarray,
@@ -306,13 +303,6 @@ class CostReport:
     terminal: float
     per_particle: np.ndarray = field(repr=False, default=None)
 
-    def __str__(self):
-        return (
-            f"J = {self.value:.6f} +/- {self.stderr:.2g}  "
-            f"(running {self.running:.6f}, boundary {self.boundary:.6f}, "
-            f"terminal {self.terminal:.6f})"
-        )
-
 
 def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
                   penalty: Optional[int] = None) -> CostReport:
@@ -340,7 +330,7 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
             dkvar = paths.Kvar[step + 1] - paths.Kvar[step]
         _add_step_cost(ms, running, boundary, paths.times[step], dt, xk,
                        flow.frames[step],
-                       _stepwise_cost(ms, paths, flow, ms.running_cost, step),
+                       _stepwise_cost(paths, flow, ms.running_cost, step),
                        dkvar)
     return _cost_report(ms, running, boundary, paths.X[-1], flow.frames[-1])
 
@@ -399,7 +389,7 @@ def martingale_residual(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
         dk = paths.K[step + 1] - paths.K[step]
         delta = (
             phi.value(x_next) - phi.value(xk)
-            - _stepwise_cost(ms, paths, flow, generator, step) * dt
+            - _stepwise_cost(paths, flow, generator, step) * dt
             + phi.value(x_next + dk) - phi.value(x_next)
         )
         per_step[step] = delta

@@ -15,11 +15,10 @@ from scipy import stats
 
 from conftest import ACCEPTANCE_LINES
 from penmfg import domain, model
-from penmfg.controls import chattered_indices
+from penmfg.controls import chattered_indices, constant_law
 from penmfg.dp import DPGrid, build_chain, solve_dp
 from penmfg.equilibrium import (
     FixedPointConfig,
-    _constant_law,
     solve_equilibrium,
     strict_approximation_run,
 )
@@ -93,7 +92,7 @@ def bm_sweep():
     dt = 1e-3
     ms = model.make_preset(
         "reflected_bm", HALF_LINE, {"sigma": 1.0, "horizon": 1.0, "x0": 0.0})
-    law = _constant_law()
+    law = constant_law(ms.control_grid())
     runs = {}
     t0 = time.perf_counter()
     for n in PEN_LEVELS:
@@ -115,7 +114,7 @@ def martingale_reports():
     """Generator residuals at n=512 and reflected, 1e4 particles each."""
     ms = model.make_preset(
         "reflected_bm", HALF_LINE, {"sigma": 1.0, "horizon": 1.0, "x0": 0.0})
-    law = _constant_law()
+    law = constant_law(ms.control_grid())
     probes = {"x": model.linear_probe([1.0]),
               "x^2": model.quadratic_probe(dim=1)}
     reports = {}
@@ -137,7 +136,7 @@ def ou_cost_sweep():
         "reflected_ou_mf", UNIT_BOX,
         {"kappa": 1.0, "sigma": 1.0, "horizon": 0.5, "f_x2": 1.0,
          "h_const": 1.0, "x0": 0.5})
-    law = _constant_law()
+    law = constant_law(ms.control_grid())
     per_particle = {}
     for n in PEN_LEVELS:
         cfg = SimConfig(n_particles=10_000, dt=1e-3,
@@ -380,7 +379,7 @@ def test_10_dp_self_consistency():
     hx, dt = grid.hx, 2.5e-3
     sim = SimConfig(n_particles=4000, dt=dt, scheme="reflected_projected",
                     seed=17)
-    _, flow = simulate(ms, sim, _constant_law())
+    _, flow = simulate(ms, sim, constant_law(ms.control_grid()))
     chain = build_chain(ms, None, flow, grid)
     field, law = solve_dp(chain, flow)
     paths, _ = simulate(ms, sim, law, frozen_flow=flow)

@@ -1,17 +1,15 @@
 """Command line front end: artifacts, exit codes, byte-stable reruns."""
 
 import sys
-from pathlib import Path
 
 import numpy as np
 import scipy
 
-from penmfg import cli, dp, equilibrium, measures
+from penmfg import cli, measures
 from penmfg.cli import main
 from penmfg.config import build_model, build_sim, parse_config_file
-from penmfg.equilibrium import _constant_law
+from penmfg.controls import constant_law
 from penmfg.simulate import LeanRun, simulate
-from test_dp import closure_chattered_probe, closure_feedback_law, closure_relaxed_probe
 from test_simulate import (
     assert_no_helper_left,
     reference_flow_csv,
@@ -106,7 +104,7 @@ def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
     cfg = write_cfg(tmp_path)
     parsed = parse_config_file(cfg)
     ms = build_model(parsed)
-    paths, flow = simulate(ms, build_sim(parsed), _constant_law())
+    paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.control_grid()))
     held = paths.Kvar[1:] == paths.Kvar[:-1]
     assert held.any() and not held.all()  # K/Kvar cells both hold and move
     for command in ("simulate", "cost"):
@@ -189,27 +187,6 @@ def test_chatter_command(tmp_path):
     assert len(lines) == 3
     d = [float(line.split(",")[2]) for line in lines[1:]]
     assert d[1] < d[0]
-
-
-def test_chatter_node_tables_match_the_closure_laws(tmp_path, monkeypatch):
-    """The shipped chatter study at 2,000 particles writes the same bytes when
-    every DP law is the per-particle closure that node tables replaced."""
-    cfg = str(Path(__file__).parents[1] / "scripts" / "configs" / "lq_box_chatter.cfg")
-    assert run_cli("chatter", "--config", cfg, "--out", str(tmp_path / "table")) == 0
-    built = []
-
-    def counted(fn):
-        return lambda *args, **kw: built.append(fn.__name__) or fn(*args, **kw)
-
-    monkeypatch.setattr(dp, "feedback_law", counted(closure_feedback_law))
-    monkeypatch.setattr(equilibrium, "relaxed_probe", counted(closure_relaxed_probe))
-    monkeypatch.setattr(equilibrium, "chattered_probe", counted(closure_chattered_probe))
-    assert run_cli("chatter", "--config", cfg, "--out", str(tmp_path / "closure")) == 0
-    assert sorted(set(built)) == ["closure_chattered_probe", "closure_feedback_law",
-                                  "closure_relaxed_probe"]
-    for name in ("report.txt", "sweep.csv"):
-        assert (tmp_path / "table" / name).read_bytes() == \
-            (tmp_path / "closure" / name).read_bytes(), name
 
 
 def test_chatter_rejects_penalized_base(tmp_path, capsys):

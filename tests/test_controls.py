@@ -11,9 +11,8 @@ from penmfg import controls, domain, measures, model, rng
 from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.controls import (
     NodeTable,
-    RelaxedFeedback,
-    StrictFeedback,
     chattered_indices,
+    constant_law,
     largest_remainder_counts,
     sample_control,
     time_cell,
@@ -41,40 +40,63 @@ def chatter(q, delta):
     return chattered_indices(q.times, q.weights, delta)
 
 
-def fake_run(times, *, atoms, n, indices=None, law=None):
-    """(ms, bundle): a bundle of n particles at zero under ``law``, or under
-    the strict law that reads the (steps, n) ``indices`` table by time cell,
-    and a model whose control grid is ``atoms``."""
-    times = np.asarray(times, float)
+def tabulated_law(ms, dt, fn, hx=0.1):
+    """The node table of fn(t, x), atom indices (B,) or weights (B, nU) into
+    ms's control grid, read at each time cell's left end and each node of a
+    DPGrid with spacing hx over ms's box."""
+    times = np.arange(int(round(ms.horizon / dt)) + 1) * dt
+    grid = DPGrid.for_model(ms, hx)
+    return NodeTable(times, grid, np.stack([fn(t, grid.nodes()) for t in times[:-1]]),
+                     ms.control_grid())
+
+
+def open_loop(times, weights, atoms):
+    """The relaxed open-loop law of a (cells, nU) weight table."""
+    return NodeTable(np.asarray(times, float), None,
+                     np.asarray(weights, float)[:, None, :], np.asarray(atoms, float))
+
+
+def per_particle_law(times, table, atoms):
+    """(law, x): a node table over a 1-D grid with one node per particle, and
+    the B particles of a (cells, B) or (cells, B, nU) table, each on its own
+    node, so particle i reads column i."""
+    n = np.shape(table)[1]
+    grid = DPGrid.regular([0.0], [float(max(n - 1, 1))], 1.0)
+    if n == 1:  # a one-node grid is not regular: pad a node no particle reads
+        table = np.concatenate([table, table], axis=1)
     atoms = np.asarray(atoms, float).reshape(len(atoms), -1)
-    if law is None:
-        law = StrictFeedback(lambda t, x: indices[time_cell(times, t)])
-    bundle = SimpleNamespace(times=times, X=np.zeros((times.size, n, 1)),
-                             law=law, atoms=atoms)
-    return SimpleNamespace(control_grid=lambda: atoms), bundle
+    law = NodeTable(np.asarray(times, float), grid, table, atoms)
+    return law, np.arange(n, dtype=float)[:, None]
+
+
+def fake_run(times, table, *, atoms):
+    """A bundle whose particles stand still, each on its own node of a law
+    that reads the (steps, n) indices or (steps, n, nU) weights ``table``."""
+    times = np.asarray(times, float)
+    law, x = per_particle_law(times, table, atoms)
+    return SimpleNamespace(times=times, X=np.tile(x, (times.size, 1, 1)), law=law)
 
 
 # ------------------------------------------------------------------ sampling
 
 
-def test_strict_feedback_values_and_grid_check():
+def test_strict_table_values_and_mass():
     # LQ's control grid is -1, 0, 1: a strict law names rows 0..2
-    law = StrictFeedback(lambda t, x: np.where(x[:, 0] > 0, 2, 0))
-    x = np.array([[0.5], [-0.5], [0.2]])
-    c = sample_control(LQ, law, 0.0, x, RNG)
+    law = tabulated_law(LQ, 0.5, lambda t, x: np.where(x[:, 0] > 0, 2, 0), hx=0.5)
+    x = np.array([[0.5], [-0.5], [0.7]])
+    c = sample_control(law, 0.0, x, RNG)
     np.testing.assert_array_equal(c.u, [[1.0], [-1.0], [1.0]])
     assert c.weights is None
     np.testing.assert_array_equal(c.mass, [1 / 3, 0.0, 2 / 3])
-    bad = [
-        np.zeros((3, 1), dtype=int),  # a column, not (B,)
-        np.zeros(2, dtype=int),       # one index short
-        np.zeros(3),                  # float values, even if integral
-        np.array([0, 1, -1]),         # -1 would wrap to the last row
-        np.array([0, 3, 1]),          # nU is one past the last row
-    ]
-    for out in bad:
-        with pytest.raises(ContractViolationError):
-            sample_control(LQ, StrictFeedback(lambda t, x, out=out: out), 0.0, x, RNG)
+
+
+def test_a_law_that_is_not_a_node_table_is_refused():
+    fn = lambda t, x: np.zeros(x.shape[0], dtype=int)  # noqa: E731
+    for law in (fn, SimpleNamespace(times=np.array([0.0, 1.0]), grid=None,
+                                    table=np.zeros((1, 1), dtype=int),
+                                    atoms=np.zeros((1, 1)), relaxed=False)):
+        with pytest.raises(PenmfgError, match="unknown control law"):
+            sample_control(law, 0.0, np.zeros((3, 1)), RNG)
 
 
 def test_time_cell_lookup():
@@ -86,48 +108,83 @@ def test_time_cell_lookup():
     assert time_cell(times, 1.0) == time_cell(times, 7.0) == 9  # the last cell
 
 
-def test_relaxed_feedback_sampling_frequencies():
+def test_relaxed_table_sampling_frequencies():
     atoms = np.array([[-1.0], [1.0]])
-    law = RelaxedFeedback(lambda t, x: np.tile([0.5, 0.5], (x.shape[0], 1)), atoms)
+    law = open_loop([0.0, 1.0], [[0.5, 0.5]], atoms)
     x = np.zeros((100_000, 1))
-    c = sample_control(LQ, law, 0.0, x, rng.stream(4, rng.CONTROL, 0))
+    c = sample_control(law, 0.0, x, rng.stream(4, rng.CONTROL, 0))
     assert c.weights.shape == (100_000, 2)
     frac = np.mean(c.u[:, 0] == 1.0)
     assert abs(frac - 0.5) <= 0.01  # ~3 binomial sigmas is 0.005
-    skew = RelaxedFeedback(lambda t, x: np.tile([0.9, 0.1], (x.shape[0], 1)), atoms)
-    u = sample_control(LQ, skew, 0.0, x, rng.stream(4, rng.CONTROL, 1)).u
+    skew = open_loop([0.0, 1.0], [[0.9, 0.1]], atoms)
+    u = sample_control(skew, 0.0, x, rng.stream(4, rng.CONTROL, 1)).u
     assert abs(np.mean(u[:, 0] == 1.0) - 0.1) <= 0.01
     # without a generator a relaxed law hands out its weights and no atoms
-    c = sample_control(LQ, skew, 0.0, x[:3], None)
+    c = sample_control(skew, 0.0, x[:3], None)
     assert c.u is None and np.allclose(c.mass, [0.9, 0.1])
 
 
 def test_relaxed_open_loop_uses_cell_weights():
-    # an open-loop relaxed control is a feedback that ignores the state
+    # an open-loop relaxed control is a table with one node per time cell
     q = TimedControlMeasure(
         np.array([0.0, 0.5, 1.0]), [[-1.0], [1.0]], [[1.0, 0.0], [0.0, 1.0]]
     )
-    law = RelaxedFeedback(
-        lambda t, x: np.tile(q.weights[time_cell(q.times, t)], (x.shape[0], 1)),
-        q.atoms)
+    law = open_loop(q.times, q.weights, q.atoms)
     x = np.zeros((50, 1))
-    c = sample_control(LQ, law, 0.0, x, RNG)
+    c = sample_control(law, 0.0, x, RNG)
     assert np.all(c.u == -1.0) and np.all(c.weights[:, 0] == 1.0)
-    assert np.all(sample_control(LQ, law, 0.6, x, RNG).u == 1.0)
+    assert np.all(sample_control(law, 0.6, x, RNG).u == 1.0)
 
 
-def test_relaxed_feedback_weight_contract():
-    bad = RelaxedFeedback(lambda t, x: np.tile([0.7, 0.7], (x.shape[0], 1)),
-                          np.array([[-1.0], [1.0]]))
-    with pytest.raises(ContractViolationError):
-        sample_control(LQ, bad, 0.0, np.zeros((3, 1)), RNG)
+def test_open_loop_table_contract():
+    """An open-loop table is (M, 1) indices or (M, 1, nU) weights; its rows
+    are stored normalized, and other shapes or non-probabilities are refused."""
+    times, atoms = np.linspace(0.0, 1.0, 5), np.array([[-1.0], [0.0], [1.0]])
+    strict = NodeTable(times, None, np.array([[0], [2], [1], [2]]), atoms)
+    assert not strict.relaxed and strict.table.shape == (4, 1)
+    x = np.linspace(-5.0, 5.0, 7)[:, None]  # every state reads the one node
+    for k, t in enumerate(times[:-1]):
+        c = sample_control(strict, t, x, None)
+        assert np.all(c.u == atoms[strict.table[k, 0]])
+        assert c.mass.tolist() == np.eye(3)[strict.table[k, 0]].tolist()
+    row = [0.2, 0.3, 0.5 + 1e-10]
+    relaxed = NodeTable(times, None, np.tile(row, (4, 1, 1)), atoms)
+    assert relaxed.relaxed and relaxed.table.shape == (4, 1, 3)
+    want = np.array(row) / (0.2 + 0.3 + (0.5 + 1e-10))
+    assert relaxed.table.tobytes() == np.tile(want, (4, 1, 1)).tobytes()
+    bad = {"no node axis": np.zeros(4, dtype=int),
+           "two nodes": np.zeros((4, 2), dtype=int),
+           "weights without a node axis": np.full((4, 3), 1.0 / 3.0),
+           "one cell short": np.zeros((3, 1), dtype=int),
+           "index >= nU": np.full((4, 1), 3), "row sum 1.4": np.full((4, 1, 2), 0.7),
+           "NaN weight": np.tile([np.nan, 0.5, 0.5], (4, 1, 1))}
+    for name, table in bad.items():
+        with pytest.raises(ContractViolationError):
+            NodeTable(times, None, table, atoms[:2] if name == "row sum 1.4" else atoms)
+            pytest.fail(name)
 
 
-def test_relaxed_feedback_nan_weight_breaks_the_contract():
-    law = RelaxedFeedback(lambda t, x: np.tile([np.nan, 0.5, 0.5], (x.shape[0], 1)),
-                          np.array([[-1.0], [0.0], [1.0]]))
-    with pytest.raises(ContractViolationError):
-        sample_control(LQ, law, 0.0, np.zeros((3, 1)), RNG)
+def test_constant_law_holds_the_first_atom_at_every_time():
+    atoms = np.array([[0.5, -1.0], [2.0, 3.0]])
+    law = constant_law(atoms)
+    assert law.grid is None and not law.relaxed and law.table.shape == (1, 1)
+    x = np.random.default_rng(2).normal(size=(9, 2)) * 1e3
+    for t in (-1.0, 0.0, 0.4, 1.0, 250.0):  # one cell, clamped from every t
+        c = sample_control(law, t, x, None)
+        assert c.u.tolist() == [[0.5, -1.0]] * 9 and c.mass.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("n_u", [1, 2, 3, 5, 8, 9, 16])
+def test_relaxed_mass_has_the_bits_of_the_mean_of_its_weights(n_u):
+    """The sampler's control mass is, bit for bit, ``w.mean(axis=0)`` of the
+    weight rows it hands out."""
+    gen = np.random.default_rng(n_u)
+    for n in (1, 2, 7, 100, 2000, 32000, 100001):
+        law, x = per_particle_law([0.0, 1.0], gen.dirichlet(np.ones(n_u), (1, n)),
+                                  np.arange(n_u))
+        c = sample_control(law, 0.0, x, None)
+        assert c.weights.shape == (n, n_u)
+        assert c.mass.tobytes() == c.weights.mean(axis=0).tobytes(), n
 
 
 def sample_rows_reference(weights, gen):
@@ -161,9 +218,8 @@ def test_sample_rows_matches_cumsum_reference(n_u):
     np.testing.assert_array_equal(
         got, sample_rows_reference(degenerate, rng.stream(6, rng.CONTROL, 2)))
     want = got[:len(w)]
-    law = RelaxedFeedback(lambda t, x: w, np.arange(n_u, dtype=float))
-    c = sample_control(LQ, law, 0.0, np.zeros((len(w), 1)),
-                       rng.stream(6, rng.CONTROL, 2))
+    law, x = per_particle_law([0.0, 1.0], w[None], np.arange(n_u))
+    c = sample_control(law, 0.0, x, rng.stream(6, rng.CONTROL, 2))
     np.testing.assert_array_equal(c.u[:, 0], want)  # atom j is the value j
     # the weights handed out are the rows divided by their running-sum totals
     np.testing.assert_array_equal(c.weights, w / sums[-1][:, None])
@@ -173,12 +229,11 @@ def test_sample_rows_matches_cumsum_reference(n_u):
 def test_row_sum_off_by_1e8_still_breaks_the_contract(n_u):
     w = np.full((4, n_u), 1.0 / n_u)
     w[2] *= 1.0 + 1e-8
-    law = RelaxedFeedback(lambda t, x: w, np.arange(n_u, dtype=float))
     with pytest.raises(ContractViolationError):
-        sample_control(LQ, law, 0.0, np.zeros((4, 1)), RNG)
+        per_particle_law([0.0, 1.0], w[None], np.arange(n_u))
     w[2] = 1.0 / n_u * (1.0 - 1e-8)
     with pytest.raises(ContractViolationError):
-        sample_control(LQ, law, 0.0, np.zeros((4, 1)), RNG)
+        per_particle_law([0.0, 1.0], w[None], np.arange(n_u))
 
 
 def test_near_probability_rows_are_normalized_for_every_reader():
@@ -186,17 +241,15 @@ def test_near_probability_rows_are_normalized_for_every_reader():
     measure, which demands 1e-12, must accept the run they drive."""
     cfg = parse_config_file(CONFIGS / "lq_box_chatter.cfg")
     ms = build_model(cfg)
-    law = RelaxedFeedback(lambda t, x: np.tile([0.2, 0.3, 0.5 + 1e-10], (len(x), 1)),
-                          ms.control_grid())
+    law = open_loop([0.0, 1.0], [[0.2, 0.3, 0.5 + 1e-10]], ms.control_grid())
     paths, _ = simulate(ms, replace(build_sim(cfg), n_particles=40), law)
-    q = controls.realized_control_measure(ms, paths)
+    q = controls.realized_control_measure(paths)
     assert np.max(np.abs(q.weights.sum(axis=1) - 1.0)) <= 1e-15
-    w = controls.relaxed_weights(law, 0.0, paths.X[0])
+    w = sample_control(law, 0.0, paths.X[0], None).weights
     np.testing.assert_array_equal(w, np.tile([0.2, 0.3, 0.5 + 1e-10], (40, 1))
                                   / (0.2 + 0.3 + (0.5 + 1e-10)))
-    exact = RelaxedFeedback(lambda t, x: np.tile([0.25, 0.25, 0.5], (len(x), 1)),
-                            ms.control_grid())
-    assert controls.relaxed_weights(exact, 0.0, paths.X[0]).tobytes() == \
+    exact = open_loop([0.0, 1.0], [[0.25, 0.25, 0.5]], ms.control_grid())
+    assert sample_control(exact, 0.0, paths.X[0], None).weights.tobytes() == \
         np.tile([0.25, 0.25, 0.5], (40, 1)).tobytes()
 
 
@@ -230,13 +283,13 @@ def test_node_table_contract_is_checked_when_built():
 
 
 def test_node_table_normalizes_its_rows_once():
-    """Rows within 1e-9 of one are stored divided by their sums, as
-    relaxed_weights hands them out; a read gathers them with no further check."""
+    """Rows within 1e-9 of one are stored divided by their sums; a read
+    gathers them with no further check."""
     row = [0.2, 0.3, 0.5 + 1e-10]
     law = node_table(np.tile(row, (5, 11, 1)))
     want = np.array(row) / (0.2 + 0.3 + (0.5 + 1e-10))
     assert law.table.tobytes() == np.tile(want, (5, 11, 1)).tobytes()
-    c = sample_control(LQ, law, 0.3, np.array([[0.26], [-3.0], [7.0]]), None)
+    c = sample_control(law, 0.3, np.array([[0.26], [-3.0], [7.0]]), None)
     assert c.u is None and c.weights.tobytes() == np.tile(want, (3, 1)).tobytes()
 
 
@@ -334,8 +387,7 @@ def test_largest_remainder_exact_quotas():
 def test_realized_control_measure_from_strict_bundle():
     times = np.array([0.0, 0.5, 1.0])
     idx = np.array([[1] * 4, [0, 0, 1, 1]])
-    q = controls.realized_control_measure(
-        *fake_run(times, indices=idx, atoms=[-1.0, 1.0], n=4))
+    q = controls.realized_control_measure(fake_run(times, idx, atoms=[-1.0, 1.0]))
     np.testing.assert_allclose(q.weights, [[0.0, 1.0], [0.5, 0.5]])
 
 
@@ -350,11 +402,10 @@ def test_realized_control_measure_counts_equal_one_hot_mean():
     atoms = np.linspace(-1.0, 1.0, n_u)
     times = np.linspace(0.0, 1.0, steps + 1)
     from_counts = controls.realized_control_measure(
-        *fake_run(times, indices=idx, atoms=atoms, n=n)).weights
+        fake_run(times, idx, atoms=atoms)).weights
     # the same one-hot mixtures as a relaxed law, re-evaluated step by step
-    law = RelaxedFeedback(lambda t, x: one_hot[time_cell(times, t)], atoms)
     from_weights = controls.realized_control_measure(
-        *fake_run(times, law=law, atoms=atoms, n=n)).weights
+        fake_run(times, one_hot, atoms=atoms)).weights
     assert from_counts[2, 3] == 0.0
     assert from_counts.tobytes() == one_hot.mean(axis=1).tobytes()
     assert from_counts.tobytes() == from_weights.tobytes()

@@ -1,6 +1,7 @@
 """Markov-chain DP: grid, stencil consistency, recursion laws, exploitability."""
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,11 +11,9 @@ import pytest
 from penmfg import domain, model, rng
 from penmfg.config import build_model, parse_config_file
 from penmfg.controls import (
-    RelaxedFeedback,
-    StrictFeedback,
+    NodeTable,
     chattered_indices,
     largest_remainder_counts,
-    relaxed_weights,
     sample_control,
     time_cell,
 )
@@ -39,6 +38,7 @@ from penmfg.equilibrium import EquilibriumReport
 from penmfg.errors import ConfigError, GridError
 from penmfg.measures import flow_from_states, format_float
 from penmfg.simulate import SimConfig, evaluate_cost, simulate
+from test_controls import sample_rows_reference
 
 UNIT_BOX = domain.box([0.0], [1.0])
 HALF_LINE = domain.half_space([-1.0], 0.0)
@@ -485,7 +485,7 @@ def test_zero_costs_give_zero_value_and_lowest_tie_index():
     field, law = solve_dp(build_chain(ms, None, flow, g), flow)
     assert np.max(np.abs(field.V)) == 0.0
     assert np.all(field.argmin == 0)
-    c = sample_control(ms, law, 0.0, np.array([[0.3], [0.9]]), None)
+    c = sample_control(law, 0.0, np.array([[0.3], [0.9]]), None)
     assert np.array_equal(c.u, [[-1.0], [-1.0]])  # atom 0
     assert c.mass.tolist() == [1.0, 0.0, 0.0]
 
@@ -557,7 +557,8 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     assert isinstance(good, ExploitabilityReport)
     assert good.gap <= 3.0 * good.cost_se + 2.0 * (0.05 + dt)
     assert good.gap >= -3.0 * good.cost_se - 1e-12
-    push = StrictFeedback(lambda t, x: np.full(x.shape[0], 2))  # the atom +1
+    push = NodeTable(np.array([0.0, 1.0]), None, np.full((1, 1), 2),  # the atom +1
+                     ms.control_grid())
     bad = exploitability(ms, flow, push, sim, grid=g, field=field)
     assert bad.gap > 0.05
     assert bad.gap > 5.0 * max(good.gap, 1e-3)
@@ -626,48 +627,59 @@ def test_relaxed_probe_mixture_weights():
     flow = const_flow(0.4, 2e-3, 20)
     g = DPGrid.regular([0.0], [1.0], 0.1)
     field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
-    probe = relaxed_probe(field, ms, epsilon=0.1)
+    probe = relaxed_probe(field, epsilon=0.1)
     x = np.array([[0.15], [0.85]])
-    w = sample_control(ms, probe, 0.0, x, None).weights
+    w = sample_control(probe, 0.0, x, None).weights
     assert w.shape == (2, 3)
     assert np.allclose(w.sum(axis=1), 1.0)
     assert np.isclose(np.sort(w[0])[-1], 0.9)
-    strict_w = sample_control(ms, relaxed_probe(field, ms, epsilon=0.0), 0.0, x,
-                              None).weights
+    strict_w = sample_control(relaxed_probe(field, epsilon=0.0), 0.0, x, None).weights
     assert np.allclose(np.max(strict_w, axis=1), 1.0)
     with pytest.raises(ConfigError):
-        relaxed_probe(field, ms, epsilon=0.9)
+        relaxed_probe(field, epsilon=0.9)
 
 
-# The per-particle closure laws that the DP node tables replaced, kept as the
-# reference: every call looks each state's node up with the ravel_multi_index
-# lookup and goes through the function-law checks of sample_control.
+# Per-particle references of the DP laws as plain numpy functions of
+# (t, x, generator): each state's node by the ravel_multi_index lookup, its
+# row read at the time cell, weights divided by their cumsum totals and drawn
+# by the cumsum/compare-sum sampler, and the mass averaged over the states.
 
 
-def closure_table_law(field, table):
-    return StrictFeedback(lambda t, x: table[time_cell(field.times, t)][
-        nearest_node_reference(field.grid, x)])
+def reference_strict(field, table):
+    """(u, None, mass) of the strict law reading ``table`` per particle."""
+    def read(t, x, gen):
+        idx = table[time_cell(field.times, t)][nearest_node_reference(field.grid, x)]
+        return (np.take(field.atoms, idx, axis=0), None,
+                np.bincount(idx, minlength=len(field.atoms)) / idx.size)
+    return read
 
 
-def closure_feedback_law(field):
-    return closure_table_law(field, field.argmin)
+def reference_weights(field, epsilon):
+    """The relaxed probe's (B, nU) weight rows at (t, x), per particle."""
+    table = _probe_weights(field, epsilon)
+
+    def weights(t, x):
+        w = np.take(table[time_cell(field.times, t)],
+                    nearest_node_reference(field.grid, x), axis=0)
+        return w / np.cumsum(w, axis=1)[:, -1:]
+    return weights
 
 
-def closure_relaxed_probe(field, ms, epsilon=0.1):
-    atoms = ms.control_grid()
-    table = _probe_weights(field, atoms.shape[0], epsilon)
-    return RelaxedFeedback(lambda t, x: np.take(table[time_cell(field.times, t)],
-                                                nearest_node_reference(field.grid, x),
-                                                axis=0), atoms)
+def reference_relaxed(field, epsilon):
+    """(u, weights, mass) of the relaxed probe per particle; u is None
+    without a generator."""
+    weights = reference_weights(field, epsilon)
 
-
-def closure_chattered_probe(field, ms, delta, epsilon=0.1):
-    table = _probe_weights(field, ms.control_grid().shape[0], epsilon)
-    return closure_table_law(field, chattered_indices(field.times, table, delta))
+    def read(t, x, gen):
+        w = weights(t, x)
+        u = None if gen is None else np.take(field.atoms, sample_rows_reference(w, gen),
+                                             axis=0)
+        return u, w, w.mean(axis=0)
+    return read
 
 
 def table_case(d, penalty):
-    """(ms, field) on the unit box in dimension d, on the penalty-padded grid
+    """The DP field on the unit box in dimension d, on the penalty-padded grid
     when a penalty is given, with argmin and runner-up scrambled per node."""
     atoms = [[-1.0], [0.0], [1.0]] if d == 1 else [[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     ms = model.make_preset("lq_control", domain.box([0.0] * d, [1.0] * d), {
@@ -679,39 +691,41 @@ def table_case(d, penalty):
     field, _ = solve_dp(build_chain(ms, penalty, flow, grid), flow)
     gen = np.random.default_rng(3 * d)
     arg = gen.integers(0, 3, size=field.argmin.shape)
-    return ms, replace(field, argmin=arg,
-                       runner_up=(arg + gen.integers(1, 3, arg.shape)) % 3)
+    second = (arg + gen.integers(1, 3, arg.shape)) % 3
+    return replace(field, argmin=arg, runner_up=second)
 
 
 @pytest.mark.parametrize("penalty", [None, 8], ids=["reflected", "padded"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_node_tables_read_what_the_closures_read(d, penalty):
     """u, relaxed weights and control mass of every DP law equal, bit for
-    bit, those of its per-particle closure, at nodes, half-way points and
-    clamped points far outside the grid."""
-    ms, field = table_case(d, penalty)
+    bit, those of its per-particle numpy reference (the closure laws that
+    node tables replaced), at nodes, half-way points and clamped points far
+    outside the grid."""
+    field = table_case(d, penalty)
     g = field.grid
     gen = np.random.default_rng(d)
     span = g.upper - g.lower
     x = np.vstack([g.nodes(), g.nodes() + 0.5 * g.hx,  # half-way: round half even
                    gen.uniform(g.lower - span, g.upper + span, (400, d)),
                    [g.lower - 1e6, g.upper + 1e6, g.lower - 0.5 * g.hx]])
-    pairs = [(feedback_law(field), closure_feedback_law(field))]
+    pairs = [(feedback_law(field), reference_strict(field, field.argmin))]
     for eps in (0.0, 0.25):
-        pairs += [(relaxed_probe(field, ms, eps), closure_relaxed_probe(field, ms, eps)),
-                  (chattered_probe(field, ms, 0.025, eps),
-                   closure_chattered_probe(field, ms, 0.025, eps))]
+        chattered = chattered_indices(field.times, _probe_weights(field, eps), 0.025)
+        pairs += [(relaxed_probe(field, eps), reference_relaxed(field, eps)),
+                  (chattered_probe(field, 0.025, eps),
+                   reference_strict(field, chattered))]
     for law, ref in pairs:
         for k, t in enumerate(field.times[:-1]):
             for draws in (None, 7):  # relaxed laws read, then sample
-                got, want = (sample_control(ms, f, t, x, draws and rng.stream(
-                    draws, rng.CONTROL, k)) for f in (law, ref))
+                got, want = (read(t, x, draws and rng.stream(draws, rng.CONTROL, k))
+                             for read in (partial(sample_control, law), ref))
                 for a, b in zip(got, want):
                     assert (a is None) == (b is None)
                     assert a is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
-def reference_chattered_indices(probe, times, delta, t, x):
+def reference_chattered_indices(weights, times, delta, t, x):
     """Per-particle chattering: weigh every cell of t's block at x, then allocate."""
     dt = float(times[1] - times[0])
     k = int(round(delta / dt))
@@ -719,7 +733,7 @@ def reference_chattered_indices(probe, times, delta, t, x):
     cell = int(np.clip(np.floor((t - times[0]) / dt + 1e-12), 0, m - 1))
     start = (cell // k) * k
     stop = min(start + k, m)
-    w = np.stack([relaxed_weights(probe, times[c], x) for c in range(start, stop)])
+    w = np.stack([weights(times[c], x) for c in range(start, stop)])
     w_bar = w.mean(axis=0)
     counts = largest_remainder_counts(w_bar * (stop - start), stop - start)
     cum = np.cumsum(counts, axis=1)
@@ -748,16 +762,16 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
     nodes = g.nearest_node(x)
     for f in fields:
         for eps in (0.0, 0.25):
-            probe = closure_relaxed_probe(f, ms, epsilon=eps)
-            table = _probe_weights(f, n_u, eps)
+            weights = reference_weights(f, eps)
+            table = _probe_weights(f, eps)
             for delta in (0.2, 0.1, 0.05):  # 0.2: blocks of 16, 16 and 8 cells
                 sched = chattered_indices(f.times, table, delta)
-                law = chattered_probe(f, ms, delta, epsilon=eps)
+                law = chattered_probe(f, delta, epsilon=eps)
                 for c in range(flow.n_steps):
                     t = float(f.times[c])
-                    ref = reference_chattered_indices(probe, f.times, delta, t, x)
+                    ref = reference_chattered_indices(weights, f.times, delta, t, x)
                     np.testing.assert_array_equal(sched[c][nodes], ref)
-                    c = sample_control(ms, law, t, x, None)
+                    c = sample_control(law, t, x, None)
                     assert c.weights is None
                     np.testing.assert_array_equal(c.u, ms.control_grid()[ref])
 
@@ -777,7 +791,7 @@ def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
         return lookup(grid, x)
 
     monkeypatch.setattr(DPGrid, "nearest_node", counted)
-    law = chattered_probe(field, ms, 0.2, epsilon=0.25)
+    law = chattered_probe(field, 0.2, epsilon=0.25)
     assert calls == []  # tabulating the schedule looks up no state
     cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
                     penalty=10, seed=3)
@@ -795,19 +809,19 @@ def test_chattered_run_records_table_indices():
     gen = np.random.default_rng(8)  # scrambled, so the schedule varies by node
     arg = gen.integers(0, 3, size=field.argmin.shape)
     field = replace(field, argmin=arg, runner_up=(arg + gen.integers(1, 3, arg.shape)) % 3)
-    table = chattered_indices(field.times, _probe_weights(field, 3, 0.25), 0.2)
+    table = chattered_indices(field.times, _probe_weights(field, 0.25), 0.2)
     cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
                     penalty=10, seed=3)
-    paths, _ = simulate(ms, cfg, chattered_probe(field, ms, 0.2, epsilon=0.25),
+    paths, _ = simulate(ms, cfg, chattered_probe(field, 0.2, epsilon=0.25),
                         frozen_flow=flow)
-    rec = np.stack([sample_control(ms, paths.law, t, x, None).u
+    rec = np.stack([sample_control(paths.law, t, x, None).u
                     for t, x in zip(paths.times[:-1], paths.X)])
     assert rec.shape == (40, 64, 1)
     assert sum(np.unique(row).size > 1 for row in rec) >= 10  # particles differ
     for k in range(flow.n_steps):
         np.testing.assert_array_equal(
             rec[k], ms.control_grid()[table[k][grid.nearest_node(paths.X[k])]])
-    np.testing.assert_array_equal(paths.atoms, ms.control_grid())
+    np.testing.assert_array_equal(paths.law.atoms, ms.control_grid())
 
 
 def test_chain_flow_mismatch_raises():

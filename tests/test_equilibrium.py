@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from penmfg import domain, dp, equilibrium, model
+from penmfg.controls import constant_law
 from penmfg.dp import DPGrid
 from penmfg.equilibrium import (
     FixedPointConfig,
@@ -231,8 +232,7 @@ def test_strict_approximation_distances_shrink():
 def test_coupling_distance_shrinks_with_penalty():
     ms = model.make_preset("reflected_bm", HALF_LINE,
                            {"sigma": 1.0, "horizon": 0.5, "x0": 0.0})
-    from penmfg.controls import StrictFeedback
-    law = StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=int))
+    law = constant_law(ms.control_grid())
     sim = SimConfig(n_particles=2000, dt=0.002, penalty=8, seed=15)
     far = coupling_distance(ms, sim, law, 8, None)
     near = coupling_distance(ms, sim, law, 512, None)

@@ -11,13 +11,9 @@ import pytest
 
 from penmfg import domain, measures, model, rng
 from penmfg import simulate as simulate_mod
-from penmfg.controls import (
-    RelaxedFeedback,
-    StrictFeedback,
-    realized_control_measure,
-    sample_control,
-)
-from penmfg.errors import ConfigError, DivergenceError
+from penmfg.controls import constant_law, realized_control_measure, sample_control
+from penmfg.dp import DPGrid
+from penmfg.errors import ConfigError, DivergenceError, GridError
 from penmfg.measures import (
     EmpiricalMeasure,
     flow_from_states,
@@ -36,12 +32,14 @@ from penmfg.simulate import (
     scheme_step,
     simulate,
 )
+from test_controls import open_loop, tabulated_law
 
 HALF_LINE = domain.half_space([-1.0], 0.0)  # D = [0, inf)
 
 
 def null_law():
-    return StrictFeedback(lambda t, x: np.zeros(x.shape[0], dtype=int))
+    """The open-loop law holding the control 0."""
+    return constant_law(np.zeros((1, 1)))
 
 
 def quiet_model(dom=HALF_LINE, **params):
@@ -308,8 +306,7 @@ def test_splitting_literal_penalty_cost_close_to_k_charge():
 
 def even_mixture():
     """Relaxed law with weight 1/2 on each of the atoms 0 and 1, everywhere."""
-    return RelaxedFeedback(lambda t, x: np.full((x.shape[0], 2), 0.5),
-                           np.array([[0.0], [1.0]]))
+    return open_loop([0.0, 1.0], [[0.5, 0.5]], [[0.0], [1.0]])
 
 
 def test_relaxed_law_records_weights_and_averages_running_cost():
@@ -323,7 +320,6 @@ def test_relaxed_law_records_weights_and_averages_running_cost():
     paths, flow = simulate(ms, cfg, law)
     # the bundle keeps the law; readers re-evaluate its weights
     assert paths.law is law
-    assert np.array_equal(paths.atoms, law.atoms)
     rep = evaluate_cost(ms, paths, flow)
     # f = u^2 / 2 averaged under w = (1/2, 1/2) is 1/4, integrated over T = 1
     assert rep.running == pytest.approx(0.25, abs=1e-10)
@@ -348,6 +344,26 @@ def test_control_stream_opened_only_for_relaxed_laws(monkeypatch):
     assert opened.count(rng.CONTROL) == 20
 
 
+def test_constant_law_runs_in_three_dimensions(monkeypatch):
+    """constant_law has no DP grid, which stops at d = 2: on the unit cube
+    every step uses atoms[0] and puts all control mass on it."""
+    atoms = np.array([[0.5, 0.0, -0.5], [-1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    ms = model.make_preset("lq_control", domain.box([0.0] * 3, [1.0] * 3), {
+        "sigma": 0.3, "control_grid": atoms.tolist(), "x0": [0.4] * 3})
+    with pytest.raises(GridError):
+        DPGrid.for_model(ms, 0.25)
+    cfg = SimConfig(n_particles=40, dt=0.05, penalty=8, seed=2)
+    seen = spy_sample_control(monkeypatch)
+    paths, _ = simulate(ms, cfg, constant_law(ms.control_grid()))
+    lean, _ = simulate(ms, cfg, constant_law(ms.control_grid()), keep_paths=False)
+    assert len(seen) == 2 * 20 and paths.X.shape == (21, 40, 3)
+    for c in seen:
+        assert c.weights is None and c.u.tolist() == [atoms[0].tolist()] * 40
+        assert c.mass.tolist() == [1.0, 0.0, 0.0]
+    assert lean.controls.weights.tolist() == [[1.0, 0.0, 0.0]] * 20
+    assert lean.X.tobytes() == paths.X.tobytes()
+
+
 # ---------------------------------------------------------- control records
 
 
@@ -359,14 +375,14 @@ def lq_three_controls(d, **params):
     return model.make_preset("lq_control", domain.box([0.0] * d, [1.0] * d), params)
 
 
-def state_mixture(atoms):
-    """A relaxed law whose weights vary with both t and x."""
+def state_mixture(ms, dt):
+    """A relaxed node table whose weights vary with both t and x."""
     def fn(t, x):
         s = x.sum(axis=1)
         w = np.column_stack([np.ones_like(s), 1.0 + np.sin(3.0 * s + t),
                              np.exp(-s * s)])
         return w / w.sum(axis=1, keepdims=True)
-    return RelaxedFeedback(fn, atoms)
+    return tabulated_law(ms, dt, fn)
 
 
 def spy_sample_control(monkeypatch):
@@ -387,8 +403,8 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
     """A relaxed run keeps its law; every reader re-evaluates it and gets the
     same bits as the (M, N, nU) weight tensor it was sampled from."""
     ms = lq_three_controls(d)
-    law = state_mixture(ms.control_grid())
     cfg = SimConfig(n_particles=200, dt=0.05, penalty=8, seed=21)
+    law = state_mixture(ms, cfg.dt)
     seen = spy_sample_control(monkeypatch)
     paths, flow = simulate(ms, cfg, law)
     monkeypatch.undo()
@@ -398,10 +414,10 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
     phi = quadratic_probe(dim=d)
     new_cost = evaluate_cost(ms, paths, flow)
     new_mart = martingale_residual(ms, paths, flow, phi)
-    q = realized_control_measure(ms, paths)
+    q = realized_control_measure(paths)
 
-    def stored_stepwise_cost(ms, paths, flow, fn, step):  # the weight-record reader
-        xk, atoms = paths.X[step], paths.atoms
+    def stored_stepwise_cost(paths, flow, fn, step):  # the weight-record reader
+        xk, atoms = paths.X[step], paths.law.atoms
         w = tensor[step]
         out = np.zeros(paths.n_particles)
         for j in range(atoms.shape[0]):
@@ -423,25 +439,25 @@ def test_relaxed_record_rereads_the_sampled_weights_bit_for_bit(monkeypatch, d):
 
 def test_control_records_stay_lean(monkeypatch):
     """A bundle keeps its law and no per-particle control array: times, X,
-    K, |K| and the atoms are all it holds, and a reader re-reads the strict
-    controls the sampler returned."""
+    K and |K| are all it holds, and a reader re-reads the strict controls
+    the sampler returned."""
     ms = lq_three_controls(2)
-    atoms = ms.control_grid()
     cfg = SimConfig(n_particles=50, dt=0.05, penalty=8, seed=5)
     seen = spy_sample_control(monkeypatch)
-    strict = StrictFeedback(lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, 1] > 0.5))
+    strict = tabulated_law(ms, cfg.dt, lambda t, x: (x[:, 0] > 0.4).astype(int)
+                           + (x[:, 1] > 0.5))
     paths, _ = simulate(ms, cfg, strict)
     monkeypatch.undo()
     want = np.stack([c.u for c in seen])
-    got = np.stack([sample_control(ms, paths.law, t, x, None).u
+    got = np.stack([sample_control(paths.law, t, x, None).u
                     for t, x in zip(paths.times[:-1], paths.X)])
     assert np.array_equal(got, want)
     assert np.unique(want.reshape(-1, 2), axis=0).shape[0] == 3
-    for law in (strict, state_mixture(atoms)):
+    for law in (strict, state_mixture(ms, cfg.dt)):
         paths, _ = simulate(ms, cfg, law)
         assert paths.law is law
         shapes = [a.shape for a in vars(paths).values() if isinstance(a, np.ndarray)]
-        assert shapes == [(21,), (21, 50, 2), (21, 50, 2), (21, 50), (3, 2)]
+        assert shapes == [(21,), (21, 50, 2), (21, 50, 2), (21, 50)]
 
 
 def test_relaxed_run_peaks_no_higher_than_a_strict_one():
@@ -449,8 +465,8 @@ def test_relaxed_run_peaks_no_higher_than_a_strict_one():
     relaxed run's traced peak stays within 1 MiB of the strict run's."""
     ms = lq_three_controls(1, horizon=0.5)
     cfg = SimConfig(n_particles=20_000, dt=0.0125, penalty=8, seed=3)
-    relaxed = state_mixture(ms.control_grid())
-    strict = StrictFeedback(lambda t, x: np.where(x[:, 0] > 0.4, 2, 0))
+    relaxed = state_mixture(ms, cfg.dt)
+    strict = tabulated_law(ms, cfg.dt, lambda t, x: np.where(x[:, 0] > 0.4, 2, 0))
 
     def traced_peak(law):
         tracemalloc.start()
@@ -772,9 +788,8 @@ def test_lean_run_sums_what_the_bundle_readers_read(scheme, penalty, d,
     ms = charged_model(d)
     cfg = SimConfig(n_particles=96, dt=0.05, scheme=scheme, penalty=penalty,
                     seed=17)
-    atoms = ms.control_grid()
-    law = (state_mixture(atoms) if relaxed else StrictFeedback(
-        lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, -1] > 0.6)))
+    law = (state_mixture(ms, cfg.dt) if relaxed else tabulated_law(
+        ms, cfg.dt, lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, -1] > 0.6)))
     flow_in = simulate(ms, replace(cfg, seed=18), law)[1] if frozen else None
     paths, flow = simulate(ms, cfg, law, frozen_flow=flow_in)
     lean, lean_flow = simulate(ms, cfg, law, frozen_flow=flow_in, keep_paths=False)
@@ -784,7 +799,7 @@ def test_lean_run_sums_what_the_bundle_readers_read(scheme, penalty, d,
     for name in ("value", "stderr", "running", "boundary", "terminal"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.per_particle.tobytes() == want.per_particle.tobytes()
-    q_want, q_got = realized_control_measure(ms, paths), lean.controls
+    q_want, q_got = realized_control_measure(paths), lean.controls
     assert q_got.times.tobytes() == q_want.times.tobytes()
     assert q_got.atoms.tobytes() == q_want.atoms.tobytes()
     assert q_got.weights.tobytes() == q_want.weights.tobytes()
@@ -800,8 +815,8 @@ def test_lean_run_allocates_x_plus_order_n(relaxed):
     ms = lq_three_controls(1, horizon=1.0)
     n = 20_000
     cfg = SimConfig(n_particles=n, dt=0.01, penalty=8, seed=3)
-    law = (state_mixture(ms.control_grid()) if relaxed
-           else StrictFeedback(lambda t, x: np.where(x[:, 0] > 0.4, 2, 0)))
+    law = (state_mixture(ms, cfg.dt) if relaxed
+           else tabulated_law(ms, cfg.dt, lambda t, x: np.where(x[:, 0] > 0.4, 2, 0)))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

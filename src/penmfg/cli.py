@@ -67,7 +67,6 @@ from .measures import flow_to_csv, format_float as _ff
 from .model import empirical_growth_constants
 from .simulate import (
     EXPLICIT_PENALTY_LIMIT,
-    evaluate_cost,
     moment_summary,
     paths_to_csv,
     simulate,
@@ -109,7 +108,7 @@ def _csv_table(header: list, rows: list) -> str:
 
 def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
     sim = build_sim(cfg)
-    paths, flow = simulate(ms, sim, constant_law(ms.control_grid()))
+    paths = simulate(ms, sim, constant_law(ms.control_grid()))[0]
     paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
     lines.append(f"scheme {sim.scheme}"
@@ -119,7 +118,7 @@ def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
     moments = moment_summary(paths)
     lines += [f"{key} {_ff(val)}" for key, val in moments.items()]
     if with_cost:
-        cost = evaluate_cost(ms, paths, flow)
+        cost = paths.cost
         lines += [
             f"cost {_ff(cost.value)} +/- {_ff(cost.stderr)}",
             f"  running  {_ff(cost.running)}",

@@ -8,8 +8,8 @@ cell, and :func:`constant_law` is the one-cell table that holds the first
 atom.  A strict control is always one atom of a finite control set, and
 relaxed weight rows must be probabilities within 1e-9.
 :func:`sample_control` is the one per-step entry point.  Every law is a pure
-function of (t, x): a run records the law, not its controls, and readers
-re-evaluate it at the recorded states.
+function of (t, x): a run records the law, not its controls, and path
+readers re-evaluate it at the recorded states.
 
 Chattering turns a relaxed control into a strict one: the horizon is cut into
 blocks of length delta, and inside each block every control atom receives a
@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ContractViolationError, PenmfgError
-from .measures import TimedControlMeasure
 
 
 # ------------------------------------------------------------------- laws
@@ -209,16 +208,3 @@ def sample_control(law: NodeTable, t: float, x: np.ndarray,
     u = None if rng is None else np.take(law.atoms, _sample_rows(w, rng), axis=0)
     # the bits of w.mean(axis=0), which reduces axis 0 far more slowly
     return StepControls(u, w, np.cumsum(w, axis=0)[-1] / n)
-
-
-def realized_control_measure(paths) -> TimedControlMeasure:
-    """Population-averaged relaxed control measure realized along a bundle.
-
-    Each step's control mass is re-read at its states (`sample_control`
-    without a generator): strict atoms counted, which is the mean of their
-    point masses bit for bit, and relaxed weights averaged.  A lean run sums
-    the same masses as it steps (``LeanRun.controls``).
-    """
-    w = [sample_control(paths.law, t, x, None).mass
-         for t, x in zip(paths.times[:-1], paths.X)]
-    return TimedControlMeasure(paths.times, paths.law.atoms, np.stack(w))

@@ -88,9 +88,6 @@ class ConvexDomain:
     def project(self, x):
         return project(self, x)
 
-    def dist2(self, x):
-        return dist2(self, x)
-
     def contains(self, x, tol=None):
         """True where x lies in the closed domain (within tol of it)."""
         x = np.asarray(x, dtype=float)

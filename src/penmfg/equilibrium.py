@@ -27,10 +27,10 @@ An equilibrium solve and both studies draw each step's noise once for all
 their runs (:func:`~penmfg.rng.shared_noise`): the runs share the seed, so
 they read the same normals.
 
-Every run here is lean (``simulate(..., keep_paths=False)``): it stores X,
-which is its returned flow's buffer, and nothing else per particle-step.
-Its cost under the flow it saw and its realized control measure are summed
-as it steps, so no study keeps K or |K|.  A study holds
+Every run here keeps no paths (``simulate(..., keep_paths=False)``): it
+stores X, which is its returned flow's buffer, and nothing else per
+particle-step, and the studies read the cost and realized control measure
+that every run sums as it steps, so no study keeps K or |K|.  A study holds
 one run at a time: each run and each returned flow that is not kept is
 dropped once its last reader is done, before the next ``simulate``
 allocates.  Peak memory is the interpreter, plus the noise block, plus the
@@ -390,7 +390,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
 
 def _cost_and_controls(ms: ModelSpec, sim: SimConfig, law, flow: MeasureFlow
                        ) -> tuple[CostReport, TimedControlMeasure]:
-    """One lean run under the frozen flow; the run and its X die on return."""
+    """One run without paths under the frozen flow; the run and its X die on return."""
     run = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)[0]
     return run.cost, run.controls
 

@@ -187,7 +187,6 @@ class GrowthReport:
     """Empirical constants for the linear/quadratic growth bounds."""
 
     constants: dict
-    per_radius: dict
     flagged: bool
 
     def __str__(self):
@@ -242,7 +241,7 @@ def empirical_growth_constants(ms: ModelSpec, seed: int = 0, n_samples: int = 20
     # superlinear one keeps multiplying
     mid, hi = per_radius[radii[-2]], per_radius[radii[-1]]
     flagged = any(hi[k] > 1.5 * mid[k] + 1e-12 for k in keys)
-    return GrowthReport(constants=constants, per_radius=per_radius, flagged=flagged)
+    return GrowthReport(constants=constants, flagged=flagged)
 
 
 # ------------------------------------------------------------------- presets

@@ -11,13 +11,12 @@ Three one-step schemes for the controlled McKean-Vlasov system:
   closure; the discrete reflection term is the excess Y - proj(Y).
 
 K is outward for every scheme, like the integral n(X - proj(X)) dt that
-defines K^n, so K^n - K = X - X^n on common noise.  A run is by default a
-:class:`PathBundle`: X, K, its running total variation |K|, and the control
-law, whose controls every reader re-evaluates (`sample_control` without a
-generator).  With ``keep_paths=False`` it is a :class:`LeanRun`,
-which stores X and nothing else per particle-step: its cost and realized
-control measure are summed as it steps, bit for bit what `evaluate_cost`
-and `realized_control_measure` read off the full bundle.
+defines K^n, so K^n - K = X - X^n on common noise.  A run is one
+:class:`Run` record: X, the control law, and the cost and realized control
+measure it summed as it stepped, reading each step's controls once, in the
+sampler.  ``keep_paths`` decides only whether it also stores K and its
+running total variation |K|, which the path readers (`evaluate_cost`,
+`martingale_residual`, `moment_summary`, `paths_to_csv`) need.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .controls import StepControls, sample_control
+from .controls import NodeTable, StepControls, sample_control
 from .domain import row_norm
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, PenmfgError
 from .measures import (
     EmpiricalMeasure,
     MeasureFlow,
@@ -91,10 +90,21 @@ class SimConfig:
 
 @dataclass
 class Run:
-    """A simulated run's time grid and states X, shape (M+1, N, d)."""
+    """A run's time grid, states X (M+1, N, d) and `controls.NodeTable` law.
+
+    ``cost`` (its `CostReport` under the flow it saw: the frozen flow, or its
+    own cloud) and ``controls`` (its realized `TimedControlMeasure`) are
+    summed as it steps.  K, the shape of X with K[0] = 0, and Kvar, the
+    nondecreasing running |K| (M+1, N), are None unless kept with the paths.
+    """
 
     times: np.ndarray
     X: np.ndarray
+    law: object
+    cost: CostReport
+    controls: TimedControlMeasure
+    K: Optional[np.ndarray] = None
+    Kvar: Optional[np.ndarray] = None
 
     @property
     def n_steps(self) -> int:
@@ -103,37 +113,6 @@ class Run:
     @property
     def n_particles(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[2]
-
-
-@dataclass
-class PathBundle(Run):
-    """A run with its reflection bookkeeping and control law.
-
-    K has the shape of X; Kvar is the running total variation |K|, shape
-    (M+1, N), nondecreasing in the time index.  K[0] = 0.  ``law`` is the
-    `controls.NodeTable` the run followed.
-    """
-
-    K: np.ndarray
-    Kvar: np.ndarray
-    law: object
-
-
-@dataclass
-class LeanRun(Run):
-    """A run that keeps X and what the studies read of it, nothing more.
-
-    ``cost`` is the run's `CostReport` under the flow it saw (the frozen
-    flow, or its own cloud) and ``controls`` its realized
-    `TimedControlMeasure`, both summed while the run stepped.
-    """
-
-    cost: CostReport
-    controls: TimedControlMeasure
 
 
 def scheme_step(ms: ModelSpec, sim: SimConfig, t: float, x: np.ndarray,
@@ -193,10 +172,12 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     come from disjoint counter-based streams of cfg.seed, so runs with equal
     seeds share their randomness across schemes and penalty levels.
 
-    The run is a :class:`PathBundle`, or with ``keep_paths=False`` a
-    :class:`LeanRun` whose X is the returned flow's buffer: no K or |K| is
-    stored, and each step's controls are read once, by the sampler.
+    The run is one :class:`Run`, which stores K and |K| only with
+    ``keep_paths``; its X is the returned flow's buffer.
     """
+    if not isinstance(law, NodeTable):  # refused before any of it is read
+        raise PenmfgError(f"unknown control law {type(law).__name__}")
+    atoms = law.atoms
     m_steps = _n_steps(ms, cfg.dt)
     n, d = cfg.n_particles, ms.dim
     times = np.arange(m_steps + 1) * cfg.dt
@@ -207,13 +188,12 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     x = np.empty((m_steps + 1, n, d))
     x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
 
-    atoms = law.atoms
+    running, boundary, kv = np.zeros(n), np.zeros(n), np.zeros(n)
+    mass = np.empty((m_steps, atoms.shape[0]))
+    k = kvar = None
     if keep_paths:
         k = np.zeros((m_steps + 1, n, d))
         kvar = np.zeros((m_steps + 1, n))
-    else:
-        running, boundary, kv = np.zeros(n), np.zeros(n), np.zeros(n)
-        mass = np.empty((m_steps, atoms.shape[0]))
 
     for step in range(m_steps):
         t = times[step]
@@ -227,25 +207,22 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
             bad = ~np.isfinite(x_next).all(axis=-1)
             raise DivergenceError(step + 1, np.flatnonzero(bad))
         x[step + 1] = x_next
+        # (kv + dkvar) - kv, not dkvar: the bits of a recorded |K| increment
+        kv_next = kv + dkvar
+        _add_step_cost(ms, running, boundary, t, times[step + 1] - t, xk, mu,
+                       _control_average(ms.running_cost, t, xk, mu, atoms, c),
+                       kv_next - kv)
+        kv = kv_next
+        mass[step] = c.mass
         if keep_paths:
             k[step + 1] = k[step] + dk
-            kvar[step + 1] = kvar[step] + dkvar
-        else:
-            # (kvar + dkvar) - kvar, not dkvar: the bits of a recorded |K| increment
-            kv_next = kv + dkvar
-            _add_step_cost(ms, running, boundary, t, times[step + 1] - t, xk, mu,
-                           _control_average(ms.running_cost, t, xk, mu, atoms, c),
-                           kv_next - kv)
-            kv = kv_next
-            mass[step] = c.mass
+            kvar[step + 1] = kv
 
     flow = flow_from_states(times, x)
-    if keep_paths:
-        return PathBundle(times=times, X=x, K=k, Kvar=kvar, law=law), flow
     seen = flow if frozen_flow is None else frozen_flow
     cost = _cost_report(ms, running, boundary, x[-1], seen.frames[-1])
-    return LeanRun(times=times, X=x, cost=cost,
-                   controls=TimedControlMeasure(times, atoms, mass)), flow
+    return Run(times, x, law, cost, TimedControlMeasure(times, atoms, mass),
+               k, kvar), flow
 
 
 def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure,
@@ -261,9 +238,9 @@ def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure
     return out
 
 
-def _stepwise_cost(paths: PathBundle, flow: MeasureFlow, fn: Callable,
+def _stepwise_cost(paths: Run, flow: MeasureFlow, fn: Callable,
                    step: int) -> np.ndarray:
-    """Evaluate a running-cost-like fn at one step of a bundle's controls."""
+    """Evaluate a running-cost-like fn at one step of a run's controls."""
     t, xk = paths.times[step], paths.X[step]
     return _control_average(fn, t, xk, flow.frames[step], paths.law.atoms,
                             sample_control(paths.law, t, xk, None))
@@ -304,7 +281,7 @@ class CostReport:
     per_particle: np.ndarray = field(repr=False, default=None)
 
 
-def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
+def evaluate_cost(ms: ModelSpec, paths: Run, flow: MeasureFlow,
                   penalty: Optional[int] = None) -> CostReport:
     """Realized cost along the paths under the measure flow.
 
@@ -314,8 +291,9 @@ def evaluate_cost(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     boundary charge is instead the literal penalized running cost
     n*h*dist(X) dt evaluated along the paths; the two versions agree up to
     discretization error and give a cheap cross-check of the K bookkeeping.
-    A lean run sums the unset-``penalty`` version as it steps
-    (``LeanRun.cost``), with the same per-step charge.
+    Every run sums the unset-``penalty`` version as it steps (``Run.cost``),
+    with the same per-step charge; this reads the Kvar of a run kept with its
+    paths.
     """
     _check_grid(flow, paths.times, "flow")
     n = paths.n_particles
@@ -363,7 +341,7 @@ class MartingaleReport:
         return z
 
 
-def martingale_residual(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
+def martingale_residual(ms: ModelSpec, paths: Run, flow: MeasureFlow,
                         phi: SmoothFn) -> MartingaleReport:
     """Discrete residual of phi(X) - int L phi dt + int Dphi . dK.
 
@@ -402,7 +380,7 @@ def martingale_residual(ms: ModelSpec, paths: PathBundle, flow: MeasureFlow,
     )
 
 
-def moment_summary(paths: PathBundle) -> dict:
+def moment_summary(paths: Run) -> dict:
     """Pathwise second-moment summary: sup-norms of X and K, total variation."""
     sup_x2 = np.abs(np.linalg.norm(paths.X, axis=-1)).max(axis=0) ** 2
     sup_k2 = np.abs(np.linalg.norm(paths.K, axis=-1)).max(axis=0) ** 2
@@ -413,7 +391,7 @@ def moment_summary(paths: PathBundle) -> dict:
     }
 
 
-def paths_to_csv(paths: PathBundle, paths_csv, flow_csv) -> None:
+def paths_to_csv(paths: Run, paths_csv, flow_csv) -> None:
     """Write paths.csv rows (t, particle, x_*, k_*, kvar) and the flow.csv of X."""
     m, n, d = paths.X.shape
     cols = ["t", "particle", *(f"{c}_{j + 1}" for c in "xk" for j in range(d)), "kvar"]

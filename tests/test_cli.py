@@ -9,7 +9,7 @@ from penmfg import cli, measures
 from penmfg.cli import main
 from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.controls import constant_law
-from penmfg.simulate import LeanRun, simulate
+from penmfg.simulate import evaluate_cost, simulate
 from test_simulate import (
     assert_no_helper_left,
     reference_flow_csv,
@@ -114,13 +114,23 @@ def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
         assert (out / "flow.csv").read_bytes() == reference_flow_csv(flow)
 
 
-def test_cost_command_reports_breakdown(tmp_path):
-    cfg = write_cfg(tmp_path)
+def test_cost_command_reports_the_path_readers_cost(tmp_path):
+    """The cost lines, summed by the run as it stepped, print evaluate_cost
+    on a kept run of the same config and seed."""
+    cfg = write_cfg(tmp_path, BASE.replace("x0 = 0.4", "x0 = 0.4\nh_const = 1.5"))
     out = tmp_path / "cost"
     assert run_cli("cost", "--config", cfg, "--out", str(out)) == 0
-    report = (out / "report.txt").read_text()
-    for token in ("cost ", "running", "boundary", "terminal"):
-        assert token in report
+    parsed = parse_config_file(cfg)
+    ms = build_model(parsed)
+    paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.control_grid()))
+    want = evaluate_cost(ms, paths, flow)
+    assert want.boundary > 0.0  # the boundary charge is exercised
+    ff = measures.format_float
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[-4:] == [f"cost {ff(want.value)} +/- {ff(want.stderr)}",
+                           f"  running  {ff(want.running)}",
+                           f"  boundary {ff(want.boundary)}",
+                           f"  terminal {ff(want.terminal)}"]
 
 
 def test_dp_command_writes_value_table(tmp_path):
@@ -146,7 +156,7 @@ def test_dp_command_reads_its_flow_off_a_lean_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "simulate", spy)
     cfg = write_cfg(tmp_path)
     assert run_cli("dp", "--config", cfg, "--out", str(tmp_path / "dp")) == 0
-    assert len(runs) == 1 and isinstance(runs[0], LeanRun)
+    assert len(runs) == 1 and runs[0].K is None and runs[0].Kvar is None
 
 
 def test_equilibrium_exit_codes(tmp_path):

@@ -69,6 +69,19 @@ def per_particle_law(times, table, atoms):
     return law, np.arange(n, dtype=float)[:, None]
 
 
+def realized_control_measure(paths) -> TimedControlMeasure:
+    """The reference reader of a run's realized control measure.
+
+    Each step's control mass is re-read at its states (`sample_control`
+    without a generator): strict atoms counted, which is the mean of their
+    point masses bit for bit, and relaxed weights averaged.  A run sums the
+    same masses as it steps (``Run.controls``).
+    """
+    w = [sample_control(paths.law, t, x, None).mass
+         for t, x in zip(paths.times[:-1], paths.X)]
+    return TimedControlMeasure(paths.times, paths.law.atoms, np.stack(w))
+
+
 def fake_run(times, table, *, atoms):
     """A bundle whose particles stand still, each on its own node of a law
     that reads the (steps, n) indices or (steps, n, nU) weights ``table``."""
@@ -243,7 +256,7 @@ def test_near_probability_rows_are_normalized_for_every_reader():
     ms = build_model(cfg)
     law = open_loop([0.0, 1.0], [[0.2, 0.3, 0.5 + 1e-10]], ms.control_grid())
     paths, _ = simulate(ms, replace(build_sim(cfg), n_particles=40), law)
-    q = controls.realized_control_measure(paths)
+    q = realized_control_measure(paths)
     assert np.max(np.abs(q.weights.sum(axis=1) - 1.0)) <= 1e-15
     w = sample_control(law, 0.0, paths.X[0], None).weights
     np.testing.assert_array_equal(w, np.tile([0.2, 0.3, 0.5 + 1e-10], (40, 1))
@@ -387,7 +400,7 @@ def test_largest_remainder_exact_quotas():
 def test_realized_control_measure_from_strict_bundle():
     times = np.array([0.0, 0.5, 1.0])
     idx = np.array([[1] * 4, [0, 0, 1, 1]])
-    q = controls.realized_control_measure(fake_run(times, idx, atoms=[-1.0, 1.0]))
+    q = realized_control_measure(fake_run(times, idx, atoms=[-1.0, 1.0]))
     np.testing.assert_allclose(q.weights, [[0.0, 1.0], [0.5, 0.5]])
 
 
@@ -401,10 +414,10 @@ def test_realized_control_measure_counts_equal_one_hot_mean():
     np.put_along_axis(one_hot, idx[:, :, None], 1.0, axis=2)
     atoms = np.linspace(-1.0, 1.0, n_u)
     times = np.linspace(0.0, 1.0, steps + 1)
-    from_counts = controls.realized_control_measure(
+    from_counts = realized_control_measure(
         fake_run(times, idx, atoms=atoms)).weights
     # the same one-hot mixtures as a relaxed law, re-evaluated step by step
-    from_weights = controls.realized_control_measure(
+    from_weights = realized_control_measure(
         fake_run(times, one_hot, atoms=atoms)).weights
     assert from_counts[2, 3] == 0.0
     assert from_counts.tobytes() == one_hot.mean(axis=1).tobytes()

@@ -76,11 +76,11 @@ def scatter_points(dom, n=2500):
 def test_project_examples():
     b = domain.ball(np.zeros(2), 1.0)
     np.testing.assert_allclose(b.project([2.0, 0.0]), [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(b.dist2([0.0, 2.0]), 1.0, atol=1e-14)
+    np.testing.assert_allclose(domain.dist2(b, [0.0, 2.0]), 1.0, atol=1e-14)
     bx = domain.box([0.0, 0.0], [1.0, 1.0])
     np.testing.assert_array_equal(bx.project([0.5, 0.5]), [0.5, 0.5])
     np.testing.assert_allclose(bx.project([2.0, 0.5]), [1.0, 0.5], atol=1e-15)
-    np.testing.assert_allclose(bx.dist2([2.0, 0.5]), 1.0, atol=1e-14)
+    np.testing.assert_allclose(domain.dist2(bx, [2.0, 0.5]), 1.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------- invariants

@@ -11,9 +11,9 @@ import pytest
 
 from penmfg import domain, measures, model, rng
 from penmfg import simulate as simulate_mod
-from penmfg.controls import constant_law, realized_control_measure, sample_control
+from penmfg.controls import constant_law, sample_control
 from penmfg.dp import DPGrid
-from penmfg.errors import ConfigError, DivergenceError, GridError
+from penmfg.errors import ConfigError, DivergenceError, GridError, PenmfgError
 from penmfg.measures import (
     EmpiricalMeasure,
     flow_from_states,
@@ -32,7 +32,7 @@ from penmfg.simulate import (
     scheme_step,
     simulate,
 )
-from test_controls import open_loop, tabulated_law
+from test_controls import open_loop, realized_control_measure, tabulated_law
 
 HALF_LINE = domain.half_space([-1.0], 0.0)  # D = [0, inf)
 
@@ -221,7 +221,7 @@ def test_reflected_paths_stay_inside():
     )
     flat = paths.X.reshape(-1, 2)
     assert np.all(dom.contains(flat))
-    assert np.sqrt(dom.dist2(flat)).max() <= 1e-12
+    assert np.sqrt(domain.dist2(dom, flat)).max() <= 1e-12
 
 
 def test_divergence_reports_step_and_particles():
@@ -605,7 +605,7 @@ def edge_array(shape):
 
 def reference_paths_csv(paths) -> bytes:
     """The per-cell writer: one format_float per cell, rows joined by ','."""
-    d = paths.dim
+    d = paths.X.shape[2]
     rows = [",".join(["t", "particle"] + [f"x_{j + 1}" for j in range(d)]
                      + [f"k_{j + 1}" for j in range(d)] + ["kvar"])]
     for step in range(paths.n_steps + 1):
@@ -667,7 +667,8 @@ def assert_csv_exports(paths, flow, tmp_path):
     p, f, g = tmp_path / "a.csv", tmp_path / "f.csv", tmp_path / "g.csv"
     paths_to_csv(paths, p, f)
     assert p.read_bytes() == reference_paths_csv(paths)
-    frames = SimpleNamespace(dim=paths.dim, frames=list(map(EmpiricalMeasure, paths.X)))
+    frames = SimpleNamespace(dim=paths.X.shape[2],
+                             frames=list(map(EmpiricalMeasure, paths.X)))
     assert f.read_bytes() == reference_flow_csv(frames)
     if flow is not None:
         flow_to_csv(flow, g)
@@ -773,6 +774,7 @@ def charged_model(d):
     )
 
 
+@pytest.mark.parametrize("keep_paths", [True, False], ids=["kept", "lean"])
 @pytest.mark.parametrize("frozen", [False, True], ids=["self", "frozen"])
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
 @pytest.mark.parametrize("d", [1, 2])
@@ -780,11 +782,11 @@ def charged_model(d):
     ("penalized_explicit", 8), ("penalized_splitting", 8),
     ("reflected_projected", None),
 ])
-def test_lean_run_sums_what_the_bundle_readers_read(scheme, penalty, d,
-                                                    relaxed, frozen):
-    """A lean run's cost and realized control measure are, bit for bit,
-    evaluate_cost and realized_control_measure on the full bundle of the
-    same law, flow and seed."""
+def test_run_sums_what_the_path_readers_read(scheme, penalty, d, relaxed,
+                                             frozen, keep_paths):
+    """A run's cost and realized control measure are, bit for bit,
+    evaluate_cost and the reference control-measure reader on the kept run
+    of the same law, flow and seed; a lean run keeps no K or |K|."""
     ms = charged_model(d)
     cfg = SimConfig(n_particles=96, dt=0.05, scheme=scheme, penalty=penalty,
                     seed=17)
@@ -792,20 +794,35 @@ def test_lean_run_sums_what_the_bundle_readers_read(scheme, penalty, d,
         ms, cfg.dt, lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, -1] > 0.6)))
     flow_in = simulate(ms, replace(cfg, seed=18), law)[1] if frozen else None
     paths, flow = simulate(ms, cfg, law, frozen_flow=flow_in)
-    lean, lean_flow = simulate(ms, cfg, law, frozen_flow=flow_in, keep_paths=False)
+    run, run_flow = simulate(ms, cfg, law, frozen_flow=flow_in,
+                             keep_paths=keep_paths)
     assert paths.Kvar[-1].max() > 0.0  # the boundary charge is exercised
     want = evaluate_cost(ms, paths, flow if flow_in is None else flow_in)
-    got = lean.cost
+    got = run.cost
     for name in ("value", "stderr", "running", "boundary", "terminal"):
         assert getattr(got, name) == getattr(want, name), name
     assert got.per_particle.tobytes() == want.per_particle.tobytes()
-    q_want, q_got = realized_control_measure(paths), lean.controls
+    q_want, q_got = realized_control_measure(paths), run.controls
     assert q_got.times.tobytes() == q_want.times.tobytes()
     assert q_got.atoms.tobytes() == q_want.atoms.tobytes()
     assert q_got.weights.tobytes() == q_want.weights.tobytes()
-    assert lean.X.tobytes() == paths.X.tobytes()
-    assert lean_flow.frames[3].samples.base is lean.X  # X is the flow's buffer
-    assert (lean.n_particles, lean.n_steps) == (96, 10)
+    assert run.X.tobytes() == paths.X.tobytes()
+    assert run_flow.frames[3].samples.base is run.X  # X is the flow's buffer
+    assert (run.n_particles, run.n_steps) == (96, 10)
+    if keep_paths:
+        assert run.K.tobytes() == paths.K.tobytes()
+        assert run.Kvar.tobytes() == paths.Kvar.tobytes()
+    else:
+        assert run.K is None and run.Kvar is None
+
+
+def test_simulate_refuses_a_law_that_is_not_a_node_table():
+    """A function of (t, x) is no control law: simulate refuses it with the
+    sampler's error before reading any attribute of it."""
+    ms = quiet_model()
+    with pytest.raises(PenmfgError, match="unknown control law function"):
+        simulate(ms, SimConfig(n_particles=4, dt=0.1, penalty=8),
+                 lambda t, x: np.zeros((x.shape[0], 1)))
 
 
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])

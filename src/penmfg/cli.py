@@ -20,13 +20,8 @@ Python, numpy and scipy versions, and the config text's sha256.  A CSV float
 is its shortest round-trip ``repr`` with no locale, formatted only when its cell
 moves (flow.csv shares the x strings of paths.csv, K and Kvar strings are kept
 while the value holds); no output has a timestamp, so reruns are byte-identical.
-A step table (paths.csv with flow.csv, flow.csv, value.csv) of at least
-``measures.SPLIT_MIN_CELLS`` cells and two steps is written in two halves at
-once when os.fork exists and the process may use two CPUs: one forked helper
-formats the second half into ``<file>.part`` files that the parent appends
-and removes, with the same bytes as a serial write.  A failed helper is an
-I/O error, and no helper or .part file outlives the command.  The helper's
-CPU time and memory show in RUSAGE_CHILDREN, not in RUSAGE_SELF.
+A large step table may be written in two halves at once by a forked helper
+(``measures.write_csv_steps``); a failed helper is an I/O error.
 
 Exit status: 0 on success, 2 when a run finished but is flagged as not
 converged, 1 on any error (parse, validation, numerical, I/O).

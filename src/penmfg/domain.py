@@ -88,12 +88,9 @@ class ConvexDomain:
     def project(self, x):
         return project(self, x)
 
-    def contains(self, x, tol=None):
-        """True where x lies in the closed domain (within tol of it)."""
-        x = np.asarray(x, dtype=float)
-        if tol is None:
-            tol = tol_boundary(x)
-        return np.sqrt(dist2(self, x)) <= tol
+    def contains(self, x):
+        """True where x lies in the closed domain (within tol_boundary of it)."""
+        return np.sqrt(dist2(self, x)) <= tol_boundary(x)
 
 
 def half_space(normal, offset: float) -> ConvexDomain:

@@ -209,21 +209,6 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     )
 
 
-def residual_noise_floor(ms: ModelSpec, cfg: FixedPointConfig, law,
-                         flow: MeasureFlow, seeds=(9091, 9092)) -> float:
-    """Sampling floor of the flow residual: distance between two fresh runs.
-
-    Two frozen-measure simulations of the same law under the same flow,
-    differing only in their noise seed; their w2_flow distance is the level
-    below which residuals are indistinguishable from Monte Carlo noise.
-    """
-    a = simulate(ms, replace(cfg.sim, seed=seeds[0]), law, frozen_flow=flow,
-                 keep_paths=False)[1]
-    b = simulate(ms, replace(cfg.sim, seed=seeds[1]), law, frozen_flow=flow,
-                 keep_paths=False)[1]
-    return w2_flow(a, b)
-
-
 # ------------------------------------------------------------------ sweeps
 
 
@@ -393,23 +378,3 @@ def _cost_and_controls(ms: ModelSpec, sim: SimConfig, law, flow: MeasureFlow
     """One run without paths under the frozen flow; the run and its X die on return."""
     run = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)[0]
     return run.cost, run.controls
-
-
-def coupling_distance(ms: ModelSpec, sim_cfg: SimConfig, law,
-                      penalty_a: Optional[int],
-                      penalty_b: Optional[int]) -> float:
-    """Pathwise gap E[sup_t |X_a - X_b|^2]^(1/2) between two schemes.
-
-    Both runs share the seed, hence initial states and noise; a penalty of
-    None selects the projected reflected scheme.  This is the quantity whose
-    vanishing (in n) underlies convergence of the penalized dynamics.
-    """
-    def run(p):
-        scheme = "reflected_projected" if p is None else "penalized_splitting"
-        cfg = replace(sim_cfg, scheme=scheme, penalty=p)
-        return simulate(ms, cfg, law, keep_paths=False)[0]
-
-    xa = run(penalty_a).X
-    xb = run(penalty_b).X
-    sup = np.max(np.linalg.norm(xa - xb, axis=2), axis=0)
-    return float(np.sqrt(np.mean(sup**2)))

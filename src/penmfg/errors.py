@@ -22,15 +22,14 @@ class ContractViolationError(PenmfgError):
 class DivergenceError(PenmfgError):
     """A particle state became non-finite during simulation."""
 
-    def __init__(self, step: int, particles, message: str = ""):
+    def __init__(self, step: int, particles):
         self.step = int(step)
         self.particles = list(particles)
         head = self.particles[:8]
-        txt = message or (
+        super().__init__(
             f"non-finite state at step {self.step} for particle(s) {head}"
             + ("..." if len(self.particles) > len(head) else "")
         )
-        super().__init__(txt)
 
 
 class GridError(PenmfgError):

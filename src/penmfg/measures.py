@@ -18,8 +18,7 @@ So a run whose distances are all 1-D or LPs, as every shipped config's are,
 never imports scipy.optimize, scipy.sparse, scipy.spatial or scipy.special.
 
 Distances between measure flows are taken as the supremum of the per-node
-marginal distances; the path-space alternative via coupled simulation is
-``equilibrium.coupling_distance``.
+marginal distances.
 
 Relaxed controls on [0, T] carry their time marginal fixed to Lebesgue/T, so a
 ``TimedControlMeasure`` only stores per-cell weights over a finite control

@@ -197,23 +197,27 @@ class GrowthReport:
         return "\n".join(lines)
 
 
-def empirical_growth_constants(ms: ModelSpec, seed: int = 0, n_samples: int = 200,
-                               radii=(1.0, 3.0, 10.0, 30.0)) -> GrowthReport:
+GROWTH_SAMPLES = 200
+GROWTH_RADII = (1.0, 3.0, 10.0, 30.0)
+
+
+def empirical_growth_constants(ms: ModelSpec, seed: int = 0) -> GrowthReport:
     """Monte-Carlo estimates of the coefficient growth constants.
 
-    Samples states at escalating radii and reports the smallest constants that
-    make the linear bounds on the drift / boundary cost and the quadratic
-    bounds on the diffusion / costs hold on the sample.  If the constants keep
-    growing with the radius the bounds look violated and the report is
-    flagged; this is advisory, nothing is raised.
+    Samples GROWTH_SAMPLES states at each of the escalating GROWTH_RADII and
+    reports the smallest constants that make the linear bounds on the drift /
+    boundary cost and the quadratic bounds on the diffusion / costs hold on
+    the sample.  If the constants keep growing with the radius the bounds
+    look violated and the report is flagged; this is advisory, nothing is
+    raised.
     """
     rng = np.random.default_rng(seed)
     ugrid = ms.control_grid()
     per_radius = {}
-    for r in radii:
-        x = rng.uniform(-r, r, size=(n_samples, ms.dim))
-        mu = EmpiricalMeasure(rng.uniform(-r, r, size=(n_samples, ms.dim)))
-        u = ugrid[rng.integers(0, ugrid.shape[0], size=n_samples)]
+    for r in GROWTH_RADII:
+        x = rng.uniform(-r, r, size=(GROWTH_SAMPLES, ms.dim))
+        mu = EmpiricalMeasure(rng.uniform(-r, r, size=(GROWTH_SAMPLES, ms.dim)))
+        u = ugrid[rng.integers(0, ugrid.shape[0], size=GROWTH_SAMPLES)]
         t = float(rng.uniform(0.0, ms.horizon))
         lin = 1.0 + np.linalg.norm(x, axis=1) + np.sqrt(mu.second_moment)
         quad = 1.0 + np.sum(x**2, axis=1) + mu.second_moment
@@ -235,11 +239,11 @@ def empirical_growth_constants(ms: ModelSpec, seed: int = 0, n_samples: int = 20
             "terminal_cost_growth": float(np.max(g / quad)),
             "boundary_cost_growth": float(np.max(h / lin)),
         }
-    keys = per_radius[radii[0]].keys()
-    constants = {k: max(per_radius[r][k] for r in radii) for k in keys}
+    keys = per_radius[GROWTH_RADII[0]].keys()
+    constants = {k: max(per_radius[r][k] for r in GROWTH_RADII) for k in keys}
     # a bounded ratio has plateaued between the two largest radii, a
     # superlinear one keeps multiplying
-    mid, hi = per_radius[radii[-2]], per_radius[radii[-1]]
+    mid, hi = per_radius[GROWTH_RADII[-2]], per_radius[GROWTH_RADII[-1]]
     flagged = any(hi[k] > 1.5 * mid[k] + 1e-12 for k in keys)
     return GrowthReport(constants=constants, flagged=flagged)
 

@@ -15,8 +15,9 @@ defines K^n, so K^n - K = X - X^n on common noise.  A run is one
 :class:`Run` record: X, the control law, and the cost and realized control
 measure it summed as it stepped, reading each step's controls once, in the
 sampler.  ``keep_paths`` decides only whether it also stores K and its
-running total variation |K|, which the path readers (`evaluate_cost`,
-`martingale_residual`, `moment_summary`, `paths_to_csv`) need.
+running total variation |K|, which the path readers (`evaluate_cost`
+without ``penalty``, `martingale_residual`, `moment_summary`,
+`paths_to_csv`) need; they refuse a run without them with a PenmfgError.
 """
 
 from __future__ import annotations
@@ -148,6 +149,12 @@ def _n_steps(ms: ModelSpec, dt: float) -> int:
             f"dt={dt!r} does not divide the horizon {ms.horizon!r} evenly"
         )
     return m
+
+
+def _check_paths(paths: Run) -> None:
+    """Refuse a run that was simulated without its K and |K|."""
+    if paths.K is None or paths.Kvar is None:
+        raise PenmfgError("the run kept no K or |K|; simulate it with keep_paths=True")
 
 
 def _check_grid(flow: MeasureFlow, times: np.ndarray, what: str) -> None:
@@ -296,6 +303,8 @@ def evaluate_cost(ms: ModelSpec, paths: Run, flow: MeasureFlow,
     paths.
     """
     _check_grid(flow, paths.times, "flow")
+    if penalty is None:
+        _check_paths(paths)
     n = paths.n_particles
     running = np.zeros(n)
     boundary = np.zeros(n)
@@ -317,28 +326,15 @@ def evaluate_cost(ms: ModelSpec, paths: Run, flow: MeasureFlow,
 class MartingaleReport:
     """Centered-residual diagnostic for one smooth test function.
 
-    ``aggregate_z`` should be O(1) when the recorded paths, K terms, and
-    generator are mutually consistent; systematic drift shows up as |z| that
-    grows with the particle count.
+    ``abs(aggregate_mean) / aggregate_se`` should be O(1) when the recorded
+    paths, K terms, and generator are mutually consistent; systematic drift
+    shows up as a ratio that grows with the particle count.
     """
 
     aggregate_mean: float
     aggregate_se: float
     per_step_mean: np.ndarray
     per_step_se: np.ndarray
-
-    @property
-    def aggregate_z(self) -> float:
-        if self.aggregate_se == 0.0:
-            return 0.0 if self.aggregate_mean == 0.0 else np.inf
-        return self.aggregate_mean / self.aggregate_se
-
-    @property
-    def per_step_z(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = self.per_step_mean / self.per_step_se
-        z[self.per_step_se == 0.0] = 0.0
-        return z
 
 
 def martingale_residual(ms: ModelSpec, paths: Run, flow: MeasureFlow,
@@ -357,6 +353,7 @@ def martingale_residual(ms: ModelSpec, paths: Run, flow: MeasureFlow,
     weights.  The flow must share the run's time grid.
     """
     _check_grid(flow, paths.times, "flow")
+    _check_paths(paths)
     n = paths.n_particles
     resid = np.zeros(n)
     per_step = np.empty((paths.n_steps, n))
@@ -382,6 +379,7 @@ def martingale_residual(ms: ModelSpec, paths: Run, flow: MeasureFlow,
 
 def moment_summary(paths: Run) -> dict:
     """Pathwise second-moment summary: sup-norms of X and K, total variation."""
+    _check_paths(paths)
     sup_x2 = np.abs(np.linalg.norm(paths.X, axis=-1)).max(axis=0) ** 2
     sup_k2 = np.abs(np.linalg.norm(paths.K, axis=-1)).max(axis=0) ** 2
     return {
@@ -393,6 +391,7 @@ def moment_summary(paths: Run) -> dict:
 
 def paths_to_csv(paths: Run, paths_csv, flow_csv) -> None:
     """Write paths.csv rows (t, particle, x_*, k_*, kvar) and the flow.csv of X."""
+    _check_paths(paths)
     m, n, d = paths.X.shape
     cols = ["t", "particle", *(f"{c}_{j + 1}" for c in "xk" for j in range(d)), "kvar"]
     leads = list(map(format_float, paths.times))

@@ -9,15 +9,12 @@ import numpy as np
 import pytest
 
 from penmfg import domain, dp, equilibrium, model
-from penmfg.controls import constant_law
 from penmfg.dp import DPGrid
 from penmfg.equilibrium import (
     FixedPointConfig,
     SweepReport,
     _mix_flows,
-    coupling_distance,
     penalization_sweep,
-    residual_noise_floor,
     solve_equilibrium,
     strict_approximation_run,
 )
@@ -27,7 +24,6 @@ from penmfg.rng import SUBSAMPLE, stream
 from penmfg.simulate import SimConfig, simulate
 
 UNIT_BOX = domain.box([0.0], [1.0])
-HALF_LINE = domain.half_space([-1.0], 0.0)
 
 
 def ou_model(**over):
@@ -84,7 +80,11 @@ def test_self_map_residual_sits_at_noise_floor():
     rep = solve_equilibrium(ms, cfg)
     _, flow2 = simulate(ms, cfg.sim, rep.law, frozen_flow=rep.flow)
     resid = w2_flow(flow2, rep.flow)
-    floor = residual_noise_floor(ms, cfg, rep.law, rep.flow)
+    # the sampling floor: two frozen runs of the law that differ only in seed
+    a, b = (simulate(ms, replace(cfg.sim, seed=seed), rep.law,
+                     frozen_flow=rep.flow, keep_paths=False)[1]
+            for seed in (9091, 9092))
+    floor = w2_flow(a, b)
     assert resid <= 2.0 * floor + 1e-12
 
 
@@ -229,25 +229,6 @@ def test_strict_approximation_distances_shrink():
         )
 
 
-def test_coupling_distance_shrinks_with_penalty():
-    ms = model.make_preset("reflected_bm", HALF_LINE,
-                           {"sigma": 1.0, "horizon": 0.5, "x0": 0.0})
-    law = constant_law(ms.control_grid())
-    sim = SimConfig(n_particles=2000, dt=0.002, penalty=8, seed=15)
-    far = coupling_distance(ms, sim, law, 8, None)
-    near = coupling_distance(ms, sim, law, 512, None)
-    assert near < 0.5 * far
-    assert near < 0.1
-
-    # metamorphic oracle: once 1 - exp(-n dt) rounds to 1.0 (by n = 1e6
-    # exp(-n dt) itself underflows to 0.0) the splitting scheme's penalty step
-    # is the projection, so under shared noise it is the projected scheme
-    for n in (10**5, 10**6):
-        assert 1.0 - np.exp(-n * sim.dt) == 1.0
-        assert coupling_distance(ms, sim, law, n, None) == 0.0
-    assert np.exp(-10**6 * sim.dt) == 0.0
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_mix_flows_frames_pin_the_particle_major_layout(dim):
     """Mixed frames are views of the concatenated fancy-indexed stacks, and
@@ -320,7 +301,7 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     gc_on = gc.isenabled()
     gc.disable()
     try:
-        rep = solve_equilibrium(ms, cfg)
+        solve_equilibrium(ms, cfg)
         study[0] = "strict"
         tracemalloc.start()
         try:
@@ -331,13 +312,11 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
             tracemalloc.stop()
         study[0] = "sweep"
         penalization_sweep(ms, cfg, [8, 32])
-        study[0] = "floor"
-        residual_noise_floor(ms, cfg, rep.law, rep.flow)
     finally:
         if gc_on:
             gc.enable()
     # 5 runs per solve (start-up, 3 iterations, exploitability)
-    per_study = {"solve": 5, "strict": 5 + 3, "sweep": 3 * 5, "floor": 2}
+    per_study = {"solve": 5, "strict": 5 + 3, "sweep": 3 * 5}
     assert [s for s, _, _ in calls] == [s for s, k in per_study.items()
                                         for _ in range(k)]
     assert [b for _, b, _ in calls] == [0] * len(calls), calls
@@ -346,8 +325,7 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     solve = [0, 1, 0, 0, 1]
     live_x = {s: [x for t, _, x in calls if t == s] for s in per_study}
     assert live_x == {"solve": solve, "strict": solve + [1, 1, 1],
-                      "sweep": solve + [1 + x for x in solve] * 2,
-                      "floor": [0, 1]}, calls
+                      "sweep": solve + [1 + x for x in solve] * 2}, calls
     # two mixes per solve (the last iteration does not mix), each with only
     # its iteration's run alive, whose X is the flow the mix reads
     assert mix_studies == [(s, 1) for s in ("solve", "strict", "sweep",

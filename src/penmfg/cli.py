@@ -10,7 +10,7 @@ and runs a single command into the output directory:
     equilibrium  the fixed-point iteration
     sweep-n      equilibria across penalty levels vs the reflected reference
     chatter      chattered strict controls closing on a relaxed reference
-    diagnose     coefficient growth constants and discretization guards
+    diagnose     resolved parameters and discretization guards
 
 Artifacts are plain CSV / text: paths.csv (X, the reflection term K, outward
 for every scheme, and its variation |K|; about 70 bytes per particle-step,
@@ -59,7 +59,6 @@ from .equilibrium import (
 )
 from .errors import PenmfgError
 from .measures import flow_to_csv, format_float as _ff
-from .model import empirical_growth_constants
 from .simulate import (
     EXPLICIT_PENALTY_LIMIT,
     moment_summary,
@@ -103,7 +102,7 @@ def _csv_table(header: list, rows: list) -> str:
 
 def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
     sim = build_sim(cfg)
-    paths = simulate(ms, sim, constant_law(ms.control_grid()))[0]
+    paths = simulate(ms, sim, constant_law(ms.atoms))[0]
     paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
     lines.append(f"scheme {sim.scheme}"
@@ -131,7 +130,7 @@ def _cmd_dp(cfg: RunConfig, ms, out: Path) -> int:
         raise PenmfgError("the dp command needs [dp] hx")
     if sim.penalty is not None:
         grid = pad_for_penalty(grid, ms, sim.dt, sim.penalty)
-    _, flow = simulate(ms, sim, constant_law(ms.control_grid()), keep_paths=False)
+    _, flow = simulate(ms, sim, constant_law(ms.atoms), keep_paths=False)
     chain = build_chain(ms, sim.penalty, flow, grid)
     field, _ = solve_dp(chain, flow)
     value_to_csv(field, out / "value.csv")
@@ -218,7 +217,6 @@ def _cmd_diagnose(cfg: RunConfig, ms, out: Path) -> int:
     lines.append(f"domain {ms.dom.kind}  dim {ms.dim}")
     lines.append("model parameters (resolved):")
     lines += [f"  {key} = {val}" for key, val in sorted(ms.params.items())]
-    lines.append(str(empirical_growth_constants(ms, seed=cfg.seed)))
     dt = cfg.sim.get("dt")
     penalty = cfg.sim.get("penalty")
     scheme = cfg.sim["scheme"]

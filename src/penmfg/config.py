@@ -33,8 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import domain as dom_mod
+from .controls import _cells_per_block
 from .dp import DPGrid
-from .equilibrium import FixedPointConfig
+from .equilibrium import FixedPointConfig, chatter_penalty
 from .errors import ConfigError, PenmfgError
 from .measures import format_float
 from .model import ModelSpec, make_preset, preset_names
@@ -273,6 +274,22 @@ def _validate_builds(cfg: RunConfig) -> None:
             build_fixed_point(cfg, sim)
         except PenmfgError as exc:
             raise _invalid(cfg, f"[fixed_point] {exc}", "fixed_point") from exc
+    if cfg.command == "chatter":
+        if not np.all(np.isfinite([*cfg.sweep["deltas"], cfg.sweep["n0"]])):
+            raise _invalid(cfg, "[sweep] deltas and n0 must be finite", "sweep", "deltas")
+        times = np.array([0.0, cfg.sim["dt"]])  # the run's first time step
+        for delta in cfg.sweep["deltas"]:
+            try:
+                _cells_per_block(times, delta)
+            except PenmfgError as exc:
+                raise _invalid(cfg, f"[sweep] {exc}", "sweep", "deltas") from exc
+            penalty = chatter_penalty(cfg.sweep["n0"], delta)
+            if penalty < 1:
+                raise _invalid(cfg, f"[sweep] penalty n0 / delta rounds to {penalty}"
+                               f" at delta {delta}, below 1", "sweep", "n0")
+    if cfg.command == "sweep-n" and any(n < 1 for n in cfg.sweep["n_list"]):
+        raise _invalid(cfg, "[sweep] every penalty in n_list must be at least 1",
+                       "sweep", "n_list")
     if cfg.dp.get("hx") is not None and cfg.dp["hx"] <= 0:
         raise _invalid(cfg, "[dp] hx must be positive", "dp", "hx")
     if not 0.0 <= cfg.sweep["epsilon"] <= 0.5:

@@ -170,7 +170,7 @@ def _sigma_scale(ms: ModelSpec, lo: np.ndarray, hi: np.ndarray) -> float:
     """Spectral-norm estimate of sigma at the box center, first control."""
     x = (0.5 * (lo + hi))[None, :]
     mu = EmpiricalMeasure(x)
-    u = ms.control_grid()[:1]
+    u = ms.atoms[:1]
     sig = np.asarray(ms.diffusion(0.0, x, mu, u), dtype=float)[0]
     return float(np.linalg.norm(sig, 2))
 
@@ -359,10 +359,9 @@ def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
                 "domain or use penalized mode"
             )
     geo = _build_geometry(grid, ms.dom, penalized=penalty is not None)
-    atoms = ms.control_grid()
     # every control at every node, read-only since each slice hands them out again
-    x = np.tile(nodes, (len(atoms), 1))
-    u = np.repeat(atoms, len(nodes), axis=0)
+    x = np.tile(nodes, (len(ms.atoms), 1))
+    u = np.repeat(ms.atoms, len(nodes), axis=0)
     x.flags.writeable = u.flags.writeable = False
     probs, charges, costs, subs = [], [], [], []
     worst_trunc = 0.0
@@ -381,7 +380,7 @@ def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
     )
     return TransitionModel(
         grid=grid, times=np.asarray(flow.times, dtype=float), penalty=penalty,
-        atoms=atoms, geometry=geo, probs=probs, charge=charges, run_cost=costs,
+        atoms=ms.atoms, geometry=geo, probs=probs, charge=charges, run_cost=costs,
         terminal=terminal, substeps=np.asarray(subs, dtype=int),
         truncated_mass=worst_trunc,
     )

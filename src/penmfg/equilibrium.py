@@ -166,7 +166,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     seed (common random numbers across iterations and penalty levels), and
     measures the w2_flow residual before damped mixing.
     """
-    n_controls = ms.control_grid().shape[0]
+    n_controls = ms.atoms.shape[0]
     if n_controls > 1 and cfg.grid is None:
         raise ConfigError("a DP grid is required for controlled models")
     penalty = cfg.sim.penalty
@@ -174,7 +174,7 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     grid = cfg.grid
     if grid is not None and penalty is not None:
         grid = pad_for_penalty(grid, ms, cfg.sim.dt, penalty)
-    law = constant_law(ms.control_grid())
+    law = constant_law(ms.atoms)
     run, flow = simulate(ms, cfg.sim, law, keep_paths=False)
     field_v = None
     residuals = []
@@ -330,6 +330,11 @@ class StrictRunReport:
         return "\n".join(lines)
 
 
+def chatter_penalty(n0: float, delta: float) -> int:
+    """The penalty level a chattered run at switching period delta uses."""
+    return int(round(n0 / delta))
+
+
 @shared_noise()
 def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
                              n0: float = 8.0,
@@ -356,7 +361,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     ref_cost, q_ref = _cost_and_controls(ms, cfg.sim, relaxed, flow)
     rows = []
     for delta in deltas:
-        penalty = max(1, int(round(n0 / delta)))
+        penalty = chatter_penalty(n0, delta)
         chat = chattered_probe(base.field, float(delta), epsilon=epsilon)
         run_cfg = replace(cfg.sim, scheme="penalized_splitting", penalty=penalty)
         cost, q = _cost_and_controls(ms, run_cfg, chat, flow)

@@ -85,11 +85,6 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         return self.weight_vector() @ self.samples
 
-    @cached_property
-    def second_moment(self) -> float:
-        """E |X|^2, the moment entering the coefficient growth bounds."""
-        return float(self.weight_vector() @ np.sum(self.samples**2, axis=1))
-
 
 @dataclass(eq=False)
 class MeasureFlow:

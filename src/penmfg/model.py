@@ -1,7 +1,8 @@
 """Model coefficient bundles and the penalization transform.
 
 A :class:`ModelSpec` collects the drift, diffusion, running / boundary /
-terminal costs, the control set, the initial law and the domain.  Coefficient
+terminal costs, the finite control set ``atoms`` (one row per control), the
+initial law and the domain.  Coefficient
 callbacks are vectorized over a particle batch:
 
     drift(t, x, mu, u)        (B, d) -> (B, d)
@@ -17,15 +18,12 @@ states and controls into one batch; the DP chain evaluates every control at
 every grid node in a single call per time slice.
 
 ``mu`` is an :class:`~penmfg.measures.EmpiricalMeasure`; coefficients read a
-finite summary from it (``mu.mean``, ``mu.second_moment``, or the samples).
+finite summary from it (``mu.mean`` or the samples).
 
 The penalization at level n >= 1 replaces reflection by a restoring drift
 ``-n (x - proj(x))`` and surcharges the running cost by ``n h(t,x,mu)
 |x - proj(x)|``, so that the surcharge integrates to the boundary cost
 ``integral of h d|K|`` accumulated by the penalty displacement.
-
-The control set is a finite :class:`ControlGrid`; a strict control is one of
-its rows, named by its row index.
 
 Presets addressable from config files live in a registry; custom models can
 register their own builders.
@@ -40,27 +38,8 @@ import numpy as np
 
 from . import domain as dom_mod
 from .errors import ContractViolationError, PenmfgError
-from .measures import EmpiricalMeasure
 
 LAW_PROBE_SIZE = 256
-
-
-# ------------------------------------------------------------- control sets
-
-
-@dataclass(frozen=True, eq=False)
-class ControlGrid:
-    """Finite control set: one row per admissible control."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        if p.ndim == 1:
-            p = p[:, None]
-        if p.ndim != 2 or p.shape[0] == 0 or not np.all(np.isfinite(p)):
-            raise PenmfgError("control grid must be a finite (nU, du) array")
-        object.__setattr__(self, "points", p)
 
 
 # ---------------------------------------------------------------- model spec
@@ -73,7 +52,7 @@ class ModelSpec:
     dim: int
     noise_dim: int
     horizon: float
-    controls: ControlGrid
+    atoms: np.ndarray
     drift: Callable
     diffusion: Callable
     running_cost: Callable
@@ -85,6 +64,10 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.atoms = np.asarray(self.atoms, dtype=float)
+        if (self.atoms.ndim != 2 or self.atoms.shape[0] == 0
+                or not np.all(np.isfinite(self.atoms))):
+            raise PenmfgError("control atoms must be a finite (nU, du) array")
         if self.dim < 1 or self.noise_dim < 1:
             raise PenmfgError("state and noise dimensions must be positive")
         if self.horizon <= 0.0:
@@ -107,8 +90,6 @@ class ModelSpec:
                 f"(first offender: {probe[np.argmin(inside)]})"
             )
 
-    def control_grid(self) -> np.ndarray:
-        return self.controls.points
 
 
 def validate_penalty(n) -> int:
@@ -177,75 +158,6 @@ def generator_apply(ms: ModelSpec, phi: SmoothFn, t, x, mu, u) -> np.ndarray:
     first = np.sum(b * phi.grad(x), axis=1)
     second = 0.5 * np.einsum("bij,bij->b", a, phi.hess(x))
     return first + second
-
-
-# ------------------------------------------------------------ growth checks
-
-
-@dataclass(eq=False)
-class GrowthReport:
-    """Empirical constants for the linear/quadratic growth bounds."""
-
-    constants: dict
-    flagged: bool
-
-    def __str__(self):
-        lines = ["growth constants (empirical):"]
-        for key, val in self.constants.items():
-            lines.append(f"  {key:12s} {val:10.4g}")
-        lines.append(f"  flagged: {self.flagged}")
-        return "\n".join(lines)
-
-
-GROWTH_SAMPLES = 200
-GROWTH_RADII = (1.0, 3.0, 10.0, 30.0)
-
-
-def empirical_growth_constants(ms: ModelSpec, seed: int = 0) -> GrowthReport:
-    """Monte-Carlo estimates of the coefficient growth constants.
-
-    Samples GROWTH_SAMPLES states at each of the escalating GROWTH_RADII and
-    reports the smallest constants that make the linear bounds on the drift /
-    boundary cost and the quadratic bounds on the diffusion / costs hold on
-    the sample.  If the constants keep growing with the radius the bounds
-    look violated and the report is flagged; this is advisory, nothing is
-    raised.
-    """
-    rng = np.random.default_rng(seed)
-    ugrid = ms.control_grid()
-    per_radius = {}
-    for r in GROWTH_RADII:
-        x = rng.uniform(-r, r, size=(GROWTH_SAMPLES, ms.dim))
-        mu = EmpiricalMeasure(rng.uniform(-r, r, size=(GROWTH_SAMPLES, ms.dim)))
-        u = ugrid[rng.integers(0, ugrid.shape[0], size=GROWTH_SAMPLES)]
-        t = float(rng.uniform(0.0, ms.horizon))
-        lin = 1.0 + np.linalg.norm(x, axis=1) + np.sqrt(mu.second_moment)
-        quad = 1.0 + np.sum(x**2, axis=1) + mu.second_moment
-        b = np.linalg.norm(ms.drift(t, x, mu, u), axis=1)
-        sig = ms.diffusion(t, x, mu, u)
-        a = np.linalg.norm(np.einsum("bim,bjm->bij", sig, sig), axis=(1, 2))
-        f = np.abs(ms.running_cost(t, x, mu, u))
-        h = np.abs(ms.boundary_cost(t, x, mu))
-        g = np.abs(ms.terminal_cost(x, mu))
-        # drift Lipschitz estimate from random pairs at the same (t, mu, u)
-        y = rng.uniform(-r, r, size=x.shape)
-        num = np.linalg.norm(ms.drift(t, x, mu, u) - ms.drift(t, y, mu, u), axis=1)
-        den = np.maximum(np.linalg.norm(x - y, axis=1), 1e-12)
-        per_radius[r] = {
-            "drift_growth": float(np.max(b / lin)),
-            "drift_lipschitz": float(np.max(num / den)),
-            "diffusion_growth": float(np.max(a / quad)),
-            "running_cost_growth": float(np.max(f / quad)),
-            "terminal_cost_growth": float(np.max(g / quad)),
-            "boundary_cost_growth": float(np.max(h / lin)),
-        }
-    keys = per_radius[GROWTH_RADII[0]].keys()
-    constants = {k: max(per_radius[r][k] for r in GROWTH_RADII) for k in keys}
-    # a bounded ratio has plateaued between the two largest radii, a
-    # superlinear one keeps multiplying
-    mid, hi = per_radius[GROWTH_RADII[-2]], per_radius[GROWTH_RADII[-1]]
-    flagged = any(hi[k] > 1.5 * mid[k] + 1e-12 for k in keys)
-    return GrowthReport(constants=constants, flagged=flagged)
 
 
 # ------------------------------------------------------------------- presets
@@ -335,7 +247,7 @@ def _build_reflected_bm(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec:
         dim=d,
         noise_dim=d,
         horizon=horizon,
-        controls=ControlGrid(np.zeros((1, 1))),
+        atoms=np.zeros((1, 1)),
         drift=lambda t, x, mu, u: np.zeros_like(x),
         diffusion=_const_diffusion(sigma, d, d),
         running_cost=lambda t, x, mu, u: np.full(x.shape[0], f_const),
@@ -364,7 +276,7 @@ def _build_reflected_ou_mf(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec
         dim=d,
         noise_dim=d,
         horizon=horizon,
-        controls=ControlGrid(np.zeros((1, 1))),
+        atoms=np.zeros((1, 1)),
         drift=lambda t, x, mu, u: -kappa * (x - mu.mean),
         diffusion=_const_diffusion(sigma, d, d),
         running_cost=lambda t, x, mu, u: f_x2 * np.sum(x**2, axis=1),
@@ -406,7 +318,7 @@ def _build_lq_control(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec:
         dim=d,
         noise_dim=d,
         horizon=horizon,
-        controls=ControlGrid(ugrid),
+        atoms=ugrid,
         drift=lambda t, x, mu, u: u,
         diffusion=_const_diffusion(sigma, d, d),
         running_cost=running_cost,

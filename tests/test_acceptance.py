@@ -92,7 +92,7 @@ def bm_sweep():
     dt = 1e-3
     ms = model.make_preset(
         "reflected_bm", HALF_LINE, {"sigma": 1.0, "horizon": 1.0, "x0": 0.0})
-    law = constant_law(ms.control_grid())
+    law = constant_law(ms.atoms)
     runs = {}
     t0 = time.perf_counter()
     for n in PEN_LEVELS:
@@ -114,7 +114,7 @@ def martingale_reports():
     """Generator residuals at n=512 and reflected, 1e4 particles each."""
     ms = model.make_preset(
         "reflected_bm", HALF_LINE, {"sigma": 1.0, "horizon": 1.0, "x0": 0.0})
-    law = constant_law(ms.control_grid())
+    law = constant_law(ms.atoms)
     probes = {"x": model.linear_probe([1.0]),
               "x^2": model.quadratic_probe(dim=1)}
     reports = {}
@@ -136,7 +136,7 @@ def ou_cost_sweep():
         "reflected_ou_mf", UNIT_BOX,
         {"kappa": 1.0, "sigma": 1.0, "horizon": 0.5, "f_x2": 1.0,
          "h_const": 1.0, "x0": 0.5})
-    law = constant_law(ms.control_grid())
+    law = constant_law(ms.atoms)
     per_particle = {}
     for n in PEN_LEVELS:
         cfg = SimConfig(n_particles=10_000, dt=1e-3,
@@ -379,7 +379,7 @@ def test_10_dp_self_consistency():
     hx, dt = grid.hx, 2.5e-3
     sim = SimConfig(n_particles=4000, dt=dt, scheme="reflected_projected",
                     seed=17)
-    _, flow = simulate(ms, sim, constant_law(ms.control_grid()))
+    _, flow = simulate(ms, sim, constant_law(ms.atoms))
     chain = build_chain(ms, None, flow, grid)
     field, law = solve_dp(chain, flow)
     paths, _ = simulate(ms, sim, law, frozen_flow=flow)

@@ -104,7 +104,7 @@ def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
     cfg = write_cfg(tmp_path)
     parsed = parse_config_file(cfg)
     ms = build_model(parsed)
-    paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.control_grid()))
+    paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.atoms))
     held = paths.Kvar[1:] == paths.Kvar[:-1]
     assert held.any() and not held.all()  # K/Kvar cells both hold and move
     for command in ("simulate", "cost"):
@@ -122,7 +122,7 @@ def test_cost_command_reports_the_path_readers_cost(tmp_path):
     assert run_cli("cost", "--config", cfg, "--out", str(out)) == 0
     parsed = parse_config_file(cfg)
     ms = build_model(parsed)
-    paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.control_grid()))
+    paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.atoms))
     want = evaluate_cost(ms, paths, flow)
     assert want.boundary > 0.0  # the boundary charge is exercised
     ff = measures.format_float
@@ -211,9 +211,12 @@ def test_chatter_rejects_penalized_base(tmp_path, capsys):
 def test_diagnose_command(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "diag"
-    assert run_cli("diagnose", "--config", cfg, "--out", str(out)) == 0
+    assert run_cli("diagnose", "--config", cfg, "--out", str(out),
+                   "--override", "sim.scheme=penalized_splitting",
+                   "--override", "sim.penalty=8") == 0
     report = (out / "report.txt").read_text()
-    assert "growth constants" in report
+    assert "penalty*dt = 0.2 vs explicit stability limit 0.5 [OK]" in report
+    assert "growth" not in report
     assert "lq_control" in report or "sigma" in report
 
 

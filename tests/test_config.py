@@ -1,9 +1,11 @@
 """Config format: parsing, validation with line numbers, round-tripping."""
 
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+from penmfg.cli import main
 from penmfg.config import (
     _SCHEMA,
     RunConfig,
@@ -19,6 +21,8 @@ from penmfg.config import (
 )
 from penmfg.errors import ConfigError
 from penmfg.simulate import SimConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 MINIMAL = """\
 [run]
@@ -273,3 +277,29 @@ def test_runconfig_equality_ignores_default_log():
     assert a == b
     assert a.defaults_applied != b.defaults_applied
     assert isinstance(a, RunConfig)
+
+
+@pytest.mark.parametrize("command, config, override", [
+    ("chatter", "lq_box_chatter.cfg", "sweep.n0=-5"),
+    ("chatter", "lq_box_chatter.cfg", "sweep.n0=0"),
+    ("chatter", "lq_box_chatter.cfg", "sweep.n0=nan"),
+    ("chatter", "lq_box_chatter.cfg", "sweep.deltas=0.013 0.1"),
+    ("chatter", "lq_box_chatter.cfg", "sweep.deltas=0.2 -0.1"),
+    ("sweep-n", "lq_box.cfg", "sweep.n_list=8 0"),
+])
+def test_sweep_levels_checked_at_parse_time(tmp_path, capsys, command, config,
+                                            override):
+    """A study level that its command cannot run fails before any solve (no
+    output directory is made) and the error names the override."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                 "--override", override]) == 1
+    assert f"override {override!r}: [sweep] " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_chatter_deltas_are_checked_only_for_chatter():
+    """lq_box.cfg's deltas do not divide its dt; only chatter reads them."""
+    cfg = parse_config((CONFIGS / "lq_box.cfg").read_text())
+    with pytest.raises(ConfigError, match="whole multiple"):
+        apply_overrides(cfg, ["run.command=chatter"])

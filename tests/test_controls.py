@@ -47,7 +47,7 @@ def tabulated_law(ms, dt, fn, hx=0.1):
     times = np.arange(int(round(ms.horizon / dt)) + 1) * dt
     grid = DPGrid.for_model(ms, hx)
     return NodeTable(times, grid, np.stack([fn(t, grid.nodes()) for t in times[:-1]]),
-                     ms.control_grid())
+                     ms.atoms)
 
 
 def open_loop(times, weights, atoms):
@@ -254,14 +254,14 @@ def test_near_probability_rows_are_normalized_for_every_reader():
     measure, which demands 1e-12, must accept the run they drive."""
     cfg = parse_config_file(CONFIGS / "lq_box_chatter.cfg")
     ms = build_model(cfg)
-    law = open_loop([0.0, 1.0], [[0.2, 0.3, 0.5 + 1e-10]], ms.control_grid())
+    law = open_loop([0.0, 1.0], [[0.2, 0.3, 0.5 + 1e-10]], ms.atoms)
     paths, _ = simulate(ms, replace(build_sim(cfg), n_particles=40), law)
     q = realized_control_measure(paths)
     assert np.max(np.abs(q.weights.sum(axis=1) - 1.0)) <= 1e-15
     w = sample_control(law, 0.0, paths.X[0], None).weights
     np.testing.assert_array_equal(w, np.tile([0.2, 0.3, 0.5 + 1e-10], (40, 1))
                                   / (0.2 + 0.3 + (0.5 + 1e-10)))
-    exact = open_loop([0.0, 1.0], [[0.25, 0.25, 0.5]], ms.control_grid())
+    exact = open_loop([0.0, 1.0], [[0.25, 0.25, 0.5]], ms.atoms)
     assert sample_control(exact, 0.0, paths.X[0], None).weights.tobytes() == \
         np.tile([0.25, 0.25, 0.5], (40, 1)).tobytes()
 

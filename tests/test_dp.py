@@ -193,7 +193,7 @@ def test_chain_locally_consistent_with_cross_covariance():
     bvec = np.array([0.3, -0.2])
     ms = model.ModelSpec(
         dim=2, noise_dim=2, horizon=1.0,
-        controls=model.ControlGrid(np.zeros((1, 1))),
+        atoms=np.zeros((1, 1)),
         drift=lambda t, x, mu, u: np.broadcast_to(bvec, x.shape).copy(),
         diffusion=lambda t, x, mu, u: np.broadcast_to(
             sig, (x.shape[0], 2, 2)).copy(),
@@ -273,7 +273,7 @@ def test_diagonal_dominance_violation_raises():
     sig = np.array([[1.0, 0.0], [0.9, 0.1]])
     ms = model.ModelSpec(
         dim=2, noise_dim=2, horizon=1.0,
-        controls=model.ControlGrid(np.zeros((1, 1))),
+        atoms=np.zeros((1, 1)),
         drift=lambda t, x, mu, u: np.zeros_like(x),
         diffusion=lambda t, x, mu, u: np.broadcast_to(
             sig, (x.shape[0], 2, 2)).copy(),
@@ -342,7 +342,7 @@ def reference_geometry(grid, dom, penalized):
 
 def reference_slice(ms, penalty, hx, disp_norm, trunc_mask, nodes, t, mu, dt):
     """One slice assembled control by control, with hand-written stencil columns."""
-    atoms = ms.control_grid()
+    atoms = ms.atoms
     n_nodes, d = nodes.shape
     coeff = np.zeros((atoms.shape[0], n_nodes, disp_norm.shape[1]))
     fvals = np.empty((atoms.shape[0], n_nodes))
@@ -404,7 +404,7 @@ def sheared_2d_model():
         return sig
 
     ms = model.ModelSpec(
-        dim=2, noise_dim=2, horizon=1.0, controls=model.ControlGrid(atoms),
+        dim=2, noise_dim=2, horizon=1.0, atoms=atoms,
         drift=lambda t, x, mu, u: u + 0.5 * np.sin(3.0 * x) + 0.3 * (mu.mean - x),
         diffusion=diffusion,
         running_cost=lambda t, x, mu, u: (0.5 * np.sum(u**2, axis=1)
@@ -558,7 +558,7 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     assert good.gap <= 3.0 * good.cost_se + 2.0 * (0.05 + dt)
     assert good.gap >= -3.0 * good.cost_se - 1e-12
     push = NodeTable(np.array([0.0, 1.0]), None, np.full((1, 1), 2),  # the atom +1
-                     ms.control_grid())
+                     ms.atoms)
     bad = exploitability(ms, flow, push, sim, grid=g, field=field)
     assert bad.gap > 0.05
     assert bad.gap > 5.0 * max(good.gap, 1e-3)
@@ -746,7 +746,7 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
         "sigma": 0.4, "horizon": 0.5, "c": 1.0, "x0": 0.4,
         "control_grid": control_grid,
     })
-    n_u = ms.control_grid().shape[0]
+    n_u = ms.atoms.shape[0]
     flow = const_flow(0.4, 0.0125, 40)
     g = DPGrid.regular([0.0], [1.0], 0.05)
     field, _ = solve_dp(build_chain(ms, None, flow, g), flow)
@@ -773,7 +773,7 @@ def test_chattered_probe_matches_per_particle_reference(control_grid):
                     np.testing.assert_array_equal(sched[c][nodes], ref)
                     c = sample_control(law, t, x, None)
                     assert c.weights is None
-                    np.testing.assert_array_equal(c.u, ms.control_grid()[ref])
+                    np.testing.assert_array_equal(c.u, ms.atoms[ref])
 
 
 def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
@@ -820,8 +820,8 @@ def test_chattered_run_records_table_indices():
     assert sum(np.unique(row).size > 1 for row in rec) >= 10  # particles differ
     for k in range(flow.n_steps):
         np.testing.assert_array_equal(
-            rec[k], ms.control_grid()[table[k][grid.nearest_node(paths.X[k])]])
-    np.testing.assert_array_equal(paths.law.atoms, ms.control_grid())
+            rec[k], ms.atoms[table[k][grid.nearest_node(paths.X[k])]])
+    np.testing.assert_array_equal(paths.law.atoms, ms.atoms)
 
 
 def test_chain_flow_mismatch_raises():

@@ -1,9 +1,11 @@
-"""Model layer tests: penalized transforms, generator, presets, growth report.
+"""Model layer tests: penalized transforms, generator, presets.
 
 The generator is cross-checked against a finite-difference oracle that only
 uses the test function's values, an independent route from the analytic
 gradients and Hessians the implementation consumes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +195,13 @@ def test_preset_initial_law_must_stay_inside():
         model.make_preset("reflected_bm", HALF_LINE, {"x0": -0.5})
 
 
+def test_model_refuses_nan_or_empty_control_atoms():
+    ms = model.make_preset("reflected_bm", HALF_LINE)
+    for atoms in (np.array([[0.0], [np.nan]]), np.zeros((0, 1))):
+        with pytest.raises(PenmfgError, match="control atoms"):
+            replace(ms, atoms=atoms)
+
+
 def test_reflected_ou_mf_pulls_toward_population_mean():
     ms = model.make_preset("reflected_ou_mf", HALF_LINE, {"kappa": 2.0})
     mu = mu_of([[1.0], [3.0]])  # mean 2
@@ -237,22 +246,3 @@ def test_uniform_box_initial_law():
     )
     x = ms.initial_law(500, np.random.default_rng(1))
     assert np.all((x >= 0.5) & (x <= 1.5))
-
-
-# ------------------------------------------------------------- growth report
-
-
-def test_growth_report_clean_model():
-    ms = model.make_preset("reflected_ou_mf", HALF_LINE, {"f_x2": 1.0, "h_const": 1.0})
-    rep = model.empirical_growth_constants(ms)
-    assert not rep.flagged
-    assert rep.constants["drift_lipschitz"] == pytest.approx(1.0, rel=1e-6)
-    assert rep.constants["running_cost_growth"] <= 1.0 + 1e-9
-    assert "drift_growth" in str(rep)
-
-
-def test_growth_report_flags_superlinear_drift():
-    ms = model.make_preset("reflected_bm", HALF_LINE)
-    ms.drift = lambda t, x, mu, u: x**2
-    rep = model.empirical_growth_constants(ms)
-    assert rep.flagged

@@ -20,7 +20,6 @@ REFERENCE = ("the path reader that Run.cost is pinned against, and the"
 
 UNREACHED = {
     "cli.py:console_entry": "the `penmfg` console script of pyproject.toml",
-    "config.py:_invalid": "error path: places a config error in its section",
     "domain.py:ball": CRITERION_1,
     "domain.py:polytope": CRITERION_1,
     "domain.py:_project_polytope": CRITERION_1,
@@ -47,7 +46,7 @@ UNREACHED = {
 FAILING = {
     ("dp", "half_line_bm.cfg"): 1,  # no [dp] hx
     ("chatter", "half_line_bm.cfg"): 1,  # no [dp] hx
-    ("chatter", "lq_box.cfg"): 1,  # a penalized base: chatter needs a reflected one
+    ("chatter", "lq_box.cfg"): 1,  # its deltas are not whole multiples of its dt
 }
 
 

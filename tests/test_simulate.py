@@ -55,7 +55,7 @@ def drifted_model(b, dom=HALF_LINE, sigma=0.0, horizon=1.0, x0=0.0):
         dim=d,
         noise_dim=d,
         horizon=horizon,
-        controls=model.ControlGrid(np.zeros((1, 1))),
+        atoms=np.zeros((1, 1)),
         drift=lambda t, x, mu, u: np.broadcast_to(bvec, x.shape).copy(),
         diffusion=model._const_diffusion(sigma, d, d),
         running_cost=lambda t, x, mu, u: np.zeros(x.shape[0]),
@@ -397,8 +397,8 @@ def test_constant_law_runs_in_three_dimensions(monkeypatch):
         DPGrid.for_model(ms, 0.25)
     cfg = SimConfig(n_particles=40, dt=0.05, penalty=8, seed=2)
     seen = spy_sample_control(monkeypatch)
-    paths, _ = simulate(ms, cfg, constant_law(ms.control_grid()))
-    lean, _ = simulate(ms, cfg, constant_law(ms.control_grid()), keep_paths=False)
+    paths, _ = simulate(ms, cfg, constant_law(ms.atoms))
+    lean, _ = simulate(ms, cfg, constant_law(ms.atoms), keep_paths=False)
     assert len(seen) == 2 * 20 and paths.X.shape == (21, 40, 3)
     for c in seen:
         assert c.weights is None and c.u.tolist() == [atoms[0].tolist()] * 40

@@ -416,8 +416,7 @@ def build_domain(cfg: RunConfig) -> dom_mod.ConvexDomain:
 
 def build_model(cfg: RunConfig, dom=None) -> ModelSpec:
     dom = build_domain(cfg) if dom is None else dom
-    params = {k: (list(v) if isinstance(v, tuple) else v)
-              for k, v in cfg.model.items() if k != "preset"}
+    params = {k: v for k, v in cfg.model.items() if k != "preset"}
     return make_preset(cfg.model["preset"], dom, params)
 
 

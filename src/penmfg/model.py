@@ -25,8 +25,7 @@ The penalization at level n >= 1 replaces reflection by a restoring drift
 |x - proj(x)|``, so that the surcharge integrates to the boundary cost
 ``integral of h d|K|`` accumulated by the penalty displacement.
 
-Presets addressable from config files live in a registry; custom models can
-register their own builders.
+``make_preset`` builds the games a config file can name.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class ModelSpec:
     terminal_cost: Callable
     initial_law: Callable
     dom: dom_mod.ConvexDomain
-    label: str = "custom"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,7 +87,6 @@ class ModelSpec:
                 "initial law puts mass outside the domain "
                 f"(first offender: {probe[np.argmin(inside)]})"
             )
-
 
 
 def validate_penalty(n) -> int:
@@ -162,23 +159,51 @@ def generator_apply(ms: ModelSpec, phi: SmoothFn, t, x, mu, u) -> np.ndarray:
 
 # ------------------------------------------------------------------- presets
 
-_PRESETS: dict[str, Callable] = {}
-
-
-def register_preset(name: str, builder: Callable) -> None:
-    """Register ``builder(dom, params) -> ModelSpec`` under a config name."""
-    _PRESETS[name] = builder
+# every preset's parameters and their defaults; ``init`` (``point``, with
+# ``x0``, or ``uniform_box``, with ``init_lower`` and ``init_upper``) picks
+# the initial law
+_COMMON = {"sigma": 1.0, "horizon": 1.0, "h_const": 0.0}
 
 
 def preset_names() -> list[str]:
     return sorted(_PRESETS)
 
 
-def make_preset(name: str, dom: dom_mod.ConvexDomain, params: dict | None = None
-                ) -> ModelSpec:
-    if name not in _PRESETS:
-        raise PenmfgError(f"unknown preset {name!r}; known: {preset_names()}")
-    return _PRESETS[name](dom, dict(params or {}))
+def _read(params: dict, key: str, default=None, shape: tuple = ()):
+    """Pop ``key`` (else ``default``) as a finite float or float array.
+
+    ``shape`` () is one number; (d,) is a point, one number or d of them;
+    (-1, d) is rows of d numbers, a flat list being one column.  A value
+    that is missing, non-numeric, of another shape or not finite raises a
+    PenmfgError naming ``key``.
+    """
+    raw = params.pop(key, default)
+    if raw is None:
+        raise PenmfgError(f"model parameter {key!r} is missing")
+    try:
+        value = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        value = np.empty(0)  # non-numeric: refused below
+    if len(shape) == 1 and value.ndim == 0:
+        value = np.full(shape, value)
+    elif len(shape) == 2 and value.ndim == 1:
+        value = value[:, None]
+    if (value.ndim != len(shape) or value.size == 0 or not np.all(np.isfinite(value))
+            or any(want not in (-1, got) for want, got in zip(shape, value.shape))):
+        n = shape[-1] if shape else 1
+        wanted = ("a finite number", f"{n} finite number(s)",
+                  f"rows of {n} finite number(s)")[len(shape)]
+        raise PenmfgError(f"model parameter {key!r} must be {wanted}, got {raw!r}")
+    return float(value) if value.ndim == 0 else value
+
+
+def _const_diffusion(sigma: float, d: int, m: int):
+    base = sigma * np.eye(d, m)
+
+    def diffusion(t, x, mu, u):
+        return np.broadcast_to(base, (x.shape[0], d, m)).copy()
+
+    return diffusion
 
 
 def _point_law(x0: np.ndarray):
@@ -195,142 +220,69 @@ def _uniform_box_law(lo: np.ndarray, hi: np.ndarray):
     return law
 
 
-def _initial_law_from_params(params: dict, d: int):
-    kind = params.pop("init", "point")
-    if kind == "point":
-        x0 = np.broadcast_to(
-            np.atleast_1d(np.asarray(params.pop("x0", 0.0), dtype=float)), (d,)
-        ).astype(float)
-        return _point_law(x0)
-    if kind == "uniform_box":
-        lo = np.broadcast_to(
-            np.atleast_1d(np.asarray(params.pop("init_lower"), dtype=float)), (d,)
-        ).astype(float)
-        hi = np.broadcast_to(
-            np.atleast_1d(np.asarray(params.pop("init_upper"), dtype=float)), (d,)
-        ).astype(float)
-        return _uniform_box_law(lo, hi)
-    raise PenmfgError(f"unknown initial law kind {kind!r}")
-
-
-def _const_diffusion(sigma: float, d: int, m: int):
-    base = sigma * np.eye(d, m)
-
-    def diffusion(t, x, mu, u):
-        return np.broadcast_to(base, (x.shape[0], d, m)).copy()
-
-    return diffusion
-
-
-def _take(params: dict, name: str, default: float) -> float:
-    return float(params.pop(name, default))
-
-
-def _finish(params: dict, label: str, used: dict) -> dict:
-    if params:
-        raise PenmfgError(f"unknown {label} parameter(s): {sorted(params)}")
-    return used
-
-
-def _build_reflected_bm(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec:
+def _reflected_bm(p: dict) -> tuple:
     """Driftless unit(-ish) diffusion, no control; costs optional."""
-    d = dom.dim
-    sigma = _take(params, "sigma", 1.0)
-    horizon = _take(params, "horizon", 1.0)
-    h_const = _take(params, "h_const", 0.0)
-    f_const = _take(params, "f_const", 0.0)
-    law = _initial_law_from_params(params, d)
-    used = _finish(params, "reflected_bm",
-                   {"sigma": sigma, "horizon": horizon, "h_const": h_const,
-                    "f_const": f_const})
-    return ModelSpec(
-        dim=d,
-        noise_dim=d,
-        horizon=horizon,
-        atoms=np.zeros((1, 1)),
-        drift=lambda t, x, mu, u: np.zeros_like(x),
-        diffusion=_const_diffusion(sigma, d, d),
-        running_cost=lambda t, x, mu, u: np.full(x.shape[0], f_const),
-        boundary_cost=lambda t, x, mu: np.full(x.shape[0], h_const),
-        terminal_cost=lambda x, mu: np.zeros(x.shape[0]),
-        initial_law=law,
-        dom=dom,
-        label="reflected_bm",
-        params=used,
-    )
+    f_const = p["f_const"]
+    return (np.zeros((1, 1)), lambda t, x, mu, u: np.zeros_like(x),
+            lambda t, x, mu, u: np.full(x.shape[0], f_const))
 
 
-def _build_reflected_ou_mf(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec:
+def _reflected_ou_mf(p: dict) -> tuple:
     """Mean-reverting pull toward the population mean, no control."""
-    d = dom.dim
-    kappa = _take(params, "kappa", 1.0)
-    sigma = _take(params, "sigma", 1.0)
-    horizon = _take(params, "horizon", 1.0)
-    f_x2 = _take(params, "f_x2", 0.0)
-    h_const = _take(params, "h_const", 0.0)
-    law = _initial_law_from_params(params, d)
-    used = _finish(params, "reflected_ou_mf",
-                   {"kappa": kappa, "sigma": sigma, "horizon": horizon,
-                    "f_x2": f_x2, "h_const": h_const})
-    return ModelSpec(
-        dim=d,
-        noise_dim=d,
-        horizon=horizon,
-        atoms=np.zeros((1, 1)),
-        drift=lambda t, x, mu, u: -kappa * (x - mu.mean),
-        diffusion=_const_diffusion(sigma, d, d),
-        running_cost=lambda t, x, mu, u: f_x2 * np.sum(x**2, axis=1),
-        boundary_cost=lambda t, x, mu: np.full(x.shape[0], h_const),
-        terminal_cost=lambda x, mu: np.zeros(x.shape[0]),
-        initial_law=law,
-        dom=dom,
-        label="reflected_ou_mf",
-        params=used,
-    )
+    kappa, f_x2 = p["kappa"], p["f_x2"]
+    return (np.zeros((1, 1)), lambda t, x, mu, u: -kappa * (x - mu.mean),
+            lambda t, x, mu, u: f_x2 * np.sum(x**2, axis=1))
 
 
-def _build_lq_control(dom: dom_mod.ConvexDomain, params: dict) -> ModelSpec:
+def _lq_control(p: dict) -> tuple:
     """Velocity control with quadratic state and mean-field tracking costs."""
-    d = dom.dim
-    sigma = _take(params, "sigma", 1.0)
-    horizon = _take(params, "horizon", 1.0)
-    c_state = _take(params, "c", 1.0)
-    gamma = _take(params, "gamma", 0.0)
-    h_const = _take(params, "h_const", 0.0)
-    ugrid = np.asarray(params.pop("control_grid", [-1.0, 0.0, 1.0]), dtype=float)
-    if ugrid.ndim == 1:
-        ugrid = ugrid[:, None]
-    if ugrid.shape[1] != d:
-        raise PenmfgError(
-            f"lq_control drives the state directly: control dim {ugrid.shape[1]}"
-            f" must equal state dim {d}"
-        )
-    law = _initial_law_from_params(params, d)
-    used = _finish(params, "lq_control",
-                   {"sigma": sigma, "horizon": horizon, "c": c_state, "gamma": gamma,
-                    "h_const": h_const, "control_grid": ugrid.tolist()})
+    c_state, gamma = p["c"], p["gamma"]
 
     def running_cost(t, x, mu, u):
         return (0.5 * dom_mod.row_sumsq(u) + c_state * dom_mod.row_sumsq(x)
                 + gamma * dom_mod.row_sumsq(x - mu.mean))
 
+    return p["control_grid"], lambda t, x, mu, u: u, running_cost
+
+
+# name -> (its own parameters and their defaults, p -> (atoms, drift,
+# running cost)); a tuple default is a list of controls, one row each
+_PRESETS = {
+    "reflected_bm": ({"f_const": 0.0}, _reflected_bm),
+    "reflected_ou_mf": ({"kappa": 1.0, "f_x2": 0.0}, _reflected_ou_mf),
+    "lq_control": ({"c": 1.0, "gamma": 0.0, "control_grid": (-1.0, 0.0, 1.0)},
+                   _lq_control),
+}
+
+
+def make_preset(name: str, dom: dom_mod.ConvexDomain, params: dict | None = None
+                ) -> ModelSpec:
+    """The game ``name`` on ``dom``; ``params`` maps parameters to values.
+
+    A parameter the preset does not read raises a PenmfgError naming it.
+    """
+    if name not in _PRESETS:
+        raise PenmfgError(f"unknown preset {name!r}; known: {preset_names()}")
+    own, coefficients = _PRESETS[name]
+    params, d = dict(params or {}), dom.dim
+    p = {key: _read(params, key, default, (-1, d) if isinstance(default, tuple) else ())
+         for key, default in {**_COMMON, **own}.items()}
+    atoms, drift, running_cost = coefficients(p)
+    init = params.pop("init", "point")
+    if init == "point":
+        law = _point_law(_read(params, "x0", 0.0, (d,)))
+    elif init == "uniform_box":
+        law = _uniform_box_law(_read(params, "init_lower", None, (d,)),
+                               _read(params, "init_upper", None, (d,)))
+    else:
+        raise PenmfgError(f"model parameter 'init' must be point or uniform_box,"
+                          f" got {init!r}")
+    if params:
+        raise PenmfgError(f"unknown {name} parameter(s): {sorted(params)}")
+    h_const = p["h_const"]
     return ModelSpec(
-        dim=d,
-        noise_dim=d,
-        horizon=horizon,
-        atoms=ugrid,
-        drift=lambda t, x, mu, u: u,
-        diffusion=_const_diffusion(sigma, d, d),
-        running_cost=running_cost,
+        dim=d, noise_dim=d, horizon=p["horizon"], atoms=atoms, drift=drift,
+        diffusion=_const_diffusion(p["sigma"], d, d), running_cost=running_cost,
         boundary_cost=lambda t, x, mu: np.full(x.shape[0], h_const),
-        terminal_cost=lambda x, mu: np.zeros(x.shape[0]),
-        initial_law=law,
-        dom=dom,
-        label="lq_control",
-        params=used,
-    )
-
-
-register_preset("reflected_bm", _build_reflected_bm)
-register_preset("reflected_ou_mf", _build_reflected_ou_mf)
-register_preset("lq_control", _build_lq_control)
+        terminal_cost=lambda x, mu: np.zeros(x.shape[0]), initial_law=law, dom=dom,
+        params={key: np.asarray(v).tolist() for key, v in p.items()})

@@ -1,8 +1,10 @@
 """Command line front end: artifacts, exit codes, byte-stable reruns."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from penmfg import cli, measures
@@ -16,6 +18,8 @@ from test_simulate import (
     reference_paths_csv,
     refuse_parts,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 BASE = """\
 [run]
@@ -253,6 +257,20 @@ def test_mistyped_override_names_the_override(tmp_path, capsys):
                    "--override", "sim.dt=abc") == 1
     assert capsys.readouterr().err == \
         "error: override 'sim.dt=abc': sim.dt expected float, got 'abc'\n"
+
+
+@pytest.mark.parametrize("override", [
+    "model.sigma=abc", "model.control_grid=a", "model.gamma=1 2", "model.x0=0 1",
+    "model.init=uniform_box", "model.sigma=nan",
+])
+def test_malformed_model_value_names_its_override(tmp_path, capsys, override):
+    """A bad model value fails when the config is read, before any step."""
+    out = tmp_path / "out"
+    assert run_cli("dp", "--config", str(CONFIGS / "lq_box.cfg"), "--out", str(out),
+                   "--override", override) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: override {override!r}: [model] model parameter '")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_out_flag_keeps_a_hash_sign(tmp_path):

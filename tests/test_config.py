@@ -202,7 +202,7 @@ def test_builders_produce_working_objects():
     cfg = parse_config(FULL)
     dom = build_domain(cfg)
     ms = build_model(cfg, dom)
-    assert ms.label == "lq_control" and ms.dim == 1
+    assert ms.params["control_grid"] == [[-1.0], [0.0], [1.0]] and ms.dim == 1
     sim = build_sim(cfg)
     assert sim.penalty == 128 and sim.seed == 11
     grid = build_grid(cfg, ms)

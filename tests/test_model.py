@@ -190,6 +190,42 @@ def test_preset_registry_round_trip():
         model.make_preset("reflected_bm", HALF_LINE, {"bogus": 1.0})
 
 
+# each preset's resolved parameters with every value left at its default
+DEFAULT_PARAMS = {
+    "reflected_bm": {"sigma": 1.0, "horizon": 1.0, "h_const": 0.0, "f_const": 0.0},
+    "reflected_ou_mf": {"kappa": 1.0, "sigma": 1.0, "horizon": 1.0, "f_x2": 0.0,
+                        "h_const": 0.0},
+    "lq_control": {"sigma": 1.0, "horizon": 1.0, "c": 1.0, "gamma": 0.0,
+                   "h_const": 0.0, "control_grid": [[-1.0], [0.0], [1.0]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PARAMS))
+def test_preset_records_its_resolved_parameters(name):
+    """`diagnose` prints these; every value is a plain float or list."""
+    got = model.make_preset(name, domain.box([0.0], [1.0]), {}).params
+    assert got == DEFAULT_PARAMS[name]
+    assert all(type(v) in (float, list) for v in got.values())
+
+
+@pytest.mark.parametrize("params, key", [
+    ({"sigma": "abc"}, "sigma"),
+    ({"sigma": float("nan")}, "sigma"),
+    ({"gamma": (1.0, 2.0)}, "gamma"),
+    ({"control_grid": "a"}, "control_grid"),
+    ({"control_grid": [[0.0, 1.0]]}, "control_grid"),
+    ({"control_grid": []}, "control_grid"),
+    ({"x0": (0.0, 1.0)}, "x0"),
+    ({"init": "uniform_box", "init_upper": 1.0}, "init_lower"),
+    ({"init": "uniform_box", "init_lower": 0.0, "init_upper": [np.inf]}, "init_upper"),
+    ({"init": "gaussian"}, "init"),
+    ({"bogus": 1.0}, "bogus"),
+])
+def test_preset_rejects_a_bad_parameter_by_name(params, key):
+    with pytest.raises(PenmfgError, match=f"'{key}'"):
+        model.make_preset("lq_control", domain.box([0.0], [1.0]), params)
+
+
 def test_preset_initial_law_must_stay_inside():
     with pytest.raises(ContractViolationError):
         model.make_preset("reflected_bm", HALF_LINE, {"x0": -0.5})

@@ -34,8 +34,8 @@ UNREACHED = {
     "model.py:preset_names": "error path: names the known presets",
     "model.py:_uniform_box_law": "config-reachable: init = uniform_box",
     "model.py:_uniform_box_law.law": "config-reachable: init = uniform_box",
-    "model.py:_build_reflected_ou_mf": ("config-reachable preset; acceptance"
-                                        " criterion 6 runs it"),
+    "model.py:_reflected_ou_mf": ("config-reachable preset; acceptance"
+                                  " criterion 6 runs it"),
     "simulate.py:_stepwise_cost": ("the path readers' per-step control average;"
                                    " acceptance criteria 5, 6 and 10"),
     "simulate.py:evaluate_cost": REFERENCE,

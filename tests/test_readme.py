@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from penmfg import model
+
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -30,3 +32,20 @@ def test_readme_quick_start_runs_and_prints_its_comment():
             for g, w in zip(got, want):
                 decimals = len(w.partition(".")[2])
                 assert float(g) == pytest.approx(float(w), abs=0.5 * 10.0**-decimals)
+
+
+def test_readme_presets_section_names_every_preset_and_parameter():
+    """The Presets section lists each preset of ``model._PRESETS`` with every
+    parameter it reads and that parameter's default, so it cannot drift."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Presets\n", 1)[1].split("\n## ", 1)[0]
+    section = " ".join(section.split())
+    common = {**model._COMMON, "init": "point", "x0": 0.0}
+    for name, (own, _) in model._PRESETS.items():
+        assert f"`{name}`" in section
+        for key, default in {**common, **own}.items():
+            shown = (" ".join(f"{v:g}" for v in default) if isinstance(default, tuple)
+                     else default)
+            assert re.search(rf"`{key}` \((`)?{re.escape(str(shown))}(`)?\)", section), key
+    for key in ("init_lower", "init_upper"):
+        assert f"`{key}`" in section

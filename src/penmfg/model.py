@@ -268,12 +268,14 @@ def make_preset(name: str, dom: dom_mod.ConvexDomain, params: dict | None = None
     p = {key: _read(params, key, default, (-1, d) if isinstance(default, tuple) else ())
          for key, default in {**_COMMON, **own}.items()}
     atoms, drift, running_cost = coefficients(p)
-    init = params.pop("init", "point")
+    p["init"] = init = params.pop("init", "point")
     if init == "point":
-        law = _point_law(_read(params, "x0", 0.0, (d,)))
+        p["x0"] = _read(params, "x0", 0.0, (d,))
+        law = _point_law(p["x0"])
     elif init == "uniform_box":
-        law = _uniform_box_law(_read(params, "init_lower", None, (d,)),
-                               _read(params, "init_upper", None, (d,)))
+        p["init_lower"], p["init_upper"] = (_read(params, key, None, (d,))
+                                            for key in ("init_lower", "init_upper"))
+        law = _uniform_box_law(p["init_lower"], p["init_upper"])
     else:
         raise PenmfgError(f"model parameter 'init' must be point or uniform_box,"
                           f" got {init!r}")

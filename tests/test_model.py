@@ -202,10 +202,14 @@ DEFAULT_PARAMS = {
 
 @pytest.mark.parametrize("name", sorted(DEFAULT_PARAMS))
 def test_preset_records_its_resolved_parameters(name):
-    """`diagnose` prints these; every value is a plain float or list."""
+    """`diagnose` prints these, the initial law and its point included."""
     got = model.make_preset(name, domain.box([0.0], [1.0]), {}).params
-    assert got == DEFAULT_PARAMS[name]
-    assert all(type(v) in (float, list) for v in got.values())
+    assert got == {**DEFAULT_PARAMS[name], "init": "point", "x0": [0.0]}
+    ms = model.make_preset(name, domain.box([0.0] * 2, [1.0] * 2), {
+        "init": "uniform_box", "init_lower": 0.25, "init_upper": [0.5, 0.75],
+        **({"control_grid": [[0.0, 1.0]]} if name == "lq_control" else {})})
+    assert {k: ms.params[k] for k in ("init", "init_lower", "init_upper")} == {
+        "init": "uniform_box", "init_lower": [0.25, 0.25], "init_upper": [0.5, 0.75]}
 
 
 @pytest.mark.parametrize("params, key", [

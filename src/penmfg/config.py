@@ -14,9 +14,9 @@ The format is deliberately small: `[section]` headers, `key = value` lines,
 
 `parse_config` validates everything it can see: unknown sections or keys,
 type mismatches, and range violations all fail with the offending line
-number, and the domain / model / sim configs are actually constructed so
-their own guards (e.g. the explicit-scheme penalty*dt stability limit) fire
-at parse time.  Defaults that were applied are recorded on the returned
+number, and the domain / model / sim configs and the DP grid are actually
+constructed so their own guards (e.g. the explicit-scheme penalty*dt
+stability limit) fire at parse time.  Defaults that were applied are recorded on the returned
 config so run logs can echo them.  `apply_overrides` patches the typed values
 and runs the same validation; a patched key leaves the defaults log, and an
 error it causes names the override instead of a line.
@@ -39,7 +39,7 @@ from .equilibrium import FixedPointConfig, chatter_penalty
 from .errors import ConfigError, PenmfgError
 from .measures import format_float
 from .model import ModelSpec, make_preset, preset_names
-from .simulate import SimConfig
+from .simulate import SimConfig, _n_steps
 
 COMMANDS = ("simulate", "cost", "dp", "equilibrium", "sweep-n", "chatter",
             "diagnose")
@@ -257,7 +257,7 @@ def _validate_builds(cfg: RunConfig) -> None:
     except PenmfgError as exc:
         raise _invalid(cfg, f"[domain] {exc}", "domain") from exc
     try:
-        build_model(cfg, dom)
+        ms = build_model(cfg, dom)
     except PenmfgError as exc:
         key = next((k for k in cfg.model if f"'{k}'" in str(exc)), "preset")
         raise _invalid(cfg, f"[model] {exc}", "model", key) from exc
@@ -270,11 +270,19 @@ def _validate_builds(cfg: RunConfig) -> None:
             sim = build_sim(cfg)
         except PenmfgError as exc:
             raise _invalid(cfg, f"[sim] {exc}", "sim", "penalty") from exc
+        if needs_sim:
+            try:
+                _n_steps(ms, sim.dt)
+            except PenmfgError as exc:
+                raise _invalid(cfg, f"[sim] {exc}", "sim", "dt") from exc
         try:
             build_fixed_point(cfg, sim)
         except PenmfgError as exc:
             raise _invalid(cfg, f"[fixed_point] {exc}", "fixed_point") from exc
     if cfg.command == "chatter":
+        if not cfg.sweep["deltas"]:
+            raise _invalid(cfg, "[sweep] deltas must name at least one period",
+                           "sweep", "deltas")
         if not np.all(np.isfinite([*cfg.sweep["deltas"], cfg.sweep["n0"]])):
             raise _invalid(cfg, "[sweep] deltas and n0 must be finite", "sweep", "deltas")
         times = np.array([0.0, cfg.sim["dt"]])  # the run's first time step
@@ -287,11 +295,17 @@ def _validate_builds(cfg: RunConfig) -> None:
             if penalty < 1:
                 raise _invalid(cfg, f"[sweep] penalty n0 / delta rounds to {penalty}"
                                f" at delta {delta}, below 1", "sweep", "n0")
-    if cfg.command == "sweep-n" and any(n < 1 for n in cfg.sweep["n_list"]):
-        raise _invalid(cfg, "[sweep] every penalty in n_list must be at least 1",
-                       "sweep", "n_list")
+    n_list = cfg.sweep["n_list"]
+    if cfg.command == "sweep-n" and (not n_list or min(n_list) < 1):
+        raise _invalid(cfg, "[sweep] n_list must name at least one penalty, each"
+                       " at least 1", "sweep", "n_list")
     if cfg.dp.get("hx") is not None and cfg.dp["hx"] <= 0:
         raise _invalid(cfg, "[dp] hx must be positive", "dp", "hx")
+    if cfg.command not in ("simulate", "cost"):
+        try:
+            build_grid(cfg, ms)
+        except PenmfgError as exc:
+            raise _invalid(cfg, f"[dp] {exc}", "dp", "hx") from exc
     if not 0.0 <= cfg.sweep["epsilon"] <= 0.5:
         raise _invalid(cfg, "[sweep] epsilon must lie in [0, 1/2]", "sweep", "epsilon")
 
@@ -434,7 +448,7 @@ def build_grid(cfg: RunConfig, ms: ModelSpec) -> DPGrid | None:
         return None
     if cfg.dp.get("lower") is not None or cfg.dp.get("upper") is not None:
         if cfg.dp.get("lower") is None or cfg.dp.get("upper") is None:
-            raise ConfigError("[dp] bounds need both lower and upper")
+            raise ConfigError("bounds need both lower and upper")
         return DPGrid.regular(cfg.dp["lower"], cfg.dp["upper"], hx)
     return DPGrid.for_model(ms, hx)
 

@@ -24,7 +24,7 @@ class DivergenceError(PenmfgError):
 
     def __init__(self, step: int, particles):
         self.step = int(step)
-        self.particles = list(particles)
+        self.particles = [int(i) for i in particles]
         head = self.particles[:8]
         super().__init__(
             f"non-finite state at step {self.step} for particle(s) {head}"

@@ -159,9 +159,9 @@ def generator_apply(ms: ModelSpec, phi: SmoothFn, t, x, mu, u) -> np.ndarray:
 
 # ------------------------------------------------------------------- presets
 
-# every preset's parameters and their defaults; ``init`` (``point``, with
-# ``x0``, or ``uniform_box``, with ``init_lower`` and ``init_upper``) picks
-# the initial law
+# the parameters every preset reads, with their defaults; ``init``
+# (``point``, with ``x0``, or ``uniform_box``, with ``init_lower`` and
+# ``init_upper``) picks the initial law
 _COMMON = {"sigma": 1.0, "horizon": 1.0, "h_const": 0.0}
 
 

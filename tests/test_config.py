@@ -286,6 +286,8 @@ def test_runconfig_equality_ignores_default_log():
     ("chatter", "lq_box_chatter.cfg", "sweep.deltas=0.013 0.1"),
     ("chatter", "lq_box_chatter.cfg", "sweep.deltas=0.2 -0.1"),
     ("sweep-n", "lq_box.cfg", "sweep.n_list=8 0"),
+    ("chatter", "lq_box_chatter.cfg", "sweep.deltas="),
+    ("sweep-n", "lq_box.cfg", "sweep.n_list="),
 ])
 def test_sweep_levels_checked_at_parse_time(tmp_path, capsys, command, config,
                                             override):
@@ -295,6 +297,21 @@ def test_sweep_levels_checked_at_parse_time(tmp_path, capsys, command, config,
     assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
                  "--override", override]) == 1
     assert f"override {override!r}: [sweep] " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, override, section", [
+    ("simulate", "half_line_bm.cfg", "sim.dt=0.003", "sim"),
+    ("dp", "lq_box.cfg", "dp.hx=0.03", "dp"),
+])
+def test_time_step_and_grid_checked_at_parse_time(tmp_path, capsys, command, config,
+                                                  override, section):
+    """A dt that does not divide the horizon, or an hx that does not tile the
+    box, fails before any step and the error names the override."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--out", str(out),
+                 "--override", override]) == 1
+    assert f"override {override!r}: [{section}] " in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -275,7 +275,9 @@ def test_divergence_reports_step_and_particles():
         with pytest.raises(DivergenceError) as err:
             simulate(ms, cfg, null_law())
     assert err.value.step == 2
-    assert 0 in err.value.particles
+    assert err.value.particles == [0, 1, 2, 3]
+    assert all(type(i) is int for i in err.value.particles)
+    assert str(err.value) == "non-finite state at step 2 for particle(s) [0, 1, 2, 3]"
 
 
 def test_frozen_interaction_grid_checks():

@@ -89,14 +89,6 @@ def _report_head(cfg: RunConfig) -> list:
     return lines
 
 
-def _csv_table(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -126,8 +118,6 @@ def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
 def _cmd_dp(cfg: RunConfig, ms, out: Path) -> int:
     sim = build_sim(cfg)
     grid = build_grid(cfg, ms)
-    if grid is None:
-        raise PenmfgError("the dp command needs [dp] hx")
     if sim.penalty is not None:
         grid = pad_for_penalty(grid, ms, sim.dt, sim.penalty)
     _, flow = simulate(ms, sim, constant_law(ms.atoms), keep_paths=False)
@@ -162,54 +152,31 @@ def _cmd_equilibrium(cfg: RunConfig, ms, out: Path) -> int:
     return 0 if rep.converged else 2
 
 
-_SWEEP_HEADER = ["penalty", "converged", "iterations", "residual", "cost",
-                 "cost_se", "flow_gap", "cost_gap", "cost_gap_se", "error"]
+def _cell(value):
+    """A sweep.csv cell: floats through format_float, booleans in lower case."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _ff(value) if isinstance(value, float) else value
 
 
-def _sweep_rows(report) -> list:
-    rows = []
-    for r in report.rows + [report.reference]:
-        tag = "ref" if r.penalty is None else str(r.penalty)
-        rows.append([tag, str(r.converged).lower(), r.iterations,
-                     _ff(r.residual), _ff(r.cost), _ff(r.cost_se),
-                     _ff(r.flow_gap), _ff(r.cost_gap), _ff(r.cost_gap_se),
-                     r.error])
-    return rows
-
-
-def _cmd_sweep(cfg: RunConfig, ms, out: Path) -> int:
-    grid = build_grid(cfg, ms)
-    fp = build_fixed_point(cfg, build_sim(cfg), grid)
-    report = penalization_sweep(ms, fp, list(cfg.sweep["n_list"]))
-    _write_text(out / "sweep.csv", _csv_table(_SWEEP_HEADER,
-                                              _sweep_rows(report)))
+def _cmd_study(cfg: RunConfig, ms, out: Path) -> int:
+    fp = build_fixed_point(cfg, build_sim(cfg), build_grid(cfg, ms))
+    sweep = cfg.sweep
+    if cfg.command == "sweep-n":
+        report = penalization_sweep(ms, fp, list(sweep["n_list"]))
+    else:
+        report = strict_approximation_run(
+            ms, fp, deltas=list(sweep["deltas"]), n0=sweep["n0"],
+            epsilon=sweep["epsilon"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    writer.writerows([_cell(row[col]) for col in report.columns]
+                     for row in report.rows)
+    _write_text(out / "sweep.csv", buf.getvalue())
     _write_text(out / "report.txt",
                 "\n".join(_report_head(cfg) + [report.summary()]) + "\n")
-    clean = report.reference.converged and all(
-        r.converged and not r.error for r in report.rows)
-    return 0 if clean else 2
-
-
-_CHATTER_HEADER = ["delta", "penalty", "control_distance", "cost", "cost_se",
-                   "cost_gap", "cost_gap_se"]
-
-
-def _cmd_chatter(cfg: RunConfig, ms, out: Path) -> int:
-    grid = build_grid(cfg, ms)
-    if grid is None:
-        raise PenmfgError("the chatter command needs [dp] hx")
-    fp = build_fixed_point(cfg, build_sim(cfg), grid)
-    report = strict_approximation_run(
-        ms, fp, deltas=list(cfg.sweep["deltas"]), n0=cfg.sweep["n0"],
-        epsilon=cfg.sweep["epsilon"],
-    )
-    rows = [[_ff(r.delta), r.penalty, _ff(r.control_distance), _ff(r.cost),
-             _ff(r.cost_se), _ff(r.cost_gap), _ff(r.cost_gap_se)]
-            for r in report.rows]
-    _write_text(out / "sweep.csv", _csv_table(_CHATTER_HEADER, rows))
-    _write_text(out / "report.txt",
-                "\n".join(_report_head(cfg) + [report.summary()]) + "\n")
-    return 0 if report.base_converged else 2
+    return 0 if report.clean else 2
 
 
 def _cmd_diagnose(cfg: RunConfig, ms, out: Path) -> int:
@@ -248,10 +215,8 @@ def run(cfg: RunConfig) -> int:
         return _cmd_dp(cfg, ms, out)
     if cfg.command == "equilibrium":
         return _cmd_equilibrium(cfg, ms, out)
-    if cfg.command == "sweep-n":
-        return _cmd_sweep(cfg, ms, out)
-    if cfg.command == "chatter":
-        return _cmd_chatter(cfg, ms, out)
+    if cfg.command in ("sweep-n", "chatter"):
+        return _cmd_study(cfg, ms, out)
     return _cmd_diagnose(cfg, ms, out)
 
 

@@ -114,9 +114,12 @@ def _parse_scalar(raw: str, kind: str, line: int):
 
 
 def _model_value(raw: str):
-    """Model parameters are preset-defined: float, float list, or string."""
+    """Model parameters are preset-defined: float, float list, ';'-separated
+    float rows (any lengths: the preset names a ragged value), or string."""
     parts = raw.split()
     try:
+        if ";" in raw:
+            return tuple(tuple(float(p) for p in row.split()) for row in raw.split(";"))
         if len(parts) > 1:
             return tuple(float(p) for p in parts)
         return float(raw)
@@ -295,6 +298,11 @@ def _validate_builds(cfg: RunConfig) -> None:
             if penalty < 1:
                 raise _invalid(cfg, f"[sweep] penalty n0 / delta rounds to {penalty}"
                                f" at delta {delta}, below 1", "sweep", "n0")
+    if cfg.command in ("dp", "chatter") and cfg.dp.get("hx") is None:
+        raise _invalid(cfg, f"the {cfg.command} command needs [dp] hx", "dp", "hx")
+    if cfg.command == "chatter" and cfg.sim["scheme"] != "reflected_projected":
+        raise _invalid(cfg, "[sim] chatter starts from the reflected equilibrium;"
+                       " set scheme = reflected_projected", "sim", "scheme")
     n_list = cfg.sweep["n_list"]
     if cfg.command == "sweep-n" and (not n_list or min(n_list) < 1):
         raise _invalid(cfg, "[sweep] n_list must name at least one penalty, each"

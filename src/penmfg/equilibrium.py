@@ -23,6 +23,12 @@ Studies:
   relaxed reference, all under one frozen equilibrium flow so only the
   control approximation varies.
 
+Both return one record, `StudyReport`: its ``columns`` (the ``sweep.csv``
+header), one mapping per row keyed by column, the report lines above the
+table with one row template, and a ``clean`` flag (every solve converged,
+no level failed) that gives the exit status.  Each level's cost, cost gap
+and paired SE come from one helper, `_cost_columns`.
+
 An equilibrium solve and both studies draw each step's noise once for all
 their runs (:func:`~penmfg.rng.shared_noise`): the runs share the seed, so
 they read the same normals.
@@ -209,125 +215,85 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
     )
 
 
-# ------------------------------------------------------------------ sweeps
+# ------------------------------------------------------------------ studies
 
 
 @dataclass(eq=False)
-class SweepRow:
-    penalty: Optional[int]
-    converged: bool
-    iterations: int
-    residual: float
-    cost: float
-    cost_se: float
-    flow_gap: float = np.nan
-    cost_gap: float = np.nan
-    cost_gap_se: float = np.nan
-    error: str = ""
+class StudyReport:
+    """One study: a table of levels under common random numbers.
 
+    ``columns`` is the ``sweep.csv`` header and ``rows`` holds one mapping
+    per table row, keyed by column.  ``summary`` prints ``head`` and then
+    each row through ``row_format``; a row whose ``error`` is set prints as
+    ``failed: ...`` under its first column instead.  ``clean`` is false when
+    a solve the study ran did not converge or a level failed.
+    """
 
-@dataclass(eq=False)
-class SweepReport:
-    """Per-penalty equilibrium gaps against the reflected reference run."""
-
+    columns: tuple
     rows: list
-    reference: SweepRow
+    head: list
+    row_format: str
+    clean: bool
 
     def summary(self) -> str:
-        lines = ["penalty  conv  iters  residual   J          "
-                 "flow_gap   cost_gap"]
-        for r in self.rows + [self.reference]:
-            tag = "ref" if r.penalty is None else str(r.penalty)
-            if r.error:
-                lines.append(f"{tag:>7}  failed: {r.error}")
-                continue
-            lines.append(
-                f"{tag:>7}  {str(r.converged):5}  {r.iterations:5d}  "
-                f"{r.residual:.3e}  {r.cost:+.6f}  "
-                f"{r.flow_gap:.3e}  {r.cost_gap:+.3e}"
-            )
-        return "\n".join(lines)
+        tag = self.columns[0]
+        return "\n".join(self.head + [
+            f"{row[tag]:>7}  failed: {row['error']}" if row.get("error")
+            else self.row_format.format(**row) for row in self.rows])
+
+
+def _cost_columns(cost: CostReport, ref: CostReport) -> dict:
+    """A level's cost, its gap to the reference and the gap's paired SE."""
+    diff = cost.per_particle - ref.per_particle
+    return {"cost": cost.value, "cost_se": cost.stderr,
+            "cost_gap": float(cost.value - ref.value),
+            "cost_gap_se": float(np.std(diff) / np.sqrt(diff.size))}
+
+
+_SWEEP_COLUMNS = ("penalty", "converged", "iterations", "residual", "cost",
+                  "cost_se", "flow_gap", "cost_gap", "cost_gap_se", "error")
+
+
+def _solve_row(tag, rep: EquilibriumReport, ref: EquilibriumReport,
+               flow_gap: float) -> dict:
+    """The sweep row of one solve, its cost paired against ``ref``'s."""
+    return {"penalty": tag, "converged": rep.converged,
+            "iterations": rep.iterations,
+            "residual": rep.residuals[-1] if rep.residuals else np.nan,
+            "flow_gap": flow_gap, "error": "", **_cost_columns(rep.cost, ref.cost)}
 
 
 @shared_noise()
 def penalization_sweep(ms: ModelSpec, cfg: FixedPointConfig, n_list
-                       ) -> SweepReport:
+                       ) -> StudyReport:
     """Equilibria across penalty levels versus the reflected reference.
 
     Every solve shares the seed, so initial states and driving noise are
     common random numbers; cost gaps then come with a paired standard error.
     The configured grid fits the domain; each penalized solve pads it by its
-    own margin, the reflected reference uses it untouched.
+    own margin, the reflected reference uses it untouched.  A level whose
+    solve fails keeps its row with the error; the reference row comes last.
     """
-    ref_cfg = replace(
-        cfg, sim=replace(cfg.sim, scheme="reflected_projected", penalty=None)
-    )
-    ref_report = solve_equilibrium(ms, ref_cfg)
-    reference = SweepRow(
-        penalty=None, converged=ref_report.converged,
-        iterations=ref_report.iterations,
-        residual=ref_report.residuals[-1] if ref_report.residuals else np.nan,
-        cost=ref_report.cost.value, cost_se=ref_report.cost.stderr,
-        flow_gap=0.0, cost_gap=0.0, cost_gap_se=0.0,
-    )
+    ref = solve_equilibrium(ms, replace(
+        cfg, sim=replace(cfg.sim, scheme="reflected_projected", penalty=None)))
     rows = []
-    for n in n_list:
+    for n in map(int, n_list):
         try:
-            rows.append(_penalized_row(ms, cfg, int(n), ref_report))
+            rep = solve_equilibrium(ms, replace(
+                cfg, sim=replace(cfg.sim, scheme="penalized_splitting", penalty=n)))
+            rows.append(_solve_row(n, rep, ref, w2_flow(rep.flow, ref.flow)))
+            del rep  # its final flow dies before the next level's solve
         except PenmfgError as exc:
-            rows.append(SweepRow(
-                penalty=int(n), converged=False, iterations=0,
-                residual=np.nan, cost=np.nan, cost_se=np.nan, error=str(exc),
-            ))
-    return SweepReport(rows=rows, reference=reference)
-
-
-def _penalized_row(ms: ModelSpec, cfg: FixedPointConfig, n: int,
-                   ref_report: EquilibriumReport) -> SweepRow:
-    """One sweep level; its report (and final flow) dies on return."""
-    rep = solve_equilibrium(ms, replace(
-        cfg, sim=replace(cfg.sim, scheme="penalized_splitting", penalty=n)))
-    diff = rep.cost.per_particle - ref_report.cost.per_particle
-    return SweepRow(
-        penalty=n, converged=rep.converged, iterations=rep.iterations,
-        residual=rep.residuals[-1] if rep.residuals else np.nan,
-        cost=rep.cost.value, cost_se=rep.cost.stderr,
-        flow_gap=w2_flow(rep.flow, ref_report.flow),
-        cost_gap=float(rep.cost.value - ref_report.cost.value),
-        cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),
+            rows.append({**dict.fromkeys(_SWEEP_COLUMNS, np.nan), "penalty": n,
+                         "converged": False, "iterations": 0, "error": str(exc)})
+    rows.append(_solve_row("ref", ref, ref, 0.0))
+    return StudyReport(
+        columns=_SWEEP_COLUMNS, rows=rows,
+        head=["penalty  conv  iters  residual   J          flow_gap   cost_gap"],
+        row_format=("{penalty:>7}  {converged!s:5}  {iterations:5d}  "
+                    "{residual:.3e}  {cost:+.6f}  {flow_gap:.3e}  {cost_gap:+.3e}"),
+        clean=all(row["converged"] for row in rows),
     )
-
-
-@dataclass(eq=False)
-class StrictRunRow:
-    delta: float
-    penalty: int
-    control_distance: float
-    cost: float
-    cost_se: float
-    cost_gap: float
-    cost_gap_se: float
-
-
-@dataclass(eq=False)
-class StrictRunReport:
-    """Chattered strict controls closing in on a relaxed reference."""
-
-    reference_cost: float
-    reference_cost_se: float
-    rows: list
-    base_converged: bool = True
-
-    def summary(self) -> str:
-        lines = [f"relaxed reference J = {self.reference_cost:.6f} "
-                 f"+/- {self.reference_cost_se:.2g}",
-                 "delta     penalty  d_U        J           gap"]
-        for r in self.rows:
-            lines.append(
-                f"{r.delta:<8.4g}  {r.penalty:6d}  {r.control_distance:.4e} "
-                f"{r.cost:+.6f}  {r.cost_gap:+.4e}"
-            )
-        return "\n".join(lines)
 
 
 def chatter_penalty(n0: float, delta: float) -> int:
@@ -338,7 +304,7 @@ def chatter_penalty(n0: float, delta: float) -> int:
 @shared_noise()
 def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
                              n0: float = 8.0,
-                             epsilon: float = 0.1) -> StrictRunReport:
+                             epsilon: float = 0.1) -> StudyReport:
     """Chatter a relaxed law at shrinking block lengths, penalty n = n0/delta.
 
     Solves the reflected equilibrium, relaxes its DP law by the runner-up
@@ -358,24 +324,26 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
         raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls)")
     relaxed = relaxed_probe(base.field, epsilon=epsilon)
     flow = base.flow
-    ref_cost, q_ref = _cost_and_controls(ms, cfg.sim, relaxed, flow)
+    ref, q_ref = _cost_and_controls(ms, cfg.sim, relaxed, flow)
     rows = []
     for delta in deltas:
         penalty = chatter_penalty(n0, delta)
         chat = chattered_probe(base.field, float(delta), epsilon=epsilon)
         run_cfg = replace(cfg.sim, scheme="penalized_splitting", penalty=penalty)
         cost, q = _cost_and_controls(ms, run_cfg, chat, flow)
-        diff = cost.per_particle - ref_cost.per_particle
-        rows.append(StrictRunRow(
-            delta=float(delta), penalty=penalty,
-            control_distance=d_relaxed(q, q_ref),
-            cost=cost.value, cost_se=cost.stderr,
-            cost_gap=float(cost.value - ref_cost.value),
-            cost_gap_se=float(np.std(diff) / np.sqrt(diff.size)),
-        ))
-    return StrictRunReport(reference_cost=ref_cost.value,
-                           reference_cost_se=ref_cost.stderr,
-                           rows=rows, base_converged=base.converged)
+        rows.append({"delta": float(delta), "penalty": penalty,
+                     "control_distance": d_relaxed(q, q_ref),
+                     **_cost_columns(cost, ref)})
+    return StudyReport(
+        columns=("delta", "penalty", "control_distance", "cost", "cost_se",
+                 "cost_gap", "cost_gap_se"),
+        rows=rows,
+        head=[f"relaxed reference J = {ref.value:.6f} +/- {ref.stderr:.2g}",
+              "delta     penalty  d_U        J           gap"],
+        row_format=("{delta:<8.4g}  {penalty:6d}  {control_distance:.4e} "
+                    "{cost:+.6f}  {cost_gap:+.4e}"),
+        clean=base.converged,
+    )
 
 
 def _cost_and_controls(ms: ModelSpec, sim: SimConfig, law, flow: MeasureFlow

@@ -356,17 +356,17 @@ def test_09_strict_approximation_cost_trend():
     )
     report = strict_approximation_run(ms, cfg, deltas=[0.2, 0.1, 0.05],
                                       n0=2.0, epsilon=0.25)
-    gaps = [abs(r.cost_gap) for r in report.rows]
-    ses = [r.cost_gap_se for r in report.rows]
+    gaps = [abs(r["cost_gap"]) for r in report.rows]
+    ses = [r["cost_gap_se"] for r in report.rows]
     mono = all(
         gaps[i + 1] <= gaps[i] + 2.0 * (ses[i] + ses[i + 1])
         for i in range(len(gaps) - 1)
     )
-    ok = report.base_converged and mono
+    ok = report.clean and mono
     detail = ("|J_delta - J_relaxed| "
-              + " ".join(f"{r.delta:g}:{abs(r.cost_gap):.4f}"
+              + " ".join(f"{r['delta']:g}:{abs(r['cost_gap']):.4f}"
                          for r in report.rows)
-              + f"; base converged {report.base_converged}")
+              + f"; base converged {report.clean}")
     record(9, "chattered-penalized costs close on the relaxed run", ok, detail)
 
 

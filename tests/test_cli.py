@@ -210,6 +210,7 @@ def test_chatter_rejects_penalized_base(tmp_path, capsys):
     assert run_cli("chatter", "--config", cfg,
                    "--out", str(tmp_path / "x")) == 1
     assert "reflected" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # refused before any output
 
 
 def test_diagnose_command(tmp_path):

@@ -320,3 +320,80 @@ def test_chatter_deltas_are_checked_only_for_chatter():
     cfg = parse_config((CONFIGS / "lq_box.cfg").read_text())
     with pytest.raises(ConfigError, match="whole multiple"):
         apply_overrides(cfg, ["run.command=chatter"])
+
+
+@pytest.mark.parametrize("command, config, overrides, message", [
+    ("dp", "half_line_bm.cfg", [], "the dp command needs [dp] hx"),
+    ("chatter", "half_line_bm.cfg", [], "the chatter command needs [dp] hx"),
+    ("chatter", "lq_box_chatter.cfg",
+     ["sim.penalty=64", "sim.scheme=penalized_splitting"],
+     "override 'sim.scheme=penalized_splitting': [sim] chatter starts from the"
+     " reflected equilibrium"),
+])
+def test_study_needs_checked_at_parse_time(tmp_path, capsys, command, config,
+                                           overrides, message):
+    """dp and chatter without [dp] hx, and chatter on a penalized base, fail
+    before any output is written."""
+    out = tmp_path / "out"
+    argv = [command, "--config", str(CONFIGS / config), "--out", str(out)]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+LQ_2D = """\
+[run]
+command = diagnose
+
+[domain]
+kind = box
+lower = 0 0
+upper = 1 1
+
+[model]
+preset = lq_control
+sigma = 0.4
+horizon = 0.5
+x0 = 0.4 0.4
+control_grid = -1 0; 1 0; 0 -1; 0 1; 0 0
+
+[sim]
+n_particles = 200
+dt = 0.0125
+scheme = reflected_projected
+
+[dp]
+hx = 0.1
+"""
+
+
+def test_model_rows_build_a_2d_control_set(tmp_path):
+    cfg_path = tmp_path / "lq_2d.cfg"
+    cfg_path.write_text(LQ_2D)
+    assert main(["diagnose", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert ("control_grid = [[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0],"
+            " [0.0, 0.0]]") in report
+    assert build_model(parse_config(LQ_2D)).atoms.shape == (5, 2)
+
+
+def test_ragged_model_rows_name_their_key(tmp_path, capsys):
+    cfg_path = tmp_path / "lq_2d.cfg"
+    cfg_path.write_text(LQ_2D.replace("0 1; 0 0", "0 1; 0"))
+    assert main(["diagnose", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "line 14: [model] model parameter 'control_grid'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_rows_round_trip():
+    cfg = parse_config(LQ_2D)
+    assert cfg.model["control_grid"] == ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0),
+                                         (0.0, 1.0), (0.0, 0.0))
+    text = serialize(cfg)
+    assert "control_grid = -1.0 0.0; 1.0 0.0; 0.0 -1.0; 0.0 1.0; 0.0 0.0" in text
+    assert parse_config(text) == cfg

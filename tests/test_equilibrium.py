@@ -12,7 +12,7 @@ from penmfg import domain, dp, equilibrium, model
 from penmfg.dp import DPGrid
 from penmfg.equilibrium import (
     FixedPointConfig,
-    SweepReport,
+    StudyReport,
     _mix_flows,
     penalization_sweep,
     solve_equilibrium,
@@ -178,13 +178,14 @@ def test_penalization_sweep_gaps_shrink_with_n():
         damping=1.0, max_iters=4, tol=1e-2,
     )
     report = penalization_sweep(ms, cfg, [8, 64])
-    assert isinstance(report, SweepReport)
-    assert [r.penalty for r in report.rows] == [8, 64]
-    assert report.reference.penalty is None
-    assert all(r.converged for r in report.rows)
-    assert report.rows[1].flow_gap < report.rows[0].flow_gap
-    assert abs(report.rows[1].cost_gap) <= abs(report.rows[0].cost_gap) \
-        + 2.0 * (report.rows[0].cost_gap_se + report.rows[1].cost_gap_se)
+    assert isinstance(report, StudyReport)
+    *rows, reference = report.rows
+    assert [r["penalty"] for r in rows] == [8, 64]
+    assert reference["penalty"] == "ref"
+    assert all(r["converged"] for r in rows)
+    assert rows[1]["flow_gap"] < rows[0]["flow_gap"]
+    assert abs(rows[1]["cost_gap"]) <= abs(rows[0]["cost_gap"]) \
+        + 2.0 * (rows[0]["cost_gap_se"] + rows[1]["cost_gap_se"])
     assert "ref" in report.summary()
 
 
@@ -196,8 +197,8 @@ def test_penalization_sweep_flags_failed_levels():
         max_iters=2,
     )
     report = penalization_sweep(ms, cfg, [0])  # invalid penalty level
-    assert report.rows[0].error != ""
-    assert not report.rows[0].converged
+    assert report.rows[0]["error"] != ""
+    assert not report.rows[0]["converged"]
     assert "failed" in report.summary()
 
 
@@ -213,13 +214,13 @@ def test_strict_approximation_distances_shrink():
     # so the distance isolates the switching-rate error
     report = strict_approximation_run(ms, cfg, deltas=[0.2, 0.1, 0.05],
                                       n0=2.0, epsilon=0.25)
-    assert [r.penalty for r in report.rows] == [10, 20, 40]
-    dists = [r.control_distance for r in report.rows]
+    assert [r["penalty"] for r in report.rows] == [10, 20, 40]
+    dists = [r["control_distance"] for r in report.rows]
     assert all(np.isfinite(dists))
     assert dists[-1] < dists[0]
     for prev, cur in zip(report.rows, report.rows[1:]):
-        assert abs(cur.cost_gap) <= abs(prev.cost_gap) \
-            + 2.0 * (prev.cost_gap_se + cur.cost_gap_se)
+        assert abs(cur["cost_gap"]) <= abs(prev["cost_gap"]) \
+            + 2.0 * (prev["cost_gap_se"] + cur["cost_gap_se"])
     assert "relaxed reference" in report.summary()
     with pytest.raises(ConfigError):
         strict_approximation_run(

@@ -2,9 +2,12 @@
 
 Each line of ``golden.sha256`` names a command, a config under
 ``scripts/configs``, its overrides (comma-separated, ``-`` for none), one
-artifact and its digest.  The ``#`` lines record the Python, numpy and scipy
-versions the digests were made with: the Philox-to-normal bytes depend on
-numpy, and the manifest names all three.  The test runs every listed command
+artifact and its digest.  An override may hold spaces (``sweep.n_list=8
+32``): the command and config are read from the left, the artifact and
+digest from the right, and the overrides are what lies between.  The
+``#`` lines record the Python, numpy and scipy versions the digests were
+made with: the Philox-to-normal bytes depend on numpy, and the manifest
+names all three.  The test runs every listed command
 in process through ``cli.main`` and compares every digest, so any changed
 byte fails tier-1.
 
@@ -39,7 +42,8 @@ def read_golden():
             tool, _, version = line[1:].strip().partition(" ")
             versions[tool] = version
         elif line.strip():
-            command, config, overrides, name, digest = line.split()
+            command, config, rest = line.split(maxsplit=2)
+            overrides, name, digest = rest.rsplit(maxsplit=2)
             entries.append(((command, config, overrides), name, digest))
     return versions, entries
 

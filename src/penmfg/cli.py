@@ -42,7 +42,6 @@ from . import __version__
 from .config import (
     COMMANDS,
     RunConfig,
-    apply_overrides,
     build_fixed_point,
     build_grid,
     build_model,
@@ -245,8 +244,7 @@ def main(argv=None) -> int:
         flags = {"command": args.command, "seed": args.seed, "out": args.out}
         patches = [f"run.{key}={value}" for key, value in flags.items()
                    if value is not None]
-        return run(apply_overrides(parse_config_file(args.config),
-                                   patches + args.override))
+        return run(parse_config_file(args.config, patches + args.override))
     except PenmfgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,10 +16,13 @@ The format is deliberately small: `[section]` headers, `key = value` lines,
 type mismatches, and range violations all fail with the offending line
 number, and the domain / model / sim configs and the DP grid are actually
 constructed so their own guards (e.g. the explicit-scheme penalty*dt
-stability limit) fire at parse time.  Defaults that were applied are recorded on the returned
-config so run logs can echo them.  `apply_overrides` patches the typed values
-and runs the same validation; a patched key leaves the defaults log, and an
-error it causes names the override instead of a line.
+stability limit) fire at parse time.  Defaults that were applied are recorded
+on the returned config so run logs can echo them.  `section.key=value`
+overrides, `[domain]` keys included, are set into the text's entries before
+anything is typed, so the text and its overrides are validated together: an
+override can repair a value the text gets wrong, an overridden key is no
+default, and an error it causes names the override instead of a line.
+`apply_overrides` re-reads a parsed config with more overrides on top.
 
 `serialize` writes the canonical form; parse(serialize(cfg)) == cfg, and the
 manifest hash is the digest of that canonical text.
@@ -86,16 +89,27 @@ class RunConfig:
     defaults_applied: tuple = field(default=(), compare=False, repr=False)
     # section -> key -> its line number, or the text of the override that set it
     sources: dict = field(default_factory=dict, compare=False, repr=False)
+    # what was read: the config text and the overrides on top of it
+    text: str = field(default="", compare=False, repr=False)
+    overrides: tuple = field(default=(), compare=False, repr=False)
 
 
 # ------------------------------------------------------------------ parsing
 
 
-def _parse_scalar(raw: str, kind: str, line: int):
+def _at(message: str, where) -> ConfigError:
+    """``message`` placed at ``where``: a line number, an override's text or None."""
+    if isinstance(where, str):
+        return ConfigError(f"{where}: {message}")
+    return ConfigError(message, where)
+
+
+def _parse_scalar(dotted: str, entry: tuple, kind: str):
+    """A raw ``(value, where)`` entry as ``kind``; an error names ``dotted``."""
+    raw, where = entry
     try:
         if kind == "int":
-            v = int(raw)
-            return v
+            return int(raw)
         if kind == "float":
             return float(raw)
         if kind == "floats":
@@ -103,13 +117,12 @@ def _parse_scalar(raw: str, kind: str, line: int):
         if kind == "ints":
             return tuple(int(p) for p in raw.split())
         if kind == "rows":
-            rows = [tuple(float(p) for p in row.split())
-                    for row in raw.split(";")]
+            rows = [tuple(float(p) for p in row.split()) for row in raw.split(";")]
             if len({len(r) for r in rows}) != 1:
-                raise ConfigError("matrix rows have unequal lengths", line)
+                raise _at(f"{dotted} matrix rows have unequal lengths", where)
             return tuple(rows)
     except ValueError:
-        raise ConfigError(f"expected {kind}, got {raw!r}", line) from None
+        raise _at(f"{dotted} expected {kind}, got {raw!r}", where) from None
     return raw  # "str"
 
 
@@ -158,16 +171,26 @@ def _raw_sections(text: str) -> dict:
     return out
 
 
+def _patch(raw: dict, item: str) -> None:
+    """Set one ``section.key=value`` override into the raw entries."""
+    dotted, eq, value = item.partition("=")
+    section, dot, key = dotted.strip().partition(".")
+    if not (eq and dot):
+        raise ConfigError(f"override {item!r} is not section.key=value")
+    if section not in _SECTIONS:
+        raise ConfigError(f"override {item!r}: unknown section {section!r}")
+    raw.setdefault(section, {})[key] = (value.strip(), f"override {item!r}")
+
+
 def _typed_section(name: str, raw: dict, defaults_log: list) -> dict:
     schema = _SCHEMA[name]
-    unknown = set(raw) - set(schema)
+    unknown = sorted(set(raw) - set(schema))
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown key {key!r} in [{name}]", raw[key][1])
+        raise _at(f"unknown key {unknown[0]!r} in [{name}]", raw[unknown[0]][1])
     values = {}
     for key, (kind, default) in schema.items():
         if key in raw:
-            values[key] = _parse_scalar(raw[key][0], kind, raw[key][1])
+            values[key] = _parse_scalar(f"{name}.{key}", raw[key], kind)
         elif default is not None:
             values[key] = default
             defaults_log.append(f"{name}.{key} = {_render(default)}")
@@ -176,25 +199,21 @@ def _typed_section(name: str, raw: dict, defaults_log: list) -> dict:
 
 def _domain_section(raw: dict) -> dict:
     if "kind" not in raw:
-        raise ConfigError("[domain] needs a kind (box, ball, half_space, "
-                          "polytope)")
-    kind, kind_line = raw["kind"]
+        raise ConfigError("[domain] needs a kind (box, ball, half_space, polytope)")
+    kind, kind_at = raw["kind"]
     if kind not in DOMAIN_KINDS:
-        raise ConfigError(f"unknown domain kind {kind!r}", kind_line)
+        raise _at(f"unknown domain kind {kind!r}", kind_at)
     wanted = DOMAIN_KINDS[kind]
-    unknown = set(raw) - set(wanted) - {"kind"}
+    unknown = sorted(set(raw) - set(wanted) - {"kind"})
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(
-            f"unknown key {key!r} for domain kind {kind!r}", raw[key][1])
+        raise _at(f"unknown key {unknown[0]!r} for domain kind {kind!r}",
+                  raw[unknown[0]][1])
     values = {"kind": kind}
     kinds = {"radius": "float", "offset": "float", "normals": "rows"}
     for key in wanted:
         if key not in raw:
-            raise ConfigError(f"domain kind {kind!r} needs key {key!r}",
-                              kind_line)
-        values[key] = _parse_scalar(raw[key][0], kinds.get(key, "floats"),
-                                    raw[key][1])
+            raise _at(f"domain kind {kind!r} needs key {key!r}", kind_at)
+        values[key] = _parse_scalar(f"domain.{key}", raw[key], kinds.get(key, "floats"))
     return values
 
 
@@ -205,29 +224,32 @@ def _model_section(raw: dict) -> dict:
             for key, (value, _) in raw.items()}
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate; errors carry the offending line number."""
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """Read a config and its ``section.key=value`` overrides in one pass.
+
+    Each override sets its key before anything is typed, so the text and
+    its overrides are typed and validated together; an error names the line
+    or the override that set the culprit.
+    """
     raw = _raw_sections(text)
+    overrides = tuple(overrides)
+    for item in overrides:
+        _patch(raw, item)
     defaults_log: list = []
     run = _typed_section("run", raw.get("run", {}), defaults_log)
     if "domain" not in raw:
         raise ConfigError("missing [domain] section")
     if "model" not in raw:
         raise ConfigError("missing [model] section")
-    domain = _domain_section(raw["domain"])
-    model = _model_section(raw["model"])
-    sim = _typed_section("sim", raw.get("sim", {}), defaults_log)
-    dp = _typed_section("dp", raw.get("dp", {}), defaults_log)
-    fixed_point = _typed_section("fixed_point", raw.get("fixed_point", {}),
-                                 defaults_log)
-    sweep = _typed_section("sweep", raw.get("sweep", {}), defaults_log)
     cfg = RunConfig(
-        command=run["command"], seed=run["seed"], out=run["out"],
-        domain=domain, model=model, sim=sim, dp=dp,
-        fixed_point=fixed_point, sweep=sweep,
+        **run, domain=_domain_section(raw["domain"]),
+        model=_model_section(raw["model"]),
+        **{name: _typed_section(name, raw.get(name, {}), defaults_log)
+           for name in ("sim", "dp", "fixed_point", "sweep")},
         defaults_applied=tuple(defaults_log),
-        sources={name: {key: line for key, (_, line) in body.items()}
+        sources={name: {key: where for key, (_, where) in body.items()}
                  for name, body in raw.items()},
+        text=text, overrides=overrides,
     )
     _validate_builds(cfg)
     return cfg
@@ -245,8 +267,8 @@ def _invalid(cfg: RunConfig, message: str, section: str,
     if isinstance(found.get(key), str):
         overrides.append(found[key])
     if overrides:
-        return ConfigError(f"{overrides[-1]}: {message}")
-    return ConfigError(message, found.get(key, min(found.values(), default=None)))
+        return _at(message, overrides[-1])
+    return _at(message, found.get(key, min(found.values(), default=None)))
 
 
 def _validate_builds(cfg: RunConfig) -> None:
@@ -300,6 +322,9 @@ def _validate_builds(cfg: RunConfig) -> None:
                                f" at delta {delta}, below 1", "sweep", "n0")
     if cfg.command in ("dp", "chatter") and cfg.dp.get("hx") is None:
         raise _invalid(cfg, f"the {cfg.command} command needs [dp] hx", "dp", "hx")
+    if cfg.command == "chatter" and len(ms.atoms) < 2:
+        raise _invalid(cfg, "[model] chatter relaxes a DP law over at least 2"
+                       " control atoms", "model", "preset")
     if cfg.command == "chatter" and cfg.sim["scheme"] != "reflected_projected":
         raise _invalid(cfg, "[sim] chatter starts from the reflected equilibrium;"
                        " set scheme = reflected_projected", "sim", "scheme")
@@ -318,53 +343,14 @@ def _validate_builds(cfg: RunConfig) -> None:
         raise _invalid(cfg, "[sweep] epsilon must lie in [0, 1/2]", "sweep", "epsilon")
 
 
-def parse_config_file(path) -> RunConfig:
+def parse_config_file(path, overrides=()) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
-    """Apply `section.key=value` strings on top of a parsed config.
-
-    Patches the typed values and validates the result as `parse_config`
-    does; patched keys leave the defaults log and errors name the override.
-    """
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not section.key=value")
-        dotted, value = (part.strip() for part in item.split("=", 1))
-        if "." not in dotted:
-            raise ConfigError(f"override {item!r} is not section.key=value")
-        section, key = dotted.split(".", 1)
-        if section == "model":
-            value = value if key == "preset" else _model_value(value)
-        elif section == "domain":
-            raise ConfigError(
-                f"override {item!r}: edit the [domain] section instead")
-        elif section not in _SCHEMA:
-            raise ConfigError(f"override {item!r}: unknown section "
-                              f"{section!r}")
-        elif key not in _SCHEMA[section]:
-            raise ConfigError(
-                f"override {item!r}: unknown key {key!r} in [{section}]")
-        else:
-            try:
-                value = _parse_scalar(value, _SCHEMA[section][key][0], None)
-            except ConfigError as exc:
-                raise ConfigError(f"override {item!r}: {dotted} {exc}") from None
-        if section == "run":
-            cfg = replace(cfg, **{key: value})
-        else:
-            cfg = replace(cfg, **{section: {**getattr(cfg, section), key: value}})
-        cfg = replace(
-            cfg,
-            defaults_applied=tuple(entry for entry in cfg.defaults_applied
-                                   if not entry.startswith(f"{dotted} = ")),
-            sources={**cfg.sources,
-                     section: {**cfg.sources.get(section, {}), key: f"override {item!r}"}},
-        )
-    _validate_builds(cfg)
-    return cfg
+    """``cfg`` read again with more ``section.key=value`` overrides on top."""
+    return parse_config(cfg.text, cfg.overrides + tuple(overrides))
 
 
 # ------------------------------------------------------------ serialization

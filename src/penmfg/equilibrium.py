@@ -319,9 +319,10 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
             "strict approximation starts from the reflected equilibrium; "
             "configure sim with scheme='reflected_projected'"
         )
+    if len(ms.atoms) < 2 or cfg.grid is None or cfg.max_iters < 1:
+        raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls,"
+                          " a grid and max_iters >= 1)")
     base = solve_equilibrium(ms, cfg)
-    if base.field is None:
-        raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls)")
     relaxed = relaxed_probe(base.field, epsilon=epsilon)
     flow = base.flow
     ref, q_ref = _cost_and_controls(ms, cfg.sim, relaxed, flow)

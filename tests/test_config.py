@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from penmfg import config
 from penmfg.cli import main
 from penmfg.config import (
     _SCHEMA,
@@ -145,7 +146,9 @@ def test_type_mismatch_cites_the_line():
     bad = MINIMAL.replace("dt = 0.05", "dt = fast")
     with pytest.raises(ConfigError, match="float") as err:
         parse_config(bad)
-    assert err.value.line == MINIMAL.splitlines().index("dt = 0.05") + 1
+    line = MINIMAL.splitlines().index("dt = 0.05") + 1
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: sim.dt expected float, got 'fast'"
 
 
 def test_explicit_stability_guard_fires_at_parse_time():
@@ -224,16 +227,19 @@ def test_overrides_patch_and_revalidate():
         apply_overrides(cfg, ["sim.bogus=1"])
     with pytest.raises(ConfigError, match="override"):
         apply_overrides(cfg, ["no_equals_sign"])
-    with pytest.raises(ConfigError, match="domain"):
+    # a [domain] key can be overridden; a box's bounds are no ball's keys
+    with pytest.raises(ConfigError, match="unknown key 'lower' for domain kind 'ball'"):
         apply_overrides(cfg, ["domain.kind=ball"])
+    assert apply_overrides(cfg, ["domain.upper=2"]).domain["upper"] == (2.0,)
     # an override violating a range guard is caught by re-validation
     with pytest.raises(ConfigError, match="penalty"):
         apply_overrides(cfg, ["sim.penalty=-2"])
 
 
 def test_overrides_are_validated_in_place():
-    """No round trip through the canonical text: values keep a '#', patched
-    keys leave the defaults log, and errors name the override."""
+    """Overrides are read with the config's own text, not its canonical form:
+    values keep a '#', patched keys leave the defaults log, and errors name
+    the override."""
     cfg = parse_config(MINIMAL)
     patched = apply_overrides(cfg, ["run.out=runs/o#2", "fixed_point.max_iters=3"])
     assert patched.out == "runs/o#2" and patched.fixed_point["max_iters"] == 3
@@ -341,6 +347,71 @@ def test_study_needs_checked_at_parse_time(tmp_path, capsys, command, config,
     assert main(argv) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _edited(tmp_path, config, *edits):
+    """A copy of a shipped config with each (old, new) text replaced."""
+    text = (CONFIGS / config).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / config
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command, config, old, new, override, artifact", [
+    ("simulate", "half_line_bm.cfg", "dt = 0.001", "dt = 0.003", "sim.dt=0.001",
+     "paths.csv"),
+    ("dp", "lq_box.cfg", "hx = 0.025", "", "dp.hx=0.025", "value.csv"),
+])
+def test_an_override_repairs_its_file(tmp_path, command, config, old, new, override,
+                                      artifact):
+    """The file and its overrides are validated together, so an override can
+    mend a dt that does not divide the horizon, or supply a missing hx."""
+    cfg = _edited(tmp_path, config, (old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--override", override,
+                 "--override", "sim.n_particles=50"]) == 0
+    assert (out / artifact).exists() and (out / "report.txt").exists()
+
+
+def test_domain_keys_can_be_overridden(tmp_path, capsys):
+    cfg = str(CONFIGS / "half_line_bm.cfg")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out),
+                 "--override", "domain.offset=0.5",
+                 "--override", "sim.n_particles=50"]) == 0
+    assert (out / "paths.csv").exists()
+    bad = tmp_path / "bad"
+    assert main(["simulate", "--config", cfg, "--out", str(bad),
+                 "--override", "domain.offset=-1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: override 'domain.offset=-1': [domain] ")
+    assert not bad.exists()
+
+
+def test_chatter_refuses_one_control_before_any_output(tmp_path, capsys):
+    """One control atom leaves nothing to relax: refused when the config is
+    read, not after the base equilibrium is solved."""
+    cfg = _edited(tmp_path, "lq_box_chatter.cfg",
+                  ("preset = lq_control\n", "preset = reflected_ou_mf\n"),
+                  ("c = 1.0\ngamma = 0.25\n", ""))
+    out = tmp_path / "out"
+    assert main(["chatter", "--config", cfg, "--out", str(out)]) == 1
+    assert "[model] chatter relaxes a DP law over at least 2 control atoms" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_invocation_validates_once(tmp_path, monkeypatch):
+    calls = []
+    validate = config._validate_builds
+    monkeypatch.setattr(config, "_validate_builds",
+                        lambda cfg: calls.append(cfg) or validate(cfg))
+    assert main(["diagnose", "--config", str(CONFIGS / "lq_box.cfg"), "--seed", "3",
+                 "--out", str(tmp_path / "out"), "--override", "sim.penalty=64"]) == 0
+    assert len(calls) == 1
 
 
 LQ_2D = """\

@@ -230,6 +230,19 @@ def test_strict_approximation_distances_shrink():
         )
 
 
+def test_strict_approximation_refuses_before_its_base_solve(monkeypatch):
+    """One control atom, no grid or no iteration leaves no DP law to relax;
+    each is refused before the base equilibrium is solved."""
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", lambda *a: pytest.fail())
+    cfg = FixedPointConfig(
+        sim=SimConfig(n_particles=10, dt=0.05, scheme="reflected_projected"),
+        grid=DPGrid.regular([0.0], [1.0], 0.05))
+    for ms, fp in [(ou_model(), cfg), (lq_model(), replace(cfg, grid=None)),
+                   (lq_model(), replace(cfg, max_iters=0))]:
+        with pytest.raises(ConfigError, match="relaxed probe needs a DP solve"):
+            strict_approximation_run(ms, fp, deltas=[0.1])
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_mix_flows_frames_pin_the_particle_major_layout(dim):
     """Mixed frames are views of the concatenated fancy-indexed stacks, and

@@ -20,6 +20,8 @@ REFERENCE = ("the path reader that Run.cost is pinned against, and the"
 
 UNREACHED = {
     "cli.py:console_entry": "the `penmfg` console script of pyproject.toml",
+    "config.py:apply_overrides": ("the library form of `--override`; tests and"
+                                  " `bench/spans.py` call it by name"),
     "domain.py:ball": CRITERION_1,
     "domain.py:polytope": CRITERION_1,
     "domain.py:_project_polytope": CRITERION_1,

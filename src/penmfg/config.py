@@ -325,6 +325,10 @@ def _validate_builds(cfg: RunConfig) -> None:
     if cfg.command == "chatter" and len(ms.atoms) < 2:
         raise _invalid(cfg, "[model] chatter relaxes a DP law over at least 2"
                        " control atoms", "model", "preset")
+    if cfg.command == "chatter" and cfg.fixed_point["max_iters"] < 1:
+        raise _invalid(cfg, "[fixed_point] chatter relaxes the DP law of a solve"
+                       " that runs at least one iteration; set max_iters >= 1",
+                       "fixed_point", "max_iters")
     if cfg.command == "chatter" and cfg.sim["scheme"] != "reflected_projected":
         raise _invalid(cfg, "[sim] chatter starts from the reflected equilibrium;"
                        " set scheme = reflected_projected", "sim", "scheme")

@@ -509,7 +509,8 @@ class ExploitabilityReport:
 
 def exploitability(ms: ModelSpec, flow: MeasureFlow, law, sim: SimConfig,
                    grid: Optional[DPGrid] = None,
-                   field: Optional[ValueField] = None) -> ExploitabilityReport:
+                   field: Optional[ValueField] = None
+                   ) -> tuple[ExploitabilityReport, MeasureFlow]:
     """How much the candidate law loses to the DP best response under mu.
 
     Simulates the candidate under the frozen flow with the run's own
@@ -519,18 +520,22 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law, sim: SimConfig,
     a better-than-optimal law, so the report records the clip in ``clipped``.
     The best response is ``field`` when given, else the DP solved on
     ``grid`` at ``sim.penalty``, which a penalized run must already have padded.
+
+    Returns the report and the rollout's realized flow.  That flow repeats,
+    bit for bit, any run of this law under this flow with this ``sim``, so a
+    solve can drop its last run's flow before the rollout allocates.
     """
     if field is None:
         if grid is None:
             raise GridError("exploitability needs a best-response field or a DP grid")
         field, _ = solve_dp(build_chain(ms, sim.penalty, flow, grid), flow)
-    run, _ = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)
+    run, realized = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)
     rep = run.cost
     dp0 = float(np.mean(field.value_at(0, run.X[0])))
     gap, floor = rep.value - dp0, -3.0 * rep.stderr
     return ExploitabilityReport(gap=max(gap, floor), cost=rep.value,
                                 cost_se=rep.stderr, dp_value=dp0,
-                                clipped=gap < floor)
+                                clipped=gap < floor), realized
 
 
 def value_to_csv(field: ValueField, path) -> None:

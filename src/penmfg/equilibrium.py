@@ -41,6 +41,13 @@ one run at a time: each run and each returned flow that is not kept is
 dropped once its last reader is done, before the next ``simulate``
 allocates.  Peak memory is the interpreter, plus the noise block, plus the
 flows a study still reads, plus one run's X.
+
+Inside a solve that is three flow-sized buffers: the noise block, the
+frozen iterate and one run's X.  A mix adds only a temporary of the
+ceil(theta N) kept paths, since it writes the next iterate into the X of
+the run it mixes in.  The last loop run and its flow are dropped before the
+exploitability rollout, which replays that run bit for bit; the rollout's
+realized flow is the report's ``flow``.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ from .measures import (
 )
 from .model import ModelSpec
 from .rng import SUBSAMPLE, shared_noise, stream
-from .simulate import CostReport, SimConfig, simulate
+from .simulate import CostReport, Run, SimConfig, simulate
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,8 @@ class EquilibriumReport:
     """Everything one fixed-point solve produced.
 
     ``flow`` is the realized law of the final best-response paths (the
-    equilibrium candidate); ``cost`` and ``exploitability`` are evaluated
+    equilibrium candidate), the exploitability rollout's when a grid is
+    set; ``cost`` and ``exploitability`` are evaluated
     under the frozen flow that the final law answers, so the optimality gap
     is internally consistent.  ``converged`` reflects the flow residual only;
     ``flagged_exploit`` marks an equilibrium whose exploitability exceeds
@@ -134,31 +142,36 @@ class EquilibriumReport:
         return "\n".join(lines)
 
 
-def _mix_flows(old: MeasureFlow, new: MeasureFlow, theta: float,
+def _mix_flows(old: MeasureFlow, run: Run, theta: float,
                rng: np.random.Generator) -> MeasureFlow:
-    """Subsample mix: ceil(theta N) particles from new, the rest from old.
+    """Subsample mix: ceil(theta N) paths from ``run``, the rest from ``old``.
 
     One particle permutation is shared by every time node, so mixed flows
     keep whole paths and stay coherent across time.
 
-    The frames are particle-major views of one (N, M+1, d) buffer: row
-    stride (M+1)·d elements, not C-contiguous.  Their ``mean`` is a BLAS dot
-    whose summation order, hence bits, follows that layout, so a contiguous
-    gather would move the residuals and costs in the last digits.
+    The mix is written into ``run``'s X buffer, which it consumes: the
+    ceil(theta N) kept paths are copied out into a temporary of that size
+    first, then the buffer is reread as (N, M+1, d) and filled with the kept
+    paths and the gathered old ones.  The frames are particle-major views of
+    it: row stride (M+1)·d elements, not C-contiguous.  Their ``mean`` is a
+    BLAS dot whose summation order, hence bits, follows that layout, so a
+    contiguous gather would move the residuals and costs in the last digits.
+    With theta = 1 the iterate is the run's own flow, in the run's layout.
     """
-    n = new.n
+    n = run.n_particles
     take = int(np.ceil(theta * n - 1e-12))
     if take >= n:
-        return new
+        return flow_from_states(run.times, run.X)
     idx_new = rng.permutation(n)[:take]
     idx_old = rng.permutation(old.n)[: n - take]
-    states = np.empty((n, len(new.frames), new.dim))
+    kept = run.X[:, idx_new]
+    states = run.X.reshape(n, len(run.times), old.dim)
+    states[:take] = kept.transpose(1, 0, 2)
     # permutation indices are in range; mode="clip" gathers straight into the
     # strided slice, where the default mode="raise" buffers a copy first
-    for k, (fr_new, fr_old) in enumerate(zip(new.frames, old.frames)):
-        np.take(fr_new.samples, idx_new, axis=0, out=states[:take, k], mode="clip")
+    for k, fr_old in enumerate(old.frames):
         np.take(fr_old.samples, idx_old, axis=0, out=states[take:, k], mode="clip")
-    return flow_from_states(new.times, states.transpose(1, 0, 2))
+    return flow_from_states(run.times, states.transpose(1, 0, 2))
 
 
 @shared_noise()
@@ -199,14 +212,16 @@ def solve_equilibrium(ms: ModelSpec, cfg: FixedPointConfig
             converged = True
             break
         if it + 1 < cfg.max_iters:  # a last iterate would go unread
-            flow = _mix_flows(frozen, sim_flow,
-                              cfg.damping, stream(cfg.sim.seed, SUBSAMPLE, it))
+            flow = _mix_flows(frozen, run, cfg.damping,
+                              stream(cfg.sim.seed, SUBSAMPLE, it))
     cost = run.cost  # under frozen, the flow the last run saw
-    del run  # exploitability runs its own simulate under frozen (= flow here)
+    del run
     exploit = None
     flagged = False
     if grid is not None:
-        exploit = dp_exploitability(ms, frozen, law, cfg.sim, grid=grid, field=field_v)
+        del sim_flow  # the rollout replays the last run bit for bit
+        exploit, sim_flow = dp_exploitability(ms, frozen, law, cfg.sim,
+                                              grid=grid, field=field_v)
         flagged = exploit.gap > cfg.tol_exploit * (1.0 + abs(cost.value))
     return EquilibriumReport(
         flow=sim_flow, law=law, residuals=residuals, cost=cost,

@@ -15,7 +15,9 @@ callbacks are vectorized over a particle batch:
 The callbacks are row-wise: output row i depends only on input row i (of
 ``x`` and ``u``), ``t`` and ``mu``.  Callers may therefore stack unrelated
 states and controls into one batch; the DP chain evaluates every control at
-every grid node in a single call per time slice.
+every grid node in a single call per time slice.  Callers only read the
+outputs, so a callback may return a read-only view (the constant diffusion
+broadcasts one (d, m) matrix).
 
 ``mu`` is an :class:`~penmfg.measures.EmpiricalMeasure`; coefficients read a
 finite summary from it (``mu.mean`` or the samples).
@@ -201,7 +203,7 @@ def _const_diffusion(sigma: float, d: int, m: int):
     base = sigma * np.eye(d, m)
 
     def diffusion(t, x, mu, u):
-        return np.broadcast_to(base, (x.shape[0], d, m)).copy()
+        return np.broadcast_to(base, (x.shape[0], d, m))
 
     return diffusion
 

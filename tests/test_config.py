@@ -404,6 +404,18 @@ def test_chatter_refuses_one_control_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_chatter_refuses_zero_iterations_before_any_output(tmp_path, capsys):
+    """No iteration leaves no DP law to relax: refused when the config is
+    read, at the override that set it, before --out is made."""
+    out = tmp_path / "out"
+    assert main(["chatter", "--config", str(CONFIGS / "lq_box_chatter.cfg"),
+                 "--out", str(out), "--override", "fixed_point.max_iters=0"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: override 'fixed_point.max_iters=0': [fixed_point] chatter relaxes"
+        " the DP law of a solve that runs at least one iteration")
+    assert not out.exists()
+
+
 def test_each_invocation_validates_once(tmp_path, monkeypatch):
     calls = []
     validate = config._validate_builds

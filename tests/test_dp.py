@@ -553,13 +553,13 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     chain = build_chain(ms, None, flow, g)
     field, law = solve_dp(chain, flow)
     sim = SimConfig(n_particles=2000, dt=dt, scheme="reflected_projected", seed=5)
-    good = exploitability(ms, flow, law, sim, grid=g, field=field)
+    good, _ = exploitability(ms, flow, law, sim, grid=g, field=field)
     assert isinstance(good, ExploitabilityReport)
     assert good.gap <= 3.0 * good.cost_se + 2.0 * (0.05 + dt)
     assert good.gap >= -3.0 * good.cost_se - 1e-12
     push = NodeTable(np.array([0.0, 1.0]), None, np.full((1, 1), 2),  # the atom +1
                      ms.atoms)
-    bad = exploitability(ms, flow, push, sim, grid=g, field=field)
+    bad, _ = exploitability(ms, flow, push, sim, grid=g, field=field)
     assert bad.gap > 0.05
     assert bad.gap > 5.0 * max(good.gap, 1e-3)
 
@@ -572,13 +572,13 @@ def test_exploitability_clip_is_recorded():
     g = DPGrid.regular([0.0], [1.0], 0.05)
     field, law = solve_dp(build_chain(ms, None, flow, g), flow)
     sim = SimConfig(n_particles=500, dt=0.0125, scheme="reflected_projected", seed=5)
-    fair = exploitability(ms, flow, law, sim, field=field)
+    fair, _ = exploitability(ms, flow, law, sim, field=field)
     assert not fair.clipped
     with pytest.raises(GridError):  # no field, and no grid to solve one on
         exploitability(ms, flow, law, sim)
     # a best response that claims 1.0 more than the law's cost is inconsistent
     inflated = replace(field, V=field.V + 1.0)
-    rep = exploitability(ms, flow, law, sim, field=inflated)
+    rep, _ = exploitability(ms, flow, law, sim, field=inflated)
     assert rep.clipped
     assert rep.gap == -3.0 * rep.cost_se
     assert rep.cost - rep.dp_value < rep.gap
@@ -596,7 +596,8 @@ def test_exploitability_clip_is_recorded():
 
 def test_exploitability_replays_the_runs_own_scheme():
     """The candidate runs under the SimConfig it is given, explicit penalized
-    scheme included: its report equals a direct frozen run, bit for bit."""
+    scheme included: its report and its realized flow equal a direct frozen
+    run's, bit for bit."""
     ms = model.make_preset("lq_control", UNIT_BOX, {
         "sigma": 0.5, "horizon": 0.5, "c": 1.0, "h_const": 0.5, "x0": 0.1,
     })
@@ -606,14 +607,17 @@ def test_exploitability_replays_the_runs_own_scheme():
                     penalty=8, seed=5)
     grid = pad_for_penalty(DPGrid.regular([0.0], [1.0], 0.05), ms, dt, 8)
     field, law = solve_dp(build_chain(ms, 8, flow, grid), flow)
-    rep = exploitability(ms, flow, law, sim, field=field)
-    paths, _ = simulate(ms, sim, law, frozen_flow=flow)
+    rep, realized = exploitability(ms, flow, law, sim, field=field)
+    paths, direct = simulate(ms, sim, law, frozen_flow=flow)
+    assert realized.times.tobytes() == direct.times.tobytes()
+    for got, want in zip(realized.frames, direct.frames, strict=True):
+        assert got.samples.tobytes() == want.samples.tobytes()
     cost = evaluate_cost(ms, paths, flow)
     dp0 = float(np.mean(field.value_at(0, paths.X[0])))
     assert (rep.cost, rep.cost_se, rep.dp_value) == (cost.value, cost.stderr, dp0)
     assert rep.gap == max(cost.value - dp0, -3.0 * cost.stderr)
     # solving the DP on the grid uses the run's penalty, so the same report
-    assert exploitability(ms, flow, law, sim, grid=grid) == rep
+    assert exploitability(ms, flow, law, sim, grid=grid)[0] == rep
     # the scheme matters: a splitting replay of the same run costs otherwise
     split = simulate(ms, replace(sim, scheme="penalized_splitting"), law,
                      frozen_flow=flow)[0]

@@ -21,7 +21,7 @@ from penmfg.equilibrium import (
 from penmfg.errors import ConfigError
 from penmfg.measures import EmpiricalMeasure, flow_from_states, w2_flow
 from penmfg.rng import SUBSAMPLE, stream
-from penmfg.simulate import SimConfig, simulate
+from penmfg.simulate import Run, SimConfig, simulate
 
 UNIT_BOX = domain.box([0.0], [1.0])
 
@@ -247,47 +247,67 @@ def test_strict_approximation_refuses_before_its_base_solve(monkeypatch):
 def test_mix_flows_frames_pin_the_particle_major_layout(dim):
     """Mixed frames are views of the concatenated fancy-indexed stacks, and
     each frame's mean keeps their bits: a contiguous gather would sum the
-    means in another order."""
+    means in another order.  The mix consumes the run's X, so each oracle is
+    taken before its call.  A second mix reads a particle-major iterate;
+    with theta = 1 the iterate is the run's own time-major flow."""
     r = np.random.default_rng(21)
     times = np.linspace(0.0, 0.5, 6)
-    old, new = (flow_from_states(times, r.normal(size=(6, 1000, dim)))
-                for _ in range(2))
-    mixed = _mix_flows(old, new, 0.5, stream(7, SUBSAMPLE, 2))
-    perm = stream(7, SUBSAMPLE, 2)
-    idx_new, idx_old = perm.permutation(1000)[:500], perm.permutation(1000)[:500]
-    want = np.concatenate([new.stack()[:, idx_new], old.stack()[:, idx_old]],
-                          axis=1)
-    for k, fr in enumerate(mixed.frames):
-        assert fr.samples.strides == want[k].strides == (6 * dim * 8, 8)
-        assert fr.samples.tobytes() == want[k].tobytes()
-        assert fr.mean.tobytes() == EmpiricalMeasure(want[k]).mean.tobytes()
+
+    def fresh_run():
+        return Run(times, r.normal(size=(6, 1000, dim)), None, None, None)
+
+    def mixed_oracle(old, run, it):
+        perm = stream(7, SUBSAMPLE, it)
+        idx_new, idx_old = perm.permutation(1000)[:500], perm.permutation(1000)[:500]
+        return np.concatenate([run.X[:, idx_new], old.stack()[:, idx_old]], axis=1)
+
+    def check(flow, want, strides):
+        for k, fr in enumerate(flow.frames):
+            assert fr.samples.strides == want[k].strides == strides
+            assert fr.samples.tobytes() == want[k].tobytes()
+            assert fr.mean.tobytes() == EmpiricalMeasure(want[k]).mean.tobytes()
+
+    old = flow_from_states(times, r.normal(size=(6, 1000, dim)))
+    for it in (2, 3):  # a time-major start-up iterate, then a mixed one
+        run = fresh_run()
+        want = mixed_oracle(old, run, it)
+        old = _mix_flows(old, run, 0.5, stream(7, SUBSAMPLE, it))
+        check(old, want, (6 * dim * 8, 8))
+    run = fresh_run()
+    want = run.X.copy()
+    check(_mix_flows(old, run, 1.0, stream(7, SUBSAMPLE, 4)), want, (dim * 8, 8))
 
 
 def test_studies_hold_one_run_at_a_time(monkeypatch):
     """No run outlives its last reader: when a study calls simulate, every
     run an earlier call returned is already freed, by reference counting
     alone (gc is off).  Flows a study discards go too: counted over the
-    study's own runs, only the X arrays it still reads are alive.  Every
-    study run is lean: under tracemalloc (the strict study) each run adds
-    its X and a few N-vectors to the live bytes, no K, |K| or control
-    indices (the first run also draws the study's noise block).  The strict
-    study's traced peak is its exploitability run, which holds the solve's
-    last flow beside the frozen one and its own X; the relaxed reference
-    holds only the frozen flow beside its X, and keeps its law, not an
-    (M, N, nU) weight record."""
+    study's own runs, only the X arrays it still reads are alive, and a mix
+    writes its iterate into the X of the run it mixes in.  The exploitability
+    rollout sees only the iterate: the last loop run and its flow are gone,
+    and the rollout's flow becomes the report's.  Every study run is lean:
+    under tracemalloc (the strict study) each run adds its X and a few
+    N-vectors to the live bytes, no K, |K| or control indices (the first run
+    also draws the study's noise block), and each mix adds at most its kept
+    paths and a few N-vectors.  The exploitability run, which holds the
+    noise, the iterate and its own X, peaks no higher than the last loop run
+    and below a mixing iteration; the relaxed reference holds only the
+    report flow beside its X, and keeps its law, not an (M, N, nU) weight
+    record."""
     refs, calls, study, peaks = [], [], ["solve"], []
-    # traced: per run, the growth of the live bytes and its X bytes
-    growth, mix_studies = [], []
+    # traced: per run, the growth of the live bytes and its X bytes; per mix,
+    # the growth of the peak over the live bytes; the peak before a mix
+    growth, mix_growth, mix_studies, carried = [], [], [], [0]
 
     def tracked(real):
         def run(*args, **kwargs):
             if tracemalloc.is_tracing():  # the peak since the previous run began
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peaks.append(max(carried[0], tracemalloc.get_traced_memory()[1]))
+                carried[0] = 0
                 tracemalloc.reset_peak()
-            calls.append((study[0],
-                          sum(b() is not None for _, b, _ in refs),
-                          sum(x() is not None for s, _, x in refs
-                              if s == study[0])))
+            own = [x for s, _, x in refs if s == study[0]]
+            calls.append((study[0], sum(b() is not None for _, b, _ in refs),
+                          tuple(i for i, x in enumerate(own) if x() is not None)))
             live = tracemalloc.get_traced_memory()[0]
             out = real(*args, **kwargs)
             if tracemalloc.is_tracing():
@@ -297,9 +317,16 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
             return out
         return run
 
-    def tracked_mix(*args, **kwargs):
+    def tracked_mix(*args):
         mix_studies.append((study[0], sum(b() is not None for _, b, _ in refs)))
-        return real_mix(*args, **kwargs)
+        if not tracemalloc.is_tracing():
+            return real_mix(*args)
+        carried[0] = max(carried[0], tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        out = real_mix(*args)
+        mix_growth.append(tracemalloc.get_traced_memory()[1] - live)
+        return out
 
     real_mix = equilibrium._mix_flows
     monkeypatch.setattr(equilibrium, "simulate", tracked(equilibrium.simulate))
@@ -321,7 +348,7 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
         try:
             strict_approximation_run(ms, cfg, deltas=[0.2, 0.1], n0=2.0,
                                      epsilon=0.25)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(max(carried[0], tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
         study[0] = "sweep"
@@ -334,14 +361,20 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     assert [s for s, _, _ in calls] == [s for s, k in per_study.items()
                                         for _ in range(k)]
     assert [b for _, b, _ in calls] == [0] * len(calls), calls
-    # a solve's start-up flow is its first iterate, its last flow the report's;
-    # a later run of a study sees only the flows it still reads
-    solve = [0, 1, 0, 0, 1]
+    # the live X of each run of a solve, by index among the study's runs:
+    # the start-up run's X is the first iterate, each mixing run's X the next
+    # one; the rollout sees the last iterate, not the last loop run's X, and
+    # its own X is the report flow that a later run of the study reads
+    solve = [(), (0,), (1,), (2,), (2,)]
+
+    def level(first):  # a penalized solve beside the reference's report flow
+        return [(4,) + tuple(first + i for i in alive) for alive in solve]
+
     live_x = {s: [x for t, _, x in calls if t == s] for s in per_study}
-    assert live_x == {"solve": solve, "strict": solve + [1, 1, 1],
-                      "sweep": solve + [1 + x for x in solve] * 2}, calls
+    assert live_x == {"solve": solve, "strict": solve + [(4,)] * 3,
+                      "sweep": solve + level(5) + level(10)}, calls
     # two mixes per solve (the last iteration does not mix), each with only
-    # its iteration's run alive, whose X is the flow the mix reads
+    # its iteration's run alive, whose X the mix writes the iterate into
     assert mix_studies == [(s, 1) for s in ("solve", "strict", "sweep",
                                             "sweep", "sweep") for _ in range(2)]
     # a lean run adds its X, its flow's frame objects and a few N-vectors;
@@ -350,7 +383,15 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     assert len(growth) == 8
     for i, (added, x_bytes) in enumerate(growth):
         assert added <= x_bytes + (noise if i == 0 else 0) + 16 * 8 * 300, growth
-    # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered
+    # a mix copies out its 150 kept paths, not a fresh (N, M+1, d) iterate
+    kept = 41 * 150 * 8
+    assert len(mix_growth) == 2
+    assert all(added <= kept + 16 * 8 * 300 < growth[0][1] for added in mix_growth), \
+        mix_growth
+    # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered;
+    # the rollout holds no more than the last loop run did, and less than a
+    # mixing iteration, which also holds its kept paths
     run_peaks = peaks[1:]
     assert len(run_peaks) == 8
-    assert int(np.argmax(run_peaks)) == 4 and run_peaks[5] < run_peaks[4], peaks
+    assert run_peaks[4] <= run_peaks[3] + 16 * 8 * 300, peaks
+    assert run_peaks[4] < min(run_peaks[1:3]), peaks

@@ -16,8 +16,9 @@ The format is deliberately small: `[section]` headers, `key = value` lines,
 type mismatches, and range violations all fail with the offending line
 number, and the domain / model / sim configs and the DP grid are actually
 constructed so their own guards (e.g. the explicit-scheme penalty*dt
-stability limit) fire at parse time.  Defaults that were applied are recorded
-on the returned config so run logs can echo them.  `section.key=value`
+stability limit, a reflected grid node outside the domain) fire at parse
+time.  Defaults that were applied are recorded on the returned config so
+run logs can echo them.  `section.key=value`
 overrides, `[domain]` keys included, are set into the text's entries before
 anything is typed, so the text and its overrides are validated together: an
 override can repair a value the text gets wrong, an overridden key is no
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import domain as dom_mod
 from .controls import _cells_per_block
-from .dp import DPGrid
+from .dp import DPGrid, check_reflected_nodes
 from .equilibrium import FixedPointConfig, chatter_penalty
 from .errors import ConfigError, PenmfgError
 from .measures import format_float
@@ -339,8 +340,14 @@ def _validate_builds(cfg: RunConfig) -> None:
     if cfg.dp.get("hx") is not None and cfg.dp["hx"] <= 0:
         raise _invalid(cfg, "[dp] hx must be positive", "dp", "hx")
     if cfg.command not in ("simulate", "cost"):
+        # sweep-n's reference and chatter's base solve are always reflected
+        reflected = (cfg.command in ("sweep-n", "chatter")
+                     or cfg.command in ("dp", "equilibrium")
+                     and cfg.sim["scheme"] == "reflected_projected")
         try:
-            build_grid(cfg, ms)
+            grid = build_grid(cfg, ms)
+            if grid is not None and reflected:
+                check_reflected_nodes(grid.nodes(), ms.dom)
         except PenmfgError as exc:
             raise _invalid(cfg, f"[dp] {exc}", "dp", "hx") from exc
     if not 0.0 <= cfg.sweep["epsilon"] <= 0.5:

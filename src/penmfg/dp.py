@@ -337,6 +337,17 @@ def _slice_rows(ms: ModelSpec, penalty, grid: DPGrid, geo: _Geometry,
     return probs, charge, f.reshape(n_u, n_nodes), substeps, trunc
 
 
+def check_reflected_nodes(nodes: np.ndarray, dom) -> None:
+    """Refuse reflected-mode grid nodes that leave the domain closure."""
+    inside = dom.contains(nodes)
+    if not np.all(inside):
+        raise GridError(
+            "reflected-mode grid has nodes outside the domain (first: "
+            f"{nodes[int(np.argmin(inside))]}); align the box with the "
+            "domain or use penalized mode"
+        )
+
+
 def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
                 grid: DPGrid) -> TransitionModel:
     """Assemble the chain for every slice of the flow's time grid.
@@ -351,13 +362,7 @@ def build_chain(ms: ModelSpec, penalty: Optional[int], flow: MeasureFlow,
         penalty = validate_penalty(penalty)
     nodes = grid.nodes()
     if penalty is None:
-        inside = ms.dom.contains(nodes)
-        if not np.all(inside):
-            raise GridError(
-                "reflected-mode grid has nodes outside the domain (first: "
-                f"{nodes[int(np.argmin(inside))]}); align the box with the "
-                "domain or use penalized mode"
-            )
+        check_reflected_nodes(nodes, ms.dom)
     geo = _build_geometry(grid, ms.dom, penalized=penalty is not None)
     # every control at every node, read-only since each slice hands them out again
     x = np.tile(nodes, (len(ms.atoms), 1))

@@ -416,6 +416,55 @@ def test_chatter_refuses_zero_iterations_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+BALL_DP = """\
+[run]
+command = dp
+
+[domain]
+kind = ball
+center = 0 0
+radius = 1
+
+[model]
+preset = lq_control
+x0 = 0.1 0.1
+control_grid = -1 0; 1 0; 0 -1; 0 1; 0 0
+
+[sim]
+n_particles = 50
+dt = 0.05
+scheme = reflected_projected
+
+[dp]
+hx = 0.1
+"""
+
+
+@pytest.mark.parametrize("command", ["dp", "equilibrium", "sweep-n", "chatter"])
+def test_reflected_grid_outside_the_domain_is_refused_before_any_output(
+        tmp_path, capsys, command):
+    """The unit ball's bounding-box grid has its corners outside the ball: a
+    reflected solve (sweep-n's reference and chatter's base always are) is
+    refused at the hx line when the config is read, before --out is made."""
+    path = tmp_path / "ball.cfg"
+    path.write_text(BALL_DP, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: line 20: [dp] reflected-mode grid has nodes outside the domain"
+        " (first: [-1. -1.])")
+    assert not out.exists()
+
+
+def test_penalized_dp_accepts_a_grid_beyond_the_domain(tmp_path):
+    path = tmp_path / "ball.cfg"
+    path.write_text(BALL_DP, encoding="utf-8")
+    assert main(["dp", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--override", "sim.scheme=penalized_splitting",
+                 "--override", "sim.penalty=8"]) == 0
+    assert (tmp_path / "out" / "value.csv").exists()
+
+
 def test_each_invocation_validates_once(tmp_path, monkeypatch):
     calls = []
     validate = config._validate_builds

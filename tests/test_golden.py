@@ -15,7 +15,8 @@ A change that alters artifact bytes on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and logs each old -> new digest.
+which prints each changed, added or dropped digest as ``old -> new`` (or
+``no digest changed``) for the change's log.
 """
 
 import hashlib
@@ -80,10 +81,16 @@ def test_shipped_artifacts_match_golden_digests(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    _, old = read_golden()
-    runs = list(dict.fromkeys(run for run, _, _ in old))
+    _, entries = read_golden()
+    old = {(run, name): digest for run, name, digest in entries}
+    runs = list(dict.fromkeys(run for run, _ in old))
     with tempfile.TemporaryDirectory() as tmp:
         new = run_digests(runs, Path(tmp))
+    log = [f"{' '.join(run)} {name}: {old.get((run, name), 'added')} -> "
+           f"{new.get((run, name), 'dropped')}"
+           for run, name in dict.fromkeys([*old, *new])
+           if old.get((run, name)) != new.get((run, name))]
+    print("\n".join(log) or "no digest changed")
     lines = [f"# {tool} {version}" for tool, version in VERSIONS.items()]
     lines += [f"{' '.join(run)} {name} {digest}"
               for (run, name), digest in new.items()]

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from penmfg import domain, measures, model, rng
+from penmfg import cli, domain, measures, model, rng
 from penmfg import simulate as simulate_mod
 from penmfg.controls import constant_law, sample_control
 from penmfg.dp import DPGrid
@@ -32,7 +32,7 @@ from penmfg.simulate import (
     scheme_step,
     simulate,
 )
-from test_controls import open_loop, realized_control_measure, tabulated_law
+from test_controls import CONFIGS, open_loop, realized_control_measure, tabulated_law
 
 HALF_LINE = domain.half_space([-1.0], 0.0)  # D = [0, inf)
 
@@ -627,6 +627,15 @@ def test_detects_wrong_generator():
 # ------------------------------------------------------------------ summaries
 
 
+def whole_array_moments(paths):
+    """The whole-array formula that `moment_summary` folds frame by frame."""
+    return {
+        "sup_x_sq": float((np.linalg.norm(paths.X, axis=-1).max(axis=0) ** 2).mean()),
+        "sup_k_sq": float((np.linalg.norm(paths.K, axis=-1).max(axis=0) ** 2).mean()),
+        "kvar_total": float(paths.Kvar[-1].mean()),
+    }
+
+
 def test_moment_summary_keys_and_scale():
     ms = quiet_model(sigma=1.0, x0=0.5)
     # penalty 16 keeps the explicit scheme inside its penalty*dt <= 0.5 guard
@@ -635,12 +644,53 @@ def test_moment_summary_keys_and_scale():
         paths, _ = simulate(ms, SimConfig(n_particles=256, dt=0.02, scheme=scheme,
                                           penalty=penalty, seed=6), null_law())
         summary = moment_summary(paths)
-        assert set(summary) == {"sup_x_sq", "sup_k_sq", "kvar_total"}
+        assert paths.K.any()
+        assert summary == whole_array_moments(paths), scheme
         assert summary["sup_x_sq"] >= 0.25  # at least the initial point
         assert summary["kvar_total"] >= 0.0
         # triangle inequality, path by path: max_t |K_t| <= Kvar_T (1e-12 for rounding)
         sup_k = np.linalg.norm(paths.K, axis=-1).max(axis=0)
         assert np.all(sup_k <= paths.Kvar[-1] + 1e-12), scheme
+
+
+def test_moment_summary_has_the_whole_array_bits_on_a_ball():
+    """In 2-D the per-frame norm sums two squares; K moves on both axes."""
+    ms = drifted_model([0.5, -0.5], dom=domain.ball([0.0, 0.0], 1.0), sigma=0.8,
+                       x0=[0.6, -0.6])
+    paths, _ = simulate(ms, SimConfig(n_particles=300, dt=0.01,
+                                      scheme="reflected_projected", seed=9),
+                        null_law())
+    assert np.all(np.abs(paths.K).max(axis=(0, 1)) > 0)
+    assert moment_summary(paths) == whole_array_moments(paths)
+
+
+def test_moment_summary_of_a_run_that_never_pushes():
+    ms = quiet_model(x0=0.5)
+    paths, _ = simulate(ms, SimConfig(n_particles=50, dt=0.05, penalty=8),
+                        null_law())
+    assert not paths.K.any()
+    summary = moment_summary(paths)
+    assert summary == whole_array_moments(paths)
+    assert summary["sup_k_sq"] == summary["kvar_total"] == 0.0
+
+
+def test_simulate_command_peaks_at_its_paths_plus_frames(tmp_path):
+    """In process, `simulate` at 500 particles holds X, K and |K| (11.5 MiB)
+    and per-frame temporaries; whole-path norms would double its peak.  A
+    forked CSV helper's memory is not traced, and the serial writer works
+    frame by frame, so the bound holds on any CPU count."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        status = cli.main(["simulate", "--config", str(CONFIGS / "half_line_bm.cfg"),
+                           "--out", str(tmp_path / "out"),
+                           "--override", "sim.n_particles=500"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    paths_bytes = 3 * 1001 * 500 * 8  # X and K (M+1, N, 1) and |K| (M+1, N)
+    assert peak <= 1.25 * paths_bytes, peak / paths_bytes
 
 
 # Floats whose shortest repr is easy to get wrong: signed zero, subnormal,

@@ -4,8 +4,7 @@ Every invocation reads one config file, applies command-line patches
 (positional command, --seed, --out, repeatable --override section.key=value),
 and runs a single command into the output directory:
 
-    simulate     particle paths under the constant first control atom
-    cost         the same run plus the cost functional breakdown
+    simulate     paths, moments and cost under the constant first control atom
     dp           one best-response solve against the uncontrolled flow
     equilibrium  the fixed-point iteration
     sweep-n      equilibria across penalty levels vs the reflected reference
@@ -23,8 +22,9 @@ while the value holds); no output has a timestamp, so reruns are byte-identical.
 A large step table may be written in two halves at once by a forked helper
 (``measures.write_csv_steps``); a failed helper is an I/O error.
 
-Exit status: 0 on success, 2 when a run finished but is flagged as not
-converged, 1 on any error (parse, validation, numerical, I/O).
+Exit status: 0 on success, 2 when a run finished but is flagged (not
+converged, or an exploitability marked [FLAGGED] or [CLIPPED]), 1 on any error
+(parse, validation, numerical, I/O).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _report_head(cfg: RunConfig) -> list:
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
+def _cmd_simulate(cfg: RunConfig, ms, out: Path) -> int:
     sim = build_sim(cfg)
     paths = simulate(ms, sim, constant_law(ms.atoms))[0]
     paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
@@ -102,14 +102,13 @@ def _cmd_simulate(cfg: RunConfig, ms, out: Path, with_cost: bool) -> int:
                  f"  dt {_ff(sim.dt)}")
     moments = moment_summary(paths)
     lines += [f"{key} {_ff(val)}" for key, val in moments.items()]
-    if with_cost:
-        cost = paths.cost
-        lines += [
-            f"cost {_ff(cost.value)} +/- {_ff(cost.stderr)}",
-            f"  running  {_ff(cost.running)}",
-            f"  boundary {_ff(cost.boundary)}",
-            f"  terminal {_ff(cost.terminal)}",
-        ]
+    cost = paths.cost
+    lines += [
+        f"cost {_ff(cost.value)} +/- {_ff(cost.stderr)}",
+        f"  running  {_ff(cost.running)}",
+        f"  boundary {_ff(cost.boundary)}",
+        f"  terminal {_ff(cost.terminal)}",
+    ]
     _write_text(out / "report.txt", "\n".join(lines) + "\n")
     return 0
 
@@ -148,7 +147,9 @@ def _cmd_equilibrium(cfg: RunConfig, ms, out: Path) -> int:
     if not rep.converged:
         lines.append("NOT CONVERGED within max_iters")
     _write_text(out / "report.txt", "\n".join(lines) + "\n")
-    return 0 if rep.converged else 2
+    flagged = rep.flagged_exploit or (rep.exploitability is not None
+                                      and rep.exploitability.clipped)
+    return 0 if rep.converged and not flagged else 2
 
 
 def _cell(value):
@@ -207,9 +208,7 @@ def run(cfg: RunConfig) -> int:
     _write_text(out / "manifest.txt", _manifest(cfg))
     ms = build_model(cfg)
     if cfg.command == "simulate":
-        return _cmd_simulate(cfg, ms, out, with_cost=False)
-    if cfg.command == "cost":
-        return _cmd_simulate(cfg, ms, out, with_cost=True)
+        return _cmd_simulate(cfg, ms, out)
     if cfg.command == "dp":
         return _cmd_dp(cfg, ms, out)
     if cfg.command == "equilibrium":

@@ -45,8 +45,7 @@ from .measures import format_float
 from .model import ModelSpec, make_preset, preset_names
 from .simulate import SimConfig, _n_steps
 
-COMMANDS = ("simulate", "cost", "dp", "equilibrium", "sweep-n", "chatter",
-            "diagnose")
+COMMANDS = ("simulate", "dp", "equilibrium", "sweep-n", "chatter", "diagnose")
 
 DOMAIN_KINDS = {
     "box": ("lower", "upper"),
@@ -339,7 +338,7 @@ def _validate_builds(cfg: RunConfig) -> None:
                        " at least 1", "sweep", "n_list")
     if cfg.dp.get("hx") is not None and cfg.dp["hx"] <= 0:
         raise _invalid(cfg, "[dp] hx must be positive", "dp", "hx")
-    if cfg.command not in ("simulate", "cost"):
+    if cfg.command != "simulate":
         # sweep-n's reference and chatter's base solve are always reflected
         reflected = (cfg.command in ("sweep-n", "chatter")
                      or cfg.command in ("dp", "equilibrium")

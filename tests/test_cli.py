@@ -1,6 +1,7 @@
 """Command line front end: artifacts, exit codes, byte-stable reruns."""
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_seed_flag_changes_the_draws(tmp_path):
     assert "seed = 99" in (out_b / "manifest.txt").read_text()
 
 
-def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
+def test_simulate_csvs_match_per_cell_writers(tmp_path):
     """paths.csv and flow.csv, written in one pass that shares the x strings
     and keeps K/Kvar strings while they hold, equal the per-cell writers on
     an independent rerun of the same simulation."""
@@ -111,19 +112,19 @@ def test_simulate_and_cost_csvs_match_per_cell_writers(tmp_path):
     paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.atoms))
     held = paths.Kvar[1:] == paths.Kvar[:-1]
     assert held.any() and not held.all()  # K/Kvar cells both hold and move
-    for command in ("simulate", "cost"):
-        out = tmp_path / command
-        assert run_cli(command, "--config", cfg, "--out", str(out)) == 0
-        assert (out / "paths.csv").read_bytes() == reference_paths_csv(paths)
-        assert (out / "flow.csv").read_bytes() == reference_flow_csv(flow)
+    out = tmp_path / "simulate"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 0
+    assert (out / "paths.csv").read_bytes() == reference_paths_csv(paths)
+    assert (out / "flow.csv").read_bytes() == reference_flow_csv(flow)
 
 
-def test_cost_command_reports_the_path_readers_cost(tmp_path):
-    """The cost lines, summed by the run as it stepped, print evaluate_cost
-    on a kept run of the same config and seed."""
+def test_simulate_reports_the_path_readers_cost(tmp_path):
+    """simulate's report ends with the cost lines, summed by the run as it
+    stepped, which print evaluate_cost on a kept run of the same config and
+    seed."""
     cfg = write_cfg(tmp_path, BASE.replace("x0 = 0.4", "x0 = 0.4\nh_const = 1.5"))
-    out = tmp_path / "cost"
-    assert run_cli("cost", "--config", cfg, "--out", str(out)) == 0
+    out = tmp_path / "simulate"
+    assert run_cli("simulate", "--config", cfg, "--out", str(out)) == 0
     parsed = parse_config_file(cfg)
     ms = build_model(parsed)
     paths, flow = simulate(ms, build_sim(parsed), constant_law(ms.atoms))
@@ -163,7 +164,9 @@ def test_dp_command_reads_its_flow_off_a_lean_run(tmp_path, monkeypatch):
     assert len(runs) == 1 and runs[0].K is None and runs[0].Kvar is None
 
 
-def test_equilibrium_exit_codes(tmp_path):
+def test_equilibrium_exit_codes(tmp_path, monkeypatch):
+    """0 for a converged solve; 2 for one that did not converge, and for a
+    converged one whose exploitability is marked [FLAGGED] or [CLIPPED]."""
     cfg = write_cfg(tmp_path)
     out = tmp_path / "eq"
     assert run_cli("equilibrium", "--config", cfg, "--out", str(out)) == 0
@@ -174,6 +177,42 @@ def test_equilibrium_exit_codes(tmp_path):
                    "--override", "fixed_point.max_iters=0")
     assert code == 2
     assert "NOT CONVERGED" in (out2 / "report.txt").read_text()
+    out3 = tmp_path / "flagged"
+    assert run_cli("equilibrium", "--config", cfg, "--out", str(out3),
+                   "--override", "fixed_point.tol_exploit=1e-9") == 2
+    report = (out3 / "report.txt").read_text()
+    assert "converged True" in report and "[FLAGGED]" in report
+    assert "[CLIPPED]" not in report
+    solve = cli.solve_equilibrium
+
+    def clipped_solve(ms, fp):
+        rep = solve(ms, fp)
+        rep.exploitability = replace(rep.exploitability, clipped=True)
+        return rep
+
+    monkeypatch.setattr(cli, "solve_equilibrium", clipped_solve)
+    out4 = tmp_path / "clipped"
+    assert run_cli("equilibrium", "--config", cfg, "--out", str(out4)) == 2
+    report = (out4 / "report.txt").read_text()
+    assert "converged True" in report and "[CLIPPED]" in report
+    assert "[FLAGGED]" not in report
+
+
+def test_cost_is_not_a_command(tmp_path, capsys):
+    """The simulate command prints the cost, so `cost` is refused both as
+    the positional command and as [run] command, before --out is made."""
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("cost", "--config", cfg, "--out", str(out))
+    assert exc.value.code == 2  # argparse's usage error
+    assert "invalid choice: 'cost'" in capsys.readouterr().err
+    assert run_cli("--config", cfg, "--out", str(out),
+                   "--override", "run.command=cost") == 1
+    assert capsys.readouterr().err == (
+        "error: override 'run.command=cost': unknown command 'cost'; expected"
+        " one of simulate, dp, equilibrium, sweep-n, chatter, diagnose\n")
+    assert not out.exists()
 
 
 def test_sweep_writes_rows_plus_reference(tmp_path):

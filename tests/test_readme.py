@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from penmfg import model
+from penmfg import config, model
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -49,3 +49,11 @@ def test_readme_presets_section_names_every_preset_and_parameter():
             assert re.search(rf"`{key}` \((`)?{re.escape(str(shown))}(`)?\)", section), key
     for key in ("init_lower", "init_upper"):
         assert f"`{key}`" in section
+
+
+def test_readme_commands_line_names_every_command_in_order():
+    """The ``Commands:`` line names exactly ``config.COMMANDS``, in order, so
+    an added or removed command cannot leave the README stale."""
+    text = README.read_text(encoding="utf-8")
+    line = " ".join(text.split("\nCommands: ", 1)[1].split(". Flags:", 1)[0].split())
+    assert re.findall(r"`([^`]+)`", line) == list(config.COMMANDS)

@@ -9,7 +9,7 @@ and runs a single command into the output directory:
     equilibrium  the fixed-point iteration
     sweep-n      equilibria across penalty levels vs the reflected reference
     chatter      chattered strict controls closing on a relaxed reference
-    diagnose     resolved parameters and discretization guards
+    diagnose     resolved parameters and the DP grid
 
 Artifacts are plain CSV / text: paths.csv (X, the reflection term K, outward
 for every scheme, and its variation |K|; about 70 bytes per particle-step,
@@ -58,12 +58,7 @@ from .equilibrium import (
 )
 from .errors import PenmfgError
 from .measures import flow_to_csv, format_float as _ff
-from .simulate import (
-    EXPLICIT_PENALTY_LIMIT,
-    moment_summary,
-    paths_to_csv,
-    simulate,
-)
+from .simulate import moment_summary, paths_to_csv, simulate
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -96,8 +91,8 @@ def _cmd_simulate(cfg: RunConfig, ms, out: Path) -> int:
     paths = simulate(ms, sim, constant_law(ms.atoms))[0]
     paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
-    lines.append(f"scheme {sim.scheme}"
-                 + (f"  penalty {sim.penalty}" if sim.penalty else ""))
+    lines.append("scheme reflected_projected" if sim.penalty is None
+                 else f"scheme penalized_splitting  penalty {sim.penalty}")
     lines.append(f"particles {paths.n_particles}  steps {paths.n_steps}"
                  f"  dt {_ff(sim.dt)}")
     moments = moment_summary(paths)
@@ -184,16 +179,6 @@ def _cmd_diagnose(cfg: RunConfig, ms, out: Path) -> int:
     lines.append(f"domain {ms.dom.kind}  dim {ms.dim}")
     lines.append("model parameters (resolved):")
     lines += [f"  {key} = {val}" for key, val in sorted(ms.params.items())]
-    dt = cfg.sim.get("dt")
-    penalty = cfg.sim.get("penalty")
-    scheme = cfg.sim["scheme"]
-    if dt is not None and penalty is not None:
-        ratio = penalty * dt
-        lines.append(
-            f"penalty*dt = {_ff(ratio)} vs explicit stability limit "
-            f"{_ff(EXPLICIT_PENALTY_LIMIT)}"
-            + (" [OK]" if ratio <= EXPLICIT_PENALTY_LIMIT
-               else f" [requires splitting; {scheme} configured]"))
     grid = build_grid(cfg, ms)
     if grid is not None:
         lines.append(f"dp grid: {grid.n_nodes} nodes, hx {_ff(grid.hx)}")

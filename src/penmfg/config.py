@@ -15,10 +15,9 @@ The format is deliberately small: `[section]` headers, `key = value` lines,
 `parse_config` validates everything it can see: unknown sections or keys,
 type mismatches, and range violations all fail with the offending line
 number, and the domain / model / sim configs and the DP grid are actually
-constructed so their own guards (e.g. the explicit-scheme penalty*dt
-stability limit, a reflected grid node outside the domain) fire at parse
-time.  Defaults that were applied are recorded on the returned config so
-run logs can echo them.  `section.key=value`
+constructed so their own guards (e.g. a penalty below 1, a reflected grid
+node outside the domain) fire at parse time.  Defaults that were applied are
+recorded on the returned config so run logs can echo them.  `section.key=value`
 overrides, `[domain]` keys included, are set into the text's entries before
 anything is typed, so the text and its overrides are validated together: an
 override can repair a value the text gets wrong, an overridden key is no
@@ -60,7 +59,6 @@ _SCHEMA = {
     "run": {"command": ("str", "simulate"), "seed": ("int", 0),
             "out": ("str", "out")},
     "sim": {"n_particles": ("int", None), "dt": ("float", None),
-            "scheme": ("str", "penalized_splitting"),
             "penalty": ("int", None)},
     "dp": {"hx": ("float", None), "lower": ("floats", None),
            "upper": ("floats", None)},
@@ -329,9 +327,9 @@ def _validate_builds(cfg: RunConfig) -> None:
         raise _invalid(cfg, "[fixed_point] chatter relaxes the DP law of a solve"
                        " that runs at least one iteration; set max_iters >= 1",
                        "fixed_point", "max_iters")
-    if cfg.command == "chatter" and cfg.sim["scheme"] != "reflected_projected":
+    if cfg.command == "chatter" and cfg.sim.get("penalty") is not None:
         raise _invalid(cfg, "[sim] chatter starts from the reflected equilibrium;"
-                       " set scheme = reflected_projected", "sim", "scheme")
+                       " drop the penalty", "sim", "penalty")
     n_list = cfg.sweep["n_list"]
     if cfg.command == "sweep-n" and (not n_list or min(n_list) < 1):
         raise _invalid(cfg, "[sweep] n_list must name at least one penalty, each"
@@ -342,7 +340,7 @@ def _validate_builds(cfg: RunConfig) -> None:
         # sweep-n's reference and chatter's base solve are always reflected
         reflected = (cfg.command in ("sweep-n", "chatter")
                      or cfg.command in ("dp", "equilibrium")
-                     and cfg.sim["scheme"] == "reflected_projected")
+                     and cfg.sim.get("penalty") is None)
         try:
             grid = build_grid(cfg, ms)
             if grid is not None and reflected:
@@ -441,7 +439,7 @@ def build_model(cfg: RunConfig, dom=None) -> ModelSpec:
 def build_sim(cfg: RunConfig) -> SimConfig:
     return SimConfig(
         n_particles=cfg.sim["n_particles"], dt=cfg.sim["dt"],
-        scheme=cfg.sim["scheme"], penalty=cfg.sim.get("penalty"), seed=cfg.seed,
+        penalty=cfg.sim.get("penalty"), seed=cfg.seed,
     )
 
 

@@ -519,7 +519,7 @@ def exploitability(ms: ModelSpec, flow: MeasureFlow, law, sim: SimConfig,
     """How much the candidate law loses to the DP best response under mu.
 
     Simulates the candidate under the frozen flow with the run's own
-    ``sim`` (scheme, penalty, particles, seed), compares with the DP value
+    ``sim`` (penalty, particles, seed), compares with the DP value
     averaged over the realized initial states, and clips the gap below at
     -3 standard errors: anything lower signals an inconsistency rather than
     a better-than-optimal law, so the report records the clip in ``clipped``.

@@ -83,7 +83,7 @@ from .simulate import CostReport, Run, SimConfig, simulate
 
 @dataclass(frozen=True)
 class FixedPointConfig:
-    """Outer-loop parameters; the mode lives in ``sim`` (scheme + penalty).
+    """Outer-loop parameters; ``sim.penalty`` picks penalized or reflected.
 
     ``grid`` is required whenever the model has more than one control (the
     best response needs the DP); with a singleton control set the loop is a
@@ -289,13 +289,11 @@ def penalization_sweep(ms: ModelSpec, cfg: FixedPointConfig, n_list
     own margin, the reflected reference uses it untouched.  A level whose
     solve fails keeps its row with the error; the reference row comes last.
     """
-    ref = solve_equilibrium(ms, replace(
-        cfg, sim=replace(cfg.sim, scheme="reflected_projected", penalty=None)))
+    ref = solve_equilibrium(ms, replace(cfg, sim=replace(cfg.sim, penalty=None)))
     rows = []
     for n in map(int, n_list):
         try:
-            rep = solve_equilibrium(ms, replace(
-                cfg, sim=replace(cfg.sim, scheme="penalized_splitting", penalty=n)))
+            rep = solve_equilibrium(ms, replace(cfg, sim=replace(cfg.sim, penalty=n)))
             rows.append(_solve_row(n, rep, ref, w2_flow(rep.flow, ref.flow)))
             del rep  # its final flow dies before the next level's solve
         except PenmfgError as exc:
@@ -329,11 +327,9 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     distance is d_U between realized time-control measures, the cost gap is
     paired against the relaxed reference.
     """
-    if cfg.sim.scheme != "reflected_projected":
-        raise ConfigError(
-            "strict approximation starts from the reflected equilibrium; "
-            "configure sim with scheme='reflected_projected'"
-        )
+    if cfg.sim.penalty is not None:
+        raise ConfigError("strict approximation starts from the reflected "
+                          "equilibrium; configure sim without a penalty")
     if len(ms.atoms) < 2 or cfg.grid is None or cfg.max_iters < 1:
         raise ConfigError("the relaxed probe needs a DP solve (>= 2 controls,"
                           " a grid and max_iters >= 1)")
@@ -345,7 +341,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
     for delta in deltas:
         penalty = chatter_penalty(n0, delta)
         chat = chattered_probe(base.field, float(delta), epsilon=epsilon)
-        run_cfg = replace(cfg.sim, scheme="penalized_splitting", penalty=penalty)
+        run_cfg = replace(cfg.sim, penalty=penalty)
         cost, q = _cost_and_controls(ms, run_cfg, chat, flow)
         rows.append({"delta": float(delta), "penalty": penalty,
                      "control_distance": d_relaxed(q, q_ref),

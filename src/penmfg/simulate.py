@@ -1,14 +1,12 @@
 """Interacting-particle simulation of penalized and reflected dynamics.
 
-Three one-step schemes for the controlled McKean-Vlasov system:
+Two one-step schemes for the controlled McKean-Vlasov system, picked by
+``SimConfig.penalty``:
 
-* ``penalized_explicit``: Euler on the penalized drift b - n(x - proj(x)).
-  Conditionally stable only; requires n*dt <= 1/2.
-* ``penalized_splitting``: Euler on the free drift, then the exact flow of
-  x' = -n(x - proj(x)) over one step.  Unconditionally stable in n, so it is
-  the default for large penalties.
-* ``reflected_projected``: Euler step followed by projection onto the domain
-  closure; the discrete reflection term is the excess Y - proj(Y).
+* a penalty level n: splitting.  Euler on the free drift, then the exact flow
+  of x' = -n(x - proj(x)) over one step.  Unconditionally stable in n.
+* no penalty (None): projection.  Euler step followed by projection onto the
+  domain closure; the discrete reflection term is the excess Y - proj(Y).
 
 K is outward for every scheme, like the integral n(X - proj(X)) dt that
 defines K^n, so K^n - K = X - X^n on common noise.  A run is one
@@ -43,21 +41,14 @@ from .measures import (
 from .model import ModelSpec, SmoothFn, generator_apply
 from .rng import CONTROL, INIT, step_normals, stream
 
-SCHEMES = ("penalized_explicit", "penalized_splitting", "reflected_projected")
-
-# Explicit-scheme stability: the penalty map x -> x - n*dt*(x - proj(x)) is a
-# contraction toward the domain only while n*dt <= 1/2 (factor |1 - n*dt| with
-# a safety margin below the oscillatory regime).
-EXPLICIT_PENALTY_LIMIT = 0.5
-
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Particle-system discretization parameters."""
+    """Particle-system discretization parameters; ``penalty`` n picks the
+    penalized splitting scheme, None the reflected projected one."""
 
     n_particles: int
     dt: float
-    scheme: str = "penalized_splitting"
     penalty: Optional[int] = None
     seed: int = 0
 
@@ -66,27 +57,9 @@ class SimConfig:
             raise ConfigError("n_particles must be at least 1")
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigError("dt must be positive and finite")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
-            )
-        if self.scheme.startswith("penalized"):
-            if self.penalty is None:
-                raise ConfigError(f"scheme {self.scheme!r} requires a penalty level")
-            if int(self.penalty) != self.penalty or self.penalty < 1:
-                raise ConfigError("penalty must be an integer >= 1")
-            if (
-                self.scheme == "penalized_explicit"
-                and self.penalty * self.dt > EXPLICIT_PENALTY_LIMIT
-            ):
-                raise ConfigError(
-                    f"penalized_explicit stability guard: penalty*dt must stay"
-                    f" <= {EXPLICIT_PENALTY_LIMIT} (got "
-                    f"{self.penalty * self.dt:g}); reduce dt or use "
-                    "penalized_splitting"
-                )
-        elif self.penalty is not None:
-            raise ConfigError("penalty is only meaningful for penalized schemes")
+        if self.penalty is not None and (
+                int(self.penalty) != self.penalty or self.penalty < 1):
+            raise ConfigError("penalty must be an integer >= 1")
 
 
 @dataclass
@@ -118,7 +91,7 @@ class Run:
 
 def scheme_step(ms: ModelSpec, sim: SimConfig, t: float, x: np.ndarray,
                 mu: EmpiricalMeasure, u: np.ndarray, xi: np.ndarray):
-    """One step of ``sim.scheme``; returns (x_next, dK, dKvar).
+    """One step of the scheme ``sim.penalty`` picks; returns (x_next, dK, dKvar).
 
     dK is the outward increment: the penalization accumulated over the step,
     or the excess y - proj(y) of the Euler point y over the domain.  The
@@ -127,18 +100,14 @@ def scheme_step(ms: ModelSpec, sim: SimConfig, t: float, x: np.ndarray,
     dt = sim.dt
     b = ms.drift(t, x, mu, u)
     noise = np.einsum("bim,bm->bi", ms.diffusion(t, x, mu, u), xi) * np.sqrt(dt)
-    if sim.scheme == "penalized_explicit":
-        dk = (sim.penalty * dt) * (x - ms.dom.project(x))
-        x_next = x + b * dt - dk + noise
+    y = x + b * dt + noise
+    py = ms.dom.project(y)
+    if sim.penalty is None:
+        x_next, dk = py, y - py
     else:
-        y = x + b * dt + noise
-        py = ms.dom.project(y)
-        if sim.scheme == "reflected_projected":
-            x_next, dk = py, y - py
-        else:
-            dk = (1.0 - np.exp(-sim.penalty * dt)) * (y - py)
-            # exact flow of x' = -n(x - proj(x)): proj is constant along the ray
-            x_next = y - dk
+        dk = (1.0 - np.exp(-sim.penalty * dt)) * (y - py)
+        # exact flow of x' = -n(x - proj(x)): proj is constant along the ray
+        x_next = y - dk
     return x_next, dk, row_norm(dk)
 
 

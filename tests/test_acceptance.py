@@ -96,13 +96,11 @@ def bm_sweep():
     runs = {}
     t0 = time.perf_counter()
     for n in PEN_LEVELS:
-        cfg = SimConfig(n_particles=20_000, dt=dt,
-                        scheme="penalized_splitting", penalty=n, seed=0)
+        cfg = SimConfig(n_particles=20_000, dt=dt, penalty=n, seed=0)
         paths, _ = simulate(ms, cfg, law)
         runs[n] = _marginal_summaries(paths)
         del paths
-    cfg = SimConfig(n_particles=20_000, dt=dt,
-                    scheme="reflected_projected", seed=0)
+    cfg = SimConfig(n_particles=20_000, dt=dt, seed=0)
     paths, _ = simulate(ms, cfg, law)
     runs["reflected"] = _marginal_summaries(paths)
     del paths
@@ -118,13 +116,11 @@ def martingale_reports():
     probes = {"x": model.linear_probe([1.0]),
               "x^2": model.quadratic_probe(dim=1)}
     reports = {}
-    for scheme, penalty in (("penalized_splitting", 512),
-                            ("reflected_projected", None)):
-        cfg = SimConfig(n_particles=10_000, dt=1e-3, scheme=scheme,
-                        penalty=penalty, seed=77)
+    for kind, penalty in (("penalized", 512), ("reflected", None)):
+        cfg = SimConfig(n_particles=10_000, dt=1e-3, penalty=penalty, seed=77)
         paths, flow = simulate(ms, cfg, law)
         for name, phi in probes.items():
-            reports[scheme, name] = martingale_residual(ms, paths, flow, phi)
+            reports[kind, name] = martingale_residual(ms, paths, flow, phi)
         del paths, flow
     return reports
 
@@ -139,13 +135,11 @@ def ou_cost_sweep():
     law = constant_law(ms.atoms)
     per_particle = {}
     for n in PEN_LEVELS:
-        cfg = SimConfig(n_particles=10_000, dt=1e-3,
-                        scheme="penalized_splitting", penalty=n, seed=202)
+        cfg = SimConfig(n_particles=10_000, dt=1e-3, penalty=n, seed=202)
         paths, flow = simulate(ms, cfg, law)
         per_particle[n] = evaluate_cost(ms, paths, flow).per_particle
         del paths, flow
-    cfg = SimConfig(n_particles=10_000, dt=1e-3,
-                    scheme="reflected_projected", seed=202)
+    cfg = SimConfig(n_particles=10_000, dt=1e-3, seed=202)
     paths, flow = simulate(ms, cfg, law)
     per_particle["reflected"] = evaluate_cost(ms, paths, flow).per_particle
     del paths, flow
@@ -275,8 +269,8 @@ def test_05_martingale_residuals(martingale_reports):
     zs = {key: abs(rep.aggregate_mean) / max(rep.aggregate_se, 1e-300)
           for key, rep in martingale_reports.items()}
     ok = all(z <= 3.0 for z in zs.values())
-    detail = "; ".join(f"{scheme.split('_')[0]} phi={name} |z|={z:.2f}"
-                       for (scheme, name), z in zs.items())
+    detail = "; ".join(f"{kind} phi={name} |z|={z:.2f}"
+                       for (kind, name), z in zs.items())
     record(5, "generator-compensated residuals centered", ok, detail)
 
 
@@ -304,8 +298,7 @@ def test_07_equilibrium_solve():
         "lq_control", UNIT_BOX,
         {"sigma": 0.4, "horizon": 0.5, "c": 1.0, "gamma": 0.5, "x0": 0.4})
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=2000, dt=2e-3,
-                      scheme="penalized_splitting", penalty=128, seed=303),
+        sim=SimConfig(n_particles=2000, dt=2e-3, penalty=128, seed=303),
         grid=DPGrid.regular([0.0], [1.0], 0.025),
         damping=0.5, max_iters=30, tol=5e-2, tol_exploit=5e-2,
     )
@@ -349,8 +342,7 @@ def test_09_strict_approximation_cost_trend():
         "lq_control", UNIT_BOX,
         {"sigma": 0.4, "horizon": 0.5, "c": 1.0, "gamma": 0.25, "x0": 0.4})
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=2000, dt=0.0125,
-                      scheme="reflected_projected", seed=404),
+        sim=SimConfig(n_particles=2000, dt=0.0125, seed=404),
         grid=DPGrid.regular([0.0], [1.0], 0.05),
         damping=0.5, max_iters=20, tol=5e-2,
     )
@@ -377,8 +369,7 @@ def test_10_dp_self_consistency():
         {"sigma": 0.5, "horizon": 0.5, "c": 1.0, "h_const": 0.5, "x0": 0.4})
     grid = DPGrid.regular([0.0], [1.0], 0.05)
     hx, dt = grid.hx, 2.5e-3
-    sim = SimConfig(n_particles=4000, dt=dt, scheme="reflected_projected",
-                    seed=17)
+    sim = SimConfig(n_particles=4000, dt=dt, seed=17)
     _, flow = simulate(ms, sim, constant_law(ms.atoms))
     chain = build_chain(ms, None, flow, grid)
     field, law = solve_dp(chain, flow)

@@ -43,7 +43,6 @@ x0 = 0.4
 [sim]
 n_particles = 60
 dt = 0.025
-scheme = reflected_projected
 
 [dp]
 hx = 0.05
@@ -243,12 +242,14 @@ def test_chatter_command(tmp_path):
 
 
 def test_chatter_rejects_penalized_base(tmp_path, capsys):
-    text = BASE.replace("scheme = reflected_projected",
-                        "scheme = penalized_splitting\npenalty = 64")
+    text = BASE.replace("dt = 0.025\n", "dt = 0.025\npenalty = 64\n")
     cfg = write_cfg(tmp_path, text)
     assert run_cli("chatter", "--config", cfg,
                    "--out", str(tmp_path / "x")) == 1
-    assert "reflected" in capsys.readouterr().err
+    line = text.splitlines().index("penalty = 64") + 1
+    assert capsys.readouterr().err == (
+        f"error: line {line}: [sim] chatter starts from the reflected"
+        " equilibrium; drop the penalty\n")
     assert not (tmp_path / "x").exists()  # refused before any output
 
 
@@ -256,10 +257,8 @@ def test_diagnose_command(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "diag"
     assert run_cli("diagnose", "--config", cfg, "--out", str(out),
-                   "--override", "sim.scheme=penalized_splitting",
                    "--override", "sim.penalty=8") == 0
     report = (out / "report.txt").read_text()
-    assert "penalty*dt = 0.2 vs explicit stability limit 0.5 [OK]" in report
     assert "growth" not in report
     assert "lq_control" in report or "sigma" in report
 
@@ -275,20 +274,35 @@ def test_failed_csv_helper_exits_one(tmp_path, capsys, monkeypatch, split_writes
     assert_no_helper_left(out)
 
 
-def test_parse_error_exits_one_with_line_number(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE + "nonsense = 7\n")
+@pytest.mark.parametrize("after, entry, section", [
+    ("tol = 0.05\n", "nonsense = 7", "fixed_point"),
+    ("dt = 0.025\n", "scheme = reflected_projected", "sim"),
+])
+def test_parse_error_exits_one_with_line_number(tmp_path, capsys, after, entry,
+                                                section):
+    text = BASE.replace(after, f"{after}{entry}\n")
+    cfg = write_cfg(tmp_path, text)
     assert run_cli("simulate", "--config", cfg,
                    "--out", str(tmp_path / "x")) == 1
-    err = capsys.readouterr().err
-    assert "nonsense" in err and "line" in err
+    line = text.splitlines().index(entry) + 1
+    key = entry.split()[0]
+    assert capsys.readouterr().err == \
+        f"error: line {line}: unknown key {key!r} in [{section}]\n"
+    assert not (tmp_path / "x").exists()
 
 
-def test_unknown_override_key_names_the_key(tmp_path, capsys):
+@pytest.mark.parametrize("override, key, section", [
+    ("run.foo=1", "foo", "run"),
+    ("sim.scheme=reflected_projected", "scheme", "sim"),
+])
+def test_unknown_override_key_names_the_key(tmp_path, capsys, override, key,
+                                            section):
     cfg = write_cfg(tmp_path)
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),
-                   "--override", "run.foo=1") == 1
+                   "--override", override) == 1
     assert capsys.readouterr().err == \
-        "error: override 'run.foo=1': unknown key 'foo' in [run]\n"
+        f"error: override {override!r}: unknown key {key!r} in [{section}]\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_mistyped_override_names_the_override(tmp_path, capsys):
@@ -337,8 +351,7 @@ def test_report_lists_no_overridden_key_as_a_default(tmp_path):
 def test_override_errors_name_the_override_not_a_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),
-                   "--override", "sim.penalty=-2",
-                   "--override", "sim.scheme=penalized_splitting") == 1
+                   "--override", "sim.penalty=-2") == 1
     assert capsys.readouterr().err == \
         "error: override 'sim.penalty=-2': [sim] penalty must be an integer >= 1\n"
     assert run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "x"),

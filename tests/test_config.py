@@ -40,7 +40,6 @@ preset = reflected_bm
 [sim]
 n_particles = 20
 dt = 0.05
-scheme = reflected_projected
 """
 
 FULL = """\
@@ -66,7 +65,6 @@ control_grid = -1 0 1
 [sim]
 n_particles = 500
 dt = 0.005
-scheme = penalized_splitting
 penalty = 128
 
 [dp]
@@ -90,7 +88,7 @@ def test_minimal_config_applies_documented_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.command == "simulate"
     assert cfg.seed == 0 and cfg.out == "out"
-    assert cfg.sim["scheme"] == "reflected_projected"
+    assert cfg.sim.get("penalty") is None
     assert cfg.fixed_point["damping"] == 0.5
     joined = "\n".join(cfg.defaults_applied)
     assert "run.seed = 0" in joined
@@ -142,6 +140,19 @@ def test_interaction_is_an_unknown_sim_key():
     assert str(err.value) == f"line {line}: unknown key 'interaction' in [sim]"
 
 
+def test_scheme_is_an_unknown_sim_key():
+    # the penalty alone picks penalized or reflected, so no key selects a scheme
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "scheme = reflected_projected\n")
+    line = len(MINIMAL.splitlines()) + 1
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: unknown key 'scheme' in [sim]"
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL, ["sim.scheme=penalized_splitting"])
+    assert str(err.value).startswith("override 'sim.scheme=penalized_splitting'")
+    assert "unknown key 'scheme' in [sim]" in str(err.value)
+
+
 def test_type_mismatch_cites_the_line():
     bad = MINIMAL.replace("dt = 0.05", "dt = fast")
     with pytest.raises(ConfigError, match="float") as err:
@@ -149,14 +160,6 @@ def test_type_mismatch_cites_the_line():
     line = MINIMAL.splitlines().index("dt = 0.05") + 1
     assert err.value.line == line
     assert str(err.value) == f"line {line}: sim.dt expected float, got 'fast'"
-
-
-def test_explicit_stability_guard_fires_at_parse_time():
-    bad = MINIMAL.replace("scheme = reflected_projected",
-                          "scheme = penalized_explicit\npenalty = 64")
-    with pytest.raises(ConfigError, match="stability") as err:
-        parse_config(bad)
-    assert err.value.line is not None
 
 
 def test_unknown_model_parameter_cites_its_line():
@@ -332,9 +335,9 @@ def test_chatter_deltas_are_checked_only_for_chatter():
     ("dp", "half_line_bm.cfg", [], "the dp command needs [dp] hx"),
     ("chatter", "half_line_bm.cfg", [], "the chatter command needs [dp] hx"),
     ("chatter", "lq_box_chatter.cfg",
-     ["sim.penalty=64", "sim.scheme=penalized_splitting"],
-     "override 'sim.scheme=penalized_splitting': [sim] chatter starts from the"
-     " reflected equilibrium"),
+     ["sim.penalty=64"],
+     "override 'sim.penalty=64': [sim] chatter starts from the reflected"
+     " equilibrium; drop the penalty"),
 ])
 def test_study_needs_checked_at_parse_time(tmp_path, capsys, command, config,
                                            overrides, message):
@@ -433,7 +436,6 @@ control_grid = -1 0; 1 0; 0 -1; 0 1; 0 0
 [sim]
 n_particles = 50
 dt = 0.05
-scheme = reflected_projected
 
 [dp]
 hx = 0.1
@@ -451,18 +453,22 @@ def test_reflected_grid_outside_the_domain_is_refused_before_any_output(
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: line 20: [dp] reflected-mode grid has nodes outside the domain"
+        "error: line 19: [dp] reflected-mode grid has nodes outside the domain"
         " (first: [-1. -1.])")
     assert not out.exists()
 
 
-def test_penalized_dp_accepts_a_grid_beyond_the_domain(tmp_path):
+@pytest.mark.parametrize("command, overrides, artifact", [
+    ("dp", ["--override", "sim.penalty=8"], "value.csv"),
+    ("diagnose", [], "report.txt"),  # reads the grid, solves nothing on it
+], ids=["dp-penalized", "diagnose"])
+def test_grid_beyond_the_domain_is_accepted_off_reflected_solves(
+        tmp_path, command, overrides, artifact):
     path = tmp_path / "ball.cfg"
     path.write_text(BALL_DP, encoding="utf-8")
-    assert main(["dp", "--config", str(path), "--out", str(tmp_path / "out"),
-                 "--override", "sim.scheme=penalized_splitting",
-                 "--override", "sim.penalty=8"]) == 0
-    assert (tmp_path / "out" / "value.csv").exists()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                 *overrides]) == 0
+    assert (tmp_path / "out" / artifact).exists()
 
 
 def test_each_invocation_validates_once(tmp_path, monkeypatch):
@@ -494,7 +500,6 @@ control_grid = -1 0; 1 0; 0 -1; 0 1; 0 0
 [sim]
 n_particles = 200
 dt = 0.0125
-scheme = reflected_projected
 
 [dp]
 hx = 0.1

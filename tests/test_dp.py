@@ -535,8 +535,7 @@ def test_dp_value_matches_monte_carlo_rollout():
     g = DPGrid.regular([0.0], [1.0], hx)
     chain = build_chain(ms, None, flow, g)
     field, law = solve_dp(chain, flow)
-    cfg = SimConfig(n_particles=3000, dt=dt, scheme="reflected_projected",
-                    seed=17)
+    cfg = SimConfig(n_particles=3000, dt=dt, seed=17)
     paths, _ = simulate(ms, cfg, law, frozen_flow=flow)
     rep = evaluate_cost(ms, paths, flow)
     v0 = float(np.mean(field.value_at(0, paths.X[0])))
@@ -552,7 +551,7 @@ def test_exploitability_near_zero_for_dp_law_positive_for_bad_law():
     g = DPGrid.regular([0.0], [1.0], 0.05)
     chain = build_chain(ms, None, flow, g)
     field, law = solve_dp(chain, flow)
-    sim = SimConfig(n_particles=2000, dt=dt, scheme="reflected_projected", seed=5)
+    sim = SimConfig(n_particles=2000, dt=dt, seed=5)
     good, _ = exploitability(ms, flow, law, sim, grid=g, field=field)
     assert isinstance(good, ExploitabilityReport)
     assert good.gap <= 3.0 * good.cost_se + 2.0 * (0.05 + dt)
@@ -571,7 +570,7 @@ def test_exploitability_clip_is_recorded():
     flow = const_flow(0.4, 0.0125, 40)
     g = DPGrid.regular([0.0], [1.0], 0.05)
     field, law = solve_dp(build_chain(ms, None, flow, g), flow)
-    sim = SimConfig(n_particles=500, dt=0.0125, scheme="reflected_projected", seed=5)
+    sim = SimConfig(n_particles=500, dt=0.0125, seed=5)
     fair, _ = exploitability(ms, flow, law, sim, field=field)
     assert not fair.clipped
     with pytest.raises(GridError):  # no field, and no grid to solve one on
@@ -595,16 +594,15 @@ def test_exploitability_clip_is_recorded():
 
 
 def test_exploitability_replays_the_runs_own_scheme():
-    """The candidate runs under the SimConfig it is given, explicit penalized
-    scheme included: its report and its realized flow equal a direct frozen
-    run's, bit for bit."""
+    """The candidate runs under the SimConfig it is given, penalty included:
+    its report and its realized flow equal a direct frozen run's, bit for
+    bit."""
     ms = model.make_preset("lq_control", UNIT_BOX, {
         "sigma": 0.5, "horizon": 0.5, "c": 1.0, "h_const": 0.5, "x0": 0.1,
     })
     dt = 0.0125
     flow = const_flow(0.4, dt, 40)
-    sim = SimConfig(n_particles=500, dt=dt, scheme="penalized_explicit",
-                    penalty=8, seed=5)
+    sim = SimConfig(n_particles=500, dt=dt, penalty=8, seed=5)
     grid = pad_for_penalty(DPGrid.regular([0.0], [1.0], 0.05), ms, dt, 8)
     field, law = solve_dp(build_chain(ms, 8, flow, grid), flow)
     rep, realized = exploitability(ms, flow, law, sim, field=field)
@@ -618,10 +616,10 @@ def test_exploitability_replays_the_runs_own_scheme():
     assert rep.gap == max(cost.value - dp0, -3.0 * cost.stderr)
     # solving the DP on the grid uses the run's penalty, so the same report
     assert exploitability(ms, flow, law, sim, grid=grid)[0] == rep
-    # the scheme matters: a splitting replay of the same run costs otherwise
-    split = simulate(ms, replace(sim, scheme="penalized_splitting"), law,
-                     frozen_flow=flow)[0]
-    assert evaluate_cost(ms, split, flow).value != rep.cost
+    # the scheme matters: a reflected replay of the same run costs otherwise
+    reflected = simulate(ms, replace(sim, penalty=None), law,
+                         frozen_flow=flow)[0]
+    assert evaluate_cost(ms, reflected, flow).value != rep.cost
 
 
 def test_relaxed_probe_mixture_weights():
@@ -797,8 +795,7 @@ def test_chattered_run_looks_up_nodes_once_per_step(monkeypatch):
     monkeypatch.setattr(DPGrid, "nearest_node", counted)
     law = chattered_probe(field, 0.2, epsilon=0.25)
     assert calls == []  # tabulating the schedule looks up no state
-    cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
-                    penalty=10, seed=3)
+    cfg = SimConfig(n_particles=64, dt=0.0125, penalty=10, seed=3)
     simulate(ms, cfg, law, frozen_flow=flow)
     assert calls == [64] * flow.n_steps
 
@@ -814,8 +811,7 @@ def test_chattered_run_records_table_indices():
     arg = gen.integers(0, 3, size=field.argmin.shape)
     field = replace(field, argmin=arg, runner_up=(arg + gen.integers(1, 3, arg.shape)) % 3)
     table = chattered_indices(field.times, _probe_weights(field, 0.25), 0.2)
-    cfg = SimConfig(n_particles=64, dt=0.0125, scheme="penalized_splitting",
-                    penalty=10, seed=3)
+    cfg = SimConfig(n_particles=64, dt=0.0125, penalty=10, seed=3)
     paths, _ = simulate(ms, cfg, chattered_probe(field, 0.2, epsilon=0.25),
                         frozen_flow=flow)
     rec = np.stack([sample_control(paths.law, t, x, None).u

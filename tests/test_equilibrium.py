@@ -40,7 +40,7 @@ def lq_model(**over):
 
 
 def test_config_validation():
-    sim = SimConfig(n_particles=10, dt=0.05, scheme="reflected_projected")
+    sim = SimConfig(n_particles=10, dt=0.05)
     with pytest.raises(ConfigError):
         FixedPointConfig(sim=sim, damping=0.0)
     with pytest.raises(ConfigError):
@@ -58,8 +58,7 @@ def test_no_control_self_consistency_is_exact():
     # self-consistency: re-running the init flow frozen reproduces it exactly
     ms = ou_model()
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=1000, dt=0.01, scheme="reflected_projected",
-                      seed=3),
+        sim=SimConfig(n_particles=1000, dt=0.01, seed=3),
         damping=1.0, max_iters=5, tol=1e-2,
     )
     rep = solve_equilibrium(ms, cfg)
@@ -73,8 +72,7 @@ def test_no_control_self_consistency_is_exact():
 def test_self_map_residual_sits_at_noise_floor():
     ms = ou_model()
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=800, dt=0.01, scheme="reflected_projected",
-                      seed=6),
+        sim=SimConfig(n_particles=800, dt=0.01, seed=6),
         damping=1.0, max_iters=3, tol=1e-2,
     )
     rep = solve_equilibrium(ms, cfg)
@@ -92,8 +90,7 @@ def test_zero_costs_exit_immediately_with_zero_exploitability():
     ms = lq_model(c=0.0, gamma=0.0)
     ms.running_cost = lambda t, x, mu, u: np.zeros(x.shape[0])
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=400, dt=0.0125, scheme="reflected_projected",
-                      seed=2),
+        sim=SimConfig(n_particles=400, dt=0.0125, seed=2),
         grid=DPGrid.regular([0.0], [1.0], 0.05),
         damping=0.5, max_iters=10, tol=5e-2,
     )
@@ -107,8 +104,7 @@ def test_zero_costs_exit_immediately_with_zero_exploitability():
 def test_controlled_mean_field_equilibrium_converges():
     ms = lq_model()
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=1500, dt=0.005, scheme="reflected_projected",
-                      seed=11),
+        sim=SimConfig(n_particles=1500, dt=0.005, seed=11),
         grid=DPGrid.regular([0.0], [1.0], 0.05),
         damping=0.5, max_iters=20, tol=5e-2, tol_exploit=5e-2,
     )
@@ -125,8 +121,7 @@ def test_equilibrium_reruns_are_identical():
     ms = lq_model()
     def make_cfg(seed):
         return FixedPointConfig(
-            sim=SimConfig(n_particles=500, dt=0.01,
-                          scheme="penalized_splitting", penalty=64, seed=seed),
+            sim=SimConfig(n_particles=500, dt=0.01, penalty=64, seed=seed),
             grid=DPGrid.regular([0.0], [1.0], 0.05),
             damping=0.5, max_iters=6, tol=5e-2,
         )
@@ -142,8 +137,7 @@ def test_equilibrium_reruns_are_identical():
 def test_max_iters_zero_reports_not_converged():
     ms = ou_model()
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=200, dt=0.01, scheme="reflected_projected",
-                      seed=1),
+        sim=SimConfig(n_particles=200, dt=0.01, seed=1),
         max_iters=0,
     )
     rep = solve_equilibrium(ms, cfg)
@@ -160,8 +154,7 @@ def test_solve_out_of_iterations_mixes_only_iterates_it_reads(monkeypatch):
     monkeypatch.setattr(equilibrium, "_mix_flows",
                         lambda *a: mixes.append(1) or mix(*a))
     cfg = FixedPointConfig(  # tol out of reach: every iteration runs
-        sim=SimConfig(n_particles=300, dt=0.0125,
-                      scheme="reflected_projected", seed=9),
+        sim=SimConfig(n_particles=300, dt=0.0125, seed=9),
         grid=DPGrid.regular([0.0], [1.0], 0.05),
         damping=0.5, max_iters=3, tol=1e-9,
     )
@@ -173,8 +166,7 @@ def test_solve_out_of_iterations_mixes_only_iterates_it_reads(monkeypatch):
 def test_penalization_sweep_gaps_shrink_with_n():
     ms = ou_model(sigma=0.5)
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=3000, dt=0.01, scheme="reflected_projected",
-                      seed=7),
+        sim=SimConfig(n_particles=3000, dt=0.01, seed=7),
         damping=1.0, max_iters=4, tol=1e-2,
     )
     report = penalization_sweep(ms, cfg, [8, 64])
@@ -192,8 +184,7 @@ def test_penalization_sweep_gaps_shrink_with_n():
 def test_penalization_sweep_flags_failed_levels():
     ms = ou_model()
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=100, dt=0.01, scheme="reflected_projected",
-                      seed=7),
+        sim=SimConfig(n_particles=100, dt=0.01, seed=7),
         max_iters=2,
     )
     report = penalization_sweep(ms, cfg, [0])  # invalid penalty level
@@ -205,8 +196,7 @@ def test_penalization_sweep_flags_failed_levels():
 def test_strict_approximation_distances_shrink():
     ms = lq_model(gamma=0.25)
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=1000, dt=0.0125,
-                      scheme="reflected_projected", seed=9),
+        sim=SimConfig(n_particles=1000, dt=0.0125, seed=9),
         grid=DPGrid.regular([0.0], [1.0], 0.05),
         damping=0.5, max_iters=12, tol=5e-2,
     )
@@ -224,8 +214,7 @@ def test_strict_approximation_distances_shrink():
     assert "relaxed reference" in report.summary()
     with pytest.raises(ConfigError):
         strict_approximation_run(
-            ms, replace(cfg, sim=replace(cfg.sim, scheme="penalized_splitting",
-                                         penalty=32)),
+            ms, replace(cfg, sim=replace(cfg.sim, penalty=32)),
             deltas=[0.1],
         )
 
@@ -235,7 +224,7 @@ def test_strict_approximation_refuses_before_its_base_solve(monkeypatch):
     each is refused before the base equilibrium is solved."""
     monkeypatch.setattr(equilibrium, "solve_equilibrium", lambda *a: pytest.fail())
     cfg = FixedPointConfig(
-        sim=SimConfig(n_particles=10, dt=0.05, scheme="reflected_projected"),
+        sim=SimConfig(n_particles=10, dt=0.05),
         grid=DPGrid.regular([0.0], [1.0], 0.05))
     for ms, fp in [(ou_model(), cfg), (lq_model(), replace(cfg, grid=None)),
                    (lq_model(), replace(cfg, max_iters=0))]:
@@ -334,8 +323,7 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     monkeypatch.setattr(equilibrium, "_mix_flows", tracked_mix)
     ms = lq_model(gamma=0.25)
     cfg = FixedPointConfig(  # tol out of reach: every iteration runs
-        sim=SimConfig(n_particles=300, dt=0.0125,
-                      scheme="reflected_projected", seed=9),
+        sim=SimConfig(n_particles=300, dt=0.0125, seed=9),
         grid=DPGrid.regular([0.0], [1.0], 0.05),
         damping=0.5, max_iters=3, tol=1e-9,
     )

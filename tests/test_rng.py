@@ -84,7 +84,7 @@ def test_a_study_draws_each_step_once(monkeypatch):
     """Every simulation of a 20-step study on one seed shares 20 noise draws."""
     ms = model.make_preset("lq_control", domain.box([0.0], [1.0]),
                            {"sigma": 0.4, "horizon": 0.25, "x0": 0.4})
-    sim = SimConfig(n_particles=50, dt=0.0125, scheme="reflected_projected", seed=8)
+    sim = SimConfig(n_particles=50, dt=0.0125, seed=8)
     cfg = FixedPointConfig(sim=sim, grid=DPGrid.regular([0.0], [1.0], 0.05),
                            max_iters=3)
     opened, calls = [], []

@@ -83,31 +83,18 @@ def test_splitting_step_halved_excursion():
     u = np.zeros((1, 1))
     xi = np.zeros((1, 1))
     x_next, dk, dkvar = scheme_step(
-        ms, SimConfig(1, dt, "penalized_splitting", 1), 0.0, x, mu, u, xi
+        ms, SimConfig(1, dt, penalty=1), 0.0, x, mu, u, xi
     )
     assert x_next[0, 0] == pytest.approx(-0.5, abs=1e-12)
     assert dk[0, 0] == pytest.approx(-0.5, abs=1e-12)
     assert dkvar[0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_explicit_step_outward_increment():
-    ms = quiet_model()
-    x = one([-0.5])
-    x_next, dk, dkvar = scheme_step(
-        ms, SimConfig(1, 0.1, "penalized_explicit", 4), 0.0, x,
-        EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1)),
-    )
-    # dK = n (x - proj x) dt = 0.4 * (-0.5); the state moves against it
-    assert dk[0, 0] == pytest.approx(-0.2, abs=1e-14)
-    assert x_next[0, 0] == pytest.approx(-0.3, abs=1e-14)
-    assert dkvar[0] == pytest.approx(0.2, abs=1e-14)
-
-
 def test_reflected_step_projects_and_records_outward_excess():
     ms = drifted_model(-3.0)
     x = one([0.0])
     x_next, dk, dkvar = scheme_step(
-        ms, SimConfig(1, 0.1, "reflected_projected"), 0.0, x,
+        ms, SimConfig(1, 0.1), 0.0, x,
         EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1))
     )
     # Euler proposal -0.3 is projected back to 0; dK = y - proj(y) is outward,
@@ -117,12 +104,13 @@ def test_reflected_step_projects_and_records_outward_excess():
     assert dkvar[0] == pytest.approx(0.3, abs=1e-14)
 
 
-def test_explicit_and_splitting_agree_to_second_order():
+def test_splitting_agrees_with_euler_penalty_to_second_order():
     ms = quiet_model()
     x = one([-0.1])
     args = (0.0, x, EmpiricalMeasure(x), np.zeros((1, 1)), np.zeros((1, 1)))
-    xe, _, _ = scheme_step(ms, SimConfig(1, 0.05, "penalized_explicit", 1), *args)
-    xs, _, _ = scheme_step(ms, SimConfig(1, 0.05, "penalized_splitting", 1), *args)
+    xs, _, _ = scheme_step(ms, SimConfig(1, 0.05, penalty=1), *args)
+    # Euler on the penalized drift: x - n dt (x - proj x), no drift or noise
+    xe = x - 0.05 * (x - ms.dom.project(x))
     gap = abs(xe[0, 0] - xs[0, 0])
     assert 0.0 < gap < 2.0 * (0.05**2) * 0.1
 
@@ -135,7 +123,7 @@ def test_splitting_bookkeeping_identity():
     xi = rng.standard_normal((64, 1))
     dt = 0.02
     x_next, dk, _ = scheme_step(
-        ms, SimConfig(64, dt, "penalized_splitting", 128), 0.0, x,
+        ms, SimConfig(64, dt, penalty=128), 0.0, x,
         EmpiricalMeasure(x), np.zeros((64, 1)), xi,
     )
     y = x + 1.0 * xi * np.sqrt(dt)
@@ -151,7 +139,7 @@ def test_penalized_k_converges_to_the_reflected_k():
     so K^n - K = X - X^n path by path; the L2 sup gap
     sqrt(E sup_t |K^n_t - K_t|^2) shrinks as n grows (0.445, 0.191, 0.056)."""
     ms = quiet_model(sigma=1.0)
-    ref, _ = simulate(ms, SimConfig(2000, 1e-3, "reflected_projected", seed=5),
+    ref, _ = simulate(ms, SimConfig(2000, 1e-3, seed=5),
                       null_law())
     gaps = []
     for n in (8, 64, 512):
@@ -163,7 +151,7 @@ def test_penalized_k_converges_to_the_reflected_k():
     # metamorphic oracle: once 1 - exp(-n dt) rounds to 1.0 (by n = 1e6
     # exp(-n dt) itself underflows to 0.0) the splitting scheme's penalty step
     # is the projection, so under shared noise it is the projected scheme
-    ref, _ = simulate(ms, SimConfig(64, 1e-3, "reflected_projected", seed=5),
+    ref, _ = simulate(ms, SimConfig(64, 1e-3, seed=5),
                       null_law())
     for n in (10**5, 10**6):
         assert 1.0 - np.exp(-n * 1e-3) == 1.0
@@ -233,7 +221,7 @@ def test_common_randomness_across_schemes_and_penalties():
     for cfg in (
         SimConfig(n_particles=32, dt=0.05, penalty=8, seed=3),
         SimConfig(n_particles=32, dt=0.05, penalty=512, seed=3),
-        SimConfig(n_particles=32, dt=0.05, scheme="reflected_projected", seed=3),
+        SimConfig(n_particles=32, dt=0.05, seed=3),
     ):
         bundles.append(simulate(ms, cfg, null_law())[0])
     assert np.array_equal(bundles[0].X[0], bundles[1].X[0])
@@ -259,8 +247,7 @@ def test_reflected_paths_stay_inside():
     ms = quiet_model(dom=dom, sigma=1.0, init="uniform_box",
                      init_lower=[0.2, 0.2], init_upper=[0.8, 0.8])
     paths, _ = simulate(
-        ms, SimConfig(n_particles=64, dt=0.01, scheme="reflected_projected",
-                      seed=2), null_law(),
+        ms, SimConfig(n_particles=64, dt=0.01, seed=2), null_law(),
     )
     flat = paths.X.reshape(-1, 2)
     assert np.all(dom.contains(flat))
@@ -295,16 +282,9 @@ def test_frozen_interaction_grid_checks():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(n_particles=10, dt=1e-3, scheme="penalized_explicit",
-                  penalty=512)  # n*dt > 1/2
-    with pytest.raises(ConfigError):
-        SimConfig(n_particles=10, dt=1e-3, scheme="reflected_projected",
-                  penalty=4)
-    with pytest.raises(ConfigError):
-        SimConfig(n_particles=10, dt=1e-3, scheme="penalized_splitting")
-    with pytest.raises(ConfigError):
-        SimConfig(n_particles=10, dt=1e-3, scheme="euler")
+    for penalty in (0, -2, 2.5):
+        with pytest.raises(ConfigError, match="penalty must be an integer >= 1"):
+            SimConfig(n_particles=10, dt=1e-3, penalty=penalty)
     with pytest.raises(ConfigError):
         SimConfig(n_particles=0, dt=1e-3, penalty=1)
     with pytest.raises(ConfigError):
@@ -324,19 +304,6 @@ def test_running_cost_of_one_integrates_to_horizon():
     assert rep.boundary == 0.0 and rep.terminal == 0.0
     assert rep.value == pytest.approx(0.75, abs=1e-10)
     assert rep.stderr == pytest.approx(0.0, abs=1e-12)
-
-
-def test_explicit_literal_penalty_cost_equals_k_charge():
-    # for the explicit scheme, h d|K| and n h dist(X) dt are the same sum
-    ms = quiet_model(sigma=1.0, h_const=1.0, x0=0.25)
-    cfg = SimConfig(n_particles=256, dt=0.05, scheme="penalized_explicit",
-                    penalty=4, seed=9)
-    paths, flow = simulate(ms, cfg, null_law())
-    from_record = evaluate_cost(ms, paths, flow)
-    literal = evaluate_cost(ms, paths, flow, penalty=4)
-    assert from_record.boundary > 1e-4
-    assert literal.boundary == pytest.approx(from_record.boundary, rel=1e-9)
-    assert literal.value == pytest.approx(from_record.value, rel=1e-9)
 
 
 def test_splitting_literal_penalty_cost_close_to_k_charge():
@@ -360,8 +327,7 @@ def test_relaxed_law_records_weights_and_averages_running_cost():
         "sigma": 0.05, "c": 0.0, "control_grid": [0.0, 1.0], "x0": 0.25,
     })
     law = even_mixture()
-    cfg = SimConfig(n_particles=50, dt=0.05, scheme="reflected_projected",
-                    seed=4)
+    cfg = SimConfig(n_particles=50, dt=0.05, seed=4)
     paths, flow = simulate(ms, cfg, law)
     # the bundle keeps the law; readers re-evaluate its weights
     assert paths.law is law
@@ -374,7 +340,7 @@ def test_control_stream_opened_only_for_relaxed_laws(monkeypatch):
     """Strict laws draw nothing, so no CONTROL generator is built for them."""
     ms = model.make_preset("lq_control", domain.box([0.0], [1.0]),
                            {"control_grid": [0.0, 1.0], "x0": 0.25})
-    cfg = SimConfig(n_particles=30, dt=0.05, scheme="reflected_projected", seed=4)
+    cfg = SimConfig(n_particles=30, dt=0.05, seed=4)
     opened = []
     stream = rng.stream
 
@@ -532,8 +498,7 @@ def test_reflected_local_time_matches_tanaka_scale():
     t_end = 0.25
     ms = quiet_model(sigma=1.0, horizon=t_end)
     paths, _ = simulate(
-        ms, SimConfig(n_particles=8000, dt=t_end / 400,
-                      scheme="reflected_projected", seed=21), null_law(),
+        ms, SimConfig(n_particles=8000, dt=t_end / 400, seed=21), null_law(),
     )
     target = np.sqrt(2.0 * t_end / np.pi)
     assert np.mean(paths.Kvar[-1]) == pytest.approx(target, abs=0.05)
@@ -547,18 +512,13 @@ def zscore(rep):
     return abs(rep.aggregate_mean) / max(rep.aggregate_se, 1e-300)
 
 
-@pytest.mark.parametrize("scheme,penalty", [
-    ("penalized_explicit", 4),
-    ("penalized_splitting", 64),
-    ("reflected_projected", None),
-])
-def test_martingale_residual_linear_probe_is_pure_noise(scheme, penalty):
+@pytest.mark.parametrize("penalty", [4, 64, None])
+def test_martingale_residual_linear_probe_is_pure_noise(penalty):
     # with K in the outward orientation, a linear probe leaves only the
     # driving noise: residual per step == a . (sigma dW), for every scheme
     sigma, dt, n, a = 2.0, 0.05, 96, 1.5
     ms = quiet_model(sigma=sigma, x0=0.5)
-    cfg = SimConfig(n_particles=n, dt=dt, scheme=scheme, penalty=penalty,
-                    seed=13)
+    cfg = SimConfig(n_particles=n, dt=dt, penalty=penalty, seed=13)
     paths, flow = simulate(ms, cfg, null_law())
     rep = martingale_residual(ms, paths, flow, linear_probe([a]))
     expected = np.array([
@@ -569,17 +529,13 @@ def test_martingale_residual_linear_probe_is_pure_noise(scheme, penalty):
     assert zscore(rep) < 4.0
 
 
-@pytest.mark.parametrize("scheme,penalty", [
-    ("penalized_splitting", 64),
-    ("reflected_projected", None),
-])
-def test_martingale_residual_quadratic_probe_is_free_increment(scheme, penalty):
+@pytest.mark.parametrize("penalty", [4, 64, None])
+def test_martingale_residual_quadratic_probe_is_free_increment(penalty):
     # the chord-exact K term reduces the residual to the unreflected Euler
     # increment: per step, mean of 2 x sigma dW + sigma^2 dt (xi^2 - 1)
     sigma, dt, n = 1.5, 0.05, 128
     ms = quiet_model(sigma=sigma, x0=0.2)
-    cfg = SimConfig(n_particles=n, dt=dt, scheme=scheme, penalty=penalty,
-                    seed=21)
+    cfg = SimConfig(n_particles=n, dt=dt, penalty=penalty, seed=21)
     paths, flow = simulate(ms, cfg, null_law())
     rep = martingale_residual(ms, paths, flow, quadratic_probe(dim=1))
     expected = np.empty(paths.n_steps)
@@ -638,27 +594,24 @@ def whole_array_moments(paths):
 
 def test_moment_summary_keys_and_scale():
     ms = quiet_model(sigma=1.0, x0=0.5)
-    # penalty 16 keeps the explicit scheme inside its penalty*dt <= 0.5 guard
-    for scheme, penalty in (("penalized_explicit", 16), ("penalized_splitting", 64),
-                            ("reflected_projected", None)):
-        paths, _ = simulate(ms, SimConfig(n_particles=256, dt=0.02, scheme=scheme,
+    for penalty in (64, None):
+        paths, _ = simulate(ms, SimConfig(n_particles=256, dt=0.02,
                                           penalty=penalty, seed=6), null_law())
         summary = moment_summary(paths)
         assert paths.K.any()
-        assert summary == whole_array_moments(paths), scheme
+        assert summary == whole_array_moments(paths), penalty
         assert summary["sup_x_sq"] >= 0.25  # at least the initial point
         assert summary["kvar_total"] >= 0.0
         # triangle inequality, path by path: max_t |K_t| <= Kvar_T (1e-12 for rounding)
         sup_k = np.linalg.norm(paths.K, axis=-1).max(axis=0)
-        assert np.all(sup_k <= paths.Kvar[-1] + 1e-12), scheme
+        assert np.all(sup_k <= paths.Kvar[-1] + 1e-12), penalty
 
 
 def test_moment_summary_has_the_whole_array_bits_on_a_ball():
     """In 2-D the per-frame norm sums two squares; K moves on both axes."""
     ms = drifted_model([0.5, -0.5], dom=domain.ball([0.0, 0.0], 1.0), sigma=0.8,
                        x0=[0.6, -0.6])
-    paths, _ = simulate(ms, SimConfig(n_particles=300, dt=0.01,
-                                      scheme="reflected_projected", seed=9),
+    paths, _ = simulate(ms, SimConfig(n_particles=300, dt=0.01, seed=9),
                         null_law())
     assert np.all(np.abs(paths.K).max(axis=(0, 1)) > 0)
     assert moment_summary(paths) == whole_array_moments(paths)
@@ -877,18 +830,14 @@ def charged_model(d):
 @pytest.mark.parametrize("frozen", [False, True], ids=["self", "frozen"])
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme,penalty", [
-    ("penalized_explicit", 8), ("penalized_splitting", 8),
-    ("reflected_projected", None),
-])
-def test_run_sums_what_the_path_readers_read(scheme, penalty, d, relaxed,
-                                             frozen, keep_paths):
+@pytest.mark.parametrize("penalty", [1, 8, None])
+def test_run_sums_what_the_path_readers_read(penalty, d, relaxed, frozen,
+                                             keep_paths):
     """A run's cost and realized control measure are, bit for bit,
     evaluate_cost and the reference control-measure reader on the kept run
     of the same law, flow and seed; a lean run keeps no K or |K|."""
     ms = charged_model(d)
-    cfg = SimConfig(n_particles=96, dt=0.05, scheme=scheme, penalty=penalty,
-                    seed=17)
+    cfg = SimConfig(n_particles=96, dt=0.05, penalty=penalty, seed=17)
     law = (state_mixture(ms, cfg.dt) if relaxed else tabulated_law(
         ms, cfg.dt, lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, -1] > 0.6)))
     flow_in = simulate(ms, replace(cfg, seed=18), law)[1] if frozen else None

@@ -12,9 +12,11 @@ temporary directory that is removed on exit.
 
 A command that fails on a config (``dp`` without ``[dp] hx``, ``chatter``
 on a penalized base) still counts what it entered before the error.  The
-forked CSV helper runs only functions that the serial writer also runs, so
-nothing is missed by not tracing it.  A function listed here is reached by
-no command; it may still be reached by an acceptance criterion or a test.
+forked CSV helper replays the producer that the parent runs too (for
+``simulate``, the whole run) and formats with the functions that the serial
+writer runs, so nothing is missed by not tracing it.  A function listed
+here is reached by no command; it may still be reached by an acceptance
+criterion or a test.
 """
 
 import argparse

@@ -19,8 +19,11 @@ Python, numpy and scipy versions, and the config text's sha256.  A CSV float
 is its shortest round-trip ``repr`` with no locale, formatted only when its cell
 moves (flow.csv shares the x strings of paths.csv, K and Kvar strings are kept
 while the value holds); no output has a timestamp, so reruns are byte-identical.
-A large step table may be written in two halves at once by a forked helper
-(``measures.write_csv_steps``); a failed helper is an I/O error.
+simulate streams its run into paths.csv and flow.csv as it steps and keeps no
+paths.  A large step table may be written in two halves at once by a forked
+helper that replays the table's producer, the run itself for simulate
+(``measures.write_csv_steps``); a failed helper, or a replay that differs from
+the parent's run, is an I/O error, and a failed write leaves no partial CSV.
 
 Exit status: 0 on success, 2 when a run finished but is flagged (not
 converged, or an exploitability marked [FLAGGED] or [CLIPPED]), 1 on any error
@@ -58,7 +61,7 @@ from .equilibrium import (
 )
 from .errors import PenmfgError
 from .measures import flow_to_csv, format_float as _ff
-from .simulate import moment_summary, paths_to_csv, simulate
+from .simulate import paths_to_csv, simulate
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -88,14 +91,13 @@ def _report_head(cfg: RunConfig) -> list:
 
 def _cmd_simulate(cfg: RunConfig, ms, out: Path) -> int:
     sim = build_sim(cfg)
-    paths = simulate(ms, sim, constant_law(ms.atoms))[0]
-    paths_to_csv(paths, out / "paths.csv", out / "flow.csv")
+    paths, moments = paths_to_csv(ms, sim, constant_law(ms.atoms),
+                                  out / "paths.csv", out / "flow.csv")
     lines = _report_head(cfg)
     lines.append("scheme reflected_projected" if sim.penalty is None
                  else f"scheme penalized_splitting  penalty {sim.penalty}")
     lines.append(f"particles {paths.n_particles}  steps {paths.n_steps}"
                  f"  dt {_ff(sim.dt)}")
-    moments = moment_summary(paths)
     lines += [f"{key} {_ff(val)}" for key, val in moments.items()]
     cost = paths.cost
     lines += [

@@ -291,8 +291,9 @@ def _validate_builds(cfg: RunConfig) -> None:
                 raise _invalid(cfg, f"[sim] needs key {key!r}", "sim")
         try:
             sim = build_sim(cfg)
-        except PenmfgError as exc:
-            raise _invalid(cfg, f"[sim] {exc}", "sim", "penalty") from exc
+        except PenmfgError as exc:  # a SimConfig error starts with its key
+            key = next((k for k in cfg.sim if str(exc).startswith(f"{k} ")), None)
+            raise _invalid(cfg, f"[sim] {exc}", "sim", key) from exc
         if needs_sim:
             try:
                 _n_steps(ms, sim.dt)

@@ -34,7 +34,13 @@ import numpy as np
 from . import model as model_mod
 from .controls import NodeTable, chattered_indices
 from .errors import ConfigError, GridError
-from .measures import EmpiricalMeasure, MeasureFlow, format_float, write_csv_steps
+from .measures import (
+    EmpiricalMeasure,
+    MeasureFlow,
+    format_float,
+    stored_steps,
+    write_csv_steps,
+)
 from .model import ModelSpec, penalized_running_cost, validate_penalty
 from .simulate import SimConfig, simulate
 
@@ -549,7 +555,9 @@ def value_to_csv(field: ValueField, path) -> None:
     xs = [f"x_{j + 1}" for j in range(nodes.shape[1])]
     u_index = np.vstack((field.argmin[:len(field.V) - 1], np.full((1, len(nodes)), -1)))
     heads = [",".join(map(format_float, row)) for row in nodes]
+    m = len(field.V)
     write_csv_steps([(path, ",".join(["t"] + xs + ["value", "u_index"]),
-                      list(map(format_float, field.times)), heads, 2)],
+                      lambda k: format_float(field.times[k]), heads, 2)],
                     (repr, "%d".__mod__),
-                    lambda k: np.column_stack((field.V[k], u_index[k])), len(field.V))
+                    stored_steps(lambda k: np.column_stack((field.V[k], u_index[k])),
+                                 m), m)

@@ -28,9 +28,12 @@ normalized measures on the product of time and control space.
 
 from __future__ import annotations
 
+import hashlib
+import logging
 import os
 import shutil
 import signal
+import warnings
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -140,69 +143,62 @@ def format_float(v: float) -> str:
 
 
 # The writer forks one helper for the second half of a table's steps.  A
-# fork, wait and append cost about 3-6 ms in a 60 MB CLI process on a 2-core
-# host, and the helper takes about 1 us of formatting per cell off the parent;
-# below this many formatted cells (about 50 ms of work) the saving is too
-# small against that fixed cost, and the writer stays serial.
+# fork, wait and append cost about 3-6 ms in a 40-60 MB CLI process on a
+# 2-core host, and the helper takes about 1 us of formatting per cell off the
+# parent; below this many formatted cells (about 50 ms of work) the saving is
+# too small against that fixed cost, and the writer stays serial.
 SPLIT_MIN_CELLS = 50_000
 
 
-def write_csv_steps(tables, formats, block, m: int) -> None:
-    """Write CSV files from one (N, C) block of cells per time step: table
-    ``(path, header, leads, row_heads, width)`` has as row i of step k
-    ``leads[k],row_heads[i],`` and cells ``block(k)[i, :width]`` for k in
-    range(m), column j made text by ``formats[j]`` only where its bits (not
-    value: ``0.0 == -0.0``) moved since the last step; the tables share these
-    strings.  A cell's text is the same whichever step formats it, so the
-    bytes never depend on how the steps are split.
+def write_csv_steps(tables, formats, produce, m: int):
+    """Write CSV files from one (N, C) block of cells per time step as a
+    producer makes them, and return what it returns: ``produce(emit)`` calls
+    ``emit(block)`` with the blocks of steps 0, 1, ..., m - 1 in turn.  Table
+    ``(path, header, lead, row_heads, width)`` has as row i of step k
+    ``lead(k),row_heads[i],`` and cells ``block[i, :width]``, column j made
+    text by ``formats[j]`` only where its bits (not value: ``0.0 == -0.0``)
+    moved since the last step; the tables share these strings.  A cell's text
+    is the same whichever step formats it, so the bytes never depend on how
+    the steps are split.
 
     Steps [m // 2, m) are written at the same time as the first half by one
-    forked helper process, into ``<path>.part`` beside each table; the helper
-    only formats and writes its parts (no BLAS, logging or atexit) and leaves
-    by ``os._exit``.  The parent writes the header and steps [0, m // 2),
-    waits for the helper, appends each part and removes it.  A failed helper
-    raises OSError; if the parent's half raises, the helper is killed and
-    reaped and the parts removed before the error propagates.  The writer
-    stays serial without ``os.fork``, on one usable CPU, below two steps or
-    below SPLIT_MIN_CELLS formatted cells.  The helper's CPU time and memory
-    count in RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF.
+    forked helper process, into ``<path>.part`` beside each table.  The helper
+    replays ``produce`` from step 0, so a producer must make the same blocks
+    in every process (a run's draws come from counter-based streams and the
+    model callbacks are pure).  It formats and writes only its half, with
+    warnings and logging off and no atexit of its own, sends the sha256 of
+    that half's blocks, or its error, down a pipe and leaves by
+    ``os._exit``.  The parent writes the header and steps [0, m // 2),
+    hashes the blocks of the rest, waits for the helper, and appends each
+    part once the two digests agree; a failed helper or a replay that
+    differs raises OSError.  On any error the helper is killed and reaped,
+    and the parts and the tables removed, before the error propagates.  The writer stays serial without ``os.fork``, on one
+    usable CPU, below two steps or below SPLIT_MIN_CELLS formatted cells.
+    The helper's CPU time and memory count in RUSAGE_CHILDREN, not in the
+    parent's RUSAGE_SELF.
     """
     paths = [path for path, *_ in tables]
     cells = m * len(tables[0][3]) * len(formats)  # steps x rows x formatted columns
-    if (m < 2 or cells < SPLIT_MIN_CELLS or not hasattr(os, "fork")
-            or _usable_cpus() < 2):
-        _write_steps(paths, tables, formats, block, range(m))
-        return
-    half = m // 2
-    parts = [f"{path}.part" for path in paths]
-    pid = os.fork()
-    if pid == 0:  # the helper: never returns into the caller's stack
-        code = 1
-        try:
-            _write_steps(parts, tables, formats, block, range(half, m))
-            code = 0
-        except BaseException as exc:
-            os.write(2, f"CSV helper: {exc!r}\n".encode())
-        finally:
-            os._exit(code)
     try:
-        try:
-            _write_steps(paths, tables, formats, block, range(half))
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            raise OSError(f"CSV helper writing {parts[0]} failed "
-                          f"(exit status {os.waitstatus_to_exitcode(status)})")
-        for path, part in zip(paths, parts):
-            with open(part, "rb") as src, open(path, "ab") as dst:
-                shutil.copyfileobj(src, dst)
-    finally:
-        for part in parts:
+        if (m < 2 or cells < SPLIT_MIN_CELLS or not hasattr(os, "fork")
+                or _usable_cpus() < 2):
+            with ExitStack() as stack:
+                return produce(_emitter(stack, paths, tables, formats, range(m)))
+        return _split_write(paths, tables, formats, produce, m)
+    except BaseException:
+        for path in paths:
             with suppress(FileNotFoundError):
-                os.remove(part)
+                os.remove(path)
+        raise
+
+
+def stored_steps(block, m: int):
+    """The `write_csv_steps` producer of blocks already held: ``block(k)``
+    for k in range(m)."""
+    def produce(emit):
+        for k in range(m):
+            emit(block(k))
+    return produce
 
 
 def _usable_cpus() -> int:
@@ -212,45 +208,110 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_steps(paths, tables, formats, block, steps: range) -> None:
-    """Rows of ``steps`` for each table into ``paths``, headed when the range
-    starts at step 0; every cell of the first step in range is formatted."""
+def _split_write(paths, tables, formats, produce, m: int):
+    """`write_csv_steps` with the helper writing steps [m // 2, m)."""
+    theirs = range(m // 2, m)
+    parts = [f"{path}.part" for path in paths]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the helper: never returns into the caller's stack
+        code = 1
+        try:
+            os.close(read_fd)
+            # the parent's run reports each warning and log line once
+            logging.disable(logging.CRITICAL)
+            warnings.simplefilter("ignore")
+            digest = hashlib.sha256()
+            try:
+                with ExitStack() as stack:
+                    produce(_emitter(stack, parts, tables, formats, theirs,
+                                     digest, theirs))
+                message, code = digest.digest(), 0
+            except BaseException as exc:
+                message = repr(exc).encode()
+            os.write(write_fd, message)
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        digest = hashlib.sha256()
+        try:
+            with ExitStack() as stack:
+                result = produce(_emitter(stack, paths, tables, formats,
+                                          range(theirs.start), digest, theirs))
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            with os.fdopen(read_fd, "rb") as pipe:  # EOF once the helper is gone
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(f"CSV helper writing {parts[0]} failed (exit status "
+                          f"{os.waitstatus_to_exitcode(status)}): "
+                          f"{message.decode(errors='replace')}")
+        if message != digest.digest():
+            raise OSError(f"CSV helper's replay of steps [{theirs.start}, {m}) "
+                          f"differs from the run written to {paths[0]}")
+        for path, part in zip(paths, parts):
+            with open(part, "rb") as src, open(path, "ab") as dst:
+                shutil.copyfileobj(src, dst)
+        return result
+    finally:
+        for part in parts:
+            with suppress(FileNotFoundError):
+                os.remove(part)
+
+
+def _emitter(stack, paths, tables, formats, writes: range, digest=None,
+             hashed: range = range(0)):
+    """An ``emit(block)`` for the blocks of steps 0, 1, ...: writes the rows
+    of the steps in ``writes`` into ``paths`` (opened now, and headed when
+    ``writes`` starts at step 0; every cell of its first step is formatted)
+    and feeds the blocks of the steps in ``hashed`` to ``digest``."""
     ufuncs = [np.frompyfunc(fmt, 1, 1) for fmt in formats]  # fed Python floats
-    with ExitStack() as stack:
-        outs = []
-        for path, (_, header, leads, row_heads, width) in zip(paths, tables):
-            fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-            if steps.start == 0:
-                fh.write(header + "\n")
-            cells = [None, ","] * (width - 1) + [None, "\n"]  # (cell, separator) pairs
-            parts = [p for head in row_heads for p in (None, f",{head},", *cells)]
-            outs.append((fh, parts, leads, width))
-        bits = None
-        for k in steps:
-            cur = np.asarray(block(k), dtype=float)
+    outs = []
+    for path, (_, header, lead, row_heads, width) in zip(paths, tables):
+        fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+        if writes.start == 0:
+            fh.write(header + "\n")
+        cells = [None, ","] * (width - 1) + [None, "\n"]  # (cell, separator) pairs
+        parts = [p for head in row_heads for p in (None, f",{head},", *cells)]
+        outs.append((fh, parts, lead, width))
+    k, bits, strs = 0, None, None
+
+    def emit(block):
+        nonlocal k, bits, strs
+        cur = np.ascontiguousarray(block, dtype=float)
+        if k in hashed:
+            digest.update(cur)
+        if k in writes:
             old, bits = bits, cur.view(np.int64)
             if old is None:  # every bit of ~bits differs: format all cells
                 strs, old = np.empty(cur.shape, dtype=object), ~bits
             for j, ufunc in enumerate(ufuncs):
                 ufunc(cur[:, j], out=strs[:, j], where=bits[:, j] != old[:, j])
-            for fh, parts, leads, width in outs:
-                parts[::2 + 2 * width] = [leads[k]] * len(strs)
+            for fh, parts, lead, width in outs:
+                parts[::2 + 2 * width] = [lead(k)] * len(strs)
                 for j in range(width):
                     parts[2 + 2 * j::2 + 2 * width] = strs[:, j].tolist()
                 fh.write("".join(parts))
+        k += 1
+
+    return emit
 
 
-def flow_table(path, n_frames: int, n: int, dim: int) -> tuple:
+def flow_table(path, n: int, dim: int) -> tuple:
     """flow.csv rows (t_index, particle_index, x_1..x_d) as a table."""
     head = ",".join(["t_index", "particle_index"] + [f"x_{j + 1}" for j in range(dim)])
-    return path, head, [str(k) for k in range(n_frames)], list(range(n)), dim
+    return path, head, str, range(n), dim
 
 
 def flow_to_csv(flow: MeasureFlow, path) -> None:
     """Write a flow as CSV rows (t_index, particle_index, x_1..x_d)."""
-    write_csv_steps([flow_table(path, len(flow.frames), flow.n, flow.dim)],
-                    (repr,) * flow.dim, lambda k: flow.frames[k].samples,
-                    len(flow.frames))
+    m = len(flow.frames)
+    write_csv_steps([flow_table(path, flow.n, flow.dim)], (repr,) * flow.dim,
+                    stored_steps(lambda k: flow.frames[k].samples, m), m)
 
 
 @dataclass(eq=False)

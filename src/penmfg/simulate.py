@@ -14,8 +14,9 @@ defines K^n, so K^n - K = X - X^n on common noise.  A run is one
 measure it summed as it stepped, reading each step's controls once, in the
 sampler.  ``keep_paths`` decides only whether it also stores K and its
 running total variation |K|, which the path readers (`evaluate_cost`
-without ``penalty``, `martingale_residual`, `moment_summary`,
-`paths_to_csv`) need; they refuse a run without them with a PenmfgError.
+without ``penalty``, `martingale_residual`) need; they refuse a run without
+them with a PenmfgError.  A run fed to a per-step hook stores no paths at
+all: `paths_to_csv` streams the `simulate` command's run that way.
 """
 
 from __future__ import annotations
@@ -69,11 +70,12 @@ class Run:
     ``cost`` (its `CostReport` under the flow it saw: the frozen flow, or its
     own cloud) and ``controls`` (its realized `TimedControlMeasure`) are
     summed as it steps.  K, the shape of X with K[0] = 0, and Kvar, the
-    nondecreasing running |K| (M+1, N), are None unless kept with the paths.
+    nondecreasing running |K| (M+1, N), are None unless kept with the paths;
+    X is None too in a run that was streamed to a per-step hook.
     """
 
     times: np.ndarray
-    X: np.ndarray
+    X: Optional[np.ndarray]
     law: object
     cost: CostReport
     controls: TimedControlMeasure
@@ -82,10 +84,12 @@ class Run:
 
     @property
     def n_steps(self) -> int:
-        return self.X.shape[0] - 1
+        return self.times.size - 1
 
     @property
     def n_particles(self) -> int:
+        if self.X is None:  # a streamed run: one cost per particle
+            return self.cost.per_particle.size
         return self.X.shape[1]
 
 
@@ -120,6 +124,11 @@ def _n_steps(ms: ModelSpec, dt: float) -> int:
     return m
 
 
+def _time_grid(ms: ModelSpec, dt: float) -> np.ndarray:
+    """A run's M+1 time nodes."""
+    return np.arange(_n_steps(ms, dt) + 1) * dt
+
+
 def _check_paths(paths: Run) -> None:
     """Refuse a run that was simulated without its K and |K|."""
     if paths.K is None or paths.Kvar is None:
@@ -137,7 +146,8 @@ def _check_grid(flow: MeasureFlow, times: np.ndarray, what: str) -> None:
 
 
 def simulate(ms: ModelSpec, cfg: SimConfig, law,
-             frozen_flow: Optional[MeasureFlow] = None, keep_paths: bool = True):
+             frozen_flow: Optional[MeasureFlow] = None, keep_paths: bool = True,
+             on_step: Optional[Callable] = None):
     """Run the particle system; returns (run, MeasureFlow).
 
     The coefficients see the simulated cloud itself, or the frames of
@@ -149,56 +159,66 @@ def simulate(ms: ModelSpec, cfg: SimConfig, law,
     seeds share their randomness across schemes and penalty levels.
 
     The run is one :class:`Run`, which stores K and |K| only with
-    ``keep_paths``; its X is the returned flow's buffer.
+    ``keep_paths``; its X is the returned flow's buffer.  With ``on_step``
+    it stores no paths whatever ``keep_paths`` says: ``on_step(x, k, kvar)``
+    is handed the frames of X, K and |K| at nodes 0, 1, ..., M in turn, and
+    the run comes back with X None and no flow (None).
     """
     if not isinstance(law, NodeTable):  # refused before any of it is read
         raise PenmfgError(f"unknown control law {type(law).__name__}")
     atoms = law.atoms
-    m_steps = _n_steps(ms, cfg.dt)
+    times = _time_grid(ms, cfg.dt)
+    m_steps = times.size - 1
     n, d = cfg.n_particles, ms.dim
-    times = np.arange(m_steps + 1) * cfg.dt
 
     if frozen_flow is not None:
         _check_grid(frozen_flow, times, "frozen flow")
 
-    x = np.empty((m_steps + 1, n, d))
-    x[0] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
-
+    xs = k = kvar = k_now = None
+    if on_step is None:
+        xs = np.empty((m_steps + 1, n, d))
+        if keep_paths:
+            k, kvar = np.zeros((m_steps + 1, n, d)), np.zeros((m_steps + 1, n))
+    x = np.empty((n, d)) if xs is None else xs[0]
+    x[:] = ms.initial_law(n, stream(cfg.seed, INIT, 0))
     running, boundary, kv = np.zeros(n), np.zeros(n), np.zeros(n)
     mass = np.empty((m_steps, atoms.shape[0]))
-    k = kvar = None
-    if keep_paths:
-        k = np.zeros((m_steps + 1, n, d))
-        kvar = np.zeros((m_steps + 1, n))
+    if on_step is not None or k is not None:
+        k_now = np.zeros((n, d))  # K at the current node
+    if on_step is not None:
+        on_step(x, k_now, kv)
 
     for step in range(m_steps):
         t = times[step]
-        xk = x[step]
-        mu = EmpiricalMeasure(xk) if frozen_flow is None else frozen_flow.frames[step]
+        mu = EmpiricalMeasure(x) if frozen_flow is None else frozen_flow.frames[step]
         draws = stream(cfg.seed, CONTROL, step) if law.relaxed else None
-        c = sample_control(law, t, xk, draws)
+        c = sample_control(law, t, x, draws)
         xi = step_normals(cfg.seed, step, n, ms.noise_dim)
-        x_next, dk, dkvar = scheme_step(ms, cfg, t, xk, mu, c.u, xi)
+        x_next, dk, dkvar = scheme_step(ms, cfg, t, x, mu, c.u, xi)
         if not np.isfinite(x_next).all():
             bad = ~np.isfinite(x_next).all(axis=-1)
             raise DivergenceError(step + 1, np.flatnonzero(bad))
-        x[step + 1] = x_next
         # (kv + dkvar) - kv, not dkvar: the bits of a recorded |K| increment
         kv_next = kv + dkvar
-        _add_step_cost(ms, running, boundary, t, times[step + 1] - t, xk, mu,
-                       _control_average(ms.running_cost, t, xk, mu, atoms, c),
+        _add_step_cost(ms, running, boundary, t, times[step + 1] - t, x, mu,
+                       _control_average(ms.running_cost, t, x, mu, atoms, c),
                        kv_next - kv)
         kv = kv_next
         mass[step] = c.mass
-        if keep_paths:
-            k[step + 1] = k[step] + dk
-            kvar[step + 1] = kv
+        x = x_next
+        if k_now is not None:
+            k_now = k_now + dk
+        if on_step is not None:
+            on_step(x, k_now, kv)
+        else:
+            xs[step + 1] = x
+        if k is not None:
+            k[step + 1], kvar[step + 1] = k_now, kv
 
-    flow = flow_from_states(times, x)
-    seen = flow if frozen_flow is None else frozen_flow
-    cost = _cost_report(ms, running, boundary, x[-1], seen.frames[-1])
-    return Run(times, x, law, cost, TimedControlMeasure(times, atoms, mass),
-               k, kvar), flow
+    mu = EmpiricalMeasure(x) if frozen_flow is None else frozen_flow.frames[-1]
+    cost = _cost_report(ms, running, boundary, x, mu)
+    return Run(times, xs, law, cost, TimedControlMeasure(times, atoms, mass),
+               k, kvar), None if xs is None else flow_from_states(times, xs)
 
 
 def _control_average(fn: Callable, t: float, x: np.ndarray, mu: EmpiricalMeasure,
@@ -346,33 +366,44 @@ def martingale_residual(ms: ModelSpec, paths: Run, flow: MeasureFlow,
     )
 
 
-def moment_summary(paths: Run) -> dict:
-    """Pathwise second-moment summary: sup-norms of X and K, total variation.
+def paths_to_csv(ms: ModelSpec, sim: SimConfig, law, paths_csv, flow_csv):
+    """Simulate ``law`` and stream the run into paths.csv rows (t, particle,
+    x_*, k_*, kvar) and the flow.csv of X as it steps; returns (run, moments).
 
-    The per-particle sups are running maxima over one frame's `row_norm` at
-    a time, so the only temporaries are a few N-vectors; a max is exact and
-    `row_norm` has the bits of ``np.linalg.norm``, so the means are those of
-    the whole-array formula.
+    The run stores no paths (see `simulate`'s ``on_step``).  The moments
+    are the pathwise second-moment summary: the particle means of sup_t |X|^2,
+    sup_t |K|^2 and the final |K|.  The sups are running maxima over one
+    frame's `row_norm` at a time; a max is exact and `row_norm` has the bits
+    of ``np.linalg.norm``, so the means are those of the whole-array formula.
+    A forked CSV helper replays the same run (`write_csv_steps`).
     """
-    _check_paths(paths)
-    sup_x, sup_k = row_norm(paths.X[0]), row_norm(paths.K[0])
-    for k in range(1, paths.n_steps + 1):
-        np.maximum(sup_x, row_norm(paths.X[k]), out=sup_x)
-        np.maximum(sup_k, row_norm(paths.K[k]), out=sup_k)
-    return {
-        "sup_x_sq": float(np.mean(sup_x ** 2)),
-        "sup_k_sq": float(np.mean(sup_k ** 2)),
-        "kvar_total": float(np.mean(paths.Kvar[-1])),
-    }
+    n = sim.n_particles
+    times = _time_grid(ms, sim.dt)
+    tables, formats = _paths_tables(paths_csv, flow_csv, times, n, ms.dim)
+
+    def produce(emit):
+        sup_x, sup_k, kvar_end = np.zeros(n), np.zeros(n), None
+
+        def on_step(x, k, kvar):
+            nonlocal kvar_end
+            np.maximum(sup_x, row_norm(x), out=sup_x)
+            np.maximum(sup_k, row_norm(k), out=sup_k)
+            kvar_end = kvar
+            emit(np.column_stack((x, k, kvar)))
+
+        run = simulate(ms, sim, law, on_step=on_step)[0]
+        return run, {
+            "sup_x_sq": float(np.mean(sup_x ** 2)),
+            "sup_k_sq": float(np.mean(sup_k ** 2)),
+            "kvar_total": float(np.mean(kvar_end)),
+        }
+
+    return write_csv_steps(tables, formats, produce, times.size)
 
 
-def paths_to_csv(paths: Run, paths_csv, flow_csv) -> None:
-    """Write paths.csv rows (t, particle, x_*, k_*, kvar) and the flow.csv of X."""
-    _check_paths(paths)
-    m, n, d = paths.X.shape
+def _paths_tables(paths_csv, flow_csv, times: np.ndarray, n: int, d: int):
+    """`paths_to_csv`'s two tables of (x, k, kvar) blocks, and their formats."""
     cols = ["t", "particle", *(f"{c}_{j + 1}" for c in "xk" for j in range(d)), "kvar"]
-    leads = list(map(format_float, paths.times))
-    table = paths_csv, ",".join(cols), leads, list(range(n)), 2 * d + 1
-    write_csv_steps([table, flow_table(flow_csv, m, n, d)], (repr,) * (2 * d + 1),
-                    lambda k: np.column_stack((paths.X[k], paths.K[k], paths.Kvar[k])),
-                    m)
+    paths = (paths_csv, ",".join(cols), lambda k: format_float(times[k]),
+             range(n), 2 * d + 1)
+    return [paths, flow_table(flow_csv, n, d)], (repr,) * (2 * d + 1)

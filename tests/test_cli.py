@@ -1,5 +1,6 @@
 """Command line front end: artifacts, exit codes, byte-stable reruns."""
 
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import scipy
 
 from penmfg import cli, measures
+from penmfg import simulate as simulate_mod
 from penmfg.cli import main
 from penmfg.config import build_model, build_sim, parse_config_file
 from penmfg.controls import constant_law
@@ -265,13 +267,63 @@ def test_diagnose_command(tmp_path):
 
 def test_failed_csv_helper_exits_one(tmp_path, capsys, monkeypatch, split_writes):
     """A split write whose helper cannot open its part is an i/o error, and
-    leaves neither a .part file nor a child process."""
+    leaves no partial CSV, no .part file and no child process."""
     monkeypatch.setattr(measures, "open", refuse_parts, raising=False)
     out = tmp_path / "x"
     assert run_cli("simulate", "--config", write_cfg(tmp_path), "--out", str(out)) == 1
     assert "i/o error" in capsys.readouterr().err
     assert split_writes
     assert_no_helper_left(out)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_simulate_that_diverges_late_leaves_only_the_manifest(tmp_path, capsys,
+                                                              monkeypatch, request,
+                                                              split):
+    """A run that leaves the reals part-way, after both halves of a split
+    write have started, exits 1 with its error and leaves no partial CSV,
+    no .part file and no child process."""
+    forks = request.getfixturevalue("split_writes") if split else []
+    step = simulate_mod.scheme_step
+
+    def diverging(ms, sim, t, *args):
+        x_next, dk, dkvar = step(ms, sim, t, *args)
+        if t >= 0.2:  # the run's ninth of ten steps
+            x_next = np.where(x_next > 0.5, np.nan, x_next)
+        return x_next, dk, dkvar
+
+    monkeypatch.setattr(simulate_mod, "scheme_step", diverging)
+    out = tmp_path / "x"
+    assert run_cli("simulate", "--config", write_cfg(tmp_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite state at step 9 ") and err.count("\n") == 1
+    assert len(forks) == split
+    assert_no_helper_left(out)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+
+
+def test_simulate_whose_replay_differs_exits_one(tmp_path, capsys, monkeypatch,
+                                                 split_writes):
+    """A helper whose replay drifts from the parent's run (here a drift that
+    reads the process id) is an i/o error that leaves no partial CSV, no
+    .part file and no child process."""
+    parent, build = os.getpid(), cli.build_model
+
+    def drifting_model(cfg):
+        ms = build(cfg)
+        drift = ms.drift
+        ms = replace(ms, drift=lambda t, x, mu, u: drift(t, x, mu, u)
+                     + 1e-9 * (os.getpid() != parent))
+        return ms
+
+    monkeypatch.setattr(cli, "build_model", drifting_model)
+    out = tmp_path / "x"
+    assert run_cli("simulate", "--config", write_cfg(tmp_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("i/o error: CSV helper's replay")
+    assert split_writes
+    assert_no_helper_left(out)
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
 
 
 @pytest.mark.parametrize("after, entry, section", [

@@ -153,6 +153,25 @@ def test_scheme_is_an_unknown_sim_key():
     assert "unknown key 'scheme' in [sim]" in str(err.value)
 
 
+@pytest.mark.parametrize("entry, line, message", [
+    ("n_particles = 0", 26, "n_particles must be at least 1"),
+    ("dt = -0.001", 27, "dt must be positive and finite"),
+])
+def test_sim_errors_cite_the_key_they_name(entry, line, message):
+    text = (CONFIGS / "half_line_bm.cfg").read_text(encoding="utf-8")
+    key = entry.split()[0]
+    bad = "\n".join(entry if row.startswith(f"{key} =") else row
+                    for row in text.splitlines())
+    assert bad.splitlines()[line - 1] == entry
+    with pytest.raises(ConfigError) as err:
+        parse_config(bad)
+    assert str(err.value) == f"line {line}: [sim] {message}"
+    override = f"sim.{key}={entry.split()[-1]}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, [override])
+    assert str(err.value) == f"override {override!r}: [sim] {message}"
+
+
 def test_type_mismatch_cites_the_line():
     bad = MINIMAL.replace("dt = 0.05", "dt = fast")
     with pytest.raises(ConfigError, match="float") as err:

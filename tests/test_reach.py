@@ -38,6 +38,8 @@ UNREACHED = {
     "model.py:_uniform_box_law.law": "config-reachable: init = uniform_box",
     "model.py:_reflected_ou_mf": ("config-reachable preset; acceptance"
                                   " criterion 6 runs it"),
+    "simulate.py:_check_paths": ("the path readers' refusal of a run kept"
+                                 " without K and |K|; acceptance criteria 5, 6 and 10"),
     "simulate.py:_stepwise_cost": ("the path readers' per-step control average;"
                                    " acceptance criteria 5, 6 and 10"),
     "simulate.py:evaluate_cost": REFERENCE,

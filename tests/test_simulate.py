@@ -19,6 +19,7 @@ from penmfg.measures import (
     flow_from_states,
     flow_to_csv,
     format_float,
+    stored_steps,
     write_csv_steps,
 )
 from penmfg.model import linear_probe, quadratic_probe
@@ -27,7 +28,6 @@ from penmfg.simulate import (
     SimConfig,
     evaluate_cost,
     martingale_residual,
-    moment_summary,
     paths_to_csv,
     scheme_step,
     simulate,
@@ -164,9 +164,6 @@ READERS = {
     "evaluate_cost": lambda ms, run, flow, out: evaluate_cost(ms, run, flow),
     "martingale_residual": lambda ms, run, flow, out: martingale_residual(
         ms, run, flow, linear_probe([1.0])),
-    "moment_summary": lambda ms, run, flow, out: moment_summary(run),
-    "paths_to_csv": lambda ms, run, flow, out: paths_to_csv(
-        run, out / "paths.csv", out / "flow.csv"),
 }
 
 
@@ -584,7 +581,7 @@ def test_detects_wrong_generator():
 
 
 def whole_array_moments(paths):
-    """The whole-array formula that `moment_summary` folds frame by frame."""
+    """The whole-array formula that `paths_to_csv` folds frame by frame."""
     return {
         "sup_x_sq": float((np.linalg.norm(paths.X, axis=-1).max(axis=0) ** 2).mean()),
         "sup_k_sq": float((np.linalg.norm(paths.K, axis=-1).max(axis=0) ** 2).mean()),
@@ -592,12 +589,18 @@ def whole_array_moments(paths):
     }
 
 
-def test_moment_summary_keys_and_scale():
+def streamed_moments(ms, cfg, tmp_path):
+    """The moments `paths_to_csv` folds as it streams a run of null_law."""
+    return paths_to_csv(ms, cfg, null_law(), tmp_path / "p.csv",
+                        tmp_path / "f.csv")[1]
+
+
+def test_moment_summary_keys_and_scale(tmp_path):
     ms = quiet_model(sigma=1.0, x0=0.5)
     for penalty in (64, None):
-        paths, _ = simulate(ms, SimConfig(n_particles=256, dt=0.02,
-                                          penalty=penalty, seed=6), null_law())
-        summary = moment_summary(paths)
+        cfg = SimConfig(n_particles=256, dt=0.02, penalty=penalty, seed=6)
+        paths, _ = simulate(ms, cfg, null_law())
+        summary = streamed_moments(ms, cfg, tmp_path)
         assert paths.K.any()
         assert summary == whole_array_moments(paths), penalty
         assert summary["sup_x_sq"] >= 0.25  # at least the initial point
@@ -607,43 +610,51 @@ def test_moment_summary_keys_and_scale():
         assert np.all(sup_k <= paths.Kvar[-1] + 1e-12), penalty
 
 
-def test_moment_summary_has_the_whole_array_bits_on_a_ball():
+def test_moment_summary_has_the_whole_array_bits_on_a_ball(tmp_path):
     """In 2-D the per-frame norm sums two squares; K moves on both axes."""
     ms = drifted_model([0.5, -0.5], dom=domain.ball([0.0, 0.0], 1.0), sigma=0.8,
                        x0=[0.6, -0.6])
-    paths, _ = simulate(ms, SimConfig(n_particles=300, dt=0.01, seed=9),
-                        null_law())
+    cfg = SimConfig(n_particles=300, dt=0.01, seed=9)
+    paths, _ = simulate(ms, cfg, null_law())
     assert np.all(np.abs(paths.K).max(axis=(0, 1)) > 0)
-    assert moment_summary(paths) == whole_array_moments(paths)
+    assert streamed_moments(ms, cfg, tmp_path) == whole_array_moments(paths)
 
 
-def test_moment_summary_of_a_run_that_never_pushes():
+def test_moment_summary_of_a_run_that_never_pushes(tmp_path):
     ms = quiet_model(x0=0.5)
-    paths, _ = simulate(ms, SimConfig(n_particles=50, dt=0.05, penalty=8),
-                        null_law())
+    cfg = SimConfig(n_particles=50, dt=0.05, penalty=8)
+    paths, _ = simulate(ms, cfg, null_law())
     assert not paths.K.any()
-    summary = moment_summary(paths)
+    summary = streamed_moments(ms, cfg, tmp_path)
     assert summary == whole_array_moments(paths)
     assert summary["sup_k_sq"] == summary["kvar_total"] == 0.0
 
 
-def test_simulate_command_peaks_at_its_paths_plus_frames(tmp_path):
-    """In process, `simulate` at 500 particles holds X, K and |K| (11.5 MiB)
-    and per-frame temporaries; whole-path norms would double its peak.  A
-    forked CSV helper's memory is not traced, and the serial writer works
-    frame by frame, so the bound holds on any CPU count."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        status = cli.main(["simulate", "--config", str(CONFIGS / "half_line_bm.cfg"),
-                           "--out", str(tmp_path / "out"),
-                           "--override", "sim.n_particles=500"])
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert status == 0
-    paths_bytes = 3 * 1001 * 500 * 8  # X and K (M+1, N, 1) and |K| (M+1, N)
-    assert peak <= 1.25 * paths_bytes, peak / paths_bytes
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_simulate_command_peak_does_not_grow_with_the_steps(tmp_path, request,
+                                                            split):
+    """The `simulate` command streams its run into its CSVs, so its traced
+    peak is a few frames' worth, the same at 1001 and at 2001 time nodes and
+    below the size of one run's X.  A forked CSV helper's memory is not
+    traced, so the bound holds on any CPU count."""
+    if split:
+        request.getfixturevalue("split_writes")
+    n, peaks = 500, []
+    for dt in ("0.001", "0.0005"):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            status = cli.main([
+                "simulate", "--config", str(CONFIGS / "half_line_bm.cfg"),
+                "--out", str(tmp_path / dt), "--override", f"sim.n_particles={n}",
+                "--override", f"sim.dt={dt}"])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+    x_bytes = 1001 * n * 8  # X (M+1, N, 1) of the shorter run
+    assert max(peaks) <= 1.1 * min(peaks), peaks
+    assert max(peaks) < x_bytes, max(peaks) / x_bytes
 
 
 # Floats whose shortest repr is easy to get wrong: signed zero, subnormal,
@@ -712,12 +723,21 @@ def csv_cases(paths):
         yield moving, flow_from_states(moving.times, x)
 
 
+def write_bundle(paths, paths_csv, flow_csv):
+    """`paths_to_csv`'s two tables, written from a stored (X, K, Kvar) bundle."""
+    m, n, d = paths.X.shape
+    tables, formats = simulate_mod._paths_tables(paths_csv, flow_csv, paths.times,
+                                                 n, d)
+    write_csv_steps(tables, formats, stored_steps(
+        lambda k: np.column_stack((paths.X[k], paths.K[k], paths.Kvar[k])), m), m)
+
+
 def assert_csv_exports(paths, flow, tmp_path):
-    """Both entry points, paths_to_csv and flow_to_csv, against the oracles;
-    a one-step bundle has no MeasureFlow (a flow needs two time nodes), so
-    it is given as None and only paths_to_csv runs."""
+    """Both tables, paths.csv's and flow_to_csv's, against the oracles; a
+    one-step bundle has no MeasureFlow (a flow needs two time nodes), so
+    it is given as None and only the paths tables are written."""
     p, f, g = tmp_path / "a.csv", tmp_path / "f.csv", tmp_path / "g.csv"
-    paths_to_csv(paths, p, f)
+    write_bundle(paths, p, f)
     assert p.read_bytes() == reference_paths_csv(paths)
     frames = SimpleNamespace(dim=paths.X.shape[2],
                              frames=list(map(EmpiricalMeasure, paths.X)))
@@ -738,8 +758,8 @@ def test_csv_exports_are_deterministic(tmp_path, request):
                                          seed=8), null_law())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     f1, f2 = tmp_path / "f.csv", tmp_path / "g.csv"
-    paths_to_csv(paths, p1, f1)
-    paths_to_csv(paths, p2, f2)
+    write_bundle(paths, p1, f1)
+    write_bundle(paths, p2, f2)
     assert p1.read_bytes() == p2.read_bytes()
     assert f1.read_bytes() == f2.read_bytes()
     lines = p1.read_text().splitlines()
@@ -750,7 +770,7 @@ def test_csv_exports_are_deterministic(tmp_path, request):
     assert len(flines) == 1 + 5 * 5
     assert_csv_exports(paths, flow, tmp_path)
     # strings reused between steps: signed-zero flips, held-then-moved
-    # cells and an unchanged step, written by both entry points
+    # cells and an unchanged step, written by both tables
     cases = list(csv_cases(paths))
     for bundle, bundle_flow in cases:
         assert_csv_exports(bundle, bundle_flow, tmp_path)
@@ -765,6 +785,13 @@ def test_csv_exports_are_deterministic(tmp_path, request):
     for bundle, bundle_flow in cases:
         assert_csv_exports(bundle, bundle_flow, tmp_path)
     assert len(forks) == 2 * (len(cases) - len(two))  # one step: serial
+    # the run streamed by paths_to_csv, its helper replaying the run
+    run = paths_to_csv(ms, SimConfig(n_particles=5, dt=0.25, penalty=4, seed=8),
+                       null_law(), p1, f1)[0]
+    assert p1.read_bytes() == reference_paths_csv(paths)
+    assert f1.read_bytes() == reference_flow_csv(flow)
+    assert run.X is None and (run.n_particles, run.n_steps) == (5, 4)
+    assert len(forks) == 2 * (len(cases) - len(two)) + 1
     assert not list(tmp_path.glob("*.part"))
 
 
@@ -783,22 +810,26 @@ def assert_no_helper_left(out_dir):
 
 def test_split_write_failures_leave_no_helper_or_part(tmp_path, monkeypatch,
                                                       split_writes):
-    table = [(tmp_path / "t.csv", "t,i,x", list("0123"), [0, 1, 2], 1)]
-
-    def block(k):
-        return np.full((3, 1), 0.5 * k)
+    """A failed split write raises in the parent, and leaves neither the
+    table, a .part file nor a child process."""
+    table = [(tmp_path / "t.csv", "t,i,x", str, [0, 1, 2], 1)]
+    blocks = stored_steps(lambda k: np.full((3, 1), 0.5 * k), 4)
 
     # a helper that cannot open its part: OSError in the parent
     with monkeypatch.context() as m:
         m.setattr(measures, "open", refuse_parts, raising=False)
-        with pytest.raises(OSError, match="CSV helper"):
-            write_csv_steps(table, (repr,), block, 4)
+        with pytest.raises(OSError, match="CSV helper .* failed .*PermissionError"):
+            write_csv_steps(table, (repr,), blocks, 4)
     assert_no_helper_left(tmp_path)
-    # the parent's half fails while the helper is still busy: the helper is
-    # killed, not waited out, and the parent's error propagates
-    def parent_fails(k):
-        if k >= 2:
+    assert not any(tmp_path.iterdir())
+    # the parent's run fails while the helper's replay is still busy: the
+    # helper is killed, not waited out, and the parent's error propagates
+    parent = os.getpid()
+
+    def parent_fails(emit):
+        if os.getpid() != parent:
             time.sleep(30)
+        emit(np.zeros((3, 1)))
         raise ValueError("bad block")
 
     start = time.perf_counter()
@@ -806,10 +837,23 @@ def test_split_write_failures_leave_no_helper_or_part(tmp_path, monkeypatch,
         write_csv_steps(table, (repr,), parent_fails, 4)
     assert time.perf_counter() - start < 10
     assert_no_helper_left(tmp_path)
-    write_csv_steps(table, (repr,), block, 4)
+    assert not any(tmp_path.iterdir())
+    assert write_csv_steps(table, (repr,), blocks, 4) is None
     assert (tmp_path / "t.csv").read_text() == "".join(
         ["t,i,x\n"] + [f"{k},{i},{0.5 * k!r}\n" for k in range(4) for i in range(3)])
     assert len(split_writes) == 3
+
+
+def test_split_write_refuses_a_replay_that_differs(tmp_path, split_writes):
+    """A helper whose replay makes other blocks than the parent's run is an
+    OSError, and leaves neither the table, a .part file nor a child."""
+    table = [(tmp_path / "t.csv", "t,i,x", str, [0, 1, 2], 1)]
+    parent = os.getpid()
+    blocks = stored_steps(lambda k: np.full((3, 1), k + (os.getpid() != parent)), 4)
+    with pytest.raises(OSError, match=r"replay of steps \[2, 4\) differs"):
+        write_csv_steps(table, (repr,), blocks, 4)
+    assert_no_helper_left(tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------------ lean runs
@@ -826,7 +870,8 @@ def charged_model(d):
     )
 
 
-@pytest.mark.parametrize("keep_paths", [True, False], ids=["kept", "lean"])
+@pytest.mark.parametrize("keep_paths", [True, False, None],
+                         ids=["kept", "lean", "streamed"])
 @pytest.mark.parametrize("frozen", [False, True], ids=["self", "frozen"])
 @pytest.mark.parametrize("relaxed", [False, True], ids=["strict", "relaxed"])
 @pytest.mark.parametrize("d", [1, 2])
@@ -835,15 +880,20 @@ def test_run_sums_what_the_path_readers_read(penalty, d, relaxed, frozen,
                                              keep_paths):
     """A run's cost and realized control measure are, bit for bit,
     evaluate_cost and the reference control-measure reader on the kept run
-    of the same law, flow and seed; a lean run keeps no K or |K|."""
+    of the same law, flow and seed; a lean run keeps no K or |K|, and a
+    streamed one (keep_paths None here: an on_step hook) hands its hook the
+    kept run's frames and keeps no path at all."""
     ms = charged_model(d)
     cfg = SimConfig(n_particles=96, dt=0.05, penalty=penalty, seed=17)
     law = (state_mixture(ms, cfg.dt) if relaxed else tabulated_law(
         ms, cfg.dt, lambda t, x: (x[:, 0] > 0.4).astype(int) + (x[:, -1] > 0.6)))
     flow_in = simulate(ms, replace(cfg, seed=18), law)[1] if frozen else None
     paths, flow = simulate(ms, cfg, law, frozen_flow=flow_in)
+    frames = []
+    hook = None if keep_paths is not None else (
+        lambda *xkv: frames.append([a.copy() for a in xkv]))
     run, run_flow = simulate(ms, cfg, law, frozen_flow=flow_in,
-                             keep_paths=keep_paths)
+                             keep_paths=bool(keep_paths), on_step=hook)
     assert paths.Kvar[-1].max() > 0.0  # the boundary charge is exercised
     want = evaluate_cost(ms, paths, flow if flow_in is None else flow_in)
     got = run.cost
@@ -854,9 +904,14 @@ def test_run_sums_what_the_path_readers_read(penalty, d, relaxed, frozen,
     assert q_got.times.tobytes() == q_want.times.tobytes()
     assert q_got.atoms.tobytes() == q_want.atoms.tobytes()
     assert q_got.weights.tobytes() == q_want.weights.tobytes()
-    assert run.X.tobytes() == paths.X.tobytes()
-    assert run_flow.frames[3].samples.base is run.X  # X is the flow's buffer
     assert (run.n_particles, run.n_steps) == (96, 10)
+    if keep_paths is None:
+        assert run.X is None and run_flow is None
+        for got, want in zip(zip(*frames), (paths.X, paths.K, paths.Kvar)):
+            assert np.array(got).tobytes() == want.tobytes()
+    else:
+        assert run.X.tobytes() == paths.X.tobytes()
+        assert run_flow.frames[3].samples.base is run.X  # X is the flow's buffer
     if keep_paths:
         assert run.K.tobytes() == paths.K.tobytes()
         assert run.Kvar.tobytes() == paths.Kvar.tobytes()

@@ -173,12 +173,12 @@ def pad_for_penalty(grid: DPGrid, ms: ModelSpec, dt: float,
 
 
 def _sigma_scale(ms: ModelSpec, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Spectral-norm estimate of sigma at the box center, first control."""
+    """Spectral-norm estimate of sigma at the box center: the largest over
+    the control atoms, so a u-dependent sigma sizes the margin for its widest."""
     x = (0.5 * (lo + hi))[None, :]
-    mu = EmpiricalMeasure(x)
-    u = ms.atoms[:1]
-    sig = np.asarray(ms.diffusion(0.0, x, mu, u), dtype=float)[0]
-    return float(np.linalg.norm(sig, 2))
+    sig = ms.diffusion(0.0, np.repeat(x, len(ms.atoms), axis=0), EmpiricalMeasure(x),
+                       ms.atoms)
+    return float(max(np.linalg.norm(s, 2) for s in np.asarray(sig, dtype=float)))
 
 
 # ------------------------------------------------------------- chain build

@@ -36,18 +36,21 @@ they read the same normals.
 Every run here keeps no paths (``simulate(..., keep_paths=False)``): it
 stores X, which is its returned flow's buffer, and nothing else per
 particle-step, and the studies read the cost and realized control measure
-that every run sums as it steps, so no study keeps K or |K|.  A study holds
-one run at a time: each run and each returned flow that is not kept is
-dropped once its last reader is done, before the next ``simulate``
-allocates.  Peak memory is the interpreter, plus the noise block, plus the
-flows a study still reads, plus one run's X.
+that every run sums as it steps, so no study keeps K or |K|.  The strict
+study's closing runs (the relaxed reference and each chattered run) read
+nothing else, so they pass `simulate` a per-step hook that keeps nothing
+and store not even X.  A study holds one run at a time: each run and each
+returned flow that is not kept is dropped once its last reader is done,
+before the next ``simulate`` allocates.  Peak memory is the interpreter,
+plus the noise block, plus the flows a study still reads, plus one run's X.
 
 Inside a solve that is three flow-sized buffers: the noise block, the
-frozen iterate and one run's X.  A mix adds only a temporary of the
-ceil(theta N) kept paths, since it writes the next iterate into the X of
-the run it mixes in.  The last loop run and its flow are dropped before the
-exploitability rollout, which replays that run bit for bit; the rollout's
-realized flow is the report's ``flow``.
+frozen iterate and one run's X.  A mix writes the next iterate into the X
+of the run it mixes in, frame by frame, so it adds only one frame's kept
+paths; every flow is frame-major, each frame a C-contiguous block.  The
+last loop run and its flow are dropped before the exploitability rollout,
+which replays that run bit for bit; the rollout's realized flow is the
+report's ``flow``.
 """
 
 from __future__ import annotations
@@ -149,29 +152,23 @@ def _mix_flows(old: MeasureFlow, run: Run, theta: float,
     One particle permutation is shared by every time node, so mixed flows
     keep whole paths and stay coherent across time.
 
-    The mix is written into ``run``'s X buffer, which it consumes: the
-    ceil(theta N) kept paths are copied out into a temporary of that size
-    first, then the buffer is reread as (N, M+1, d) and filled with the kept
-    paths and the gathered old ones.  The frames are particle-major views of
-    it: row stride (M+1)·d elements, not C-contiguous.  Their ``mean`` is a
-    BLAS dot whose summation order, hence bits, follows that layout, so a
-    contiguous gather would move the residuals and costs in the last digits.
-    With theta = 1 the iterate is the run's own flow, in the run's layout.
+    The mix is written into ``run``'s X buffer, which it consumes, one frame
+    at a time: the frame's kept rows come first, then the gathered old ones.
+    It holds no more than one frame's kept rows besides, and every frame
+    stays a C-contiguous (N, d) block of X.  With theta = 1 the iterate is
+    the run's own flow.
     """
     n = run.n_particles
     take = int(np.ceil(theta * n - 1e-12))
-    if take >= n:
-        return flow_from_states(run.times, run.X)
-    idx_new = rng.permutation(n)[:take]
-    idx_old = rng.permutation(old.n)[: n - take]
-    kept = run.X[:, idx_new]
-    states = run.X.reshape(n, len(run.times), old.dim)
-    states[:take] = kept.transpose(1, 0, 2)
-    # permutation indices are in range; mode="clip" gathers straight into the
-    # strided slice, where the default mode="raise" buffers a copy first
-    for k, fr_old in enumerate(old.frames):
-        np.take(fr_old.samples, idx_old, axis=0, out=states[take:, k], mode="clip")
-    return flow_from_states(run.times, states.transpose(1, 0, 2))
+    if take < n:
+        idx_new = rng.permutation(n)[:take]
+        idx_old = rng.permutation(old.n)[: n - take]
+        for frame, fr_old in zip(run.X, old.frames):
+            frame[:take] = frame[idx_new]
+            # the indices are in range; mode="clip" gathers straight into
+            # the slice, where the default mode="raise" buffers a copy first
+            np.take(fr_old.samples, idx_old, axis=0, out=frame[take:], mode="clip")
+    return flow_from_states(run.times, run.X)
 
 
 @shared_noise()
@@ -360,6 +357,7 @@ def strict_approximation_run(ms: ModelSpec, cfg: FixedPointConfig, deltas,
 
 def _cost_and_controls(ms: ModelSpec, sim: SimConfig, law, flow: MeasureFlow
                        ) -> tuple[CostReport, TimedControlMeasure]:
-    """One run without paths under the frozen flow; the run and its X die on return."""
-    run = simulate(ms, sim, law, frozen_flow=flow, keep_paths=False)[0]
+    """One run under the frozen flow that stores not even X: its per-step
+    hook keeps nothing, since only the cost and controls it sums are read."""
+    run = simulate(ms, sim, law, frozen_flow=flow, on_step=lambda *frames: None)[0]
     return run.cost, run.controls

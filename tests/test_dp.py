@@ -154,6 +154,29 @@ def test_for_model_pads_penalized_box_on_grid():
                          hx=0.05)  # unbounded, no explicit bounds
 
 
+@pytest.mark.parametrize("atoms", [[[0.2], [0.6]], [[0.6], [0.2]]])
+def test_penalty_padding_follows_the_widest_control_sigma(atoms):
+    """With sigma = u the margin is sized for the atom 0.6, whichever atom
+    comes first: a narrower margin would cut off the wider control's
+    excursions."""
+    ms = model.ModelSpec(
+        dim=1, noise_dim=1, horizon=1.0, atoms=np.array(atoms),
+        drift=lambda t, x, mu, u: np.zeros_like(x),
+        diffusion=lambda t, x, mu, u: u[:, :, None].copy(),
+        running_cost=lambda t, x, mu, u: np.zeros(x.shape[0]),
+        boundary_cost=lambda t, x, mu: np.zeros(x.shape[0]),
+        terminal_cost=lambda x, mu: np.zeros(x.shape[0]),
+        initial_law=model._point_law(np.array([0.5])), dom=UNIT_BOX,
+    )
+    g = DPGrid.regular([0.0], [1.0], 0.001)
+    wide, narrow = (int(np.ceil(penalty_margin(sigma, 1e-3, 8) / g.hx - 1e-12))
+                    for sigma in (0.6, 0.2))
+    assert narrow < wide
+    g_pen = pad_for_penalty(g, ms, 1e-3, 8)
+    assert g_pen.lower[0] == pytest.approx(-wide * g.hx, abs=1e-12)
+    assert g_pen.upper[0] == pytest.approx(1.0 + wide * g.hx, abs=1e-12)
+
+
 # -------------------------------------------------------------- chain rows
 
 

@@ -233,12 +233,12 @@ def test_strict_approximation_refuses_before_its_base_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_mix_flows_frames_pin_the_particle_major_layout(dim):
-    """Mixed frames are views of the concatenated fancy-indexed stacks, and
-    each frame's mean keeps their bits: a contiguous gather would sum the
-    means in another order.  The mix consumes the run's X, so each oracle is
-    taken before its call.  A second mix reads a particle-major iterate;
-    with theta = 1 the iterate is the run's own time-major flow."""
+def test_mix_flows_frames_are_contiguous_blocks_of_the_run(dim):
+    """Each mixed frame is the C-contiguous frame of the run's X that the
+    mix consumes, holding the run's kept rows and then the gathered old
+    ones, and its mean has the bits of that contiguous cloud's.  The oracle
+    is built from copies taken before each call.  A second mix reads a mixed
+    iterate; with theta = 1 the iterate is the run's own flow."""
     r = np.random.default_rng(21)
     times = np.linspace(0.0, 0.5, 6)
 
@@ -248,23 +248,24 @@ def test_mix_flows_frames_pin_the_particle_major_layout(dim):
     def mixed_oracle(old, run, it):
         perm = stream(7, SUBSAMPLE, it)
         idx_new, idx_old = perm.permutation(1000)[:500], perm.permutation(1000)[:500]
-        return np.concatenate([run.X[:, idx_new], old.stack()[:, idx_old]], axis=1)
+        return np.ascontiguousarray(
+            np.concatenate([run.X[:, idx_new], old.stack()[:, idx_old]], axis=1))
 
-    def check(flow, want, strides):
+    def check(flow, run, want):
         for k, fr in enumerate(flow.frames):
-            assert fr.samples.strides == want[k].strides == strides
+            assert fr.samples.flags.c_contiguous and fr.samples.base is run.X
             assert fr.samples.tobytes() == want[k].tobytes()
             assert fr.mean.tobytes() == EmpiricalMeasure(want[k]).mean.tobytes()
 
     old = flow_from_states(times, r.normal(size=(6, 1000, dim)))
-    for it in (2, 3):  # a time-major start-up iterate, then a mixed one
+    for it in (2, 3):  # the start-up iterate, then a mixed one
         run = fresh_run()
         want = mixed_oracle(old, run, it)
         old = _mix_flows(old, run, 0.5, stream(7, SUBSAMPLE, it))
-        check(old, want, (6 * dim * 8, 8))
+        check(old, run, want)
     run = fresh_run()
     want = run.X.copy()
-    check(_mix_flows(old, run, 1.0, stream(7, SUBSAMPLE, 4)), want, (dim * 8, 8))
+    check(_mix_flows(old, run, 1.0, stream(7, SUBSAMPLE, 4)), run, want)
 
 
 def test_studies_hold_one_run_at_a_time(monkeypatch):
@@ -275,17 +276,19 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     writes its iterate into the X of the run it mixes in.  The exploitability
     rollout sees only the iterate: the last loop run and its flow are gone,
     and the rollout's flow becomes the report's.  Every study run is lean:
-    under tracemalloc (the strict study) each run adds its X and a few
+    under tracemalloc (the strict study) each solve run adds its X and a few
     N-vectors to the live bytes, no K, |K| or control indices (the first run
-    also draws the study's noise block), and each mix adds at most its kept
-    paths and a few N-vectors.  The exploitability run, which holds the
-    noise, the iterate and its own X, peaks no higher than the last loop run
-    and below a mixing iteration; the relaxed reference holds only the
-    report flow beside its X, and keeps its law, not an (M, N, nU) weight
-    record."""
+    also draws the study's noise block), and each mix adds at most one
+    frame's kept paths and a few N-vectors.  The exploitability run, which
+    holds the noise, the iterate and its own X, peaks no higher than any
+    loop run.  The closing runs (the relaxed reference and the chattered
+    ones) store no X: each adds a few N-vectors, its peak rises less than an
+    X above what it found, and the relaxed one keeps its law, not an
+    (M, N, nU) weight record."""
     refs, calls, study, peaks = [], [], ["solve"], []
-    # traced: per run, the growth of the live bytes and its X bytes; per mix,
-    # the growth of the peak over the live bytes; the peak before a mix
+    # traced: per run, the growth of the live bytes, its X bytes and the
+    # rise of its peak over the live bytes; per mix, the growth of the peak
+    # over the live bytes; the peak before a mix
     growth, mix_growth, mix_studies, carried = [], [], [], [0]
 
     def tracked(real):
@@ -299,10 +302,13 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
                           tuple(i for i, x in enumerate(own) if x() is not None)))
             live = tracemalloc.get_traced_memory()[0]
             out = real(*args, **kwargs)
+            x = out[0].X
             if tracemalloc.is_tracing():
-                growth.append((tracemalloc.get_traced_memory()[0] - live,
-                               out[0].X.nbytes))
-            refs.append((study[0], weakref.ref(out[0]), weakref.ref(out[0].X)))
+                live_now, in_run = tracemalloc.get_traced_memory()
+                growth.append((live_now - live, 0 if x is None else x.nbytes,
+                               in_run - live))
+            refs.append((study[0], weakref.ref(out[0]),
+                         (lambda: None) if x is None else weakref.ref(x)))
             return out
         return run
 
@@ -366,20 +372,19 @@ def test_studies_hold_one_run_at_a_time(monkeypatch):
     assert mix_studies == [(s, 1) for s in ("solve", "strict", "sweep",
                                             "sweep", "sweep") for _ in range(2)]
     # a lean run adds its X, its flow's frame objects and a few N-vectors;
-    # a full bundle's K, |K| and indices would add about 90 N-vectors more
-    noise = 40 * 300 * 8  # the strict study's (M, N, 1) normals
-    assert len(growth) == 8
-    for i, (added, x_bytes) in enumerate(growth):
-        assert added <= x_bytes + (noise if i == 0 else 0) + 16 * 8 * 300, growth
-    # a mix copies out its 150 kept paths, not a fresh (N, M+1, d) iterate
-    kept = 41 * 150 * 8
+    # a full bundle's K, |K| and indices would add about 90 N-vectors more;
+    # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered
+    noise, x_bytes, few = 40 * 300 * 8, 41 * 300 * 8, 16 * 8 * 300
+    assert [x for _, x, _ in growth] == [x_bytes] * 5 + [0] * 3, growth
+    for i, (added, x, _) in enumerate(growth):
+        assert added <= x + (noise if i == 0 else 0) + few, growth
+    # a mix holds one frame's 150 kept rows at a time, no (M+1, 150, d) copy
     assert len(mix_growth) == 2
-    assert all(added <= kept + 16 * 8 * 300 < growth[0][1] for added in mix_growth), \
-        mix_growth
-    # strict runs: start-up, 3 iterations, exploitability, relaxed, 2 chattered;
-    # the rollout holds no more than the last loop run did, and less than a
-    # mixing iteration, which also holds its kept paths
-    run_peaks = peaks[1:]
-    assert len(run_peaks) == 8
-    assert run_peaks[4] <= run_peaks[3] + 16 * 8 * 300, peaks
-    assert run_peaks[4] < min(run_peaks[1:3]), peaks
+    assert all(added <= 150 * 8 + few for added in mix_growth), mix_growth
+    # from a run's start to the next's, the rollout holds no more than any
+    # loop run did; inside its run, a closing run rises less than an X above
+    # what it found, and the rollout, which fills its X, rises more
+    assert len(peaks) == 9
+    assert peaks[5] <= min(peaks[1:5]) + few, peaks
+    assert all(rise < x_bytes for _, _, rise in growth[5:]) \
+        and growth[4][2] >= x_bytes, growth

@@ -20,10 +20,10 @@ is its shortest round-trip ``repr`` with no locale, formatted only when its cell
 moves (flow.csv shares the x strings of paths.csv, K and Kvar strings are kept
 while the value holds); no output has a timestamp, so reruns are byte-identical.
 simulate streams its run into paths.csv and flow.csv as it steps and keeps no
-paths.  A large step table may be written in two halves at once by a forked
-helper that replays the table's producer, the run itself for simulate
-(``measures.write_csv_steps``); a failed helper, or a replay that differs from
-the parent's run, is an I/O error, and a failed write leaves no partial CSV.
+paths.  A large step table may be written in two halves at once: a helper
+forked at the half-way step formats the first half from the raw frames the
+run saved, while the run goes on (``measures.write_csv_steps``); a failed
+helper is an I/O error, and a failed write leaves no partial CSV.
 
 Exit status: 0 on success, 2 when a run finished but is flagged (not
 converged, or an exploitability marked [FLAGGED] or [CLIPPED]), 1 on any error

@@ -92,7 +92,8 @@ def time_cell(times: np.ndarray, t: float) -> int:
     The 1e-9 slack keeps a time that is a node up to rounding in its own cell.
     """
     dt = float(times[1] - times[0])
-    return int(np.clip(np.floor((t - times[0]) / dt + 1e-9), 0, times.size - 2))
+    # int() truncates, which is the floor of the clamped, nonnegative value
+    return int(min(max((t - times[0]) / dt + 1e-9, 0.0), times.size - 2))
 
 
 # -------------------------------------------------------------- allocation

@@ -28,12 +28,9 @@ normalized measures on the product of time and control space.
 
 from __future__ import annotations
 
-import hashlib
-import logging
 import os
 import shutil
 import signal
-import warnings
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -142,11 +139,11 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
-# The writer forks one helper for the second half of a table's steps.  A
-# fork, wait and append cost about 3-6 ms in a 40-60 MB CLI process on a
-# 2-core host, and the helper takes about 1 us of formatting per cell off the
-# parent; below this many formatted cells (about 50 ms of work) the saving is
-# too small against that fixed cost, and the writer stays serial.
+# The writer forks one helper at step m // 2 for a table's first half.  The
+# fork there, the wait and the append cost about 5-6 ms in a 40-60 MB process
+# on a 2-core host, and the helper takes about 1 us of formatting per cell off
+# the parent; below this many formatted cells (about 50 ms of work) the saving
+# is too small against that fixed cost, and the writer stays serial.
 SPLIT_MIN_CELLS = 50_000
 
 
@@ -161,21 +158,19 @@ def write_csv_steps(tables, formats, produce, m: int):
     is the same whichever step formats it, so the bytes never depend on how
     the steps are split.
 
-    Steps [m // 2, m) are written at the same time as the first half by one
-    forked helper process, into ``<path>.part`` beside each table.  The helper
-    replays ``produce`` from step 0, so a producer must make the same blocks
-    in every process (a run's draws come from counter-based streams and the
-    model callbacks are pure).  It formats and writes only its half, with
-    warnings and logging off and no atexit of its own, sends the sha256 of
-    that half's blocks, or its error, down a pipe and leaves by
-    ``os._exit``.  The parent writes the header and steps [0, m // 2),
-    hashes the blocks of the rest, waits for the helper, and appends each
-    part once the two digests agree; a failed helper or a replay that
-    differs raises OSError.  On any error the helper is killed and reaped,
-    and the parts and the tables removed, before the error propagates.  The writer stays serial without ``os.fork``, on one
-    usable CPU, below two steps or below SPLIT_MIN_CELLS formatted cells.
-    The helper's CPU time and memory count in RUSAGE_CHILDREN, not in the
-    parent's RUSAGE_SELF.
+    A large table is written in two halves at once, and only the calling
+    process runs ``produce``.  The blocks of steps [0, m // 2) go as raw
+    float64 bytes into a scratch file beside the first table, unlinked as
+    soon as it is opened.  At step m // 2 the writer forks one helper, which
+    reads those blocks back, writes the header and the first half into the
+    tables, sends its error (or nothing) down a pipe and leaves by
+    ``os._exit``.  The parent writes steps [m // 2, m) into ``<path>.part``
+    beside each table, waits for the helper and appends each part; a failed
+    helper raises OSError.  On any error the helper is killed and reaped, and
+    the parts and the tables removed, before the error propagates.  The
+    writer stays serial without ``os.fork``, on one usable CPU, below two
+    steps or below SPLIT_MIN_CELLS formatted cells.  The helper's CPU time
+    and memory count in RUSAGE_CHILDREN, not in the parent's RUSAGE_SELF.
     """
     paths = [path for path, *_ in tables]
     cells = m * len(tables[0][3]) * len(formats)  # steps x rows x formatted columns
@@ -183,7 +178,7 @@ def write_csv_steps(tables, formats, produce, m: int):
         if (m < 2 or cells < SPLIT_MIN_CELLS or not hasattr(os, "fork")
                 or _usable_cpus() < 2):
             with ExitStack() as stack:
-                return produce(_emitter(stack, paths, tables, formats, range(m)))
+                return produce(_emitter(stack, paths, tables, formats))
         return _split_write(paths, tables, formats, produce, m)
     except BaseException:
         for path in paths:
@@ -209,50 +204,43 @@ def _usable_cpus() -> int:
 
 
 def _split_write(paths, tables, formats, produce, m: int):
-    """`write_csv_steps` with the helper writing steps [m // 2, m)."""
-    theirs = range(m // 2, m)
+    """`write_csv_steps` with a helper, forked at step m // 2, writing steps
+    [0, m // 2) from the raw blocks the parent saved."""
+    half = m // 2
     parts = [f"{path}.part" for path in paths]
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the helper: never returns into the caller's stack
-        code = 1
-        try:
-            os.close(read_fd)
-            # the parent's run reports each warning and log line once
-            logging.disable(logging.CRITICAL)
-            warnings.simplefilter("ignore")
-            digest = hashlib.sha256()
-            try:
-                with ExitStack() as stack:
-                    produce(_emitter(stack, parts, tables, formats, theirs,
-                                     digest, theirs))
-                message, code = digest.digest(), 0
-            except BaseException as exc:
-                message = repr(exc).encode()
-            os.write(write_fd, message)
-        finally:
-            os._exit(code)
-    os.close(write_fd)
+    helper = None  # (pid, read end of its pipe) once forked
     try:
-        digest = hashlib.sha256()
         try:
             with ExitStack() as stack:
-                result = produce(_emitter(stack, paths, tables, formats,
-                                          range(theirs.start), digest, theirs))
+                raw = stack.enter_context(open(f"{paths[0]}.raw", "w+b"))
+                os.unlink(raw.name)  # no exit path can leave it behind
+                k, write = 0, raw.write
+
+                def emit(block):
+                    nonlocal k, write, helper
+                    cur = np.ascontiguousarray(block, dtype=float)
+                    if k == half:  # steps [0, half) are in the raw file
+                        raw.flush()
+                        helper = _fork_helper(raw.fileno(), cur, half, paths,
+                                              tables, formats)
+                        write = _emitter(stack, parts, tables, formats, half)
+                    write(cur)
+                    k += 1
+
+                result = produce(emit)
         except BaseException:
-            os.kill(pid, signal.SIGKILL)
+            if helper:
+                os.kill(helper[0], signal.SIGKILL)
             raise
         finally:
-            with os.fdopen(read_fd, "rb") as pipe:  # EOF once the helper is gone
-                message = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            if helper:
+                with os.fdopen(helper[1], "rb") as pipe:  # EOF once the helper is gone
+                    message = pipe.read()
+                status = os.waitpid(helper[0], 0)[1]
         if status != 0:
-            raise OSError(f"CSV helper writing {parts[0]} failed (exit status "
+            raise OSError(f"CSV helper writing {paths[0]} failed (exit status "
                           f"{os.waitstatus_to_exitcode(status)}): "
                           f"{message.decode(errors='replace')}")
-        if message != digest.digest():
-            raise OSError(f"CSV helper's replay of steps [{theirs.start}, {m}) "
-                          f"differs from the run written to {paths[0]}")
         for path, part in zip(paths, parts):
             with open(part, "rb") as src, open(path, "ab") as dst:
                 shutil.copyfileobj(src, dst)
@@ -263,39 +251,58 @@ def _split_write(paths, tables, formats, produce, m: int):
                 os.remove(part)
 
 
-def _emitter(stack, paths, tables, formats, writes: range, digest=None,
-             hashed: range = range(0)):
-    """An ``emit(block)`` for the blocks of steps 0, 1, ...: writes the rows
-    of the steps in ``writes`` into ``paths`` (opened now, and headed when
-    ``writes`` starts at step 0; every cell of its first step is formatted)
-    and feeds the blocks of the steps in ``hashed`` to ``digest``."""
+def _fork_helper(raw_fd, like, half, paths, tables, formats):
+    """Fork the helper writing steps [0, half) into ``paths`` from the blocks
+    shaped ``like`` in ``raw_fd``; returns its (pid, read end of its pipe)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1  # the helper: never returns into the caller's stack
+    try:
+        os.close(read_fd)
+        try:
+            with ExitStack() as stack:
+                emit = _emitter(stack, paths, tables, formats)
+                for k in range(half):
+                    data = os.pread(raw_fd, like.nbytes, k * like.nbytes)
+                    emit(np.frombuffer(data).reshape(like.shape))
+            code = 0
+        except BaseException as exc:
+            os.write(write_fd, repr(exc).encode())
+    finally:
+        os._exit(code)
+
+
+def _emitter(stack, paths, tables, formats, k: int = 0):
+    """An ``emit(block)`` for the blocks of steps k, k + 1, ...: writes their
+    rows into ``paths``, opened now and headed when k is 0; every cell of
+    the first block is formatted."""
     ufuncs = [np.frompyfunc(fmt, 1, 1) for fmt in formats]  # fed Python floats
     outs = []
     for path, (_, header, lead, row_heads, width) in zip(paths, tables):
         fh = stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
-        if writes.start == 0:
+        if k == 0:
             fh.write(header + "\n")
         cells = [None, ","] * (width - 1) + [None, "\n"]  # (cell, separator) pairs
         parts = [p for head in row_heads for p in (None, f",{head},", *cells)]
         outs.append((fh, parts, lead, width))
-    k, bits, strs = 0, None, None
+    bits, strs = None, None
 
     def emit(block):
         nonlocal k, bits, strs
         cur = np.ascontiguousarray(block, dtype=float)
-        if k in hashed:
-            digest.update(cur)
-        if k in writes:
-            old, bits = bits, cur.view(np.int64)
-            if old is None:  # every bit of ~bits differs: format all cells
-                strs, old = np.empty(cur.shape, dtype=object), ~bits
-            for j, ufunc in enumerate(ufuncs):
-                ufunc(cur[:, j], out=strs[:, j], where=bits[:, j] != old[:, j])
-            for fh, parts, lead, width in outs:
-                parts[::2 + 2 * width] = [lead(k)] * len(strs)
-                for j in range(width):
-                    parts[2 + 2 * j::2 + 2 * width] = strs[:, j].tolist()
-                fh.write("".join(parts))
+        old, bits = bits, cur.view(np.int64)
+        if old is None:  # every bit of ~bits differs: format all cells
+            strs, old = np.empty(cur.shape, dtype=object), ~bits
+        for j, ufunc in enumerate(ufuncs):
+            ufunc(cur[:, j], out=strs[:, j], where=bits[:, j] != old[:, j])
+        for fh, parts, lead, width in outs:
+            parts[::2 + 2 * width] = [lead(k)] * len(strs)
+            for j in range(width):
+                parts[2 + 2 * j::2 + 2 * width] = strs[:, j].tolist()
+            fh.write("".join(parts))
         k += 1
 
     return emit

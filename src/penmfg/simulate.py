@@ -375,7 +375,7 @@ def paths_to_csv(ms: ModelSpec, sim: SimConfig, law, paths_csv, flow_csv):
     sup_t |K|^2 and the final |K|.  The sups are running maxima over one
     frame's `row_norm` at a time; a max is exact and `row_norm` has the bits
     of ``np.linalg.norm``, so the means are those of the whole-array formula.
-    A forked CSV helper replays the same run (`write_csv_steps`).
+    A forked CSV helper may format the run's first half (`write_csv_steps`).
     """
     n = sim.n_particles
     times = _time_grid(ms, sim.dt)

@@ -17,9 +17,9 @@ ACCEPTANCE_LINES: list = []
 
 @pytest.fixture
 def split_writes(monkeypatch):
-    """Every CSV table of two or more steps writes its second half in a
-    forked helper, whatever its size and the host's CPU count; yields the
-    list of forks made, one entry each."""
+    """Every CSV table of two or more steps writes its first half in a
+    helper forked at its half-way step, whatever its size and the host's
+    CPU count; yields the list of forks made, one entry each."""
     forks, fork = [], os.fork
 
     def counted_fork():

@@ -17,9 +17,10 @@ from penmfg.controls import constant_law
 from penmfg.simulate import evaluate_cost, simulate
 from test_simulate import (
     assert_no_helper_left,
+    in_helper,
     reference_flow_csv,
     reference_paths_csv,
-    refuse_parts,
+    refuse,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -266,9 +267,9 @@ def test_diagnose_command(tmp_path):
 
 
 def test_failed_csv_helper_exits_one(tmp_path, capsys, monkeypatch, split_writes):
-    """A split write whose helper cannot open its part is an i/o error, and
+    """A split write whose helper cannot open its tables is an i/o error, and
     leaves no partial CSV, no .part file and no child process."""
-    monkeypatch.setattr(measures, "open", refuse_parts, raising=False)
+    monkeypatch.setattr(measures, "open", in_helper(refuse), raising=False)
     out = tmp_path / "x"
     assert run_cli("simulate", "--config", write_cfg(tmp_path), "--out", str(out)) == 1
     assert "i/o error" in capsys.readouterr().err
@@ -303,11 +304,10 @@ def test_simulate_that_diverges_late_leaves_only_the_manifest(tmp_path, capsys,
     assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
 
 
-def test_simulate_whose_replay_differs_exits_one(tmp_path, capsys, monkeypatch,
-                                                 split_writes):
-    """A helper whose replay drifts from the parent's run (here a drift that
-    reads the process id) is an i/o error that leaves no partial CSV, no
-    .part file and no child process."""
+def test_split_simulate_writes_the_parents_run(tmp_path, monkeypatch, request):
+    """Only the parent runs the simulation: with a drift that reads the
+    process id, which would move any run made in the CSV helper, a split
+    simulate exits 0 with the CSVs of a serial write of the parent's run."""
     parent, build = os.getpid(), cli.build_model
 
     def drifting_model(cfg):
@@ -318,12 +318,16 @@ def test_simulate_whose_replay_differs_exits_one(tmp_path, capsys, monkeypatch,
         return ms
 
     monkeypatch.setattr(cli, "build_model", drifting_model)
-    out = tmp_path / "x"
-    assert run_cli("simulate", "--config", write_cfg(tmp_path), "--out", str(out)) == 1
-    assert capsys.readouterr().err.startswith("i/o error: CSV helper's replay")
-    assert split_writes
-    assert_no_helper_left(out)
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+    cfg, serial, split = write_cfg(tmp_path), tmp_path / "serial", tmp_path / "split"
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")  # the writer stays serial
+        assert run_cli("simulate", "--config", cfg, "--out", str(serial)) == 0
+    forks = request.getfixturevalue("split_writes")
+    assert run_cli("simulate", "--config", cfg, "--out", str(split)) == 0
+    assert forks
+    assert_no_helper_left(split)
+    for name in ("paths.csv", "flow.csv", "report.txt"):
+        assert (split / name).read_bytes() == (serial / name).read_bytes()
 
 
 @pytest.mark.parametrize("after, entry, section", [

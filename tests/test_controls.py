@@ -121,6 +121,25 @@ def test_time_cell_lookup():
     assert time_cell(times, 1.0) == time_cell(times, 7.0) == 9  # the last cell
 
 
+def test_time_cell_matches_the_array_formula():
+    """The scalar clamp gives the cell of the numpy formula it replaced on a
+    dense sweep of t: every node, the nodes one ulp either side, and times
+    outside the grid."""
+    def array_formula(times, t):
+        dt = float(times[1] - times[0])
+        return int(np.clip(np.floor((t - times[0]) / dt + 1e-9), 0, times.size - 2))
+
+    for times in (np.arange(11) * 0.1, np.linspace(0.0, 0.25, 11),
+                  np.linspace(0.0, 1.0, 1001), np.linspace(-0.5, 2.0, 41)):
+        span = times[-1] - times[0]
+        sweep = np.concatenate([
+            times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+            np.linspace(times[0] - span, times[-1] + span, 20_001),
+            [-np.inf, -1e300, 1e300, np.inf]])
+        assert [time_cell(times, t) for t in sweep] == [
+            array_formula(times, t) for t in sweep]
+
+
 def test_relaxed_table_sampling_frequencies():
     atoms = np.array([[-1.0], [1.0]])
     law = open_loop([0.0, 1.0], [[0.5, 0.5]], atoms)

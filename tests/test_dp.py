@@ -897,7 +897,7 @@ def test_value_csv_export(tmp_path, request):
     assert lines[0] == "t,x_1,x_2,value,u_index"
     assert all(row.endswith(",-1") for row in lines[-9:])
     assert out.read_bytes() == reference_value_csv(field2)
-    # split writes: a forked helper writes slices [m // 2, m), the same bytes
+    # split writes: a forked helper writes slices [0, m // 2), the same bytes
     # for both fields and for their first one and two slices
     forks = request.getfixturevalue("split_writes")
     fields = [field, field2] + [

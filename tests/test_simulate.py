@@ -785,7 +785,7 @@ def test_csv_exports_are_deterministic(tmp_path, request):
     for bundle, bundle_flow in cases:
         assert_csv_exports(bundle, bundle_flow, tmp_path)
     assert len(forks) == 2 * (len(cases) - len(two))  # one step: serial
-    # the run streamed by paths_to_csv, its helper replaying the run
+    # the run streamed by paths_to_csv, its helper writing the first half
     run = paths_to_csv(ms, SimConfig(n_particles=5, dt=0.25, penalty=4, seed=8),
                        null_law(), p1, f1)[0]
     assert p1.read_bytes() == reference_paths_csv(paths)
@@ -795,15 +795,25 @@ def test_csv_exports_are_deterministic(tmp_path, request):
     assert not list(tmp_path.glob("*.part"))
 
 
-def refuse_parts(path, *args, **kwargs):
-    """``open`` for the CSV writer, failing on the helper's ``.part`` files."""
-    if str(path).endswith(".part"):
-        raise PermissionError(f"refused: {path}")
-    return open(path, *args, **kwargs)
+def in_helper(act):
+    """``open`` for the CSV writer that first calls ``act(path)`` in any
+    process but this one: in a split write's helper, which opens the tables."""
+    parent = os.getpid()
+
+    def helper_open(path, *args, **kwargs):
+        if os.getpid() != parent:
+            act(path)
+        return open(path, *args, **kwargs)
+    return helper_open
+
+
+def refuse(path):
+    raise PermissionError(f"refused: {path}")
 
 
 def assert_no_helper_left(out_dir):
     assert not list(out_dir.glob("*.part"))
+    assert not list(out_dir.glob("*.raw"))  # the parent's raw-frame scratch file
     with pytest.raises(ChildProcessError):  # no child process, reaped or not
         os.waitpid(-1, os.WNOHANG)
 
@@ -811,49 +821,48 @@ def assert_no_helper_left(out_dir):
 def test_split_write_failures_leave_no_helper_or_part(tmp_path, monkeypatch,
                                                       split_writes):
     """A failed split write raises in the parent, and leaves neither the
-    table, a .part file nor a child process."""
+    table, a .part or raw-frame file nor a child process, whether the
+    helper fails or the parent's run fails before or after the fork."""
     table = [(tmp_path / "t.csv", "t,i,x", str, [0, 1, 2], 1)]
     blocks = stored_steps(lambda k: np.full((3, 1), 0.5 * k), 4)
 
-    # a helper that cannot open its part: OSError in the parent
+    def fails_at(step):
+        def produce(emit):
+            for k in range(step):
+                emit(np.zeros((3, 1)))
+            raise ValueError("bad block")
+        return produce
+
+    # a helper that cannot open the table: OSError in the parent
     with monkeypatch.context() as m:
-        m.setattr(measures, "open", refuse_parts, raising=False)
+        m.setattr(measures, "open", in_helper(refuse), raising=False)
         with pytest.raises(OSError, match="CSV helper .* failed .*PermissionError"):
             write_csv_steps(table, (repr,), blocks, 4)
     assert_no_helper_left(tmp_path)
     assert not any(tmp_path.iterdir())
-    # the parent's run fails while the helper's replay is still busy: the
-    # helper is killed, not waited out, and the parent's error propagates
-    parent = os.getpid()
-
-    def parent_fails(emit):
-        if os.getpid() != parent:
-            time.sleep(30)
-        emit(np.zeros((3, 1)))
-        raise ValueError("bad block")
-
-    start = time.perf_counter()
+    # the parent's run fails before the fork at step 2: no helper is made
     with pytest.raises(ValueError, match="bad block"):
-        write_csv_steps(table, (repr,), parent_fails, 4)
-    assert time.perf_counter() - start < 10
+        write_csv_steps(table, (repr,), fails_at(1), 4)
+    assert len(split_writes) == 1
+    assert_no_helper_left(tmp_path)
+    assert not any(tmp_path.iterdir())
+    # the parent's run fails after the fork while the helper is still busy:
+    # the helper is killed, not waited out, and the parent's error propagates
+    with monkeypatch.context() as m:
+        m.setattr(measures, "open", in_helper(lambda path: time.sleep(30)),
+                  raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bad block"):
+            write_csv_steps(table, (repr,), fails_at(3), 4)
+        assert time.perf_counter() - start < 10
+    assert len(split_writes) == 2
     assert_no_helper_left(tmp_path)
     assert not any(tmp_path.iterdir())
     assert write_csv_steps(table, (repr,), blocks, 4) is None
     assert (tmp_path / "t.csv").read_text() == "".join(
         ["t,i,x\n"] + [f"{k},{i},{0.5 * k!r}\n" for k in range(4) for i in range(3)])
-    assert len(split_writes) == 3
-
-
-def test_split_write_refuses_a_replay_that_differs(tmp_path, split_writes):
-    """A helper whose replay makes other blocks than the parent's run is an
-    OSError, and leaves neither the table, a .part file nor a child."""
-    table = [(tmp_path / "t.csv", "t,i,x", str, [0, 1, 2], 1)]
-    parent = os.getpid()
-    blocks = stored_steps(lambda k: np.full((3, 1), k + (os.getpid() != parent)), 4)
-    with pytest.raises(OSError, match=r"replay of steps \[2, 4\) differs"):
-        write_csv_steps(table, (repr,), blocks, 4)
     assert_no_helper_left(tmp_path)
-    assert not any(tmp_path.iterdir())
+    assert len(split_writes) == 3
 
 
 # ------------------------------------------------------------------ lean runs

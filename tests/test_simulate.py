@@ -865,6 +865,20 @@ def test_split_write_failures_leave_no_helper_or_part(tmp_path, monkeypatch,
     assert len(split_writes) == 3
 
 
+def test_split_write_formats_the_parents_frames(tmp_path, split_writes):
+    """The helper formats the frames the parent's run made and runs no
+    producer of its own: blocks that would differ in any other process
+    still give the table of the parent's run, in both halves."""
+    table = [(tmp_path / "t.csv", "t,i,x", str, [0, 1, 2], 1)]
+    parent = os.getpid()
+    blocks = stored_steps(lambda k: np.full((3, 1), k + (os.getpid() != parent)), 4)
+    assert write_csv_steps(table, (repr,), blocks, 4) is None
+    assert len(split_writes) == 1
+    assert_no_helper_left(tmp_path)
+    assert (tmp_path / "t.csv").read_text() == "".join(
+        ["t,i,x\n"] + [f"{k},{i},{float(k)!r}\n" for k in range(4) for i in range(3)])
+
+
 # ------------------------------------------------------------------ lean runs
 
 
